@@ -177,7 +177,7 @@ serving (imcis.wire/2 — newline-delimited JSON over TCP):
 
 serve options:
   --addr A         listen address                  [default 127.0.0.1:7414]
-  --workers N      persistent session workers; 0 = all cores  [default 0]
+  --workers N      members running at once; 0 = all cores     [default 0]
   --queue N        bounded member-task queue capacity        [default 64]
   --rate R         per-connection submit rate limit (token bucket,
                    submits/second); over-limit submits are answered
@@ -1355,6 +1355,22 @@ fn file_scenario_params(options: &Options) -> ScenarioParams {
     ScenarioParams::from_pairs(pairs)
 }
 
+/// Prints a command's result to `out` with one trailing newline. JSON
+/// reports already end in a newline, which is trimmed, so piping the
+/// output to a file yields the canonical byte-identical form. A reader
+/// that closed the pipe early (`imcis run … | head`) is success, not an
+/// error.
+///
+/// # Errors
+///
+/// Any write error other than [`std::io::ErrorKind::BrokenPipe`].
+pub fn print_output(out: &mut impl std::io::Write, text: &str) -> std::io::Result<()> {
+    match writeln!(out, "{}", text.trim_end_matches('\n')).and_then(|()| out.flush()) {
+        Err(e) if e.kind() == std::io::ErrorKind::BrokenPipe => Ok(()),
+        result => result,
+    }
+}
+
 /// Full entry point: dispatch on the first argument, read files, run.
 ///
 /// # Errors
@@ -1388,6 +1404,34 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(ToString::to_string).collect()
+    }
+
+    /// A writer that fails every write with `kind`, e.g. stdout after
+    /// the reader at the other end of the pipe has exited.
+    struct FailingWriter(std::io::ErrorKind);
+
+    impl std::io::Write for FailingWriter {
+        fn write(&mut self, _: &[u8]) -> std::io::Result<usize> {
+            Err(self.0.into())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn printing_into_a_closed_pipe_is_a_clean_exit() {
+        let mut out = Vec::new();
+        print_output(&mut out, "{\"a\": 1}\n").unwrap();
+        assert_eq!(out, b"{\"a\": 1}\n");
+        print_output(&mut FailingWriter(std::io::ErrorKind::BrokenPipe), "report").unwrap();
+        let other = print_output(
+            &mut FailingWriter(std::io::ErrorKind::PermissionDenied),
+            "report",
+        )
+        .unwrap_err();
+        assert_eq!(other.kind(), std::io::ErrorKind::PermissionDenied);
     }
 
     const COIN: &str = "\

@@ -3,9 +3,12 @@
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match imcis_cli::run(&args) {
-        // JSON reports already end in a newline; trim so piping the
-        // output to a file yields the canonical byte-identical form.
-        Ok(report) => println!("{}", report.trim_end_matches('\n')),
+        Ok(report) => {
+            if let Err(error) = imcis_cli::print_output(&mut std::io::stdout().lock(), &report) {
+                eprintln!("imcis: cannot print the result: {error}");
+                std::process::exit(1);
+            }
+        }
         Err(error) => {
             eprintln!("imcis: {error}");
             std::process::exit(1);

@@ -67,15 +67,16 @@
 //!
 //! On top of the suite layer sits [`serve`]: a `std`-only TCP daemon
 //! (`imcis serve`) that accepts suite manifests over a newline-delimited
-//! JSON protocol (`imcis.wire/2`), schedules member sessions across a
-//! persistent *supervised* worker pool fed by a bounded queue, shares
-//! one process-wide [`SetupCache`] across jobs and clients, and streams
-//! `member_report` / `member_error` events as sessions complete — tagged
-//! `(job_id, member_index)` so clients reassemble manifest order from
-//! completion order — followed by the terminal `suite_report`. Jobs can
-//! carry deadlines, be cancelled at member boundaries, and a full queue
-//! answers `rejected {retry_after_ms}` instead of blocking the accept
-//! loop. The embedded payloads are the stable JSON forms, so a
+//! JSON protocol (`imcis.wire/2`) and runs each job through the same
+//! *supervised* executor as [`Suite::run`], with at most `workers`
+//! members running at once across jobs. It shares one process-wide
+//! [`SetupCache`] across jobs and clients, and streams `member_report` /
+//! `member_error` events as sessions complete — tagged `(job_id,
+//! member_index)` so clients reassemble manifest order from completion
+//! order — followed by the terminal `suite_report`. Jobs can carry
+//! deadlines and be cancelled at member boundaries, and a job whose
+//! members do not fit the bounded queue is answered `rejected
+//! {retry_after_ms}` before anything is built. The embedded payloads are the stable JSON forms, so a
 //! daemon-served suite is byte-identical to `imcis suite` at every
 //! worker count; timing travels only in event envelopes. See the
 //! [`serve`] module docs for the protocol and `docs/FORMATS.md` for the

@@ -61,18 +61,16 @@
 //! batch artefact (pinned by `tests/router.rs` and the CI router smoke
 //! step).
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use imc_models::fnv1a64;
-use serde::json::{self, Value};
 
 use crate::serve::{
-    error_event, event, health_event, parse_event, parse_request, wake_addr, Event, Request,
-    ServeError, READ_POLL_MS, RETRY_AFTER_MS,
+    health, send, BackendStatus, Client, Connections, Event, JobDisposition, Request, RouterStatus,
+    ServeError, StatusSnapshot, RETRY_AFTER_MS,
 };
 use crate::suite::SuiteSpec;
 
@@ -213,169 +211,53 @@ struct RouterJob {
     members_done: Arc<AtomicUsize>,
 }
 
-/// State shared by the accept loop, connection handlers and the
-/// heartbeat thread.
+/// State shared by the connection handlers and the heartbeat thread.
 struct RouterState {
+    conns: Connections,
     backends: Vec<Backend>,
     ring: HashRing,
-    shutdown: AtomicBool,
-    local_addr: SocketAddr,
     started: Instant,
     next_job: AtomicU64,
-    next_connection: AtomicU64,
     jobs_routed: AtomicU64,
     active_jobs: AtomicUsize,
     queue_capacity: usize,
     jobs: Mutex<Vec<RouterJob>>,
-    connections: Mutex<Vec<(u64, TcpStream)>>,
-    idle: Condvar,
 }
 
-impl RouterState {
-    fn live_backends(&self) -> u64 {
-        self.backends
-            .iter()
-            .filter(|b| b.alive.load(Ordering::SeqCst))
-            .count() as u64
+/// Connects to one backend with the router's connect timeout; `probe`
+/// additionally bounds reads (heartbeats must never hang on a wedged
+/// backend).
+fn connect(addr: &str, probe: bool) -> Result<Client, ServeError> {
+    let resolved = addr
+        .to_socket_addrs()
+        .map_err(|e| ServeError::Io(format!("cannot resolve `{addr}`: {e}")))?
+        .next()
+        .ok_or_else(|| ServeError::Io(format!("`{addr}` resolves to no address")))?;
+    let stream = TcpStream::connect_timeout(&resolved, Duration::from_millis(CONNECT_TIMEOUT_MS))
+        .map_err(|e| ServeError::Io(format!("cannot connect to `{addr}`: {e}")))?;
+    if probe {
+        stream.set_read_timeout(Some(Duration::from_millis(PROBE_TIMEOUT_MS)))?;
     }
-
-    fn register_connection(&self, stream: &TcpStream) -> Option<u64> {
-        let handle = stream.try_clone().ok()?;
-        let id = self.next_connection.fetch_add(1, Ordering::SeqCst);
-        self.connections
-            .lock()
-            .expect("connection list poisoned")
-            .push((id, handle));
-        Some(id)
-    }
-
-    fn deregister_connection(&self, id: u64) {
-        let mut connections = self.connections.lock().expect("connection list poisoned");
-        connections.retain(|(conn, _)| *conn != id);
-        if connections.is_empty() {
-            self.idle.notify_all();
-        }
-    }
-
-    fn drain_connections(&self) {
-        let mut connections = self.connections.lock().expect("connection list poisoned");
-        for (_, stream) in connections.iter() {
-            let _ = stream.shutdown(std::net::Shutdown::Read);
-        }
-        while !connections.is_empty() {
-            connections = self
-                .idle
-                .wait(connections)
-                .expect("connection list poisoned");
-        }
-    }
-
-    fn job_dispositions(&self) -> Vec<Value> {
-        self.jobs
-            .lock()
-            .expect("job list poisoned")
-            .iter()
-            .map(|job| {
-                Value::object([
-                    ("job_id".into(), Value::UInt(job.job_id)),
-                    ("members".into(), Value::UInt(job.members_total as u64)),
-                    (
-                        "members_done".into(),
-                        Value::UInt(job.members_done.load(Ordering::SeqCst) as u64),
-                    ),
-                ])
-            })
-            .collect()
-    }
+    Client::over(stream)
 }
 
-/// One raw wire connection from the router to a backend. Unlike
-/// [`Client`](crate::serve::Client) this keeps the *decoded value*
-/// of every event so the proxy can forward lines verbatim (modulo the
-/// `job_id` relabel) without re-serialising payloads.
-struct BackendConn {
-    reader: BufReader<TcpStream>,
-    writer: TcpStream,
-}
-
-impl BackendConn {
-    /// Connects with the router's connect timeout; `probe` additionally
-    /// bounds reads (heartbeats must never hang on a wedged backend).
-    fn connect(addr: &str, probe: bool) -> Result<Self, ServeError> {
-        let resolved = addr
-            .to_socket_addrs()
-            .map_err(|e| ServeError::Io(format!("cannot resolve `{addr}`: {e}")))?
-            .next()
-            .ok_or_else(|| ServeError::Io(format!("`{addr}` resolves to no address")))?;
-        let writer =
-            TcpStream::connect_timeout(&resolved, Duration::from_millis(CONNECT_TIMEOUT_MS))
-                .map_err(|e| ServeError::Io(format!("cannot connect to `{addr}`: {e}")))?;
-        if probe {
-            writer.set_read_timeout(Some(Duration::from_millis(PROBE_TIMEOUT_MS)))?;
-        }
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(BackendConn { reader, writer })
+impl Backend {
+    /// Probes the backend with `health` (the heartbeat and the initial
+    /// aliveness sweep). The verdict is stored before the probe
+    /// connection closes, so it cannot land after a later connection to
+    /// a backend that serves one connection at a time has seen the
+    /// backend die.
+    fn probe(&self) {
+        let mut conn = connect(&self.addr, true);
+        let healthy = conn.as_mut().is_ok_and(|conn| conn.health().is_ok());
+        self.alive.store(healthy, Ordering::SeqCst);
     }
-
-    fn send(&mut self, line: &str) -> Result<(), ServeError> {
-        self.writer.write_all(line.as_bytes())?;
-        Ok(())
-    }
-
-    /// Reads and decodes one event line, returning the raw value (for
-    /// relabelled forwarding) alongside the typed view.
-    fn read_event(&mut self) -> Result<(Value, Event), ServeError> {
-        let mut line = String::new();
-        let n = self.reader.read_line(&mut line)?;
-        if n == 0 {
-            return Err(ServeError::Protocol(
-                "backend closed the connection mid-stream".into(),
-            ));
-        }
-        let value = json::parse(line.trim_end())
-            .map_err(|e| ServeError::Protocol(format!("backend event is not valid JSON: {e}")))?;
-        let event = parse_event(&value).map_err(ServeError::Protocol)?;
-        Ok((value, event))
-    }
-}
-
-/// Probes one backend with `health`; used by the heartbeat thread and
-/// the initial aliveness sweep.
-fn probe_health(addr: &str) -> bool {
-    let Ok(mut conn) = BackendConn::connect(addr, true) else {
-        return false;
-    };
-    if conn.send(&event("health", [])).is_err() {
-        return false;
-    }
-    matches!(conn.read_event(), Ok((_, Event::Health(_))))
-}
-
-/// Re-serialises an event value with its `job_id` replaced — the
-/// vendored JSON value is deliberately immutable, so relabelling
-/// rebuilds the pair list (payloads are cloned references, not
-/// re-encoded text, and insertion order is preserved).
-fn relabel_job_id(value: &Value, job_id: u64) -> String {
-    let pairs: Vec<(String, Value)> = value
-        .as_object()
-        .unwrap_or(&[])
-        .iter()
-        .map(|(key, field)| {
-            if key == "job_id" {
-                (key.clone(), Value::UInt(job_id))
-            } else {
-                (key.clone(), field.clone())
-            }
-        })
-        .collect();
-    format!("{}\n", Value::Object(pairs))
 }
 
 /// The cache-affinity front-line router. See the [module docs](self)
 /// for the routing, spill and failover semantics.
 pub struct Router {
-    listener: TcpListener,
-    state: Arc<RouterState>,
+    state: RouterState,
     heartbeat_ms: u64,
 }
 
@@ -394,35 +276,29 @@ impl Router {
                 "router needs at least one --backend address".into(),
             ));
         }
-        let listener = TcpListener::bind(&config.addr)
-            .map_err(|e| ServeError::Io(format!("cannot bind `{}`: {e}", config.addr)))?;
-        let local_addr = listener.local_addr()?;
-        let ring = HashRing::new(&config.backends);
-        let backends = config
-            .backends
-            .iter()
-            .map(|addr| Backend {
-                alive: AtomicBool::new(probe_health(addr)),
-                addr: addr.clone(),
-            })
-            .collect();
-        let state = Arc::new(RouterState {
-            backends,
-            ring,
-            shutdown: AtomicBool::new(false),
-            local_addr,
+        let state = RouterState {
+            conns: Connections::bind(&config.addr)?,
+            backends: config
+                .backends
+                .iter()
+                .map(|addr| {
+                    let backend = Backend {
+                        addr: addr.clone(),
+                        alive: AtomicBool::new(false),
+                    };
+                    backend.probe();
+                    backend
+                })
+                .collect(),
+            ring: HashRing::new(&config.backends),
             started: Instant::now(),
             next_job: AtomicU64::new(1),
-            next_connection: AtomicU64::new(1),
             jobs_routed: AtomicU64::new(0),
             active_jobs: AtomicUsize::new(0),
             queue_capacity: config.queue.max(1),
             jobs: Mutex::new(Vec::new()),
-            connections: Mutex::new(Vec::new()),
-            idle: Condvar::new(),
-        });
+        };
         Ok(Router {
-            listener,
             state,
             heartbeat_ms: config.heartbeat_ms.max(1),
         })
@@ -430,7 +306,7 @@ impl Router {
 
     /// The bound listen address (resolves port `0` to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.local_addr
+        self.state.conns.local_addr
     }
 
     /// Accepts and serves connections until a client sends `shutdown`
@@ -440,71 +316,34 @@ impl Router {
     ///
     /// [`ServeError::Io`] when the accept loop fails irrecoverably.
     pub fn run(self) -> Result<(), ServeError> {
-        // The heartbeat: probe every backend, flip its aliveness, sleep
-        // in short slices so shutdown is prompt. A dead backend is
-        // evicted from routing on the next walk; a recovered one
-        // rejoins (cold cache — wall-clock, never bytes).
-        let heartbeat = {
-            let state = Arc::clone(&self.state);
-            let interval = Duration::from_millis(self.heartbeat_ms);
-            std::thread::spawn(move || {
-                while !state.shutdown.load(Ordering::SeqCst) {
+        let state = &self.state;
+        let interval = Duration::from_millis(self.heartbeat_ms);
+        std::thread::scope(|scope| {
+            // The heartbeat: probe every backend, flip its aliveness,
+            // sleep in short slices so shutdown is prompt. A dead
+            // backend is evicted from routing on the next walk; a
+            // recovered one rejoins (cold cache — wall-clock, never
+            // bytes).
+            scope.spawn(move || {
+                while !state.conns.shutting_down() {
                     for backend in &state.backends {
-                        backend
-                            .alive
-                            .store(probe_health(&backend.addr), Ordering::SeqCst);
-                        if state.shutdown.load(Ordering::SeqCst) {
+                        backend.probe();
+                        if state.conns.shutting_down() {
                             return;
                         }
                     }
                     let mut slept = Duration::ZERO;
-                    while slept < interval && !state.shutdown.load(Ordering::SeqCst) {
+                    while slept < interval && !state.conns.shutting_down() {
                         let slice = (interval - slept).min(Duration::from_millis(50));
                         std::thread::sleep(slice);
                         slept += slice;
                     }
                 }
-            })
-        };
-        let mut accept_result = Ok(());
-        let mut consecutive_errors = 0u32;
-        loop {
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => {
-                    consecutive_errors = 0;
-                    stream
-                }
-                Err(e) => {
-                    if self.state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    consecutive_errors += 1;
-                    if consecutive_errors >= 100 {
-                        accept_result = Err(ServeError::Io(format!(
-                            "accept failed {consecutive_errors} times in a row: {e}"
-                        )));
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                    continue;
-                }
-            };
-            if self.state.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let state = Arc::clone(&self.state);
-            let Some(id) = state.register_connection(&stream) else {
-                drop(stream);
-                continue;
-            };
-            std::thread::spawn(move || {
-                handle_connection(stream, &state);
-                state.deregister_connection(id);
             });
-        }
-        self.state.drain_connections();
-        heartbeat.join().expect("heartbeat thread panicked");
-        accept_result
+            state
+                .conns
+                .serve(|| |request, out: &mut TcpStream| state.handle(request, out))
+        })
     }
 
     /// Runs the router on a background thread (tests, in-process use).
@@ -513,429 +352,279 @@ impl Router {
     }
 }
 
-/// Reads one request line under the poll deadline, re-checking the
-/// shutdown flag (same discipline as the daemon's reader).
-fn read_request_line(
-    reader: &mut BufReader<TcpStream>,
-    state: &RouterState,
-    line: &mut String,
-) -> bool {
-    line.clear();
-    loop {
-        match reader.read_line(line) {
-            Ok(0) => return false,
-            Ok(_) => return true,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return false;
-                }
+impl RouterState {
+    /// Answers one request on a router connection; `false` closes it.
+    fn handle(&self, request: Request, out: &mut TcpStream) -> bool {
+        let answer = match request {
+            Request::Ping => Event::Pong,
+            Request::Health => {
+                let live = self
+                    .backends
+                    .iter()
+                    .filter(|b| b.alive.load(Ordering::SeqCst));
+                health(live.count(), self.started)
             }
-            Err(_) => return false,
-        }
-    }
-}
-
-/// Serves one client connection on the router.
-fn handle_connection(stream: TcpStream, state: &RouterState) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let _ = read_half.set_read_timeout(Some(Duration::from_millis(READ_POLL_MS)));
-    let mut writer = stream;
-    let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
-    loop {
-        if !read_request_line(&mut reader, state, &mut line) {
-            return;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = match json::parse(line.trim_end()) {
-            Ok(value) => parse_request(&value),
-            Err(e) => Err((
-                "wire".to_string(),
-                format!("request is not valid JSON: {e}"),
-            )),
-        };
-        let keep_going = match request {
-            Err((class, message)) => writer
-                .write_all(error_event(&class, &message).as_bytes())
-                .is_ok(),
-            Ok(Request::Ping) => writer.write_all(event("pong", []).as_bytes()).is_ok(),
-            Ok(Request::Health) => writer
-                .write_all(health_event(state.live_backends(), &state.started).as_bytes())
-                .is_ok(),
-            Ok(Request::Status) => writer.write_all(aggregate_status(state).as_bytes()).is_ok(),
-            Ok(Request::Cancel { job_id }) => writer
-                .write_all(forward_cancel(state, job_id).as_bytes())
-                .is_ok(),
-            Ok(Request::Shutdown) => {
-                state.shutdown.store(true, Ordering::SeqCst);
+            Request::Status => self.aggregate_status(),
+            Request::Cancel { job_id } => self.forward_cancel(job_id),
+            Request::Shutdown => {
                 // Fan the shutdown out to every live backend before
                 // acknowledging: the fleet drains as one unit.
-                for backend in &state.backends {
-                    if !backend.alive.load(Ordering::SeqCst) {
-                        continue;
-                    }
-                    if let Ok(mut conn) = BackendConn::connect(&backend.addr, true) {
-                        let _ = conn.send(&event("shutdown", []));
-                        let _ = conn.read_event();
+                for backend in &self.backends {
+                    if backend.alive.load(Ordering::SeqCst) {
+                        let _ = connect(&backend.addr, true).and_then(|mut conn| conn.shutdown());
                     }
                 }
-                let line = event(
-                    "shutting_down",
-                    [("jobs".to_string(), Value::Array(state.job_dispositions()))],
-                );
-                let _ = writer.write_all(line.as_bytes());
-                let _ = TcpStream::connect(wake_addr(state.local_addr));
-                false
+                let jobs = self.jobs.lock().expect("job list poisoned");
+                Event::ShuttingDown {
+                    jobs: jobs
+                        .iter()
+                        .map(|job| JobDisposition {
+                            job_id: job.job_id,
+                            members: job.members_total as u64,
+                            members_done: job.members_done.load(Ordering::SeqCst) as u64,
+                            campaigns: Vec::new(),
+                        })
+                        .collect(),
+                }
             }
-            Ok(Request::Submit { spec, deadline_ms }) => {
-                route_job(&spec, deadline_ms, &mut writer, state)
+            Request::Submit { spec, deadline_ms } => {
+                if self
+                    .active_jobs
+                    .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |active| {
+                        (active < self.queue_capacity).then_some(active + 1)
+                    })
+                    .is_err()
+                {
+                    Event::Rejected {
+                        retry_after_ms: RETRY_AFTER_MS,
+                    }
+                } else {
+                    let alive = self.proxy_job(spec, deadline_ms, out);
+                    self.active_jobs.fetch_sub(1, Ordering::SeqCst);
+                    return alive;
+                }
             }
         };
-        if !keep_going {
-            return;
-        }
+        send(out, &answer)
     }
-}
 
-/// Builds the router's aggregated `status` answer: per-backend health
-/// (heartbeat verdict refreshed by this very poll) plus each reachable
-/// backend's own load snapshot, flattened into its entry.
-fn aggregate_status(state: &RouterState) -> String {
-    let mut backends = Vec::with_capacity(state.backends.len());
-    for backend in &state.backends {
-        let mut fields = vec![("addr".to_string(), Value::Str(backend.addr.clone()))];
-        let snapshot = poll_backend_status(&backend.addr);
-        let healthy = snapshot.is_some();
-        backend.alive.store(healthy, Ordering::SeqCst);
-        fields.push(("healthy".to_string(), Value::Bool(healthy)));
-        if let Some(status) = snapshot {
-            fields.extend(status);
-        }
-        backends.push(Value::Object(fields));
+    /// The aggregated `status` answer: per-backend health (the
+    /// heartbeat verdict, refreshed by this very poll) plus each
+    /// reachable backend's own load snapshot.
+    fn aggregate_status(&self) -> Event {
+        let backends = self
+            .backends
+            .iter()
+            .map(|backend| {
+                let polled = connect(&backend.addr, true).and_then(|mut conn| conn.status());
+                backend.alive.store(polled.is_ok(), Ordering::SeqCst);
+                BackendStatus {
+                    addr: backend.addr.clone(),
+                    healthy: polled.is_ok(),
+                    status: match polled {
+                        Ok(StatusSnapshot::Daemon(status)) => Some(status),
+                        _ => None,
+                    },
+                }
+            })
+            .collect();
+        Event::Status(StatusSnapshot::Router(RouterStatus {
+            active_jobs: self.active_jobs.load(Ordering::SeqCst) as u64,
+            jobs_routed: self.jobs_routed.load(Ordering::SeqCst),
+            uptime_ms: self.started.elapsed().as_millis() as u64,
+            backends,
+        }))
     }
-    event(
-        "status",
-        [
-            ("role".to_string(), Value::Str("router".into())),
-            (
-                "active_jobs".to_string(),
-                Value::UInt(state.active_jobs.load(Ordering::SeqCst) as u64),
+
+    /// Forwards a `cancel` to the backend owning the router job: the
+    /// acknowledgement comes back under the router's id, a backend
+    /// error verbatim, and an unknown id is the pinned `queue` error.
+    fn forward_cancel(&self, job_id: u64) -> Event {
+        let target = {
+            let jobs = self.jobs.lock().expect("job list poisoned");
+            jobs.iter()
+                .find(|job| job.job_id == job_id)
+                .map(|job| (job.backend.clone(), job.backend_job))
+        };
+        let Some((backend, backend_job)) = target else {
+            return Event::error("queue", format!("job {job_id} is not active"));
+        };
+        match connect(&backend, true).and_then(|mut conn| conn.cancel(backend_job)) {
+            Ok(()) => Event::Cancelled { job_id },
+            Err(ServeError::Remote { error, message }) => Event::Error {
+                class: error,
+                message,
+            },
+            Err(_) => Event::error(
+                "queue",
+                format!("backend `{backend}` did not acknowledge the cancel"),
             ),
-            (
-                "jobs_routed".to_string(),
-                Value::UInt(state.jobs_routed.load(Ordering::SeqCst)),
-            ),
-            (
-                "uptime_ms".to_string(),
-                Value::UInt(state.started.elapsed().as_millis() as u64),
-            ),
-            ("backends".to_string(), Value::Array(backends)),
-        ],
-    )
-}
-
-/// Polls one backend's `status`, returning its raw field pairs (to be
-/// flattened into the aggregation entry) or `None` when unreachable.
-fn poll_backend_status(addr: &str) -> Option<Vec<(String, Value)>> {
-    let mut conn = BackendConn::connect(addr, true).ok()?;
-    conn.send(&event("status", [])).ok()?;
-    let (value, decoded) = conn.read_event().ok()?;
-    match decoded {
-        Event::Status(_) => Some(
-            value
-                .as_object()?
-                .iter()
-                .filter(|(key, _)| !matches!(key.as_str(), "wire" | "type"))
-                .cloned()
-                .collect(),
-        ),
-        _ => None,
-    }
-}
-
-/// Forwards a `cancel` to the backend owning the router job, answering
-/// the relabelled acknowledgement (or the pinned `queue` error when no
-/// such job is proxied).
-fn forward_cancel(state: &RouterState, job_id: u64) -> String {
-    let target = {
-        let jobs = state.jobs.lock().expect("job list poisoned");
-        jobs.iter()
-            .find(|job| job.job_id == job_id)
-            .map(|job| (job.backend.clone(), job.backend_job))
-    };
-    let Some((backend, backend_job)) = target else {
-        return error_event("queue", &format!("job {job_id} is not active"));
-    };
-    let attempt = (|| -> Result<(Value, Event), ServeError> {
-        let mut conn = BackendConn::connect(&backend, true)?;
-        conn.send(&event(
-            "cancel",
-            [("job_id".to_string(), Value::UInt(backend_job))],
-        ))?;
-        conn.read_event()
-    })();
-    match attempt {
-        Ok((value, Event::Cancelled { .. })) => relabel_job_id(&value, job_id),
-        Ok((value, Event::Error { .. })) => format!("{value}\n"),
-        _ => error_event(
-            "queue",
-            &format!("backend `{backend}` did not acknowledge the cancel"),
-        ),
-    }
-}
-
-/// The submit path: place the job on the ring, spill past rejections,
-/// proxy the stream, fail over mid-job if the backend dies. Returns
-/// `false` when the client vanished.
-fn route_job(
-    spec: &SuiteSpec,
-    deadline_ms: Option<u64>,
-    writer: &mut TcpStream,
-    state: &RouterState,
-) -> bool {
-    if state
-        .active_jobs
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |active| {
-            (active < state.queue_capacity).then_some(active + 1)
-        })
-        .is_err()
-    {
-        let line = event(
-            "rejected",
-            [("retry_after_ms".to_string(), Value::UInt(RETRY_AFTER_MS))],
-        );
-        return writer.write_all(line.as_bytes()).is_ok();
-    }
-    let alive = proxy_job(spec, deadline_ms, writer, state);
-    state.active_jobs.fetch_sub(1, Ordering::SeqCst);
-    alive
-}
-
-/// The submit request line forwarded to backends: the validated spec
-/// re-embedded (a router-side `file` submit reaches the backend as an
-/// embedded manifest — backends need no shared filesystem).
-fn submit_line(spec: &SuiteSpec, deadline_ms: Option<u64>) -> String {
-    let mut fields = vec![("suite".to_string(), spec.to_json())];
-    if let Some(ms) = deadline_ms {
-        fields.push(("deadline_ms".to_string(), Value::UInt(ms)));
-    }
-    event("submit", fields)
-}
-
-/// Opens the stream on the first backend that accepts: walks the
-/// preference order, spills past `rejected`, marks connect/read
-/// failures dead. `Ok` carries the open connection, its backend index
-/// and the backend-side `accepted` (value + decoded fields).
-#[allow(clippy::type_complexity)]
-fn open_stream(
-    spec: &SuiteSpec,
-    deadline_ms: Option<u64>,
-    state: &RouterState,
-    exclude: &[usize],
-) -> Result<(BackendConn, usize, Value, u64, usize, u64), RouteFailure> {
-    let fingerprint = dominant_cache_fingerprint(spec);
-    let mut rejected_hint: Option<u64> = None;
-    for index in state.ring.preference(fingerprint) {
-        if exclude.contains(&index) {
-            continue;
         }
-        let backend = &state.backends[index];
-        if !backend.alive.load(Ordering::SeqCst) {
-            continue;
-        }
-        let mut conn = match BackendConn::connect(&backend.addr, false) {
-            Ok(conn) => conn,
-            Err(_) => {
-                backend.alive.store(false, Ordering::SeqCst);
+    }
+
+    /// Opens the job on the first backend that accepts: walks the ring
+    /// preference for `fingerprint`, spills past `rejected`, marks
+    /// connect/read failures dead. `Ok` carries the open stream, its
+    /// backend index and the backend's `accepted`; `Err` the answer for
+    /// the client (a deterministic refusal verbatim, the largest
+    /// `rejected` hint when every live backend is full, or a `queue`
+    /// error when none is live).
+    fn open_stream(
+        &self,
+        submit: &Request,
+        fingerprint: u64,
+        exclude: &[usize],
+    ) -> Result<(Client, usize, Event), Event> {
+        let mut rejected_hint: Option<u64> = None;
+        for index in self.ring.preference(fingerprint) {
+            let backend = &self.backends[index];
+            if exclude.contains(&index) || !backend.alive.load(Ordering::SeqCst) {
                 continue;
             }
-        };
-        if conn.send(&submit_line(spec, deadline_ms)).is_err() {
-            backend.alive.store(false, Ordering::SeqCst);
-            continue;
-        }
-        match conn.read_event() {
-            Ok((
-                value,
-                Event::Accepted {
-                    job_id,
-                    members,
-                    setups_built,
-                },
-            )) => return Ok((conn, index, value, job_id, members, setups_built)),
-            Ok((_, Event::Rejected { retry_after_ms })) => {
+            let opened = connect(&backend.addr, false).and_then(|mut conn| {
+                conn.send(submit)?;
+                let (_, _, event) = conn.read_event()?;
+                Ok((conn, event))
+            });
+            match opened {
+                Ok((conn, accepted @ Event::Accepted { .. })) => {
+                    return Ok((conn, index, accepted))
+                }
                 // Spill: the next distinct ring node gets the job. Keep
                 // the largest hint in case everybody rejects.
-                rejected_hint =
-                    Some(rejected_hint.map_or(retry_after_ms, |h| h.max(retry_after_ms)));
-                continue;
-            }
-            Ok((value, Event::Error { .. })) => {
+                Ok((_, Event::Rejected { retry_after_ms })) => {
+                    rejected_hint = rejected_hint.max(Some(retry_after_ms));
+                }
                 // Deterministic refusals (bad spec, oversized suite)
-                // fail identically on every backend: forward verbatim,
-                // never spill.
-                return Err(RouteFailure::Terminal(format!("{value}\n")));
-            }
-            _ => {
-                backend.alive.store(false, Ordering::SeqCst);
-                continue;
+                // fail identically on every backend: never spill.
+                Ok((_, error @ Event::Error { .. })) => return Err(error),
+                _ => backend.alive.store(false, Ordering::SeqCst),
             }
         }
+        Err(match rejected_hint {
+            Some(retry_after_ms) => Event::Rejected { retry_after_ms },
+            None => Event::error("queue", "no live backend can take the job"),
+        })
     }
-    Err(match rejected_hint {
-        Some(hint) => RouteFailure::Terminal(event(
-            "rejected",
-            [("retry_after_ms".to_string(), Value::UInt(hint))],
-        )),
-        None => RouteFailure::Terminal(error_event("queue", "no live backend can take the job")),
-    })
-}
 
-/// Why a routing attempt produced no stream: a terminal line to answer
-/// the client with.
-enum RouteFailure {
-    Terminal(String),
-}
-
-/// Proxies one accepted job: forward the relabelled stream, dedup
-/// member indices across failovers, resubmit on backend death.
-fn proxy_job(
-    spec: &SuiteSpec,
-    deadline_ms: Option<u64>,
-    writer: &mut TcpStream,
-    state: &RouterState,
-) -> bool {
-    let (mut conn, mut backend_index, accepted_value, mut backend_job, members, _) =
-        match open_stream(spec, deadline_ms, state, &[]) {
-            Ok(opened) => opened,
-            Err(RouteFailure::Terminal(line)) => return writer.write_all(line.as_bytes()).is_ok(),
+    /// Proxies one job: forward the backend's stream under the router's
+    /// job id, deliver each member once across failovers, resubmit on
+    /// backend death. Returns `false` when the client vanished.
+    fn proxy_job(&self, spec: SuiteSpec, deadline_ms: Option<u64>, out: &mut TcpStream) -> bool {
+        let fingerprint = dominant_cache_fingerprint(&spec);
+        let submit = Request::Submit { spec, deadline_ms };
+        let (mut conn, mut backend, mut accepted) =
+            match self.open_stream(&submit, fingerprint, &[]) {
+                Ok(opened) => opened,
+                Err(refusal) => return send(out, &refusal),
+            };
+        let Event::Accepted {
+            job_id: backend_job,
+            members,
+            ..
+        } = accepted
+        else {
+            unreachable!("open_stream returns an `accepted` event");
         };
-    let job_id = state.next_job.fetch_add(1, Ordering::SeqCst);
-    state.jobs_routed.fetch_add(1, Ordering::SeqCst);
-    let members_done = Arc::new(AtomicUsize::new(0));
-    state
-        .jobs
-        .lock()
-        .expect("job list poisoned")
-        .push(RouterJob {
-            job_id,
-            backend: state.backends[backend_index].addr.clone(),
-            backend_job,
-            members_total: members,
-            members_done: Arc::clone(&members_done),
-        });
-    let mut client_alive = writer
-        .write_all(relabel_job_id(&accepted_value, job_id).as_bytes())
-        .is_ok();
-    let mut delivered = vec![false; members];
-    let mut dead_backends: Vec<usize> = Vec::new();
-    loop {
-        match conn.read_event() {
-            Ok((value, decoded)) => match decoded {
+        let job_id = self.next_job.fetch_add(1, Ordering::SeqCst);
+        self.jobs_routed.fetch_add(1, Ordering::SeqCst);
+        let members_done = Arc::new(AtomicUsize::new(0));
+        self.jobs
+            .lock()
+            .expect("job list poisoned")
+            .push(RouterJob {
+                job_id,
+                backend: self.backends[backend].addr.clone(),
+                backend_job,
+                members_total: members,
+                members_done: Arc::clone(&members_done),
+            });
+        let relabel = |mut event: Event| {
+            if let Some(id) = event.job_id_mut() {
+                *id = job_id;
+            }
+            event
+        };
+        accepted = relabel(accepted);
+        let mut client_alive = send(out, &accepted);
+        let mut delivered = vec![false; members];
+        let mut dead_backends: Vec<usize> = Vec::new();
+        loop {
+            let event = match conn.read_event() {
+                Ok((_, _, event)) => event,
+                Err(_) => {
+                    // The backend died mid-job. Evict it, resubmit the
+                    // whole manifest to the next live preference, and
+                    // keep the client's stream seamless: the duplicate
+                    // `accepted` is swallowed, already-delivered members
+                    // are suppressed below.
+                    self.backends[backend].alive.store(false, Ordering::SeqCst);
+                    dead_backends.push(backend);
+                    let Ok((
+                        next,
+                        index,
+                        Event::Accepted {
+                            job_id: next_job, ..
+                        },
+                    )) = self.open_stream(&submit, fingerprint, &dead_backends)
+                    else {
+                        let error = Event::error(
+                            "queue",
+                            "backend died mid-job and no live backend can take the re-route",
+                        );
+                        client_alive = client_alive && send(out, &error);
+                        break;
+                    };
+                    (conn, backend) = (next, index);
+                    let mut jobs = self.jobs.lock().expect("job list poisoned");
+                    if let Some(job) = jobs.iter_mut().find(|job| job.job_id == job_id) {
+                        job.backend = self.backends[backend].addr.clone();
+                        job.backend_job = next_job;
+                    }
+                    continue;
+                }
+            };
+            // After a failover the replacement backend re-runs every
+            // member; indices the client already has are suppressed
+            // (determinism makes the re-run byte-identical, so dropping
+            // duplicates is exact). Campaign stage progress rides along
+            // for members the client is still waiting on. Unsolicited
+            // event kinds are dropped rather than poison the client's
+            // reassembly.
+            let pending = |index: usize| index < members && !delivered[index];
+            let (forward, terminal) = match event {
                 Event::MemberReport { member_index, .. }
                 | Event::MemberError { member_index, .. }
-                    // After a failover the replacement backend re-runs
-                    // every member; indices the client already has are
-                    // suppressed (determinism makes the re-run
-                    // byte-identical, so dropping duplicates is exact).
-                    if member_index < members && !delivered[member_index] => {
-                        delivered[member_index] = true;
-                        members_done.fetch_add(1, Ordering::SeqCst);
-                        if client_alive {
-                            client_alive = writer
-                                .write_all(relabel_job_id(&value, job_id).as_bytes())
-                                .is_ok();
-                        }
-                    }
-                // Campaign stage progress rides along for members the
-                // client is still waiting on; after a failover, stages a
-                // replacement backend re-runs for already-delivered
-                // members are suppressed with their member events.
-                Event::StageReport { member_index, .. }
-                    if member_index < members && !delivered[member_index] && client_alive => {
-                        client_alive = writer
-                            .write_all(relabel_job_id(&value, job_id).as_bytes())
-                            .is_ok();
-                    }
-                Event::SuiteReport { .. } => {
-                    if client_alive {
-                        client_alive = writer
-                            .write_all(relabel_job_id(&value, job_id).as_bytes())
-                            .is_ok();
-                    }
-                    break;
+                    if pending(member_index) =>
+                {
+                    delivered[member_index] = true;
+                    members_done.fetch_add(1, Ordering::SeqCst);
+                    (true, false)
                 }
-                Event::Error { .. } => {
-                    if client_alive {
-                        client_alive = writer.write_all(format!("{value}\n").as_bytes()).is_ok();
-                    }
-                    break;
-                }
-                // Unsolicited event kinds on a submit stream: drop them
-                // rather than poison the client's reassembly.
-                _ => {}
-            },
-            Err(_) => {
-                // The backend died mid-job. Evict it, resubmit the
-                // whole manifest to the next live preference, and keep
-                // the client's stream seamless: the duplicate
-                // `accepted` is swallowed, already-delivered members
-                // are suppressed above.
-                state.backends[backend_index]
-                    .alive
-                    .store(false, Ordering::SeqCst);
-                dead_backends.push(backend_index);
-                match open_stream(spec, deadline_ms, state, &dead_backends) {
-                    Ok((next_conn, next_index, _, next_job, _, _)) => {
-                        conn = next_conn;
-                        backend_index = next_index;
-                        backend_job = next_job;
-                        let mut jobs = state.jobs.lock().expect("job list poisoned");
-                        if let Some(job) = jobs.iter_mut().find(|job| job.job_id == job_id) {
-                            job.backend = state.backends[backend_index].addr.clone();
-                            job.backend_job = backend_job;
-                        }
-                    }
-                    Err(RouteFailure::Terminal(_)) => {
-                        if client_alive {
-                            client_alive = writer
-                                .write_all(
-                                    error_event(
-                                        "queue",
-                                        "backend died mid-job and no live backend can \
-                                         take the re-route",
-                                    )
-                                    .as_bytes(),
-                                )
-                                .is_ok();
-                        }
-                        break;
-                    }
-                }
+                Event::StageReport { member_index, .. } => (pending(member_index), false),
+                Event::SuiteReport { .. } | Event::Error { .. } => (true, true),
+                _ => (false, false),
+            };
+            if forward && client_alive {
+                client_alive = send(out, &relabel(event));
+            }
+            if terminal {
+                break;
             }
         }
+        self.jobs
+            .lock()
+            .expect("job list poisoned")
+            .retain(|job| job.job_id != job_id);
+        client_alive
     }
-    state
-        .jobs
-        .lock()
-        .expect("job list poisoned")
-        .retain(|job| job.job_id != job_id);
-    client_alive
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::serve::WIRE_SCHEMA;
+    use serde::json::{self, Value};
 
     fn addrs(n: usize) -> Vec<String> {
         (0..n).map(|i| format!("127.0.0.1:{}", 7500 + i)).collect()
@@ -1025,14 +714,24 @@ mod tests {
                 "members": 3, "setups_built": 1, "cache_size": 1}"#,
         )
         .unwrap();
-        let line = relabel_job_id(&value, 42);
-        let relabelled = json::parse(line.trim_end()).unwrap();
+        let mut event = Event::from_json(&value).unwrap();
+        *event.job_id_mut().unwrap() = 42;
+        let relabelled = event.to_json();
         assert_eq!(relabelled.get("job_id").and_then(Value::as_u64), Some(42));
         assert_eq!(relabelled.get("members").and_then(Value::as_u64), Some(3));
         assert_eq!(
             relabelled.get("wire").and_then(Value::as_str),
             Some(WIRE_SCHEMA)
         );
+        // Everything but the id survives the round trip, in order.
+        let keys = |v: &Value| -> Vec<String> {
+            v.as_object()
+                .unwrap()
+                .iter()
+                .map(|(k, _)| k.clone())
+                .collect()
+        };
+        assert_eq!(keys(&relabelled), keys(&value));
     }
 
     #[test]

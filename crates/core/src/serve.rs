@@ -4,12 +4,18 @@
 //! [`Server`] turns the batch suite layer into a front end: clients
 //! connect over plain TCP, `submit` a suite manifest, and receive the
 //! member outcomes as newline-delimited JSON events while the suite is
-//! still running, followed by the complete [`SuiteReport`]. A persistent
-//! **supervised** worker pool executes member sessions from a bounded
-//! job queue, and every job resolves scenarios through one process-wide
-//! [`SetupCache`] — so repeated scenarios never rebuild their `Setup`,
-//! even across clients and jobs (the expensive step for the
-//! 40320-state `repair` model and the learned `swat` models).
+//! still running, followed by the complete [`SuiteReport`]. Every job
+//! runs through the same **supervised** executor as [`Suite::run`]. The
+//! daemon adds two limits on top: at most [`ServeConfig::workers`]
+//! members run at once across all jobs (a campaign member holds its
+//! worker slot stage by stage), and a job is admitted only when its
+//! members fit the [`ServeConfig::queue`] capacity. Every job
+//! resolves scenarios through one process-wide [`SetupCache`] — so
+//! repeated scenarios never rebuild their `Setup`, even across clients
+//! and jobs (the expensive step for the 40320-state `repair` model and
+//! the learned `swat` models).
+//!
+//! [`SuiteReport`]: crate::suite::SuiteReport
 //!
 //! DSL workloads travel the same path: a submitted member whose
 //! scenario is the `{"dsl": "<source>"}` form (see
@@ -19,7 +25,7 @@
 //! sweep grid over one source compiles the model once per parameter
 //! point and every resubmission (from any client) hits the cache. A
 //! source that fails to compile is rejected at `submit` validation
-//! with its spanned diagnostic, before the job is enqueued.
+//! with its spanned diagnostic, before the job is admitted.
 //!
 //! Everything here is `std`-only ([`std::net`] + [`std::thread`]),
 //! consistent with the workspace's vendored-shim policy: no async
@@ -29,8 +35,12 @@
 //!
 //! Both directions speak **newline-delimited JSON**: every message is one
 //! compact JSON object on one line, tagged `"wire": "imcis.wire/2"` and
-//! `"type": ...`. The full field-by-field reference lives in
-//! `docs/FORMATS.md`; in short:
+//! `"type": ...`. [`Request`] and [`Event`] are the typed codec: every
+//! line the daemon, the [router](crate::router) and [`Client`] write is
+//! encoded by them, and every line they read is decoded by them. A
+//! request line longer than [`MAX_REQUEST_LINE`] (16 MiB) is discarded
+//! up to its newline and answered with a `wire` error. The full
+//! field-by-field reference lives in `docs/FORMATS.md`; in short:
 //!
 //! **Requests** (client → server):
 //!
@@ -59,7 +69,7 @@
 //!
 //! **Events** (server → client), per submitted job:
 //!
-//! * `accepted` — the manifest validated and the job was enqueued:
+//! * `accepted` — the manifest validated and the job was admitted:
 //!   carries `job_id`, the `members` count, and the shared-cache
 //!   observables `setups_built` (scenario builds this job caused) and
 //!   `cache_size`.
@@ -77,7 +87,7 @@
 //! * `member_error` — one *run* member failed: `(job_id, member_index)`
 //!   plus the typed `status` (`error` | `panic` | `timeout` |
 //!   `cancelled`) and its deterministic `message`. The job keeps going —
-//!   a failing member never takes its suite (or a worker) down. A
+//!   a failing member never takes its suite (or the daemon) down. A
 //!   failing campaign member instead reports the typed failure inside
 //!   its `member_report` entry (stage sequence included).
 //! * `suite_report` — terminal: the assembled stable suite report JSON
@@ -85,11 +95,11 @@
 //!   campaign member is present; member outcomes embedded, failures
 //!   included), byte-identical to what `imcis suite` computes for the
 //!   same manifest.
-//! * `rejected` — the bounded queue is full, **or** the connection is
-//!   over its per-client rate limit ([`ServeConfig::rate`]): carries
-//!   `retry_after_ms`. The job was **not** enqueued; back off and
-//!   resubmit (the `imcis submit` client does capped exponential
-//!   backoff automatically).
+//! * `rejected` — the queue cannot admit the job's members, **or** the
+//!   connection is over its per-client rate limit
+//!   ([`ServeConfig::rate`]): carries `retry_after_ms`. The job was
+//!   **not** admitted; back off and resubmit (the `imcis submit` client
+//!   does capped exponential backoff automatically).
 //! * `cancelled` — acknowledges a `cancel` request for an active job.
 //! * `status` — answers a `status` request. Two shapes share the tag:
 //!   a daemon answers the flat load snapshot (plus a `campaigns` array
@@ -115,25 +125,27 @@
 //!
 //! # Supervision and degradation
 //!
-//! Member sessions run under `catch_unwind`
-//! ([`run_member_supervised`](crate::suite)): a panicking member becomes
-//! a typed `member_error` event and a `status: "panic"` entry in the
-//! suite report — the worker survives and the [`SetupCache`] stays warm.
-//! Transient `accept()` and write failures are survived; reads carry a
-//! poll deadline so a stalled client can never pin the shutdown drain.
-//! The deterministic fault-injection harness ([`crate::fault`], gated
-//! behind `IMCIS_FAULT_INJECTION=1`) exists to prove all of this
-//! reproducibly — see `tests/fault.rs`.
+//! Member sessions run under `catch_unwind` (the suite executor's
+//! supervision): a panicking member becomes a typed `member_error` event
+//! and a `status: "panic"` entry in the suite report — the daemon
+//! survives and the [`SetupCache`] stays warm. Transient `accept()` and
+//! write failures are survived; reads carry a poll deadline so a
+//! stalled client can never pin the shutdown drain, and members write
+//! their own events only after giving their worker slot back, so a
+//! client that stops reading stalls only its own job. The deterministic
+//! fault-injection harness ([`crate::fault`], gated behind
+//! `IMCIS_FAULT_INJECTION=1`) exists to prove all of this reproducibly
+//! — see `tests/fault.rs`.
 //!
 //! # Determinism contract
 //!
-//! The daemon adds scheduling, not semantics: member sessions land in
-//! member-index slots exactly as in [`Suite::run`], every session is
-//! seed-deterministic and thread-count invariant, and the worker count
-//! only steers wall-clock. The `suite_report` payload is therefore
-//! **byte-identical to `imcis suite <manifest>`'s stable output at every
-//! worker count** (pinned by `tests/serve.rs` at {1, 2, 8}) — including
-//! suites with injected faults (pinned by `tests/fault.rs`).
+//! The daemon adds scheduling, not semantics: a job runs through the
+//! executor [`Suite::run`] uses, every session is seed-deterministic and
+//! thread-count invariant, and the worker count only steers wall-clock.
+//! The `suite_report` payload is therefore **byte-identical to `imcis
+//! suite <manifest>`'s stable output at every worker count** (pinned by
+//! `tests/serve.rs` at {1, 2, 8}) — including suites with injected
+//! faults (pinned by `tests/fault.rs`).
 //!
 //! # Example
 //!
@@ -178,20 +190,16 @@
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, SyncSender};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use imc_models::ScenarioRegistry;
 use serde::json::{self, Value};
 
-use crate::fault::FaultPlan;
-use crate::report::Timing;
-use crate::session::Session;
+use crate::report::validate_report_json;
 use crate::suite::{
-    run_campaign_supervised, run_member_supervised, validate_member_entry, CampaignHooks,
-    CampaignSpec, MemberOutcome, MemberStatus, SetupCache, StageOutcome, Suite, SuiteReport,
-    SuiteSpec,
+    validate_member_entry, validate_suite_report_json, MemberOutcome, MemberStatus, Observer,
+    SetupCache, StageOutcome, Suite, SuiteSpec,
 };
 
 /// Schema tag carried by every wire message, both directions.
@@ -200,10 +208,16 @@ pub const WIRE_SCHEMA: &str = "imcis.wire/2";
 /// The backoff hint a `rejected` event carries when the queue is full.
 pub const RETRY_AFTER_MS: u64 = 100;
 
+/// The longest request line a daemon or router stores, newline
+/// excluded: 16 MiB. The rest of a longer line is read and discarded up
+/// to its newline, the line is answered with one `wire` error, and the
+/// connection stays usable.
+pub const MAX_REQUEST_LINE: usize = 16 << 20;
+
 /// Poll interval for connection reads: a handler blocked on a silent
 /// client re-checks the shutdown flag this often, so a stalled client
 /// can never pin the drain.
-pub(crate) const READ_POLL_MS: u64 = 200;
+const READ_POLL_MS: u64 = 200;
 
 /// Everything that can go wrong while serving or talking to a server.
 #[derive(Debug)]
@@ -221,7 +235,7 @@ pub enum ServeError {
         /// Human-readable message (pinned by the failure-path tests).
         message: String,
     },
-    /// The server's queue was full and the job was not enqueued;
+    /// The server's queue was full and the job was not admitted;
     /// resubmit after the hinted backoff.
     Rejected {
         /// Server-suggested minimum backoff before resubmitting.
@@ -257,14 +271,16 @@ impl From<io::Error> for ServeError {
 pub struct ServeConfig {
     /// Listen address (`host:port`; port `0` binds an ephemeral port).
     pub addr: String,
-    /// Persistent worker threads executing member sessions
-    /// (`0` = all cores). Scheduling only — results are byte-identical
-    /// at every count.
+    /// The most members that run at once across all jobs (`0` = all
+    /// cores); a campaign member holds its slot stage by stage. Each
+    /// running member's repetitions get cores ÷ workers threads.
+    /// Scheduling only — results are byte-identical at every count.
     pub workers: usize,
-    /// Bounded member-task queue capacity. A submit whose members do not
-    /// fit the remaining capacity is answered with `rejected
-    /// {retry_after_ms}` — backpressure is explicit, never a blocked
-    /// connection.
+    /// Admission capacity in members: a job reserves one slot per
+    /// member when it is admitted and frees each as that member
+    /// finishes. A submit whose members do not fit the remaining
+    /// capacity is answered with `rejected {retry_after_ms}` —
+    /// backpressure is explicit, never a blocked connection.
     pub queue: usize,
     /// Per-connection submit rate limit in submits/second (token
     /// bucket, burst capacity = the rate). Over-limit submits are
@@ -285,13 +301,13 @@ impl Default for ServeConfig {
     }
 }
 
-/// Cancellation/deadline state shared between one job's submitter, the
-/// workers running its members, and `cancel`/`status`/`shutdown`
-/// handlers on other connections.
+/// Cancellation/deadline state shared between one job's executor and
+/// the `cancel`/`status`/`shutdown` handlers on other connections.
 struct JobControl {
     job_id: u64,
     cancelled: AtomicBool,
-    /// Absolute member-start cutoff, measured from request receipt.
+    /// Absolute member-start cutoff, measured from when the daemon
+    /// started handling the submit (so the setup build counts).
     deadline: Option<Instant>,
     /// The requested bound, kept for the deterministic timeout message.
     deadline_ms: Option<u64>,
@@ -339,9 +355,8 @@ impl JobControl {
         }
     }
 
-    /// The campaign progress snapshot, member order: `(member, last
-    /// finished stage)`.
-    fn stage_snapshot(&self) -> Vec<(usize, usize)> {
+    /// The job's campaign progress, member order.
+    fn progress(&self) -> Vec<CampaignProgress> {
         let mut stages = self
             .campaign_stages
             .lock()
@@ -349,127 +364,123 @@ impl JobControl {
             .clone();
         stages.sort_unstable();
         stages
+            .into_iter()
+            .map(|(member, stage)| CampaignProgress {
+                job_id: self.job_id,
+                member: member as u64,
+                stage: stage as u64,
+                stages_done: stage as u64 + 1,
+            })
+            .collect()
     }
 }
 
-/// One member session queued for the worker pool.
-struct MemberTask {
-    member_index: usize,
-    session: Arc<Session>,
-    /// The member's campaign stage plan; `None` for a plain run member.
-    campaign: Option<CampaignSpec>,
-    rep_threads: usize,
-    fault: Option<Arc<FaultPlan>>,
-    control: Arc<JobControl>,
-    /// The server-wide queue depth this task holds one reservation in;
-    /// released when the task finishes.
-    queue_depth: Arc<AtomicUsize>,
-    reply: mpsc::Sender<WorkerEvent>,
+/// The daemon-wide limit on running members: `capacity` slots, granted
+/// in request order so a waiting member is never overtaken by a later
+/// one.
+struct Slots {
+    capacity: u64,
+    /// `(tickets issued, slots released)`: ticket `t` may run once
+    /// `t < released + capacity`.
+    counts: Mutex<(u64, u64)>,
+    freed: Condvar,
 }
 
-/// A worker-to-submitter message: a finished campaign stage (streamed
-/// mid-member) or the member's terminal outcome.
-enum WorkerEvent {
-    Stage(StageDone),
-    Done(MemberDone),
+impl Slots {
+    fn acquire(&self) {
+        let mut counts = self.counts.lock().expect("slot counts poisoned");
+        let ticket = counts.0;
+        counts.0 += 1;
+        while ticket >= counts.1 + self.capacity {
+            counts = self.freed.wait(counts).expect("slot counts poisoned");
+        }
+    }
+
+    fn release(&self) {
+        self.counts.lock().expect("slot counts poisoned").1 += 1;
+        self.freed.notify_all();
+    }
 }
 
-/// A finished campaign stage, routed back for the `stage_report` stream.
-struct StageDone {
-    member_index: usize,
-    /// The finished stage's index.
-    stage: usize,
-    /// Whether this stage met the campaign's stopping rule.
-    converged: bool,
-    elapsed_ms: f64,
-    /// The stage's stable report JSON.
-    report: Value,
-}
-
-/// A finished member, routed back to the submitting connection.
-struct MemberDone {
-    member_index: usize,
-    elapsed_ms: f64,
-    outcome: MemberOutcome,
-}
-
-/// State shared by the accept loop, connection handlers and workers.
+/// State shared by the connection handlers of one daemon.
 struct ServerState {
+    conns: Connections,
     registry: ScenarioRegistry,
     /// The process-wide scenario cache: every job on every connection
     /// resolves setups here, so repeated scenarios build exactly once
     /// for the server's whole lifetime.
     cache: Mutex<SetupCache>,
     next_job: AtomicU64,
-    next_connection: AtomicU64,
-    shutdown: AtomicBool,
-    local_addr: SocketAddr,
-    /// Repetition-fanout budget handed to each member session so the
-    /// pool divides the machine instead of oversubscribing it.
-    rep_threads: usize,
     workers: usize,
+    /// Repetition-fanout budget handed to each member session so the
+    /// running members divide the machine instead of oversubscribing it.
+    rep_threads: usize,
+    slots: Slots,
     /// Per-connection submit rate limit ([`ServeConfig::rate`]); `0`
     /// disables.
     rate: u64,
     started: Instant,
-    /// Enqueued-but-unfinished member tasks across all jobs. Submits
-    /// reserve their member count up front (or get `rejected`); workers
-    /// release one reservation per finished task.
-    queue_depth: Arc<AtomicUsize>,
+    /// Admitted-but-unfinished members across all jobs. Submits reserve
+    /// their member count up front (or get `rejected`); each finished
+    /// member releases one reservation.
+    queue_depth: AtomicUsize,
     queue_capacity: usize,
     /// Active jobs, registration order — the `cancel`/`status`/
     /// `shutdown` handlers' view of in-flight work.
     jobs: Mutex<Vec<Arc<JobControl>>>,
-    /// Open connections: `(id, read handle)`. The count drives the
-    /// drain-on-shutdown wait; the handles let the drain read-shutdown
-    /// idle connections (the fast path — the read poll interval is the
-    /// backstop for connections the sweep misses), while handlers
-    /// mid-job keep streaming — write halves are untouched.
-    connections: Mutex<Vec<(u64, TcpStream)>>,
-    idle: Condvar,
 }
 
 impl ServerState {
-    /// Registers a connection for the shutdown drain. `None` means the
-    /// drain handle could not be cloned (fd pressure) — the caller must
-    /// refuse the connection: serving it untracked would leave the
-    /// drain unable to unblock its reader, hanging shutdown forever.
-    fn register_connection(&self, stream: &TcpStream) -> Option<u64> {
-        let handle = stream.try_clone().ok()?;
-        let id = self.next_connection.fetch_add(1, Ordering::SeqCst);
-        self.connections
-            .lock()
-            .expect("connection list poisoned")
-            .push((id, handle));
-        Some(id)
+    /// Answers one request on a daemon connection; `false` closes it.
+    fn handle(&self, request: Request, out: &mut TcpStream, rate: &mut RateBucket) -> bool {
+        let answer = match request {
+            Request::Ping => Event::Pong,
+            Request::Health => health(self.workers, self.started),
+            Request::Status => Event::Status(StatusSnapshot::Daemon(self.status())),
+            Request::Cancel { job_id } => {
+                let jobs = self.jobs.lock().expect("job list poisoned");
+                match jobs.iter().find(|job| job.job_id == job_id) {
+                    Some(job) => {
+                        job.cancelled.store(true, Ordering::SeqCst);
+                        Event::Cancelled { job_id }
+                    }
+                    None => Event::error("queue", format!("job {job_id} is not active")),
+                }
+            }
+            Request::Shutdown => Event::ShuttingDown {
+                jobs: self
+                    .jobs
+                    .lock()
+                    .expect("job list poisoned")
+                    .iter()
+                    .map(|job| JobDisposition {
+                        job_id: job.job_id,
+                        members: job.members_total as u64,
+                        members_done: job.members_done.load(Ordering::SeqCst) as u64,
+                        campaigns: job.progress(),
+                    })
+                    .collect(),
+            },
+            Request::Submit { spec, deadline_ms } => match rate.take() {
+                Some(retry_after_ms) => Event::Rejected { retry_after_ms },
+                None => return self.run_job(&spec, deadline_ms, out),
+            },
+        };
+        send(out, &answer)
     }
 
-    fn deregister_connection(&self, id: u64) {
-        let mut connections = self.connections.lock().expect("connection list poisoned");
-        connections.retain(|(conn, _)| *conn != id);
-        if connections.is_empty() {
-            self.idle.notify_all();
+    fn status(&self) -> ServerStatus {
+        let cache_size = self.cache.lock().expect("setup cache poisoned").len();
+        let jobs = self.jobs.lock().expect("job list poisoned");
+        ServerStatus {
+            queue_depth: self.queue_depth.load(Ordering::SeqCst) as u64,
+            queue_capacity: self.queue_capacity as u64,
+            active_jobs: jobs.len() as u64,
+            workers: self.workers as u64,
+            cache_size: cache_size as u64,
+            uptime_ms: self.started.elapsed().as_millis() as u64,
+            campaigns: jobs.iter().flat_map(|job| job.progress()).collect(),
         }
-    }
-
-    /// Unblocks every handler parked in a read, then waits for all
-    /// connections to finish (in-flight jobs stream to completion —
-    /// only the read halves are closed).
-    fn drain_connections(&self) {
-        let mut connections = self.connections.lock().expect("connection list poisoned");
-        for (_, stream) in connections.iter() {
-            let _ = stream.shutdown(std::net::Shutdown::Read);
-        }
-        while !connections.is_empty() {
-            connections = self
-                .idle
-                .wait(connections)
-                .expect("connection list poisoned");
-        }
-    }
-
-    fn register_job(&self, control: Arc<JobControl>) {
-        self.jobs.lock().expect("job list poisoned").push(control);
     }
 
     fn deregister_job(&self, job_id: u64) {
@@ -479,151 +490,267 @@ impl ServerState {
             .retain(|job| job.job_id != job_id);
     }
 
-    /// Flags an active job for cancellation at its next member
-    /// boundary; `false` when no such job is active.
-    fn cancel_job(&self, job_id: u64) -> bool {
-        let jobs = self.jobs.lock().expect("job list poisoned");
-        match jobs.iter().find(|job| job.job_id == job_id) {
-            Some(job) => {
-                job.cancelled.store(true, Ordering::SeqCst);
-                true
-            }
-            None => false,
+    /// Runs one submitted suite: admit its members, build its setups
+    /// through the shared cache, stream the executor's events, then
+    /// answer the terminal report. Returns `false` when the client
+    /// vanished and the connection should be dropped.
+    fn run_job(&self, spec: &SuiteSpec, deadline_ms: Option<u64>, out: &mut TcpStream) -> bool {
+        // The deadline clock starts here, so the setup build counts.
+        let started = Instant::now();
+        let members = spec.runs.len();
+        // Admission comes before the build, so a refused job builds
+        // nothing. An oversized suite can never fit (a typed `queue`
+        // error); otherwise every member's slot is reserved up front or
+        // the submit is answered `rejected` instead of blocking.
+        if members > self.queue_capacity {
+            let message = format!(
+                "suite has {members} members but the queue capacity is {}",
+                self.queue_capacity
+            );
+            return send(out, &Event::error("queue", message));
         }
-    }
-
-    /// The in-flight job dispositions reported by `shutting_down`. A job
-    /// with campaign members mid-flight additionally carries their
-    /// per-member stage progress (`campaigns` is present exactly when
-    /// non-empty, so run-only jobs keep their pre-campaign shape).
-    fn job_dispositions(&self) -> Vec<Value> {
+        if self
+            .queue_depth
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |depth| {
+                (depth + members <= self.queue_capacity).then_some(depth + members)
+            })
+            .is_err()
+        {
+            let rejected = Event::Rejected {
+                retry_after_ms: RETRY_AFTER_MS,
+            };
+            return send(out, &rejected);
+        }
+        // The lock is held across builds so concurrent jobs never build
+        // the same scenario twice; builds are deterministic, so
+        // serializing them changes wall-clock only.
+        let built = {
+            let mut cache = self.cache.lock().expect("setup cache poisoned");
+            Suite::from_spec_with_cache(spec.clone(), &self.registry, &mut cache)
+                .map(|suite| (suite, cache.len()))
+        };
+        let (suite, cache_size) = match built {
+            Ok(built) => built,
+            Err(e) => {
+                self.queue_depth.fetch_sub(members, Ordering::SeqCst);
+                return send(out, &Event::error("session", e.to_string()));
+            }
+        };
+        let job_id = self.next_job.fetch_add(1, Ordering::SeqCst);
+        let control = Arc::new(JobControl {
+            job_id,
+            cancelled: AtomicBool::new(false),
+            deadline: deadline_ms.map(|ms| started + Duration::from_millis(ms)),
+            deadline_ms,
+            members_total: members,
+            members_done: AtomicUsize::new(0),
+            campaign_stages: Mutex::new(Vec::new()),
+        });
         self.jobs
             .lock()
             .expect("job list poisoned")
-            .iter()
-            .map(|job| {
-                let mut pairs = vec![
-                    ("job_id".to_string(), Value::UInt(job.job_id)),
-                    ("members".to_string(), Value::UInt(job.members_total as u64)),
-                    (
-                        "members_done".to_string(),
-                        Value::UInt(job.members_done.load(Ordering::SeqCst) as u64),
-                    ),
-                ];
-                let campaigns: Vec<Value> = job
-                    .stage_snapshot()
-                    .into_iter()
-                    .map(|(member, stage)| campaign_progress_value(None, member, stage))
-                    .collect();
-                if !campaigns.is_empty() {
-                    pairs.push(("campaigns".to_string(), Value::Array(campaigns)));
-                }
-                Value::Object(pairs)
-            })
-            .collect()
-    }
-
-    /// Every active job's campaign progress, flattened for the `status`
-    /// answer: `{job_id, member, stage, stages_done}` entries in
-    /// `(job, member)` order. Empty when nothing campaign-shaped is in
-    /// flight (and then omitted from the event).
-    fn campaign_progress(&self) -> Vec<Value> {
-        self.jobs
-            .lock()
-            .expect("job list poisoned")
-            .iter()
-            .flat_map(|job| {
-                job.stage_snapshot()
-                    .into_iter()
-                    .map(|(member, stage)| campaign_progress_value(Some(job.job_id), member, stage))
-                    .collect::<Vec<_>>()
-            })
-            .collect()
+            .push(Arc::clone(&control));
+        let accepted = Event::Accepted {
+            job_id,
+            members,
+            setups_built: suite.unique_setups() as u64,
+            cache_size: cache_size as u64,
+        };
+        if !send(out, &accepted) {
+            // Nothing ran: hand the reservations back.
+            self.queue_depth.fetch_sub(members, Ordering::SeqCst);
+            self.deregister_job(job_id);
+            return false;
+        }
+        // Each member writes its own event lines, one write per line,
+        // after giving its worker slot back, so no member holds a slot
+        // while it writes and a client that stops reading stalls only
+        // its own job.
+        let observer = JobObserver {
+            state: self,
+            control: &control,
+            out: Mutex::new((out, true)),
+        };
+        let mut report = suite.execute(self.workers, self.rep_threads, &observer);
+        let (out, alive) = observer.out.into_inner().expect("job stream poisoned");
+        self.deregister_job(job_id);
+        report.timing.total_ms = started.elapsed().as_secs_f64() * 1e3;
+        let terminal = Event::SuiteReport {
+            job_id,
+            elapsed_ms: report.timing.total_ms,
+            suite_report: report.to_json_stable(),
+        };
+        alive && send(out, &terminal)
     }
 }
 
-/// One campaign progress entry: `stage` is the last finished stage,
-/// `stages_done` the count so far. `job_id` is included in the flat
-/// `status` form and omitted inside a `shutting_down` job disposition
-/// (the enclosing object already names the job).
-fn campaign_progress_value(job_id: Option<u64>, member: usize, stage: usize) -> Value {
-    let mut pairs = Vec::with_capacity(4);
-    if let Some(job_id) = job_id {
-        pairs.push(("job_id".to_string(), Value::UInt(job_id)));
+/// The daemon's view of one job's execution: each run member and each
+/// campaign stage holds a daemon-wide worker slot from its entry (before
+/// its skip check) to its end, the job's cancel/deadline decides the
+/// skips, and the stage and member events go to the job's connection.
+struct JobObserver<'a> {
+    state: &'a ServerState,
+    control: &'a JobControl,
+    /// The job's connection and whether its client is still there.
+    out: Mutex<(&'a mut TcpStream, bool)>,
+}
+
+impl JobObserver<'_> {
+    fn send(&self, event: &Event) {
+        let mut out = self.out.lock().expect("job stream poisoned");
+        let (stream, alive) = &mut *out;
+        *alive = *alive && send(stream, event);
     }
-    pairs.extend([
-        ("member".to_string(), Value::UInt(member as u64)),
-        ("stage".to_string(), Value::UInt(stage as u64)),
-        ("stages_done".to_string(), Value::UInt(stage as u64 + 1)),
-    ]);
-    Value::Object(pairs)
+}
+
+impl Observer for JobObserver<'_> {
+    fn enter(&self) -> Option<(MemberStatus, String)> {
+        self.state.slots.acquire();
+        self.control.skip_disposition()
+    }
+
+    fn leave(&self) {
+        self.state.slots.release();
+    }
+
+    fn stage_done(
+        &self,
+        member: usize,
+        stage: usize,
+        outcome: &StageOutcome,
+        converged: bool,
+        elapsed_ms: f64,
+    ) {
+        self.control.note_stage(member, stage);
+        if let StageOutcome::Ok(report) = outcome {
+            self.send(&Event::StageReport {
+                job_id: self.control.job_id,
+                member_index: member,
+                stage,
+                converged,
+                elapsed_ms,
+                report: report.to_json_stable(),
+            });
+        }
+    }
+
+    fn member_done(&self, member: usize, outcome: &MemberOutcome, elapsed_ms: f64) {
+        self.control.members_done.fetch_add(1, Ordering::SeqCst);
+        self.state.queue_depth.fetch_sub(1, Ordering::SeqCst);
+        let job_id = self.control.job_id;
+        self.send(&match outcome {
+            MemberOutcome::Failed { status, message } => Event::MemberError {
+                job_id,
+                member_index: member,
+                elapsed_ms,
+                status: *status,
+                message: message.clone(),
+            },
+            // A campaign member's event carries its whole entry — stage
+            // sequence included, failed or not.
+            _ => Event::MemberReport {
+                job_id,
+                member_index: member,
+                elapsed_ms,
+                entry: outcome.to_json_stable(),
+            },
+        });
+    }
+}
+
+/// A per-connection submit token bucket: capacity = refill rate =
+/// submits per second, starting full, so bursts up to the rate go
+/// through. `rate == 0` disables it.
+struct RateBucket {
+    rate: u64,
+    tokens: f64,
+    refilled: Instant,
+}
+
+impl RateBucket {
+    fn new(rate: u64) -> Self {
+        RateBucket {
+            rate,
+            tokens: rate as f64,
+            refilled: Instant::now(),
+        }
+    }
+
+    /// Takes one token. `None` means the submit may proceed;
+    /// `Some(retry_after_ms)` is the backoff hint to answer with.
+    fn take(&mut self) -> Option<u64> {
+        if self.rate == 0 {
+            return None;
+        }
+        let rate = self.rate as f64;
+        let now = Instant::now();
+        self.tokens =
+            (self.tokens + now.duration_since(self.refilled).as_secs_f64() * rate).min(rate);
+        self.refilled = now;
+        if self.tokens >= 1.0 {
+            self.tokens -= 1.0;
+            return None;
+        }
+        // Time until the bucket holds one full token again, rounded up so
+        // a client honouring the hint is never rejected twice in a row.
+        let deficit_ms = ((1.0 - self.tokens) / rate * 1e3).ceil() as u64;
+        Some(deficit_ms.max(1))
+    }
+}
+
+/// The `health` answer, shared by the daemon and the router (whose
+/// "workers" are its live backends).
+pub(crate) fn health(workers: usize, started: Instant) -> Event {
+    Event::Health(HealthInfo {
+        version: env!("CARGO_PKG_VERSION").into(),
+        workers: workers as u64,
+        uptime_ms: started.elapsed().as_millis() as u64,
+    })
 }
 
 /// The suite-serving daemon. See the [module docs](self) for the wire
 /// protocol and determinism contract.
 pub struct Server {
-    listener: TcpListener,
-    state: Arc<ServerState>,
-    tasks: SyncSender<MemberTask>,
-    workers: Vec<std::thread::JoinHandle<()>>,
+    state: ServerState,
 }
 
 impl Server {
-    /// Binds the listen socket and starts the persistent worker pool.
-    /// The server does not accept connections until [`Server::run`] (or
-    /// [`Server::spawn`]) is called.
+    /// Binds the listen socket. The server does not accept connections
+    /// until [`Server::run`] (or [`Server::spawn`]) is called.
     ///
     /// # Errors
     ///
     /// [`ServeError::Io`] when the address cannot be bound.
     pub fn bind(config: ServeConfig) -> Result<Self, ServeError> {
-        let listener = TcpListener::bind(&config.addr)
-            .map_err(|e| ServeError::Io(format!("cannot bind `{}`: {e}", config.addr)))?;
-        let local_addr = listener.local_addr()?;
         let workers = imc_sim::parallel::resolve_threads(config.workers);
-        let queue_capacity = config.queue.max(1);
-        let state = Arc::new(ServerState {
+        let state = ServerState {
+            conns: Connections::bind(&config.addr)?,
             registry: ScenarioRegistry::builtin(),
             cache: Mutex::new(SetupCache::new()),
             next_job: AtomicU64::new(1),
-            next_connection: AtomicU64::new(1),
-            shutdown: AtomicBool::new(false),
-            local_addr,
-            rep_threads: (imc_sim::parallel::available_threads() / workers).max(1),
             workers,
+            rep_threads: (imc_sim::parallel::available_threads() / workers).max(1),
+            slots: Slots {
+                capacity: workers as u64,
+                counts: Mutex::new((0, 0)),
+                freed: Condvar::new(),
+            },
             rate: config.rate,
             started: Instant::now(),
-            queue_depth: Arc::new(AtomicUsize::new(0)),
-            queue_capacity,
+            queue_depth: AtomicUsize::new(0),
+            queue_capacity: config.queue.max(1),
             jobs: Mutex::new(Vec::new()),
-            connections: Mutex::new(Vec::new()),
-            idle: Condvar::new(),
-        });
-        // The channel is as deep as the advertised capacity and submits
-        // reserve their members before sending, so `send` never blocks.
-        let (tasks, task_rx) = mpsc::sync_channel::<MemberTask>(queue_capacity);
-        let task_rx = Arc::new(Mutex::new(task_rx));
-        let pool = (0..workers)
-            .map(|_| {
-                let task_rx = Arc::clone(&task_rx);
-                std::thread::spawn(move || worker_loop(&task_rx))
-            })
-            .collect();
-        Ok(Server {
-            listener,
-            state,
-            tasks,
-            workers: pool,
-        })
+        };
+        Ok(Server { state })
     }
 
     /// The bound listen address (resolves port `0` to the actual port).
     pub fn local_addr(&self) -> SocketAddr {
-        self.state.local_addr
+        self.state.conns.local_addr
     }
 
     /// Accepts and serves connections until a client sends `shutdown`,
-    /// then drains active jobs and joins the worker pool.
+    /// then drains active jobs.
     ///
     /// Transient accept failures (a queued connection reset before it
     /// was accepted, momentary fd exhaustion) never kill the daemon —
@@ -634,53 +761,11 @@ impl Server {
     ///
     /// [`ServeError::Io`] when the accept loop fails irrecoverably.
     pub fn run(self) -> Result<(), ServeError> {
-        let mut accept_result = Ok(());
-        let mut consecutive_errors = 0u32;
-        loop {
-            let stream = match self.listener.accept() {
-                Ok((stream, _)) => {
-                    consecutive_errors = 0;
-                    stream
-                }
-                Err(e) => {
-                    if self.state.shutdown.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    consecutive_errors += 1;
-                    if consecutive_errors >= 100 {
-                        accept_result = Err(ServeError::Io(format!(
-                            "accept failed {consecutive_errors} times in a row: {e}"
-                        )));
-                        break;
-                    }
-                    std::thread::sleep(Duration::from_millis(10));
-                    continue;
-                }
-            };
-            if self.state.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            let state = Arc::clone(&self.state);
-            let tasks = self.tasks.clone();
-            let Some(id) = state.register_connection(&stream) else {
-                drop(stream); // untrackable (fd pressure): refuse it
-                continue;
-            };
-            std::thread::spawn(move || {
-                handle_connection(stream, &state, &tasks);
-                state.deregister_connection(id);
-            });
-        }
-        // Drain: unblock idle handlers, wait for every open connection
-        // (and hence every enqueued job) to finish, then retire the pool
-        // by dropping the last task sender. Runs on the error path too —
-        // a dying listener must not cut off streams mid-job.
-        self.state.drain_connections();
-        drop(self.tasks);
-        for worker in self.workers {
-            worker.join().expect("worker thread panicked");
-        }
-        accept_result
+        let state = &self.state;
+        state.conns.serve(|| {
+            let mut rate = RateBucket::new(state.rate);
+            move |request, out: &mut TcpStream| state.handle(request, out, &mut rate)
+        })
     }
 
     /// Runs the server on a background thread (tests, in-process use).
@@ -690,78 +775,256 @@ impl Server {
     }
 }
 
-/// A worker: pull one member task at a time, check its job's
-/// cancellation/deadline disposition, run it **supervised**, route the
-/// outcome back to the submitting connection. A panicking member is
-/// caught inside [`run_member_supervised`] — the worker survives every
-/// member. Send failures mean the submitter disconnected mid-stream —
-/// the outcome is discarded and the worker lives on.
-fn worker_loop(tasks: &Mutex<Receiver<MemberTask>>) {
-    loop {
-        let task = {
-            let guard = tasks.lock().expect("task queue poisoned");
-            guard.recv()
-        };
-        let Ok(task) = task else {
-            return; // all senders gone: server shut down
-        };
-        let clock = Instant::now();
-        let outcome = match &task.campaign {
-            None => match task.control.skip_disposition() {
-                Some((status, message)) => MemberOutcome::Failed { status, message },
-                None => run_member_supervised(
-                    &task.session,
-                    task.rep_threads,
-                    task.fault.as_deref(),
-                    task.member_index,
-                ),
-            },
-            // A campaign member checks its job's disposition at every
-            // stage boundary (a cancelled/expired job becomes a typed
-            // final-stage entry) and streams each finished stage back as
-            // a `stage_report` event.
-            Some(campaign) => {
-                let control = &task.control;
-                let reply = &task.reply;
-                let member_index = task.member_index;
-                let stage_clock = std::cell::Cell::new(Instant::now());
-                run_campaign_supervised(
-                    &task.session,
-                    campaign,
-                    task.rep_threads,
-                    task.fault.as_deref(),
-                    member_index,
-                    &CampaignHooks {
-                        skip: Some(&|| control.skip_disposition()),
-                        on_stage: Some(&|stage, outcome, converged| {
-                            let elapsed_ms = stage_clock.get().elapsed().as_secs_f64() * 1e3;
-                            stage_clock.set(Instant::now());
-                            control.note_stage(member_index, stage);
-                            if let StageOutcome::Ok(report) = outcome {
-                                let _ = reply.send(WorkerEvent::Stage(StageDone {
-                                    member_index,
-                                    stage,
-                                    converged: converged == Some(stage),
-                                    elapsed_ms,
-                                    report: report.to_json_stable(),
-                                }));
-                            }
-                        }),
-                    },
-                )
+/// The connection registry shared by the daemon and the router: the
+/// shutdown flag plus a read handle per open connection, so the drain
+/// can unblock idle readers while handlers mid-job keep streaming
+/// (their write halves are untouched).
+pub(crate) struct Connections {
+    listener: TcpListener,
+    shutdown: AtomicBool,
+    pub(crate) local_addr: SocketAddr,
+    next_id: AtomicU64,
+    open: Mutex<Vec<(u64, TcpStream)>>,
+}
+
+impl Connections {
+    /// Binds the listen socket; nothing is accepted before
+    /// [`Connections::serve`].
+    pub(crate) fn bind(addr: &str) -> Result<Self, ServeError> {
+        let listener = TcpListener::bind(addr)
+            .map_err(|e| ServeError::Io(format!("cannot bind `{addr}`: {e}")))?;
+        Ok(Connections {
+            local_addr: listener.local_addr()?,
+            listener,
+            shutdown: AtomicBool::new(false),
+            next_id: AtomicU64::new(0),
+            open: Mutex::new(Vec::new()),
+        })
+    }
+
+    pub(crate) fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
+
+    /// Wakes the blocking accept loop so it observes the shutdown flag:
+    /// connects to the bound address, with a wildcard IP (`0.0.0.0` /
+    /// `::`) replaced by the matching loopback — a wildcard is a
+    /// *listen* address, not a connectable destination everywhere.
+    fn wake(&self) {
+        let mut addr = self.local_addr;
+        if addr.ip().is_unspecified() {
+            addr.set_ip(match addr {
+                SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
+                SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
+            });
+        }
+        let _ = TcpStream::connect(addr);
+    }
+
+    /// The accept loop shared by the daemon and the router. Each
+    /// connection is served on its own thread by a request handler from
+    /// `new_handler` (one per connection, so it may carry
+    /// per-connection state) until a client sends `shutdown`. Then the
+    /// loop drains: every read half is closed so idle handlers return,
+    /// and handlers mid-job stream to completion before this returns.
+    ///
+    /// Transient accept failures are survived; a listener failing 100
+    /// times in a row gives up, after the same drain.
+    pub(crate) fn serve<N, H>(&self, new_handler: N) -> Result<(), ServeError>
+    where
+        N: Fn() -> H + Sync,
+        H: FnMut(Request, &mut TcpStream) -> bool,
+    {
+        std::thread::scope(|scope| {
+            let mut result = Ok(());
+            let mut consecutive_errors = 0u32;
+            loop {
+                let stream = match self.listener.accept() {
+                    Ok((stream, _)) => {
+                        consecutive_errors = 0;
+                        stream
+                    }
+                    Err(e) => {
+                        if self.shutting_down() {
+                            break;
+                        }
+                        consecutive_errors += 1;
+                        if consecutive_errors >= 100 {
+                            result = Err(ServeError::Io(format!(
+                                "accept failed {consecutive_errors} times in a row: {e}"
+                            )));
+                            break;
+                        }
+                        std::thread::sleep(Duration::from_millis(10));
+                        continue;
+                    }
+                };
+                if self.shutting_down() {
+                    break;
+                }
+                // A connection the drain could not unblock (no handle to
+                // clone under fd pressure) would hang shutdown: refuse it.
+                let Ok(handle) = stream.try_clone() else {
+                    continue;
+                };
+                let id = self.next_id.fetch_add(1, Ordering::SeqCst);
+                self.open
+                    .lock()
+                    .expect("connection list poisoned")
+                    .push((id, handle));
+                let new_handler = &new_handler;
+                scope.spawn(move || {
+                    serve_connection(stream, self, new_handler());
+                    self.open
+                        .lock()
+                        .expect("connection list poisoned")
+                        .retain(|(conn, _)| *conn != id);
+                });
             }
-        };
-        task.control.members_done.fetch_add(1, Ordering::SeqCst);
-        task.queue_depth.fetch_sub(1, Ordering::SeqCst);
-        let _ = task.reply.send(WorkerEvent::Done(MemberDone {
-            member_index: task.member_index,
-            elapsed_ms: clock.elapsed().as_secs_f64() * 1e3,
-            outcome,
-        }));
+            self.shutdown.store(true, Ordering::SeqCst);
+            for (_, stream) in self.open.lock().expect("connection list poisoned").iter() {
+                let _ = stream.shutdown(std::net::Shutdown::Read);
+            }
+            result
+        })
     }
 }
 
-/// A parsed wire request.
+/// Serves one connection: reads requests under the poll deadline,
+/// answers malformed ones with `wire` errors and hands the rest to
+/// `handle` until the peer leaves, the drain begins or `handle` returns
+/// `false`. A `shutdown` request raises the flag before `handle`
+/// answers it and wakes the accept loop after.
+fn serve_connection(
+    stream: TcpStream,
+    conns: &Connections,
+    mut handle: impl FnMut(Request, &mut TcpStream) -> bool,
+) {
+    let Ok(read_half) = stream.try_clone() else {
+        return;
+    };
+    // A finite read timeout turns a blocked reader into a poll: a client
+    // that connects and never sends a line cannot delay the shutdown
+    // drain (the drain's read-shutdown sweep is the fast path; this is
+    // the backstop for connections the sweep misses).
+    let _ = read_half.set_read_timeout(Some(Duration::from_millis(READ_POLL_MS)));
+    let mut reader = BufReader::new(read_half);
+    let mut out = stream;
+    let mut line = Vec::new();
+    let wire_error = |message: String| ("wire".to_string(), message);
+    while let Some(fits) = read_request_line(&mut reader, conns, &mut line) {
+        let request = if fits {
+            let text = String::from_utf8_lossy(&line);
+            if text.trim().is_empty() {
+                continue;
+            }
+            json::parse(text.trim_end())
+                .map_err(|e| wire_error(format!("request is not valid JSON: {e}")))
+                .and_then(|value| Request::from_json(&value))
+        } else {
+            Err(wire_error(format!(
+                "request line is longer than {MAX_REQUEST_LINE} bytes"
+            )))
+        };
+        let keep_going = match request {
+            Err((class, message)) => send(&mut out, &Event::Error { class, message }),
+            Ok(Request::Shutdown) => {
+                conns.shutdown.store(true, Ordering::SeqCst);
+                handle(Request::Shutdown, &mut out);
+                conns.wake();
+                false
+            }
+            Ok(request) => handle(request, &mut out),
+        };
+        if !keep_going {
+            return;
+        }
+    }
+}
+
+/// Reads one request line into `line` (newline stripped) under the
+/// connection's poll deadline, storing at most [`MAX_REQUEST_LINE`]
+/// bytes: the rest of a longer line is consumed and dropped. Timeouts
+/// re-check the shutdown flag and keep the partial line. Returns
+/// whether the line fit, or `None` when the connection should close
+/// (EOF, hard error, or shutdown).
+fn read_request_line(
+    reader: &mut BufReader<TcpStream>,
+    conns: &Connections,
+    line: &mut Vec<u8>,
+) -> Option<bool> {
+    line.clear();
+    let mut fits = true;
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok(buf) => buf,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock
+                        | io::ErrorKind::TimedOut
+                        | io::ErrorKind::Interrupted
+                ) =>
+            {
+                if conns.shutting_down() {
+                    return None;
+                }
+                continue;
+            }
+            Err(_) => return None,
+        };
+        if buf.is_empty() {
+            // EOF: a final unterminated line still counts.
+            return (!line.is_empty() || !fits).then_some(fits);
+        }
+        let newline = buf.iter().position(|&b| b == b'\n');
+        let content = &buf[..newline.unwrap_or(buf.len())];
+        fits = fits && line.len() + content.len() <= MAX_REQUEST_LINE;
+        if fits {
+            line.extend_from_slice(content);
+        } else {
+            *line = Vec::new();
+        }
+        let consumed = newline.map_or(buf.len(), |i| i + 1);
+        reader.consume(consumed);
+        if newline.is_some() {
+            return Some(fits);
+        }
+    }
+}
+
+/// Writes one wire message as a compact JSON line in a single write, so
+/// a line never leaves in pieces.
+fn write_line(out: &mut TcpStream, message: &Value) -> io::Result<()> {
+    out.write_all(format!("{message}\n").as_bytes())
+}
+
+/// Writes one event; `false` means the peer is gone.
+pub(crate) fn send(out: &mut TcpStream, event: &Event) -> bool {
+    write_line(out, &event.to_json()).is_ok()
+}
+
+/// Builds one wire message: the `wire` tag, the `type`, then `fields`
+/// in order.
+fn envelope(kind: &str, fields: Vec<(&str, Value)>) -> Value {
+    let tags = [
+        ("wire", Value::Str(WIRE_SCHEMA.into())),
+        ("type", Value::Str(kind.into())),
+    ];
+    object(tags.into_iter().chain(fields).collect())
+}
+
+fn object(fields: Vec<(&str, Value)>) -> Value {
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(key, value)| (key.to_string(), value))
+            .collect(),
+    )
+}
+
+/// A wire request (client → server), decoded by [`Request::from_json`]
+/// and encoded by [`Request::to_json`].
 #[derive(Debug)]
 pub enum Request {
     /// Execute a suite manifest, optionally bounded by a deadline.
@@ -787,574 +1050,139 @@ pub enum Request {
     Shutdown,
 }
 
-/// Parses and validates one request line's JSON value. This is the
-/// server's own entry point, public so the format-reference tests can
-/// run the documented examples through the real validator.
+impl Request {
+    /// Parses and validates one request line's JSON value: the entry
+    /// point of the daemon and the router.
+    ///
+    /// # Errors
+    ///
+    /// A `(class, message)` pair matching the `error` event the server
+    /// would emit: class `wire` for malformed envelopes, `spec` for
+    /// submit bodies that fail [`SuiteSpec`] validation.
+    pub fn from_json(value: &Value) -> Result<Request, (String, String)> {
+        let wire_err = |msg: String| ("wire".to_string(), msg);
+        let Some(pairs) = value.as_object() else {
+            return Err(wire_err("request must be a JSON object".into()));
+        };
+        if let Some(tag) = value.get("wire") {
+            let tag = tag
+                .as_str()
+                .ok_or_else(|| wire_err("`wire` must be a string".into()))?;
+            if tag != WIRE_SCHEMA {
+                return Err(wire_err(format!(
+                    "unsupported wire schema `{tag}` (expected `{WIRE_SCHEMA}`)"
+                )));
+            }
+        }
+        let kind = value
+            .get("type")
+            .and_then(Value::as_str)
+            .ok_or_else(|| wire_err("request needs a string `type`".into()))?;
+        match kind {
+            "ping" => Ok(Request::Ping),
+            "shutdown" => Ok(Request::Shutdown),
+            "status" => Ok(Request::Status),
+            "health" => Ok(Request::Health),
+            "cancel" => {
+                if let Some((key, _)) = pairs
+                    .iter()
+                    .find(|(k, _)| !matches!(k.as_str(), "wire" | "type" | "job_id"))
+                {
+                    return Err(wire_err(format!("unknown cancel key `{key}`")));
+                }
+                let job_id = value
+                    .get("job_id")
+                    .and_then(Value::as_u64)
+                    .ok_or_else(|| wire_err("cancel needs an unsigned `job_id`".into()))?;
+                Ok(Request::Cancel { job_id })
+            }
+            "submit" => {
+                if let Some((key, _)) = pairs.iter().find(|(k, _)| {
+                    !matches!(
+                        k.as_str(),
+                        "wire" | "type" | "suite" | "file" | "deadline_ms"
+                    )
+                }) {
+                    return Err(wire_err(format!("unknown submit key `{key}`")));
+                }
+                let deadline_ms = match value.get("deadline_ms") {
+                    None | Some(Value::Null) => None,
+                    Some(v) => {
+                        let ms = v.as_u64().ok_or_else(|| {
+                            wire_err("`deadline_ms` must be an unsigned integer".into())
+                        })?;
+                        if ms == 0 {
+                            return Err(wire_err("`deadline_ms` must be positive".into()));
+                        }
+                        Some(ms)
+                    }
+                };
+                let spec = match (value.get("suite"), value.get("file")) {
+                    (Some(suite), None) => SuiteSpec::from_json_with_base(suite, None)
+                        .map_err(|e| ("spec".to_string(), e.to_string()))?,
+                    (None, Some(path)) => {
+                        let path = path
+                            .as_str()
+                            .ok_or_else(|| wire_err("`file` must be a string path".into()))?;
+                        SuiteSpec::load(path).map_err(|e| ("spec".to_string(), e.to_string()))?
+                    }
+                    _ => {
+                        return Err(wire_err(
+                            "submit needs exactly one of `suite` (embedded manifest) \
+                             or `file` (server-side path)"
+                                .into(),
+                        ))
+                    }
+                };
+                Ok(Request::Submit { spec, deadline_ms })
+            }
+            other => Err(wire_err(format!(
+                "unknown request type `{other}` \
+                 (submit | cancel | status | health | ping | shutdown)"
+            ))),
+        }
+    }
+
+    /// The wire form. A `submit` always embeds its manifest as `suite`
+    /// (a router forwards a `file` submit as an embedded manifest —
+    /// backends need no shared filesystem).
+    pub fn to_json(&self) -> Value {
+        let (kind, fields) = match self {
+            Request::Submit { spec, deadline_ms } => {
+                let mut fields = vec![("suite", spec.to_json())];
+                fields.extend(deadline_ms.map(|ms| ("deadline_ms", Value::UInt(ms))));
+                ("submit", fields)
+            }
+            Request::Cancel { job_id } => ("cancel", vec![("job_id", Value::UInt(*job_id))]),
+            Request::Status => ("status", Vec::new()),
+            Request::Health => ("health", Vec::new()),
+            Request::Ping => ("ping", Vec::new()),
+            Request::Shutdown => ("shutdown", Vec::new()),
+        };
+        envelope(kind, fields)
+    }
+}
+
+/// [`Request::from_json`] as a free function (the format-reference
+/// tests run the documented examples through it).
 ///
 /// # Errors
 ///
-/// A `(class, message)` pair matching the `error` event the server would
-/// emit: class `wire` for malformed envelopes, `spec` for submit bodies
-/// that fail [`SuiteSpec`] validation.
+/// As for [`Request::from_json`].
 pub fn parse_request(value: &Value) -> Result<Request, (String, String)> {
-    let wire_err = |msg: String| ("wire".to_string(), msg);
-    let Some(pairs) = value.as_object() else {
-        return Err(wire_err("request must be a JSON object".into()));
-    };
-    if let Some(tag) = value.get("wire") {
-        let tag = tag
-            .as_str()
-            .ok_or_else(|| wire_err("`wire` must be a string".into()))?;
-        if tag != WIRE_SCHEMA {
-            return Err(wire_err(format!(
-                "unsupported wire schema `{tag}` (expected `{WIRE_SCHEMA}`)"
-            )));
-        }
-    }
-    let kind = value
-        .get("type")
-        .and_then(Value::as_str)
-        .ok_or_else(|| wire_err("request needs a string `type`".into()))?;
-    match kind {
-        "ping" => Ok(Request::Ping),
-        "shutdown" => Ok(Request::Shutdown),
-        "status" => Ok(Request::Status),
-        "health" => Ok(Request::Health),
-        "cancel" => {
-            if let Some((key, _)) = pairs
-                .iter()
-                .find(|(k, _)| !matches!(k.as_str(), "wire" | "type" | "job_id"))
-            {
-                return Err(wire_err(format!("unknown cancel key `{key}`")));
-            }
-            let job_id = value
-                .get("job_id")
-                .and_then(Value::as_u64)
-                .ok_or_else(|| wire_err("cancel needs an unsigned `job_id`".into()))?;
-            Ok(Request::Cancel { job_id })
-        }
-        "submit" => {
-            if let Some((key, _)) = pairs.iter().find(|(k, _)| {
-                !matches!(
-                    k.as_str(),
-                    "wire" | "type" | "suite" | "file" | "deadline_ms"
-                )
-            }) {
-                return Err(wire_err(format!("unknown submit key `{key}`")));
-            }
-            let deadline_ms = match value.get("deadline_ms") {
-                None | Some(Value::Null) => None,
-                Some(v) => {
-                    let ms = v.as_u64().ok_or_else(|| {
-                        wire_err("`deadline_ms` must be an unsigned integer".into())
-                    })?;
-                    if ms == 0 {
-                        return Err(wire_err("`deadline_ms` must be positive".into()));
-                    }
-                    Some(ms)
-                }
-            };
-            let spec = match (value.get("suite"), value.get("file")) {
-                (Some(suite), None) => SuiteSpec::from_json_with_base(suite, None)
-                    .map_err(|e| ("spec".to_string(), e.to_string()))?,
-                (None, Some(path)) => {
-                    let path = path
-                        .as_str()
-                        .ok_or_else(|| wire_err("`file` must be a string path".into()))?;
-                    SuiteSpec::load(path).map_err(|e| ("spec".to_string(), e.to_string()))?
-                }
-                _ => {
-                    return Err(wire_err(
-                        "submit needs exactly one of `suite` (embedded manifest) \
-                         or `file` (server-side path)"
-                            .into(),
-                    ))
-                }
-            };
-            Ok(Request::Submit { spec, deadline_ms })
-        }
-        other => Err(wire_err(format!(
-            "unknown request type `{other}` \
-             (submit | cancel | status | health | ping | shutdown)"
-        ))),
-    }
-}
-
-/// Builds one compact single-line event with the common envelope.
-pub(crate) fn event(kind: &str, fields: impl IntoIterator<Item = (String, Value)>) -> String {
-    let mut pairs = vec![
-        ("wire".to_string(), Value::Str(WIRE_SCHEMA.into())),
-        ("type".to_string(), Value::Str(kind.into())),
-    ];
-    pairs.extend(fields);
-    format!("{}\n", Value::Object(pairs))
-}
-
-pub(crate) fn error_event(class: &str, message: &str) -> String {
-    event(
-        "error",
-        [
-            ("error".to_string(), Value::Str(class.into())),
-            ("message".to_string(), Value::Str(message.into())),
-        ],
-    )
-}
-
-/// Builds the `health` answer: version + worker count + uptime, shared
-/// by the daemon and the router (whose "workers" are its live
-/// backends).
-pub(crate) fn health_event(workers: u64, started: &Instant) -> String {
-    event(
-        "health",
-        [
-            (
-                "version".to_string(),
-                Value::Str(env!("CARGO_PKG_VERSION").into()),
-            ),
-            ("workers".to_string(), Value::UInt(workers)),
-            (
-                "uptime_ms".to_string(),
-                Value::UInt(started.elapsed().as_millis() as u64),
-            ),
-        ],
-    )
-}
-
-/// Takes one token from a per-connection submit bucket. `None` means
-/// the submit may proceed; `Some(retry_after_ms)` is the backoff hint
-/// to answer with (`rejected`). `rate == 0` disables limiting.
-fn take_rate_token(rate: u64, tokens: &mut f64, refilled: &mut Instant) -> Option<u64> {
-    if rate == 0 {
-        return None;
-    }
-    let now = Instant::now();
-    *tokens =
-        (*tokens + now.duration_since(*refilled).as_secs_f64() * rate as f64).min(rate as f64);
-    *refilled = now;
-    if *tokens >= 1.0 {
-        *tokens -= 1.0;
-        return None;
-    }
-    // Time until the bucket holds one full token again, rounded up so
-    // a client honouring the hint is never rejected twice in a row.
-    let deficit_ms = ((1.0 - *tokens) / rate as f64 * 1e3).ceil() as u64;
-    Some(deficit_ms.max(1))
-}
-
-/// The address the shutdown handler connects to so the blocking accept
-/// loop wakes up and observes the flag: the bound address itself, with
-/// a wildcard IP (`0.0.0.0` / `::`) replaced by the matching loopback —
-/// a wildcard is a *listen* address, not a connectable destination on
-/// every platform.
-pub(crate) fn wake_addr(local: SocketAddr) -> SocketAddr {
-    let mut addr = local;
-    if addr.ip().is_unspecified() {
-        addr.set_ip(match addr {
-            SocketAddr::V4(_) => std::net::IpAddr::V4(std::net::Ipv4Addr::LOCALHOST),
-            SocketAddr::V6(_) => std::net::IpAddr::V6(std::net::Ipv6Addr::LOCALHOST),
-        });
-    }
-    addr
-}
-
-/// Reads one request line under the connection's poll deadline. Retries
-/// timeouts **without clearing** `line` — `read_line` may already have
-/// buffered a partial line, and clearing would drop those bytes —
-/// re-checking the shutdown flag on every poll. Returns `false` when
-/// the connection should close (EOF, hard error, or shutdown).
-fn read_request_line(
-    reader: &mut BufReader<TcpStream>,
-    state: &ServerState,
-    line: &mut String,
-) -> bool {
-    line.clear();
-    loop {
-        match reader.read_line(line) {
-            Ok(0) => return false,
-            Ok(_) => return true,
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                ) =>
-            {
-                if state.shutdown.load(Ordering::SeqCst) {
-                    return false;
-                }
-            }
-            Err(_) => return false,
-        }
-    }
-}
-
-/// Serves one connection: a loop of requests, each answered by one or
-/// more events. Returns when the client disconnects, the shutdown drain
-/// begins, or after handling `shutdown`.
-fn handle_connection(stream: TcpStream, state: &ServerState, tasks: &SyncSender<MemberTask>) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    // A finite read timeout turns a blocked reader into a poll: a client
-    // that connects and never sends a line cannot delay the shutdown
-    // drain (the drain's read-shutdown sweep is the fast path; this is
-    // the backstop for connections the sweep misses).
-    let _ = read_half.set_read_timeout(Some(Duration::from_millis(READ_POLL_MS)));
-    let mut writer = stream;
-    let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
-    // Per-connection token bucket (capacity = refill rate = submits per
-    // second). A fresh connection starts full, so bursts up to the rate
-    // go through; beyond that, submits cost a token each and the
-    // deficit converts directly into the `retry_after_ms` hint.
-    let mut rate_tokens = state.rate as f64;
-    let mut rate_refilled = Instant::now();
-    loop {
-        if !read_request_line(&mut reader, state, &mut line) {
-            return;
-        }
-        if line.trim().is_empty() {
-            continue;
-        }
-        let request = match json::parse(line.trim_end()) {
-            Ok(value) => parse_request(&value),
-            Err(e) => Err((
-                "wire".to_string(),
-                format!("request is not valid JSON: {e}"),
-            )),
-        };
-        let keep_going = match request {
-            Err((class, message)) => writer
-                .write_all(error_event(&class, &message).as_bytes())
-                .is_ok(),
-            Ok(Request::Ping) => writer.write_all(event("pong", []).as_bytes()).is_ok(),
-            Ok(Request::Health) => writer
-                .write_all(health_event(state.workers as u64, &state.started).as_bytes())
-                .is_ok(),
-            Ok(Request::Status) => {
-                let cache_size = state.cache.lock().expect("setup cache poisoned").len();
-                let active_jobs = state.jobs.lock().expect("job list poisoned").len();
-                let mut fields = vec![
-                    (
-                        "queue_depth".to_string(),
-                        Value::UInt(state.queue_depth.load(Ordering::SeqCst) as u64),
-                    ),
-                    (
-                        "queue_capacity".to_string(),
-                        Value::UInt(state.queue_capacity as u64),
-                    ),
-                    ("active_jobs".to_string(), Value::UInt(active_jobs as u64)),
-                    ("workers".to_string(), Value::UInt(state.workers as u64)),
-                    ("cache_size".to_string(), Value::UInt(cache_size as u64)),
-                    (
-                        "uptime_ms".to_string(),
-                        Value::UInt(state.started.elapsed().as_millis() as u64),
-                    ),
-                ];
-                // Per-campaign stage progress, present exactly when a
-                // campaign member is mid-flight: run-only traffic keeps
-                // its pre-campaign event shape.
-                let campaigns = state.campaign_progress();
-                if !campaigns.is_empty() {
-                    fields.push(("campaigns".to_string(), Value::Array(campaigns)));
-                }
-                writer.write_all(event("status", fields).as_bytes()).is_ok()
-            }
-            Ok(Request::Cancel { job_id }) => {
-                let line = if state.cancel_job(job_id) {
-                    event("cancelled", [("job_id".to_string(), Value::UInt(job_id))])
-                } else {
-                    error_event("queue", &format!("job {job_id} is not active"))
-                };
-                writer.write_all(line.as_bytes()).is_ok()
-            }
-            Ok(Request::Shutdown) => {
-                state.shutdown.store(true, Ordering::SeqCst);
-                let line = event(
-                    "shutting_down",
-                    [("jobs".to_string(), Value::Array(state.job_dispositions()))],
-                );
-                let _ = writer.write_all(line.as_bytes());
-                // Wake the accept loop so it observes the flag. A
-                // wildcard bind (0.0.0.0/::) is not a connectable
-                // destination everywhere, so aim at loopback instead.
-                let _ = TcpStream::connect(wake_addr(state.local_addr));
-                false
-            }
-            Ok(Request::Submit { spec, deadline_ms }) => {
-                match take_rate_token(state.rate, &mut rate_tokens, &mut rate_refilled) {
-                    Some(retry_after_ms) => {
-                        let line = event(
-                            "rejected",
-                            [("retry_after_ms".to_string(), Value::UInt(retry_after_ms))],
-                        );
-                        writer.write_all(line.as_bytes()).is_ok()
-                    }
-                    None => run_job(&spec, deadline_ms, &mut writer, state, tasks),
-                }
-            }
-        };
-        if !keep_going {
-            return;
-        }
-    }
-}
-
-/// Executes one submitted suite: resolve through the shared cache,
-/// reserve queue capacity (or reject), enqueue member tasks, stream
-/// events as members complete, emit the terminal report. Returns
-/// `false` when the client vanished and the connection should be
-/// dropped.
-fn run_job(
-    spec: &SuiteSpec,
-    deadline_ms: Option<u64>,
-    writer: &mut TcpStream,
-    state: &ServerState,
-    tasks: &SyncSender<MemberTask>,
-) -> bool {
-    let started = Instant::now();
-    // Resolve every member against the process-wide cache. The lock is
-    // held across builds so concurrent jobs never build the same
-    // scenario twice; builds are deterministic, so serializing them
-    // changes wall-clock only.
-    let (suite, cache_size) = {
-        let mut cache = state.cache.lock().expect("setup cache poisoned");
-        let suite = match Suite::from_spec_with_cache(spec.clone(), &state.registry, &mut cache) {
-            Ok(suite) => suite,
-            Err(e) => {
-                return writer
-                    .write_all(error_event("session", &e.to_string()).as_bytes())
-                    .is_ok()
-            }
-        };
-        (suite, cache.len())
-    };
-    let members = suite.sessions().len();
-    // Backpressure: reserve every member's queue slot up front. A full
-    // queue answers `rejected` instead of parking the connection in a
-    // blocking `send`; an oversized suite can never fit and is a typed
-    // `queue` error.
-    if members > state.queue_capacity {
-        return writer
-            .write_all(
-                error_event(
-                    "queue",
-                    &format!(
-                        "suite has {members} members but the queue capacity is {}",
-                        state.queue_capacity
-                    ),
-                )
-                .as_bytes(),
-            )
-            .is_ok();
-    }
-    if state
-        .queue_depth
-        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |depth| {
-            (depth + members <= state.queue_capacity).then_some(depth + members)
-        })
-        .is_err()
-    {
-        let line = event(
-            "rejected",
-            [("retry_after_ms".to_string(), Value::UInt(RETRY_AFTER_MS))],
-        );
-        return writer.write_all(line.as_bytes()).is_ok();
-    }
-    let job_id = state.next_job.fetch_add(1, Ordering::SeqCst);
-    let control = Arc::new(JobControl {
-        job_id,
-        cancelled: AtomicBool::new(false),
-        deadline: deadline_ms.map(|ms| started + Duration::from_millis(ms)),
-        deadline_ms,
-        members_total: members,
-        members_done: AtomicUsize::new(0),
-        campaign_stages: Mutex::new(Vec::new()),
-    });
-    state.register_job(Arc::clone(&control));
-    let alive = stream_job(
-        &suite, job_id, cache_size, &control, started, writer, state, tasks,
-    );
-    state.deregister_job(job_id);
-    alive
-}
-
-/// The streaming phase of [`run_job`]: `accepted`, member events in
-/// completion order, terminal `suite_report`. Queue reservations are
-/// already held; workers release them task by task.
-#[allow(clippy::too_many_arguments)]
-fn stream_job(
-    suite: &Suite,
-    job_id: u64,
-    cache_size: usize,
-    control: &Arc<JobControl>,
-    started: Instant,
-    writer: &mut TcpStream,
-    state: &ServerState,
-    tasks: &SyncSender<MemberTask>,
-) -> bool {
-    let sessions = suite.sessions();
-    let members = sessions.len();
-    let accepted = event(
-        "accepted",
-        [
-            ("job_id".to_string(), Value::UInt(job_id)),
-            ("members".to_string(), Value::UInt(members as u64)),
-            (
-                "setups_built".to_string(),
-                Value::UInt(suite.unique_setups() as u64),
-            ),
-            ("cache_size".to_string(), Value::UInt(cache_size as u64)),
-        ],
-    );
-    if writer.write_all(accepted.as_bytes()).is_err() {
-        // Nothing was enqueued: hand the reservations back.
-        state.queue_depth.fetch_sub(members, Ordering::SeqCst);
-        return false;
-    }
-    let fault = suite.spec().fault.clone().map(Arc::new);
-    let (reply, done_rx) = mpsc::channel::<WorkerEvent>();
-    for (member_index, session) in sessions.iter().enumerate() {
-        let task = MemberTask {
-            member_index,
-            session: Arc::clone(session),
-            campaign: suite.spec().runs[member_index].campaign().cloned(),
-            rep_threads: state.rep_threads,
-            fault: fault.clone(),
-            control: Arc::clone(control),
-            queue_depth: Arc::clone(&state.queue_depth),
-            reply: reply.clone(),
-        };
-        if tasks.send(task).is_err() {
-            // Pool retired under us (server terminating); hand back the
-            // reservations that never reached the queue.
-            state
-                .queue_depth
-                .fetch_sub(members - member_index, Ordering::SeqCst);
-            return writer
-                .write_all(error_event("queue", "server is shutting down").as_bytes())
-                .is_ok();
-        }
-    }
-    drop(reply); // done_rx ends after the last member reports
-    let mut slots: Vec<Option<MemberOutcome>> = (0..members).map(|_| None).collect();
-    let mut per_run_ms = vec![0.0f64; members];
-    // If the client disconnects mid-stream we stop writing but keep
-    // draining: the workers still hold reply senders for this job.
-    let mut client_alive = true;
-    for message in done_rx {
-        let done = match message {
-            WorkerEvent::Stage(stage) => {
-                if client_alive {
-                    let line = event(
-                        "stage_report",
-                        [
-                            ("job_id".to_string(), Value::UInt(job_id)),
-                            (
-                                "member_index".to_string(),
-                                Value::UInt(stage.member_index as u64),
-                            ),
-                            ("stage".to_string(), Value::UInt(stage.stage as u64)),
-                            (
-                                "stages_done".to_string(),
-                                Value::UInt(stage.stage as u64 + 1),
-                            ),
-                            ("converged".to_string(), Value::Bool(stage.converged)),
-                            ("elapsed_ms".to_string(), Value::Float(stage.elapsed_ms)),
-                            ("report".to_string(), stage.report),
-                        ],
-                    );
-                    client_alive = writer.write_all(line.as_bytes()).is_ok();
-                }
-                continue;
-            }
-            WorkerEvent::Done(done) => done,
-        };
-        per_run_ms[done.member_index] = done.elapsed_ms;
-        if client_alive {
-            let line = match &done.outcome {
-                MemberOutcome::Ok(report) => event(
-                    "member_report",
-                    [
-                        ("job_id".to_string(), Value::UInt(job_id)),
-                        (
-                            "member_index".to_string(),
-                            Value::UInt(done.member_index as u64),
-                        ),
-                        ("elapsed_ms".to_string(), Value::Float(done.elapsed_ms)),
-                        ("report".to_string(), report.to_json_stable()),
-                    ],
-                ),
-                // A campaign member's terminal event carries the whole
-                // member entry — stage sequence included, failed or not
-                // — exactly as the suite report embeds it.
-                MemberOutcome::Campaign(_) => event(
-                    "member_report",
-                    [
-                        ("job_id".to_string(), Value::UInt(job_id)),
-                        (
-                            "member_index".to_string(),
-                            Value::UInt(done.member_index as u64),
-                        ),
-                        ("elapsed_ms".to_string(), Value::Float(done.elapsed_ms)),
-                        ("entry".to_string(), done.outcome.to_json_stable()),
-                    ],
-                ),
-                MemberOutcome::Failed { status, message } => event(
-                    "member_error",
-                    [
-                        ("job_id".to_string(), Value::UInt(job_id)),
-                        (
-                            "member_index".to_string(),
-                            Value::UInt(done.member_index as u64),
-                        ),
-                        ("elapsed_ms".to_string(), Value::Float(done.elapsed_ms)),
-                        ("status".to_string(), Value::Str(status.as_str().into())),
-                        ("message".to_string(), Value::Str(message.clone())),
-                    ],
-                ),
-            };
-            client_alive = writer.write_all(line.as_bytes()).is_ok();
-        }
-        slots[done.member_index] = Some(done.outcome);
-    }
-    let report = SuiteReport {
-        spec: suite.spec().clone(),
-        members: slots
-            .into_iter()
-            .map(|slot| slot.expect("every member reported"))
-            .collect(),
-        timing: Timing {
-            total_ms: started.elapsed().as_secs_f64() * 1e3,
-            per_run_ms,
-        },
-    };
-    if !client_alive {
-        return false;
-    }
-    let line = event(
-        "suite_report",
-        [
-            ("job_id".to_string(), Value::UInt(job_id)),
-            (
-                "elapsed_ms".to_string(),
-                Value::Float(report.timing.total_ms),
-            ),
-            ("suite_report".to_string(), report.to_json_stable()),
-        ],
-    );
-    writer.write_all(line.as_bytes()).is_ok()
+    Request::from_json(value)
 }
 
 /// A snapshot of daemon load, answered to a `status` request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerStatus {
-    /// Enqueued-but-unfinished member tasks across all jobs.
+    /// Admitted-but-unfinished members across all jobs.
     pub queue_depth: u64,
-    /// The bounded queue's capacity ([`ServeConfig::queue`]).
+    /// The admission capacity ([`ServeConfig::queue`]).
     pub queue_capacity: u64,
     /// Jobs accepted and not yet terminal.
     pub active_jobs: u64,
-    /// Persistent worker threads.
+    /// The most members that run at once ([`ServeConfig::workers`]).
     pub workers: u64,
     /// Distinct `(scenario, params)` setups in the shared cache.
     pub cache_size: u64,
@@ -1367,7 +1195,8 @@ pub struct ServerStatus {
 }
 
 /// One in-flight campaign member's stage progress inside a daemon
-/// `status` answer (echoed verbatim through router aggregations).
+/// `status` answer (echoed verbatim through router aggregations) or a
+/// `shutting_down` job disposition.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CampaignProgress {
     /// The job the campaign member belongs to.
@@ -1380,13 +1209,27 @@ pub struct CampaignProgress {
     pub stages_done: u64,
 }
 
+/// One in-flight job in a `shutting_down` answer.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct JobDisposition {
+    /// The job's id.
+    pub job_id: u64,
+    /// Its member count.
+    pub members: u64,
+    /// Members already finished at the acknowledgement.
+    pub members_done: u64,
+    /// Its campaign members' stage progress, member order (the wire
+    /// form omits each entry's `job_id` — the job names it).
+    pub campaigns: Vec<CampaignProgress>,
+}
+
 /// The answer to a `health` request: identity and liveness, no load
 /// data (and, server-side, no lock acquisition).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HealthInfo {
     /// The serving process's crate version.
     pub version: String,
-    /// Worker threads (daemon) or live backends (router).
+    /// Worker slots (daemon) or live backends (router).
     pub workers: u64,
     /// Milliseconds since the process started serving.
     pub uptime_ms: u64,
@@ -1429,370 +1272,605 @@ pub enum StatusSnapshot {
     Router(RouterStatus),
 }
 
-/// A parsed, validated server event — the single decode path shared by
-/// [`validate_event`] (docs/examples) and [`Client`] (live streams), so
-/// every `imcis.wire/2` event is validated in exactly one place.
-#[derive(Debug)]
-pub(crate) enum Event {
+/// One `imcis.wire/2` server event, the typed codec of every event
+/// line: the daemon and the router encode with [`Event::to_json`], and
+/// [`Client`], the router's backend streams and [`validate_event`]
+/// decode with [`Event::from_json`]. Decoding an event the daemon sends
+/// and encoding it again gives back the same value, key order included.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Event {
+    /// The manifest validated and the job was admitted.
     Accepted {
+        /// Server-assigned job id.
         job_id: u64,
+        /// The job's member count.
         members: usize,
+        /// Scenario builds this job caused on the shared cache.
         setups_built: u64,
+        /// The shared cache's total entry count.
+        cache_size: u64,
     },
+    /// One member finished with a stable outcome.
     MemberReport {
+        /// The job.
         job_id: u64,
+        /// The member's manifest index.
         member_index: usize,
-        /// The member's stable `reports[]` entry: rebuilt around the
-        /// `report` payload for a run member, carried verbatim for a
-        /// campaign member — either way exactly what the suite report
-        /// embeds at this index.
+        /// The member's wall time (volatile).
+        elapsed_ms: f64,
+        /// The member's `reports[]` entry, exactly as the suite report
+        /// embeds it. On the wire a run member's entry travels as its
+        /// `report` payload, a campaign member's (the entry with a
+        /// `campaign` key) as the whole `entry`.
         entry: Value,
     },
+    /// One campaign stage finished.
     StageReport {
+        /// The job.
         job_id: u64,
+        /// The campaign member's manifest index.
         member_index: usize,
-        #[allow(dead_code)] // decoded for validation; observational only
+        /// The finished stage, 0-based (the wire form adds
+        /// `stages_done = stage + 1`).
         stage: usize,
+        /// Whether the campaign's stopping rule fired at this stage.
+        converged: bool,
+        /// The stage's wall time (volatile).
+        elapsed_ms: f64,
+        /// The stage's stable `imcis.report/2`.
+        report: Value,
     },
+    /// One run member finished without a report.
     MemberError {
+        /// The job.
         job_id: u64,
+        /// The member's manifest index.
         member_index: usize,
+        /// The member's wall time (volatile).
+        elapsed_ms: f64,
+        /// The failure class (never [`MemberStatus::Ok`]).
         status: MemberStatus,
+        /// The deterministic, non-empty failure message.
         message: String,
     },
+    /// Terminal: the assembled stable suite report.
     SuiteReport {
+        /// The job.
         job_id: u64,
+        /// The job's wall time (volatile).
+        elapsed_ms: f64,
+        /// The stable `imcis.suitereport/2` (or `/3`).
         suite_report: Value,
     },
+    /// A wire/spec/session/queue failure.
     Error {
+        /// The class: `wire` | `spec` | `session` | `queue`.
         class: String,
+        /// The pinned human-readable message.
         message: String,
     },
+    /// Backpressure: the job was not admitted.
     Rejected {
+        /// The minimum backoff before resubmitting.
         retry_after_ms: u64,
     },
+    /// A `cancel` acknowledgement.
     Cancelled {
-        #[allow(dead_code)] // decoded for validation; Client::cancel checks it
+        /// The job that will stop at its next member boundary.
         job_id: u64,
     },
+    /// A `status` answer.
     Status(StatusSnapshot),
+    /// A `health` answer.
     Health(HealthInfo),
+    /// A `ping` answer.
     Pong,
-    ShuttingDown,
+    /// A `shutdown` acknowledgement.
+    ShuttingDown {
+        /// The in-flight jobs, which still drain to completion.
+        jobs: Vec<JobDisposition>,
+    },
 }
 
-/// Parses one server event value against the `imcis.wire/2` shape,
-/// validating embedded payloads with the real report validators.
-pub(crate) fn parse_event(value: &Value) -> Result<Event, String> {
-    if value.as_object().is_none() {
-        return Err("event must be a JSON object".into());
+impl Event {
+    /// An `error` event of `class`.
+    pub fn error(class: &str, message: impl Into<String>) -> Self {
+        Event::Error {
+            class: class.into(),
+            message: message.into(),
+        }
     }
-    match value.get("wire").and_then(Value::as_str) {
-        Some(WIRE_SCHEMA) => {}
-        Some(other) => return Err(format!("unexpected wire schema `{other}`")),
-        None => return Err("event is missing the `wire` schema tag".into()),
+
+    /// The job a job-scoped event belongs to (the router relabels
+    /// through it).
+    pub(crate) fn job_id_mut(&mut self) -> Option<&mut u64> {
+        match self {
+            Event::Accepted { job_id, .. }
+            | Event::MemberReport { job_id, .. }
+            | Event::StageReport { job_id, .. }
+            | Event::MemberError { job_id, .. }
+            | Event::SuiteReport { job_id, .. }
+            | Event::Cancelled { job_id } => Some(job_id),
+            _ => None,
+        }
     }
-    let kind = value
-        .get("type")
-        .and_then(Value::as_str)
-        .ok_or("event needs a string `type`")?;
-    let need_u64 = |key: &str| {
-        value
-            .get(key)
-            .and_then(Value::as_u64)
-            .ok_or(format!("`{kind}` event needs an unsigned `{key}`"))
-    };
-    let need_str = |key: &str| {
-        value
-            .get(key)
-            .and_then(Value::as_str)
-            .ok_or(format!("`{kind}` event needs a string `{key}`"))
-    };
-    match kind {
-        "accepted" => {
-            let job_id = need_u64("job_id")?;
-            let members = need_u64("members")? as usize;
-            let setups_built = need_u64("setups_built")?;
-            need_u64("cache_size")?;
-            Ok(Event::Accepted {
+
+    /// The wire form: `wire` and `type` first, then the event's fields
+    /// in their documented order.
+    pub fn to_json(&self) -> Value {
+        let int = |n: usize| Value::UInt(n as u64);
+        let (kind, fields) = match self {
+            Event::Accepted {
                 job_id,
                 members,
                 setups_built,
-            })
-        }
-        "member_report" => {
-            let job_id = need_u64("job_id")?;
-            let member_index = need_u64("member_index")? as usize;
-            value
-                .get("elapsed_ms")
-                .and_then(Value::as_f64)
-                .ok_or("`member_report` event needs a numeric `elapsed_ms`")?;
-            let entry = match (value.get("report"), value.get("entry")) {
-                (Some(report), None) => {
-                    crate::report::validate_report_json(report)
-                        .map_err(|e| format!("embedded report: {e}"))?;
-                    // Rebuild the wrapped stable entry, exactly as the
-                    // suite report embeds it.
-                    Value::object([
-                        ("status".into(), Value::Str("ok".into())),
-                        ("report".into(), report.clone()),
-                    ])
-                }
-                (None, Some(entry)) => {
-                    validate_member_entry(entry, true)
-                        .map_err(|e| format!("embedded campaign entry: {e}"))?;
-                    entry.clone()
-                }
-                _ => {
-                    return Err("`member_report` event needs exactly one of `report` \
-                         (run member) or `entry` (campaign member)"
-                        .into())
-                }
-            };
-            Ok(Event::MemberReport {
+                cache_size,
+            } => (
+                "accepted",
+                vec![
+                    ("job_id", Value::UInt(*job_id)),
+                    ("members", int(*members)),
+                    ("setups_built", Value::UInt(*setups_built)),
+                    ("cache_size", Value::UInt(*cache_size)),
+                ],
+            ),
+            Event::MemberReport {
                 job_id,
                 member_index,
+                elapsed_ms,
                 entry,
-            })
-        }
-        "stage_report" => {
-            let job_id = need_u64("job_id")?;
-            let member_index = need_u64("member_index")? as usize;
-            let stage = need_u64("stage")? as usize;
-            let stages_done = need_u64("stages_done")? as usize;
-            if stages_done != stage + 1 {
-                return Err(format!(
-                    "`stage_report` stages_done must be stage + 1, got stage {stage} with \
-                     stages_done {stages_done}"
-                ));
+            } => {
+                let payload = match entry.get("campaign") {
+                    Some(_) => ("entry", entry.clone()),
+                    None => (
+                        "report",
+                        entry.get("report").cloned().unwrap_or(Value::Null),
+                    ),
+                };
+                let fields = vec![
+                    ("job_id", Value::UInt(*job_id)),
+                    ("member_index", int(*member_index)),
+                    ("elapsed_ms", Value::Float(*elapsed_ms)),
+                    payload,
+                ];
+                ("member_report", fields)
             }
-            value
-                .get("converged")
-                .and_then(Value::as_bool)
-                .ok_or("`stage_report` event needs a boolean `converged`")?;
-            value
-                .get("elapsed_ms")
-                .and_then(Value::as_f64)
-                .ok_or("`stage_report` event needs a numeric `elapsed_ms`")?;
-            let report = value
-                .get("report")
-                .ok_or("`stage_report` event needs a `report` payload")?;
-            crate::report::validate_report_json(report)
-                .map_err(|e| format!("embedded stage report: {e}"))?;
-            Ok(Event::StageReport {
+            Event::StageReport {
                 job_id,
                 member_index,
                 stage,
-            })
-        }
-        "member_error" => {
-            let job_id = need_u64("job_id")?;
-            let member_index = need_u64("member_index")? as usize;
-            value
-                .get("elapsed_ms")
-                .and_then(Value::as_f64)
-                .ok_or("`member_error` event needs a numeric `elapsed_ms`")?;
-            let tag = need_str("status")?;
-            let status = MemberStatus::from_tag(tag)
-                .filter(|s| *s != MemberStatus::Ok)
-                .ok_or(format!(
-                    "`member_error` status must be one of error | panic | timeout | cancelled, \
-                     got `{tag}`"
-                ))?;
-            let message = need_str("message")?;
-            if message.is_empty() {
-                return Err("`member_error` event needs a non-empty `message`".into());
-            }
-            Ok(Event::MemberError {
+                converged,
+                elapsed_ms,
+                report,
+            } => (
+                "stage_report",
+                vec![
+                    ("job_id", Value::UInt(*job_id)),
+                    ("member_index", int(*member_index)),
+                    ("stage", int(*stage)),
+                    ("stages_done", int(stage + 1)),
+                    ("converged", Value::Bool(*converged)),
+                    ("elapsed_ms", Value::Float(*elapsed_ms)),
+                    ("report", report.clone()),
+                ],
+            ),
+            Event::MemberError {
                 job_id,
                 member_index,
+                elapsed_ms,
                 status,
-                message: message.to_string(),
-            })
-        }
-        "suite_report" => {
-            let job_id = need_u64("job_id")?;
-            let report = value
-                .get("suite_report")
-                .ok_or("`suite_report` event needs a `suite_report` payload")?;
-            crate::suite::validate_suite_report_json(report)
-                .map_err(|e| format!("embedded suite report: {e}"))?;
-            Ok(Event::SuiteReport {
+                message,
+            } => (
+                "member_error",
+                vec![
+                    ("job_id", Value::UInt(*job_id)),
+                    ("member_index", int(*member_index)),
+                    ("elapsed_ms", Value::Float(*elapsed_ms)),
+                    ("status", Value::Str(status.as_str().into())),
+                    ("message", Value::Str(message.clone())),
+                ],
+            ),
+            Event::SuiteReport {
                 job_id,
-                suite_report: report.clone(),
-            })
-        }
-        "error" => Ok(Event::Error {
-            class: need_str("error")?.to_string(),
-            message: need_str("message")?.to_string(),
-        }),
-        "rejected" => Ok(Event::Rejected {
-            retry_after_ms: need_u64("retry_after_ms")?,
-        }),
-        "cancelled" => Ok(Event::Cancelled {
-            job_id: need_u64("job_id")?,
-        }),
-        "status" => match value.get("role").and_then(Value::as_str) {
-            None => Ok(Event::Status(StatusSnapshot::Daemon(ServerStatus {
-                queue_depth: need_u64("queue_depth")?,
-                queue_capacity: need_u64("queue_capacity")?,
-                active_jobs: need_u64("active_jobs")?,
-                workers: need_u64("workers")?,
-                cache_size: need_u64("cache_size")?,
-                uptime_ms: need_u64("uptime_ms")?,
-                campaigns: parse_campaign_progress(value, "`status`")?,
-            }))),
-            Some("router") => {
-                let backends = value
-                    .get("backends")
-                    .and_then(Value::as_array)
-                    .ok_or("router `status` event needs a `backends` array")?;
-                let mut parsed = Vec::with_capacity(backends.len());
-                for (i, backend) in backends.iter().enumerate() {
-                    let field = |key: &str| {
-                        backend
-                            .get(key)
-                            .and_then(Value::as_u64)
-                            .ok_or(format!("`status` backends[{i}] needs an unsigned `{key}`"))
-                    };
-                    let addr = backend
-                        .get("addr")
-                        .and_then(Value::as_str)
-                        .ok_or(format!("`status` backends[{i}] needs a string `addr`"))?
-                        .to_string();
-                    let healthy = backend
-                        .get("healthy")
-                        .and_then(Value::as_bool)
-                        .ok_or(format!("`status` backends[{i}] needs a boolean `healthy`"))?;
-                    let status = if backend.get("queue_depth").is_some() {
-                        Some(ServerStatus {
-                            queue_depth: field("queue_depth")?,
-                            queue_capacity: field("queue_capacity")?,
-                            active_jobs: field("active_jobs")?,
-                            workers: field("workers")?,
-                            cache_size: field("cache_size")?,
-                            uptime_ms: field("uptime_ms")?,
-                            campaigns: parse_campaign_progress(
-                                backend,
-                                &format!("`status` backends[{i}]"),
-                            )?,
-                        })
-                    } else {
-                        None
-                    };
-                    parsed.push(BackendStatus {
-                        addr,
-                        healthy,
-                        status,
-                    });
-                }
-                Ok(Event::Status(StatusSnapshot::Router(RouterStatus {
-                    active_jobs: need_u64("active_jobs")?,
-                    jobs_routed: need_u64("jobs_routed")?,
-                    uptime_ms: need_u64("uptime_ms")?,
-                    backends: parsed,
-                })))
+                elapsed_ms,
+                suite_report,
+            } => (
+                "suite_report",
+                vec![
+                    ("job_id", Value::UInt(*job_id)),
+                    ("elapsed_ms", Value::Float(*elapsed_ms)),
+                    ("suite_report", suite_report.clone()),
+                ],
+            ),
+            Event::Error { class, message } => (
+                "error",
+                vec![
+                    ("error", Value::Str(class.clone())),
+                    ("message", Value::Str(message.clone())),
+                ],
+            ),
+            Event::Rejected { retry_after_ms } => (
+                "rejected",
+                vec![("retry_after_ms", Value::UInt(*retry_after_ms))],
+            ),
+            Event::Cancelled { job_id } => ("cancelled", vec![("job_id", Value::UInt(*job_id))]),
+            Event::Status(StatusSnapshot::Daemon(status)) => ("status", status_fields(status)),
+            Event::Status(StatusSnapshot::Router(status)) => {
+                let backends = status.backends.iter().map(|backend| {
+                    let mut fields = vec![
+                        ("addr", Value::Str(backend.addr.clone())),
+                        ("healthy", Value::Bool(backend.healthy)),
+                    ];
+                    fields.extend(backend.status.iter().flat_map(status_fields));
+                    object(fields)
+                });
+                (
+                    "status",
+                    vec![
+                        ("role", Value::Str("router".into())),
+                        ("active_jobs", Value::UInt(status.active_jobs)),
+                        ("jobs_routed", Value::UInt(status.jobs_routed)),
+                        ("uptime_ms", Value::UInt(status.uptime_ms)),
+                        ("backends", Value::Array(backends.collect())),
+                    ],
+                )
             }
-            Some(other) => Err(format!(
-                "`status` role must be absent (daemon) or `router`, got `{other}`"
-            )),
-        },
-        "health" => {
-            let version = need_str("version")?;
-            if version.is_empty() {
-                return Err("`health` event needs a non-empty `version`".into());
+            Event::Health(info) => (
+                "health",
+                vec![
+                    ("version", Value::Str(info.version.clone())),
+                    ("workers", Value::UInt(info.workers)),
+                    ("uptime_ms", Value::UInt(info.uptime_ms)),
+                ],
+            ),
+            Event::Pong => ("pong", Vec::new()),
+            Event::ShuttingDown { jobs } => {
+                let jobs = jobs.iter().map(|job| {
+                    let mut fields = vec![
+                        ("job_id", Value::UInt(job.job_id)),
+                        ("members", Value::UInt(job.members)),
+                        ("members_done", Value::UInt(job.members_done)),
+                    ];
+                    fields.extend(progress_field(&job.campaigns, false));
+                    object(fields)
+                });
+                (
+                    "shutting_down",
+                    vec![("jobs", Value::Array(jobs.collect()))],
+                )
             }
-            Ok(Event::Health(HealthInfo {
-                version: version.to_string(),
-                workers: need_u64("workers")?,
-                uptime_ms: need_u64("uptime_ms")?,
-            }))
+        };
+        envelope(kind, fields)
+    }
+
+    /// Decodes and validates one event value against the
+    /// `imcis.wire/2` shape, validating embedded payloads with the real
+    /// report validators.
+    ///
+    /// # Errors
+    ///
+    /// A human-readable description of the first violation.
+    pub fn from_json(value: &Value) -> Result<Event, String> {
+        if value.as_object().is_none() {
+            return Err("event must be a JSON object".into());
         }
-        "pong" => Ok(Event::Pong),
-        "shutting_down" => {
-            let jobs = value
-                .get("jobs")
-                .and_then(Value::as_array)
-                .ok_or("`shutting_down` event needs a `jobs` disposition array")?;
-            for (i, job) in jobs.iter().enumerate() {
-                for key in ["job_id", "members", "members_done"] {
-                    if job.get(key).and_then(Value::as_u64).is_none() {
-                        return Err(format!(
-                            "`shutting_down` jobs[{i}] needs an unsigned `{key}`"
-                        ));
+        match value.get("wire").and_then(Value::as_str) {
+            Some(WIRE_SCHEMA) => {}
+            Some(other) => return Err(format!("unexpected wire schema `{other}`")),
+            None => return Err("event is missing the `wire` schema tag".into()),
+        }
+        let kind = value
+            .get("type")
+            .and_then(Value::as_str)
+            .ok_or("event needs a string `type`")?;
+        let event = Decoder {
+            value,
+            context: format!("`{kind}` event"),
+        };
+        Ok(match kind {
+            "accepted" => Event::Accepted {
+                job_id: event.u64("job_id")?,
+                members: event.usize("members")?,
+                setups_built: event.u64("setups_built")?,
+                cache_size: event.u64("cache_size")?,
+            },
+            "member_report" => Event::MemberReport {
+                job_id: event.u64("job_id")?,
+                member_index: event.usize("member_index")?,
+                elapsed_ms: event.f64("elapsed_ms")?,
+                entry: match (value.get("report"), value.get("entry")) {
+                    (Some(_), None) => Value::object([
+                        ("status".into(), Value::Str("ok".into())),
+                        ("report".into(), event.report("report")?),
+                    ]),
+                    (None, Some(entry)) => {
+                        validate_member_entry(entry, true)
+                            .map_err(|e| format!("embedded campaign entry: {e}"))?;
+                        entry.clone()
                     }
+                    _ => {
+                        return Err("`member_report` event needs exactly one of `report` \
+                             (run member) or `entry` (campaign member)"
+                            .into())
+                    }
+                },
+            },
+            "stage_report" => {
+                let (job_id, member_index) = (event.u64("job_id")?, event.usize("member_index")?);
+                let stage = event.usize("stage")?;
+                let stages_done = event.usize("stages_done")?;
+                if stages_done != stage + 1 {
+                    return Err(format!(
+                        "`stage_report` stages_done must be stage + 1, got stage {stage} with \
+                         stages_done {stages_done}"
+                    ));
                 }
-                // In-flight campaign members report their stage progress
-                // (the entries omit `job_id` — the job object names it).
-                if let Some(campaigns) = job.get("campaigns") {
-                    let entries = campaigns.as_array().ok_or(format!(
-                        "`shutting_down` jobs[{i}] `campaigns` must be an array"
+                Event::StageReport {
+                    job_id,
+                    member_index,
+                    stage,
+                    converged: event.bool("converged")?,
+                    elapsed_ms: event.f64("elapsed_ms")?,
+                    report: event.report("report")?,
+                }
+            }
+            "member_error" => {
+                let (job_id, member_index) = (event.u64("job_id")?, event.usize("member_index")?);
+                let elapsed_ms = event.f64("elapsed_ms")?;
+                let tag = event.str("status")?;
+                let status = MemberStatus::from_tag(&tag)
+                    .filter(|s| *s != MemberStatus::Ok)
+                    .ok_or(format!(
+                        "`member_error` status must be one of error | panic | timeout | \
+                         cancelled, got `{tag}`"
                     ))?;
-                    for (j, entry) in entries.iter().enumerate() {
-                        for key in ["member", "stage", "stages_done"] {
-                            if entry.get(key).and_then(Value::as_u64).is_none() {
-                                return Err(format!(
-                                    "`shutting_down` jobs[{i}] campaigns[{j}] needs an \
-                                     unsigned `{key}`"
-                                ));
-                            }
-                        }
-                    }
+                let message = event.str("message")?;
+                if message.is_empty() {
+                    return Err("`member_error` event needs a non-empty `message`".into());
+                }
+                Event::MemberError {
+                    job_id,
+                    member_index,
+                    elapsed_ms,
+                    status,
+                    message,
                 }
             }
-            Ok(Event::ShuttingDown)
-        }
-        other => Err(format!("unknown event type `{other}`")),
+            "suite_report" => Event::SuiteReport {
+                job_id: event.u64("job_id")?,
+                elapsed_ms: event.f64("elapsed_ms")?,
+                suite_report: {
+                    let report = event.field("suite_report", "a", |v| Some(v.clone()))?;
+                    validate_suite_report_json(&report)
+                        .map_err(|e| format!("embedded suite report: {e}"))?;
+                    report
+                },
+            },
+            "error" => Event::Error {
+                class: event.str("error")?,
+                message: event.str("message")?,
+            },
+            "rejected" => Event::Rejected {
+                retry_after_ms: event.u64("retry_after_ms")?,
+            },
+            "cancelled" => Event::Cancelled {
+                job_id: event.u64("job_id")?,
+            },
+            "status" => Event::Status(match value.get("role").and_then(Value::as_str) {
+                None => StatusSnapshot::Daemon(event.server_status()?),
+                Some("router") => {
+                    let backends = event.field("backends", "an array", |v| {
+                        v.as_array().map(<[Value]>::to_vec)
+                    })?;
+                    let backends = backends
+                        .iter()
+                        .enumerate()
+                        .map(|(i, backend)| {
+                            let entry = Decoder {
+                                value: backend,
+                                context: format!("`status` backends[{i}]"),
+                            };
+                            Ok(BackendStatus {
+                                addr: entry.str("addr")?,
+                                healthy: entry.bool("healthy")?,
+                                status: match backend.get("queue_depth") {
+                                    Some(_) => Some(entry.server_status()?),
+                                    None => None,
+                                },
+                            })
+                        })
+                        .collect::<Result<_, String>>()?;
+                    StatusSnapshot::Router(RouterStatus {
+                        active_jobs: event.u64("active_jobs")?,
+                        jobs_routed: event.u64("jobs_routed")?,
+                        uptime_ms: event.u64("uptime_ms")?,
+                        backends,
+                    })
+                }
+                Some(other) => {
+                    return Err(format!(
+                        "`status` role must be absent (daemon) or `router`, got `{other}`"
+                    ))
+                }
+            }),
+            "health" => {
+                let version = event.str("version")?;
+                if version.is_empty() {
+                    return Err("`health` event needs a non-empty `version`".into());
+                }
+                Event::Health(HealthInfo {
+                    version,
+                    workers: event.u64("workers")?,
+                    uptime_ms: event.u64("uptime_ms")?,
+                })
+            }
+            "pong" => Event::Pong,
+            "shutting_down" => {
+                let jobs = event.field("jobs", "a disposition array", |v| {
+                    v.as_array().map(<[Value]>::to_vec)
+                })?;
+                let jobs = jobs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, job)| {
+                        let job = Decoder {
+                            value: job,
+                            context: format!("`shutting_down` jobs[{i}]"),
+                        };
+                        let job_id = job.u64("job_id")?;
+                        Ok(JobDisposition {
+                            job_id,
+                            members: job.u64("members")?,
+                            members_done: job.u64("members_done")?,
+                            campaigns: job.progress(Some(job_id))?,
+                        })
+                    })
+                    .collect::<Result<_, String>>()?;
+                Event::ShuttingDown { jobs }
+            }
+            other => return Err(format!("unknown event type `{other}`")),
+        })
     }
 }
 
-/// Parses the optional `campaigns` progress array of a daemon `status`
-/// answer (or a router aggregation's backend entry). Absence means "no
-/// campaign member in flight" — the typed form is an empty vector.
-fn parse_campaign_progress(value: &Value, context: &str) -> Result<Vec<CampaignProgress>, String> {
-    let Some(campaigns) = value.get("campaigns") else {
-        return Ok(Vec::new());
-    };
-    let entries = campaigns
-        .as_array()
-        .ok_or(format!("{context} `campaigns` must be an array"))?;
-    entries
-        .iter()
-        .enumerate()
-        .map(|(i, entry)| {
-            let field = |key: &str| {
-                entry.get(key).and_then(Value::as_u64).ok_or(format!(
-                    "{context} campaigns[{i}] needs an unsigned `{key}`"
-                ))
-            };
-            let stage = field("stage")?;
-            let stages_done = field("stages_done")?;
-            if stages_done != stage + 1 {
-                return Err(format!(
-                    "{context} campaigns[{i}] stages_done must be stage + 1"
-                ));
-            }
-            Ok(CampaignProgress {
-                job_id: field("job_id")?,
-                member: field("member")?,
-                stage,
-                stages_done,
-            })
-        })
-        .collect()
+/// A daemon load snapshot's fields, in wire order; `campaigns` only
+/// when non-empty, so run-only traffic keeps its pre-campaign shape.
+fn status_fields(status: &ServerStatus) -> Vec<(&'static str, Value)> {
+    let mut fields = vec![
+        ("queue_depth", Value::UInt(status.queue_depth)),
+        ("queue_capacity", Value::UInt(status.queue_capacity)),
+        ("active_jobs", Value::UInt(status.active_jobs)),
+        ("workers", Value::UInt(status.workers)),
+        ("cache_size", Value::UInt(status.cache_size)),
+        ("uptime_ms", Value::UInt(status.uptime_ms)),
+    ];
+    fields.extend(progress_field(&status.campaigns, true));
+    fields
 }
 
-/// Validates one server event value against the `imcis.wire/2` shape.
-/// Used by [`Client`] on every received event and by the format-reference
-/// tests on the documented examples. (A thin wrapper over the shared
-/// typed parser, so docs examples and live streams go through the same
-/// validation.)
+/// The optional `campaigns` progress array; entries name their job
+/// only where no enclosing object does.
+fn progress_field(campaigns: &[CampaignProgress], with_job: bool) -> Option<(&'static str, Value)> {
+    let entries = campaigns.iter().map(|c| {
+        let job = with_job.then_some(("job_id", Value::UInt(c.job_id)));
+        object(
+            job.into_iter()
+                .chain([
+                    ("member", Value::UInt(c.member)),
+                    ("stage", Value::UInt(c.stage)),
+                    ("stages_done", Value::UInt(c.stages_done)),
+                ])
+                .collect(),
+        )
+    });
+    (!campaigns.is_empty()).then(|| ("campaigns", Value::Array(entries.collect())))
+}
+
+/// Typed field access on one decoded object; errors name `context`.
+struct Decoder<'a> {
+    value: &'a Value,
+    context: String,
+}
+
+impl Decoder<'_> {
+    fn field<T>(
+        &self,
+        key: &str,
+        what: &str,
+        view: impl FnOnce(&Value) -> Option<T>,
+    ) -> Result<T, String> {
+        self.value
+            .get(key)
+            .and_then(view)
+            .ok_or_else(|| format!("{} needs {what} `{key}`", self.context))
+    }
+
+    fn u64(&self, key: &str) -> Result<u64, String> {
+        self.field(key, "an unsigned", Value::as_u64)
+    }
+
+    fn usize(&self, key: &str) -> Result<usize, String> {
+        self.field(key, "an unsigned", Value::as_usize)
+    }
+
+    fn f64(&self, key: &str) -> Result<f64, String> {
+        self.field(key, "a numeric", Value::as_f64)
+    }
+
+    fn bool(&self, key: &str) -> Result<bool, String> {
+        self.field(key, "a boolean", Value::as_bool)
+    }
+
+    fn str(&self, key: &str) -> Result<String, String> {
+        self.field(key, "a string", |v| v.as_str().map(String::from))
+    }
+
+    /// An embedded `imcis.report/2` payload, validated.
+    fn report(&self, key: &str) -> Result<Value, String> {
+        let report = self.field(key, "a", |v| Some(v.clone()))?;
+        validate_report_json(&report).map_err(|e| format!("{} `{key}`: {e}", self.context))?;
+        Ok(report)
+    }
+
+    /// A daemon load snapshot: the flat `status` event or a router
+    /// aggregation's backend entry.
+    fn server_status(&self) -> Result<ServerStatus, String> {
+        Ok(ServerStatus {
+            queue_depth: self.u64("queue_depth")?,
+            queue_capacity: self.u64("queue_capacity")?,
+            active_jobs: self.u64("active_jobs")?,
+            workers: self.u64("workers")?,
+            cache_size: self.u64("cache_size")?,
+            uptime_ms: self.u64("uptime_ms")?,
+            campaigns: self.progress(None)?,
+        })
+    }
+
+    /// The optional `campaigns` progress array (absent = empty). Inside
+    /// a `shutting_down` job the entries omit `job_id`, which `job`
+    /// then supplies.
+    fn progress(&self, job: Option<u64>) -> Result<Vec<CampaignProgress>, String> {
+        let Some(campaigns) = self.value.get("campaigns") else {
+            return Ok(Vec::new());
+        };
+        let entries = campaigns
+            .as_array()
+            .ok_or(format!("{} `campaigns` must be an array", self.context))?;
+        entries
+            .iter()
+            .enumerate()
+            .map(|(i, entry)| {
+                let entry = Decoder {
+                    value: entry,
+                    context: format!("{} campaigns[{i}]", self.context),
+                };
+                let stage = entry.u64("stage")?;
+                if entry.u64("stages_done")? != stage + 1 {
+                    return Err(format!("{} stages_done must be stage + 1", entry.context));
+                }
+                Ok(CampaignProgress {
+                    job_id: match job {
+                        Some(job_id) => job_id,
+                        None => entry.u64("job_id")?,
+                    },
+                    member: entry.u64("member")?,
+                    stage,
+                    stages_done: stage + 1,
+                })
+            })
+            .collect()
+    }
+}
+
+/// Validates one server event value against the `imcis.wire/2` shape:
+/// [`Event::from_json`] with the decoded event dropped, for the
+/// format-reference tests.
 ///
 /// # Errors
 ///
 /// A human-readable description of the first violation.
 pub fn validate_event(value: &Value) -> Result<(), String> {
-    parse_event(value).map(|_| ())
+    Event::from_json(value).map(|_| ())
 }
 
 /// The result of one [`Client::submit`]: the terminal suite report plus
@@ -1816,7 +1894,8 @@ pub struct SubmitOutcome {
     pub members: Vec<Value>,
 }
 
-/// A wire-protocol client over one TCP connection.
+/// A wire-protocol client over one TCP connection — also the router's
+/// connection to each backend.
 pub struct Client {
     reader: BufReader<TcpStream>,
     writer: TcpStream,
@@ -1829,25 +1908,30 @@ impl Client {
     ///
     /// [`ServeError::Io`] when the connection cannot be established.
     pub fn connect(addr: impl ToSocketAddrs) -> Result<Self, ServeError> {
-        let writer = TcpStream::connect(addr)?;
-        let reader = BufReader::new(writer.try_clone()?);
-        Ok(Client { reader, writer })
+        Self::over(TcpStream::connect(addr)?)
     }
 
-    fn send(&mut self, kind: &str, fields: Vec<(String, Value)>) -> Result<(), ServeError> {
-        // The client frames requests exactly as the server frames
-        // events — one shared envelope builder, so the two sides cannot
-        // drift.
-        self.writer.write_all(event(kind, fields).as_bytes())?;
+    /// A client over an already-connected stream (the router connects
+    /// its backends with its own timeouts).
+    pub(crate) fn over(stream: TcpStream) -> Result<Self, ServeError> {
+        let reader = BufReader::new(stream.try_clone()?);
+        Ok(Client {
+            reader,
+            writer: stream,
+        })
+    }
+
+    pub(crate) fn send(&mut self, request: &Request) -> Result<(), ServeError> {
+        write_line(&mut self.writer, &request.to_json())?;
         Ok(())
     }
 
-    /// Reads one event line, decoding it through the shared typed
-    /// parser. `error` events are returned as values, not yet converted
-    /// to [`ServeError::Remote`] — callers log them first (the
-    /// `--events` file must contain every received line, errors
-    /// included).
-    fn read_event(&mut self) -> Result<(String, Value, Event), ServeError> {
+    /// Reads and decodes one event line, returning the raw line and
+    /// value alongside the typed event. `error` events are returned as
+    /// values, not yet converted to [`ServeError::Remote`] — callers log
+    /// them first (the `--events` file must contain every received
+    /// line, errors included).
+    pub(crate) fn read_event(&mut self) -> Result<(String, Value, Event), ServeError> {
         let mut line = String::new();
         let n = self.reader.read_line(&mut line)?;
         if n == 0 {
@@ -1857,8 +1941,20 @@ impl Client {
         }
         let value = json::parse(line.trim_end())
             .map_err(|e| ServeError::Protocol(format!("event is not valid JSON: {e}")))?;
-        let event = parse_event(&value).map_err(ServeError::Protocol)?;
+        let event = Event::from_json(&value).map_err(ServeError::Protocol)?;
         Ok((line.trim_end().to_string(), value, event))
+    }
+
+    /// Sends `request` and reads its one answer: `pick` returns the
+    /// expected answer or hands the event back for [`unexpected`].
+    fn call<T>(
+        &mut self,
+        request: Request,
+        expected: &str,
+        pick: impl FnOnce(Event) -> Result<T, Event>,
+    ) -> Result<T, ServeError> {
+        self.send(&request)?;
+        pick(self.read_event()?.2).map_err(|event| unexpected(event, expected))
     }
 
     /// Liveness probe: sends `ping`, waits for `pong`.
@@ -1867,17 +1963,10 @@ impl Client {
     ///
     /// [`ServeError`] on socket or protocol failures.
     pub fn ping(&mut self) -> Result<(), ServeError> {
-        self.send("ping", Vec::new())?;
-        match self.read_event()?.2 {
+        self.call(Request::Ping, "`pong`", |event| match event {
             Event::Pong => Ok(()),
-            Event::Error { class, message } => Err(ServeError::Remote {
-                error: class,
-                message,
-            }),
-            other => Err(ServeError::Protocol(format!(
-                "expected `pong`, got {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Requests a load snapshot: sends `status`, waits for the typed
@@ -1889,17 +1978,10 @@ impl Client {
     ///
     /// [`ServeError`] on socket or protocol failures.
     pub fn status(&mut self) -> Result<StatusSnapshot, ServeError> {
-        self.send("status", Vec::new())?;
-        match self.read_event()?.2 {
+        self.call(Request::Status, "`status`", |event| match event {
             Event::Status(status) => Ok(status),
-            Event::Error { class, message } => Err(ServeError::Remote {
-                error: class,
-                message,
-            }),
-            other => Err(ServeError::Protocol(format!(
-                "expected `status`, got {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// [`Client::status`] against a known daemon: unwraps the flat
@@ -1926,17 +2008,10 @@ impl Client {
     ///
     /// [`ServeError`] on socket or protocol failures.
     pub fn health(&mut self) -> Result<HealthInfo, ServeError> {
-        self.send("health", Vec::new())?;
-        match self.read_event()?.2 {
+        self.call(Request::Health, "`health`", |event| match event {
             Event::Health(info) => Ok(info),
-            Event::Error { class, message } => Err(ServeError::Remote {
-                error: class,
-                message,
-            }),
-            other => Err(ServeError::Protocol(format!(
-                "expected `health`, got {other:?}"
-            ))),
-        }
+            other => Err(other),
+        })
     }
 
     /// Cancels an active job at its next member boundary (typically
@@ -1947,17 +2022,14 @@ impl Client {
     /// [`ServeError::Remote`] (class `queue`) when no such job is
     /// active; [`ServeError`] on socket or protocol failures.
     pub fn cancel(&mut self, job_id: u64) -> Result<(), ServeError> {
-        self.send("cancel", vec![("job_id".to_string(), Value::UInt(job_id))])?;
-        match self.read_event()?.2 {
-            Event::Cancelled { .. } => Ok(()),
-            Event::Error { class, message } => Err(ServeError::Remote {
-                error: class,
-                message,
-            }),
-            other => Err(ServeError::Protocol(format!(
-                "expected `cancelled`, got {other:?}"
-            ))),
-        }
+        self.call(
+            Request::Cancel { job_id },
+            "`cancelled`",
+            |event| match event {
+                Event::Cancelled { .. } => Ok(()),
+                other => Err(other),
+            },
+        )
     }
 
     /// Asks the server to drain and exit; waits for the acknowledgement.
@@ -1966,17 +2038,10 @@ impl Client {
     ///
     /// [`ServeError`] on socket or protocol failures.
     pub fn shutdown(&mut self) -> Result<(), ServeError> {
-        self.send("shutdown", Vec::new())?;
-        match self.read_event()?.2 {
-            Event::ShuttingDown => Ok(()),
-            Event::Error { class, message } => Err(ServeError::Remote {
-                error: class,
-                message,
-            }),
-            other => Err(ServeError::Protocol(format!(
-                "expected `shutting_down`, got {other:?}"
-            ))),
-        }
+        self.call(Request::Shutdown, "`shutting_down`", |event| match event {
+            Event::ShuttingDown { .. } => Ok(()),
+            other => Err(other),
+        })
     }
 
     /// Submits a suite and blocks until the terminal `suite_report`
@@ -2004,8 +2069,8 @@ impl Client {
     }
 
     /// [`Client::submit`] with an optional job deadline: members not yet
-    /// started `deadline_ms` after the server receives the job are
-    /// reported as typed `timeout` member errors.
+    /// started `deadline_ms` after the server starts handling the job
+    /// are reported as typed `timeout` member errors.
     ///
     /// # Errors
     ///
@@ -2016,96 +2081,52 @@ impl Client {
         deadline_ms: Option<u64>,
         mut on_event: impl FnMut(&str, &Value),
     ) -> Result<SubmitOutcome, ServeError> {
-        let mut fields = vec![("suite".to_string(), spec.to_json())];
-        if let Some(ms) = deadline_ms {
-            fields.push(("deadline_ms".to_string(), Value::UInt(ms)));
-        }
-        self.send("submit", fields)?;
-        let (line, value, first) = self.read_event()?;
-        on_event(&line, &value);
-        let (job_id, members, setups_built) = match first {
+        self.send(&Request::Submit {
+            spec: spec.clone(),
+            deadline_ms,
+        })?;
+        let mut next = || -> Result<Event, ServeError> {
+            let (line, value, event) = self.read_event()?;
+            on_event(&line, &value);
+            Ok(event)
+        };
+        let (job_id, members, setups_built) = match next()? {
             Event::Accepted {
                 job_id,
                 members,
                 setups_built,
+                ..
             } => (job_id, members, setups_built),
-            Event::Error { class, message } => {
-                return Err(ServeError::Remote {
-                    error: class,
-                    message,
-                })
-            }
-            Event::Rejected { retry_after_ms } => {
-                return Err(ServeError::Rejected { retry_after_ms })
-            }
-            other => {
-                return Err(ServeError::Protocol(format!(
-                    "expected `accepted`, got {other:?}"
-                )))
-            }
+            other => return Err(unexpected(other, "`accepted`")),
         };
-        let mut slots: Vec<Option<Value>> = (0..members).map(|_| None).collect();
-        let fill = |slots: &mut Vec<Option<Value>>,
-                    event_job: u64,
-                    index: usize,
-                    entry: Value|
-         -> Result<(), ServeError> {
-            if event_job != job_id {
+        let mut slots: Vec<Option<Value>> = vec![None; members];
+        loop {
+            let mut event = next()?;
+            if event.job_id_mut().is_some_and(|id| *id != job_id) {
                 return Err(ServeError::Protocol("event for a different job".into()));
             }
-            let slot = slots.get_mut(index).ok_or_else(|| {
-                ServeError::Protocol(format!(
-                    "member index {index} out of range (members = {members})"
-                ))
-            })?;
-            if slot.is_some() {
-                return Err(ServeError::Protocol(format!(
-                    "duplicate outcome for member {index}"
-                )));
-            }
-            *slot = Some(entry);
-            Ok(())
-        };
-        loop {
-            let (line, value, event) = self.read_event()?;
-            on_event(&line, &value);
-            match event {
+            let (index, entry) = match event {
                 Event::MemberReport {
-                    job_id: event_job,
                     member_index,
                     entry,
-                } => {
-                    fill(&mut slots, event_job, member_index, entry)?;
-                }
-                // Stage reports are progress, not outcomes: the terminal
-                // campaign entry repeats every stage, so nothing to
-                // reassemble here.
-                Event::StageReport {
-                    job_id: event_job, ..
-                } => {
-                    if event_job != job_id {
-                        return Err(ServeError::Protocol("event for a different job".into()));
-                    }
-                }
+                    ..
+                } => (member_index, entry),
                 Event::MemberError {
-                    job_id: event_job,
                     member_index,
                     status,
                     message,
+                    ..
                 } => {
                     let entry = Value::object([
                         ("status".into(), Value::Str(status.as_str().into())),
                         ("message".into(), Value::Str(message)),
                     ]);
-                    fill(&mut slots, event_job, member_index, entry)?;
+                    (member_index, entry)
                 }
-                Event::SuiteReport {
-                    job_id: event_job,
-                    suite_report,
-                } => {
-                    if event_job != job_id {
-                        return Err(ServeError::Protocol("event for a different job".into()));
-                    }
+                // Stage reports are progress, not outcomes: the terminal
+                // campaign entry repeats every stage.
+                Event::StageReport { .. } => continue,
+                Event::SuiteReport { suite_report, .. } => {
                     let member_entries: Vec<Value> = slots
                         .into_iter()
                         .enumerate()
@@ -2136,19 +2157,34 @@ impl Client {
                         members: member_entries,
                     });
                 }
-                Event::Error { class, message } => {
-                    return Err(ServeError::Remote {
-                        error: class,
-                        message,
-                    })
-                }
-                other => {
-                    return Err(ServeError::Protocol(format!(
-                        "unexpected mid-stream event {other:?}"
-                    )))
-                }
+                other => return Err(unexpected(other, "a member or suite report")),
+            };
+            let slot = slots.get_mut(index).ok_or_else(|| {
+                ServeError::Protocol(format!(
+                    "member index {index} out of range (members = {members})"
+                ))
+            })?;
+            if slot.is_some() {
+                return Err(ServeError::Protocol(format!(
+                    "duplicate outcome for member {index}"
+                )));
             }
+            *slot = Some(entry);
         }
+    }
+}
+
+/// What an unexpected answer to a client stands for: the server's
+/// `error` ([`ServeError::Remote`]) or backpressure
+/// ([`ServeError::Rejected`]), else a protocol violation.
+fn unexpected(event: Event, expected: &str) -> ServeError {
+    match event {
+        Event::Error { class, message } => ServeError::Remote {
+            error: class,
+            message,
+        },
+        Event::Rejected { retry_after_ms } => ServeError::Rejected { retry_after_ms },
+        other => ServeError::Protocol(format!("expected {expected}, got {other:?}")),
     }
 }
 

@@ -842,9 +842,8 @@ impl SetupCache {
 /// A resolved, runnable suite: one [`Session`] per member spec, sharing
 /// cached [`Setup`]s.
 ///
-/// Sessions are held behind [`Arc`]s so schedulers that hand members to
-/// long-lived workers (the `imcis serve` daemon) can share them without
-/// cloning the specs.
+/// Sessions are held behind [`Arc`]s so callers can share a member's
+/// session (and its cached setup) without cloning the spec.
 pub struct Suite {
     spec: SuiteSpec,
     sessions: Vec<Arc<Session>>,
@@ -921,7 +920,7 @@ impl Suite {
     }
 
     /// The member sessions, manifest order (shared — clone an `Arc` to
-    /// hand a member to another scheduler).
+    /// keep a member's session beyond the suite).
     pub fn sessions(&self) -> &[Arc<Session>] {
         &self.sessions
     }
@@ -964,7 +963,6 @@ impl Suite {
     ///
     /// As for [`Suite::run`].
     pub fn run_with_threads(&self, threads: usize) -> Result<SuiteReport, SessionError> {
-        let started = Instant::now();
         // Divide the machine between concurrently running sessions: with
         // W suite workers, each session's repetition fan-out gets
         // ~cores/W workers instead of claiming all cores and
@@ -974,13 +972,29 @@ impl Suite {
         // division.
         let workers = imc_sim::parallel::resolve_threads(threads).min(self.sessions.len().max(1));
         let rep_threads = (imc_sim::parallel::available_threads() / workers).max(1);
+        Ok(self.execute(threads, rep_threads, &()))
+    }
+
+    /// The one executor behind [`Suite::run`] and the serving daemon:
+    /// runs every member under supervision over up to `threads` workers,
+    /// each session's repetitions over `rep_threads`, and folds the
+    /// outcomes into a [`SuiteReport`] in manifest order. `observer`
+    /// sees each member and campaign stage and may skip it; it never
+    /// changes what a member that runs computes.
+    pub(crate) fn execute(
+        &self,
+        threads: usize,
+        rep_threads: usize,
+        observer: &dyn Observer,
+    ) -> SuiteReport {
+        let started = Instant::now();
         let fault = self.spec.fault.as_ref();
         let results: Vec<(MemberOutcome, f64)> =
             imc_sim::parallel::parallel_map(self.sessions.len(), threads, |i| {
                 let clock = Instant::now();
                 let outcome = match &self.spec.runs[i] {
                     SuiteMember::Run(_) => {
-                        run_member_supervised(&self.sessions[i], rep_threads, fault, i)
+                        run_member_supervised(&self.sessions[i], rep_threads, fault, i, observer)
                     }
                     SuiteMember::Campaign(campaign) => run_campaign_supervised(
                         &self.sessions[i],
@@ -988,104 +1002,118 @@ impl Suite {
                         rep_threads,
                         fault,
                         i,
-                        &CampaignHooks::none(),
+                        observer,
                     ),
                 };
-                (outcome, clock.elapsed().as_secs_f64() * 1e3)
+                let elapsed_ms = clock.elapsed().as_secs_f64() * 1e3;
+                observer.member_done(i, &outcome, elapsed_ms);
+                (outcome, elapsed_ms)
             });
-        let mut members = Vec::with_capacity(results.len());
-        let mut per_run_ms = Vec::with_capacity(results.len());
-        for (outcome, ms) in results {
-            members.push(outcome);
-            per_run_ms.push(ms);
-        }
-        Ok(SuiteReport {
+        let (members, per_run_ms) = results.into_iter().unzip();
+        SuiteReport {
             spec: self.spec.clone(),
             members,
             timing: Timing {
                 total_ms: started.elapsed().as_secs_f64() * 1e3,
                 per_run_ms,
             },
-        })
+        }
     }
 }
 
-/// Runs one member session under [`catch_unwind`](std::panic::catch_unwind)
-/// supervision, applying the suite's fault plan (if any) to `member_index`:
-/// a `delay` rule sleeps before the run, an `io-error` rule fails the
-/// member without running it, a `panic` rule panics *inside* the
-/// supervised closure. A panicking or erroring member becomes a typed
-/// [`MemberOutcome::Failed`] — never an unwind into the scheduler, so a
+/// What a scheduler sees of [`Suite::execute`]. Every hook defaults to
+/// nothing, which is the batch path (`()`); the daemon holds a worker
+/// slot from `enter` to `leave`, skips members of cancelled or expired
+/// jobs and streams the stage and member events.
+pub(crate) trait Observer: Sync {
+    /// Called before each run member and each campaign stage runs: take
+    /// what running it needs, then answer whether to skip it. A
+    /// disposition (cancelled, past the deadline) becomes that member's
+    /// or stage's typed entry instead.
+    fn enter(&self) -> Option<(MemberStatus, String)> {
+        None
+    }
+
+    /// The member or stage `enter` was called for is over.
+    fn leave(&self) {}
+
+    /// A campaign stage was recorded: its outcome, whether the stopping
+    /// rule fired at it, and its wall time.
+    fn stage_done(
+        &self,
+        _member: usize,
+        _stage: usize,
+        _outcome: &StageOutcome,
+        _converged: bool,
+        _elapsed_ms: f64,
+    ) {
+    }
+
+    /// A member's outcome is final.
+    fn member_done(&self, _member: usize, _outcome: &MemberOutcome, _elapsed_ms: f64) {}
+}
+
+impl Observer for () {}
+
+/// Runs `body` under [`catch_unwind`](std::panic::catch_unwind)
+/// supervision with the fault `rule` injected, if any: an `io-error`
+/// fails without running, a `delay` sleeps first, and a `panic` panics
+/// *inside* the supervised closure. `injected(panicked)` is the injected
+/// fault's deterministic message. An error or a caught panic becomes a
+/// typed `(status, message)` — never an unwind into the scheduler, so a
 /// suite worker (batch or daemon) always survives its member.
-pub(crate) fn run_member_supervised(
+fn supervise<T>(
+    rule: Option<FaultKind>,
+    injected: impl Fn(bool) -> String,
+    body: impl FnOnce() -> Result<T, SessionError>,
+) -> Result<T, (MemberStatus, String)> {
+    match rule {
+        Some(FaultKind::IoError) => return Err((MemberStatus::Error, injected(false))),
+        Some(FaultKind::Delay { delay_ms }) => std::thread::sleep(Duration::from_millis(delay_ms)),
+        _ => {}
+    }
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        if let Some(FaultKind::Panic) = rule {
+            panic!("{}", injected(true));
+        }
+        body()
+    }));
+    match result {
+        Ok(Ok(value)) => Ok(value),
+        Ok(Err(e)) => Err((MemberStatus::Error, e.to_string())),
+        Err(payload) => Err((MemberStatus::Panic, panic_payload_message(payload))),
+    }
+}
+
+/// Runs one run member under [`supervise`], applying the suite's fault
+/// plan (if any) to `member_index` — unless `observer` skips it on
+/// entry.
+fn run_member_supervised(
     session: &Arc<Session>,
     rep_threads: usize,
     fault: Option<&FaultPlan>,
     member_index: usize,
+    observer: &dyn Observer,
 ) -> MemberOutcome {
     let rule = fault
         .and_then(|plan| plan.rule_for(member_index))
         .map(|r| r.kind);
-    if let Some(FaultKind::IoError) = rule {
-        return MemberOutcome::Failed {
-            status: MemberStatus::Error,
-            message: fault
-                .expect("rule implies plan")
-                .io_error_message(member_index),
-        };
-    }
-    if let Some(FaultKind::Delay { delay_ms }) = rule {
-        std::thread::sleep(Duration::from_millis(delay_ms));
-    }
-    let result = panic::catch_unwind(AssertUnwindSafe(|| {
-        if let Some(FaultKind::Panic) = rule {
-            panic!(
-                "{}",
-                fault
-                    .expect("rule implies plan")
-                    .panic_message(member_index)
-            );
+    let injected = |panicked: bool| {
+        let plan = fault.expect("rule implies plan");
+        if panicked {
+            plan.panic_message(member_index)
+        } else {
+            plan.io_error_message(member_index)
         }
-        session.run_with_rep_threads(rep_threads)
-    }));
+    };
+    let result = observer.enter().map_or_else(
+        || supervise(rule, injected, || session.run_with_rep_threads(rep_threads)),
+        Err,
+    );
+    observer.leave();
     match result {
-        Ok(Ok(report)) => MemberOutcome::Ok(Box::new(report)),
-        Ok(Err(e)) => MemberOutcome::Failed {
-            status: MemberStatus::Error,
-            message: e.to_string(),
-        },
-        Err(payload) => MemberOutcome::Failed {
-            status: MemberStatus::Panic,
-            message: panic_payload_message(payload),
-        },
-    }
-}
-
-/// Serving-layer hooks observed at campaign stage boundaries. The batch
-/// path runs with [`CampaignHooks::none`]; the daemon wires `skip` to
-/// its cancellation/deadline disposition and `on_stage` to the
-/// `stage_report` wire stream. Hooks never influence results — they only
-/// observe (or stop) the stage sequence.
-pub(crate) struct CampaignHooks<'a> {
-    /// Checked before every stage: a disposition means "stop now" (job
-    /// cancelled or past its deadline) and becomes that stage's typed
-    /// entry; the remaining stages never run.
-    pub skip: Option<&'a dyn Fn() -> Option<(MemberStatus, String)>>,
-    /// Called after every recorded stage with the stage index, its
-    /// outcome, and the converged stage when the stopping rule fired.
-    pub on_stage: Option<StageObserver<'a>>,
-}
-
-/// Stage-boundary observer: `(stage, outcome, converged_stage)`.
-pub(crate) type StageObserver<'a> = &'a dyn Fn(usize, &StageOutcome, Option<usize>);
-
-impl CampaignHooks<'_> {
-    /// No hooks: the pure batch path.
-    pub fn none() -> Self {
-        CampaignHooks {
-            skip: None,
-            on_stage: None,
-        }
+        Ok(report) => MemberOutcome::Ok(Box::new(report)),
+        Err((status, message)) => MemberOutcome::Failed { status, message },
     }
 }
 
@@ -1100,23 +1128,25 @@ impl CampaignHooks<'_> {
 /// (panic, error, skip disposition) ends the campaign with a typed
 /// entry for *that* stage, and every earlier stage keeps its report.
 /// Fault rules resolve through [`FaultPlan::rule_for_stage`], so a rule
-/// without a `stage` fires at stage 0.
-pub(crate) fn run_campaign_supervised(
+/// without a `stage` fires at stage 0. `observer` is entered and left
+/// around each stage, may skip it on entry, and sees each recorded one
+/// with its wall time.
+fn run_campaign_supervised(
     session: &Arc<Session>,
     campaign: &CampaignSpec,
     rep_threads: usize,
     fault: Option<&FaultPlan>,
     member_index: usize,
-    hooks: &CampaignHooks<'_>,
+    observer: &dyn Observer,
 ) -> MemberOutcome {
     let base = session.spec();
     let estimator = stage_estimator_for(&base.method);
     let mut stages: Vec<StageOutcome> = Vec::new();
     let mut converged: Option<usize> = None;
-    let record = |stage: usize, outcome: StageOutcome, converged: Option<usize>| {
-        if let Some(on_stage) = hooks.on_stage {
-            on_stage(stage, &outcome, converged);
-        }
+    let stage_clock = std::cell::Cell::new(Instant::now());
+    let record = |stage: usize, outcome: StageOutcome, converged: bool| {
+        let elapsed_ms = stage_clock.replace(Instant::now()).elapsed().as_secs_f64() * 1e3;
+        observer.stage_done(member_index, stage, &outcome, converged, elapsed_ms);
         outcome
     };
     let mut state = match estimator.initial_state(session.setup()) {
@@ -1126,7 +1156,7 @@ pub(crate) fn run_campaign_supervised(
                 status: MemberStatus::Error,
                 message: e.to_string(),
             };
-            stages.push(record(0, outcome, None));
+            stages.push(record(0, outcome, false));
             return MemberOutcome::Campaign(Box::new(CampaignOutcome {
                 stages,
                 converged_stage: None,
@@ -1135,83 +1165,53 @@ pub(crate) fn run_campaign_supervised(
     };
     let mut prev_outcomes: Vec<MethodOutcome> = Vec::new();
     for stage in 0..campaign.stages {
-        if let Some(skip) = hooks.skip {
-            if let Some((status, message)) = skip() {
-                stages.push(record(
-                    stage,
-                    StageOutcome::Failed { status, message },
-                    converged,
-                ));
-                break;
-            }
-        }
         let rule = fault
             .and_then(|plan| plan.rule_for_stage(member_index, stage))
             .map(|r| r.kind);
-        if let Some(FaultKind::IoError) = rule {
-            let outcome = StageOutcome::Failed {
-                status: MemberStatus::Error,
-                message: fault
-                    .expect("rule implies plan")
-                    .stage_io_error_message(member_index, stage),
-            };
-            stages.push(record(stage, outcome, converged));
-            break;
-        }
-        if let Some(FaultKind::Delay { delay_ms }) = rule {
-            std::thread::sleep(Duration::from_millis(delay_ms));
-        }
-        let mut stage_spec = base.clone();
-        stage_spec.seed = stream_seed(base.seed, 2 * stage as u64);
-        let stage_session = Session::from_setup(session.setup_shared(), stage_spec);
-        let result = panic::catch_unwind(AssertUnwindSafe(
-            || -> Result<(Report, Vec<MethodOutcome>), SessionError> {
-                if let Some(FaultKind::Panic) = rule {
-                    panic!(
-                        "{}",
-                        fault
-                            .expect("rule implies plan")
-                            .stage_panic_message(member_index, stage)
-                    );
-                }
-                if stage > 0 {
-                    let mut rng =
-                        StdRng::seed_from_u64(stream_seed(base.seed, 2 * stage as u64 - 1));
-                    state = estimator.advance(
-                        session.setup(),
-                        state.clone(),
-                        &prev_outcomes,
-                        &mut rng,
-                    )?;
-                }
-                stage_session.run_stage(rep_threads, estimator.as_ref(), &state)
-            },
-        ));
+        let injected = |panicked: bool| {
+            let plan = fault.expect("rule implies plan");
+            if panicked {
+                plan.stage_panic_message(member_index, stage)
+            } else {
+                plan.stage_io_error_message(member_index, stage)
+            }
+        };
+        let run_stage = || -> Result<(Report, Vec<MethodOutcome>), SessionError> {
+            if stage > 0 {
+                let mut rng = StdRng::seed_from_u64(stream_seed(base.seed, 2 * stage as u64 - 1));
+                state =
+                    estimator.advance(session.setup(), state.clone(), &prev_outcomes, &mut rng)?;
+            }
+            let mut stage_spec = base.clone();
+            stage_spec.seed = stream_seed(base.seed, 2 * stage as u64);
+            Session::from_setup(session.setup_shared(), stage_spec).run_stage(
+                rep_threads,
+                estimator.as_ref(),
+                &state,
+            )
+        };
+        let result = observer
+            .enter()
+            .map_or_else(|| supervise(rule, injected, run_stage), Err);
+        observer.leave();
         match result {
-            Ok(Ok((report, outcomes))) => {
-                if campaign.converged(&report) {
+            Ok((report, outcomes)) => {
+                let done = campaign.converged(&report);
+                if done {
                     converged = Some(stage);
                 }
-                stages.push(record(stage, StageOutcome::Ok(Box::new(report)), converged));
+                stages.push(record(stage, StageOutcome::Ok(Box::new(report)), done));
                 prev_outcomes = outcomes;
-                if converged.is_some() {
+                if done {
                     break;
                 }
             }
-            Ok(Err(e)) => {
-                let outcome = StageOutcome::Failed {
-                    status: MemberStatus::Error,
-                    message: e.to_string(),
-                };
-                stages.push(record(stage, outcome, converged));
-                break;
-            }
-            Err(payload) => {
-                let outcome = StageOutcome::Failed {
-                    status: MemberStatus::Panic,
-                    message: panic_payload_message(payload),
-                };
-                stages.push(record(stage, outcome, converged));
+            Err((status, message)) => {
+                stages.push(record(
+                    stage,
+                    StageOutcome::Failed { status, message },
+                    false,
+                ));
                 break;
             }
         }
@@ -2106,7 +2106,7 @@ mod tests {
         };
 
         // A clean supervised run matches the unsupervised session run.
-        let clean = run_member_supervised(session, 1, None, 0);
+        let clean = run_member_supervised(session, 1, None, 0, &());
         assert_eq!(clean.status(), MemberStatus::Ok);
         assert_eq!(
             clean.report().unwrap().to_json_stable().pretty(),
@@ -2120,7 +2120,7 @@ mod tests {
         // An injected panic is caught, not propagated, with its pinned
         // fault-point message.
         let panic_plan = plan(FaultKind::Panic);
-        let outcome = run_member_supervised(session, 1, Some(&panic_plan), 0);
+        let outcome = run_member_supervised(session, 1, Some(&panic_plan), 0, &());
         assert_eq!(outcome.status(), MemberStatus::Panic);
         assert_eq!(
             outcome.message(),
@@ -2129,7 +2129,7 @@ mod tests {
 
         // An injected transient I/O error never runs the session.
         let io_plan = plan(FaultKind::IoError);
-        let outcome = run_member_supervised(session, 1, Some(&io_plan), 0);
+        let outcome = run_member_supervised(session, 1, Some(&io_plan), 0, &());
         assert_eq!(outcome.status(), MemberStatus::Error);
         assert_eq!(
             outcome.message(),
@@ -2142,6 +2142,7 @@ mod tests {
             1,
             Some(&plan(FaultKind::Delay { delay_ms: 10 })),
             0,
+            &(),
         );
         assert_eq!(
             delayed.report().unwrap().to_json_stable().pretty(),

@@ -50,12 +50,13 @@
 //!
 //! On top sits the **serving layer** ([`imcis_core::serve`]): `imcis
 //! serve` is a `std`-only TCP daemon speaking newline-delimited JSON
-//! (`imcis.wire/1`). Clients submit suite manifests; a persistent
-//! worker pool executes member sessions from a bounded queue over one
-//! process-wide [`imcis_core::SetupCache`] shared across jobs and
-//! clients, streaming `member_report` events as sessions complete and a
-//! terminal `suite_report` that is byte-identical to the batch `imcis
-//! suite` output. The normative schema reference for all five JSON
+//! (`imcis.wire/2`). Clients submit suite manifests; each job runs
+//! through the same supervised executor as `imcis suite`, with at most
+//! `--workers` members running at once, over one process-wide
+//! [`imcis_core::SetupCache`] shared across jobs and clients, streaming
+//! `member_report` events as sessions complete and a terminal
+//! `suite_report` that is byte-identical to the batch `imcis suite`
+//! output. The normative schema reference for all five JSON
 //! formats is `docs/FORMATS.md`, whose examples are parsed through the
 //! real validators by `tests/formats_doc.rs`.
 //!

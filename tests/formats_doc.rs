@@ -6,7 +6,7 @@
 //! through the real scenario-DSL compiler. A documented example that
 //! the implementation would reject fails this test.
 
-use imcis_core::serve::{parse_request, validate_event, Request};
+use imcis_core::serve::{parse_request, validate_event, Event, Request};
 use imcis_core::{
     validate_report_json, validate_suite_report_json, RunSpec, SuiteSpec, REPORT_SCHEMA,
     RUNSPEC_SCHEMA, SUITEREPORT_SCHEMA, SUITEREPORT_SCHEMA_V3, SUITESPEC_SCHEMA,
@@ -82,6 +82,15 @@ fn every_documented_example_passes_the_real_validators() {
             let dual_role = matches!(kind, "status" | "health");
             if !is_request_kind || (dual_role && validate_event(&value).is_ok()) {
                 validate_event(&value).unwrap_or_else(|e| context("wire event", e));
+                // The typed codec round-trips every documented event:
+                // decoding and encoding again gives back the same value,
+                // key order included.
+                let decoded = Event::from_json(&value).expect("validated above");
+                assert_eq!(
+                    decoded.to_json(),
+                    value,
+                    "docs/FORMATS.md json block #{i} does not survive an Event round trip"
+                );
                 events += 1;
                 // Embedded payloads were already validated transitively;
                 // tally the deep ones so the floors below stay honest.

@@ -26,7 +26,9 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
-use imcis_core::serve::{Client, ServeConfig, ServeError, Server, StatusSnapshot};
+use imcis_core::serve::{
+    Client, ServeConfig, ServeError, Server, StatusSnapshot, MAX_REQUEST_LINE,
+};
 use imcis_core::{dominant_cache_fingerprint, HashRing, Router, RouterConfig, Suite, SuiteSpec};
 use serde::json::{self, Value};
 
@@ -546,4 +548,53 @@ fn status_aggregation_survives_a_backend_death() {
     for (_, handle) in fleet {
         handle.join().unwrap().unwrap();
     }
+}
+
+/// Pin: the router reads requests through the daemon's capped
+/// line reader. A line exactly at `MAX_REQUEST_LINE` bytes is served;
+/// one byte more is discarded up to its newline and answered with one
+/// pinned `wire` error, and the connection stays usable.
+#[test]
+fn an_oversized_request_line_is_a_wire_error_and_the_connection_survives() {
+    let (daemon_addr, daemon_handle) = spawn_daemon(1, 16);
+    let (router_addr, router_handle) = spawn_router(vec![daemon_addr.to_string()]);
+    let padded_ping = |len: usize| {
+        let (head, tail) = ("{\"type\": \"ping\", \"pad\": \"", "\"}\n");
+        format!(
+            "{head}{}{tail}",
+            "x".repeat(len + 1 - head.len() - tail.len())
+        )
+    };
+    let stream = TcpStream::connect(router_addr).unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut writer = stream;
+    let mut read_event = || {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        json::parse(line.trim_end()).unwrap()
+    };
+
+    writer
+        .write_all(padded_ping(MAX_REQUEST_LINE).as_bytes())
+        .unwrap();
+    let event = read_event();
+    assert_eq!(event.get("type").and_then(Value::as_str), Some("pong"));
+
+    writer
+        .write_all(padded_ping(MAX_REQUEST_LINE + 1).as_bytes())
+        .unwrap();
+    let event = read_event();
+    assert_eq!(event.get("error").and_then(Value::as_str), Some("wire"));
+    assert_eq!(
+        event.get("message").and_then(Value::as_str),
+        Some("request line is longer than 16777216 bytes")
+    );
+
+    writer.write_all(b"{\"type\": \"ping\"}\n").unwrap();
+    let event = read_event();
+    assert_eq!(event.get("type").and_then(Value::as_str), Some("pong"));
+
+    Client::connect(router_addr).unwrap().shutdown().unwrap();
+    router_handle.join().unwrap().unwrap();
+    daemon_handle.join().unwrap().unwrap();
 }

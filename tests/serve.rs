@@ -22,7 +22,9 @@
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 
-use imcis_core::serve::{Client, ServeConfig, ServeError, Server, RETRY_AFTER_MS};
+use imcis_core::serve::{
+    Client, ServeConfig, ServeError, Server, MAX_REQUEST_LINE, RETRY_AFTER_MS,
+};
 use imcis_core::{Suite, SuiteSpec};
 use serde::json::{self, Value};
 
@@ -714,6 +716,92 @@ fn concurrent_clients_get_reports_bit_identical_to_standalone_runs() {
             "a concurrently served suite drifted from its standalone run"
         );
     }
+
+    shut_down(addr, handle);
+}
+
+/// Pin: admission comes before the build. A suite that can
+/// never fit the queue is refused with the pinned `queue` message
+/// before any of its scenarios is built, and a job whose build fails
+/// hands its reserved queue slots back.
+#[test]
+fn a_refused_job_builds_nothing_and_a_failed_build_frees_its_slots() {
+    let (addr, handle) = spawn_server_with_queue(1, 2);
+    let three_members: SuiteSpec = r#"{
+        "runs": [
+            {"scenario": {"name": "illustrative"},
+             "method": {"name": "smc", "n_traces": 200}, "seed": 1, "threads": 1},
+            {"scenario": {"name": "illustrative"},
+             "method": {"name": "smc", "n_traces": 200}, "seed": 2, "threads": 1},
+            {"scenario": {"name": "illustrative"},
+             "method": {"name": "smc", "n_traces": 200}, "seed": 3, "threads": 1}
+        ],
+        "threads": 1
+    }"#
+    .parse()
+    .unwrap();
+    let mut client = Client::connect(addr).unwrap();
+    match client.submit(&three_members, |_, _| {}).unwrap_err() {
+        ServeError::Remote { error, message } => {
+            assert_eq!(error, "queue");
+            assert_eq!(message, "suite has 3 members but the queue capacity is 2");
+        }
+        other => panic!("expected a remote queue error, got {other}"),
+    }
+    assert_eq!(
+        client.daemon_status().unwrap().cache_size,
+        0,
+        "a refused job must not build its scenarios"
+    );
+
+    // Two members fit, but the scenario does not build: the reserved
+    // slots come back with the `session` error.
+    let unbuildable: SuiteSpec = r#"{
+        "runs": [
+            {"scenario": {"name": "atlantis"}, "method": {"name": "smc"}},
+            {"scenario": {"name": "atlantis"}, "method": {"name": "smc"}}
+        ]
+    }"#
+    .parse()
+    .unwrap();
+    match client.submit(&unbuildable, |_, _| {}).unwrap_err() {
+        ServeError::Remote { error, .. } => assert_eq!(error, "session"),
+        other => panic!("expected a remote session error, got {other}"),
+    }
+    assert_eq!(client.daemon_status().unwrap().queue_depth, 0);
+
+    shut_down(addr, handle);
+}
+
+/// A `ping` request padded to exactly `len` bytes (a ping ignores keys
+/// it does not know).
+fn padded_ping(len: usize) -> String {
+    let (head, tail) = ("{\"type\": \"ping\", \"pad\": \"", "\"}");
+    format!("{head}{}{tail}", "x".repeat(len - head.len() - tail.len()))
+}
+
+/// Pin: request lines are capped at `MAX_REQUEST_LINE` bytes.
+/// A line exactly at the cap is served; one byte more is discarded up
+/// to its newline and answered with one pinned `wire` error, and the
+/// connection stays usable.
+#[test]
+fn an_oversized_request_line_is_a_wire_error_and_the_connection_survives() {
+    let (addr, handle) = spawn_server(1);
+    let mut wire = RawWire::connect(addr);
+
+    wire.send(&padded_ping(MAX_REQUEST_LINE));
+    assert_eq!(event_type(&wire.read_event()), "pong");
+
+    wire.send(&padded_ping(MAX_REQUEST_LINE + 1));
+    let event = wire.read_event();
+    assert_eq!(event.get("error").and_then(Value::as_str), Some("wire"));
+    assert_eq!(
+        event.get("message").and_then(Value::as_str),
+        Some("request line is longer than 16777216 bytes")
+    );
+
+    wire.send("{\"type\": \"ping\"}");
+    assert_eq!(event_type(&wire.read_event()), "pong");
 
     shut_down(addr, handle);
 }
