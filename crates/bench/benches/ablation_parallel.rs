@@ -10,9 +10,10 @@
 //!   a reused [`PreparedRun`] — the random-search hot path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use imc_models::scenario::group_repair_setup;
+use imc_models::GroupRepairIs;
 use imc_sampling::{is_estimate, sample_is_run, IsConfig, PreparedRun};
 use imc_sim::parallel::available_threads;
-use imcis_bench::setup::{group_repair_setup, GroupRepairIs};
 use rand::SeedableRng;
 
 fn bench_parallel(c: &mut Criterion) {

@@ -2,20 +2,26 @@
 //! model under the zero-variance chain — the sampling workload repeated
 //! 100× (per method) to draw the figure.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use criterion::{criterion_group, criterion_main, Criterion};
-use imcis_bench::setup::{group_repair_setup, GroupRepairIs};
-use imcis_core::{imcis, standard_is, ImcisConfig};
+use imc_models::scenario::group_repair_setup;
+use imc_models::GroupRepairIs;
+use imcis_core::{estimator_for, ImcisSpec, Method, RunContext, SampleSpec};
 use rand::SeedableRng;
 
 fn bench_fig2(c: &mut Criterion) {
     let setup = group_repair_setup(GroupRepairIs::ZeroVariance, 1);
-    let config = ImcisConfig::new(1000, 0.05)
-        .with_r_undefeated(50)
-        .with_r_max(2_000);
+    let sample = SampleSpec {
+        n_traces: 1000,
+        ..SampleSpec::default()
+    };
+    let is = estimator_for(&Method::StandardIs(sample));
+    let imcis = estimator_for(&Method::Imcis(ImcisSpec {
+        sample,
+        r_undefeated: 50,
+        r_max: 2_000,
+        ..ImcisSpec::default()
+    }));
+    let ctx = RunContext::default();
     let mut group = c.benchmark_group("fig2_group_repair");
     group.sample_size(10);
     group.bench_function("is_run_n1000", |bench| {
@@ -23,7 +29,8 @@ fn bench_fig2(c: &mut Criterion) {
         bench.iter(|| {
             seed += 1;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            standard_is(&setup.center, &setup.b, &setup.property, &config, &mut rng)
+            is.estimate(&setup, &ctx, &mut rng)
+                .expect("IS run succeeds")
         });
     });
     group.bench_function("imcis_run_n1000_r50", |bench| {
@@ -31,7 +38,8 @@ fn bench_fig2(c: &mut Criterion) {
         bench.iter(|| {
             seed += 1;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            imcis(&setup.imc, &setup.b, &setup.property, &config, &mut rng)
+            imcis
+                .estimate(&setup, &ctx, &mut rng)
                 .expect("IMCIS run succeeds")
         });
     });

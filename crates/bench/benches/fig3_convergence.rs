@@ -3,9 +3,10 @@
 //! optimisation round drives how far the R-undefeated rule can explore.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use imc_models::scenario::group_repair_setup;
+use imc_models::GroupRepairIs;
 use imc_optim::{random_search, Problem, RandomSearchConfig};
 use imc_sampling::{sample_is_run, IsConfig};
-use imcis_bench::setup::{group_repair_setup, GroupRepairIs};
 use rand::SeedableRng;
 
 fn bench_fig3(c: &mut Criterion) {

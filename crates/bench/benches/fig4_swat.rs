@@ -3,16 +3,12 @@
 //! 70-state model (cross-entropy construction is benched separately in
 //! the pipeline position where the paper pays it once).
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use criterion::{criterion_group, criterion_main, Criterion};
 use imc_learn::{learn_imc_with_support, CountTable, LearnOptions, Smoothing};
+use imc_models::scenario::swat_setup;
 use imc_models::swat;
 use imc_sim::{random_walk, ChainSampler};
-use imcis_bench::setup::swat_setup;
-use imcis_core::{standard_is, ImcisConfig};
+use imcis_core::{estimator_for, Method, RunContext, SampleSpec};
 use rand::SeedableRng;
 
 fn bench_fig4(c: &mut Criterion) {
@@ -46,13 +42,19 @@ fn bench_fig4(c: &mut Criterion) {
 
     // Estimation on the learnt model (setup cost paid once outside).
     let setup = swat_setup(200, 200, 3);
-    let config = ImcisConfig::new(1000, 0.01).with_max_steps(10_000);
+    let is = estimator_for(&Method::StandardIs(SampleSpec {
+        n_traces: 1000,
+        delta: 0.01,
+        max_steps: 10_000,
+    }));
+    let ctx = RunContext::default();
     group.bench_function("is_run_n1000", |bench| {
         let mut seed = 0u64;
         bench.iter(|| {
             seed += 1;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            standard_is(&setup.center, &setup.b, &setup.property, &config, &mut rng)
+            is.estimate(&setup, &ctx, &mut rng)
+                .expect("IS run succeeds")
         });
     });
     group.finish();

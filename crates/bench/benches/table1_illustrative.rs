@@ -3,26 +3,30 @@
 //! `cargo bench` stays fast. The `exp_table1` binary regenerates the
 //! actual table rows at paper scale.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use criterion::{criterion_group, criterion_main, Criterion};
-use imcis_bench::setup::illustrative_setup;
-use imcis_core::{imcis, ImcisConfig};
+use imc_models::scenario::illustrative_setup;
+use imcis_core::{estimator_for, ImcisSpec, Method, RunContext, SampleSpec};
 use rand::SeedableRng;
 
 fn bench_table1(c: &mut Criterion) {
     let setup = illustrative_setup();
-    let config = ImcisConfig::new(1000, 0.05)
-        .with_r_undefeated(100)
-        .with_r_max(5_000);
+    let imcis = estimator_for(&Method::Imcis(ImcisSpec {
+        sample: SampleSpec {
+            n_traces: 1000,
+            ..SampleSpec::default()
+        },
+        r_undefeated: 100,
+        r_max: 5_000,
+        ..ImcisSpec::default()
+    }));
+    let ctx = RunContext::default();
     c.bench_function("table1/imcis_illustrative_n1000_r100", |bench| {
         let mut seed = 0u64;
         bench.iter(|| {
             seed += 1;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            imcis(&setup.imc, &setup.b, &setup.property, &config, &mut rng)
+            imcis
+                .estimate(&setup, &ctx, &mut rng)
                 .expect("IMCIS run succeeds")
         });
     });

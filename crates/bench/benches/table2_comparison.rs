@@ -1,20 +1,25 @@
 //! Table II kernel: standard IS versus IMCIS on the illustrative model —
 //! the head-to-head cost comparison behind the table's two method rows.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use criterion::{criterion_group, criterion_main, Criterion};
-use imcis_bench::setup::illustrative_setup;
-use imcis_core::{imcis, standard_is, ImcisConfig};
+use imc_models::scenario::illustrative_setup;
+use imcis_core::{estimator_for, ImcisSpec, Method, RunContext, SampleSpec};
 use rand::SeedableRng;
 
 fn bench_table2(c: &mut Criterion) {
     let setup = illustrative_setup();
-    let config = ImcisConfig::new(1000, 0.05)
-        .with_r_undefeated(100)
-        .with_r_max(5_000);
+    let sample = SampleSpec {
+        n_traces: 1000,
+        ..SampleSpec::default()
+    };
+    let is = estimator_for(&Method::StandardIs(sample));
+    let imcis = estimator_for(&Method::Imcis(ImcisSpec {
+        sample,
+        r_undefeated: 100,
+        r_max: 5_000,
+        ..ImcisSpec::default()
+    }));
+    let ctx = RunContext::default();
     let mut group = c.benchmark_group("table2");
     group.sample_size(10);
     group.bench_function("standard_is_n1000", |bench| {
@@ -22,7 +27,8 @@ fn bench_table2(c: &mut Criterion) {
         bench.iter(|| {
             seed += 1;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            standard_is(&setup.center, &setup.b, &setup.property, &config, &mut rng)
+            is.estimate(&setup, &ctx, &mut rng)
+                .expect("IS run succeeds")
         });
     });
     group.bench_function("imcis_n1000_r100", |bench| {
@@ -30,7 +36,8 @@ fn bench_table2(c: &mut Criterion) {
         bench.iter(|| {
             seed += 1;
             let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-            imcis(&setup.imc, &setup.b, &setup.property, &config, &mut rng)
+            imcis
+                .estimate(&setup, &ctx, &mut rng)
                 .expect("IMCIS run succeeds")
         });
     });

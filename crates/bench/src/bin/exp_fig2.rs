@@ -8,18 +8,14 @@
 //! always strictly inside the IMCIS intervals, and IS frequently misses
 //! the γ line while IMCIS does not.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use imc_stats::coverage;
-use imcis_bench::{setup, Scale};
-use imcis_core::experiment::{repeat_imcis, repeat_is};
-use imcis_core::ImcisConfig;
+use imcis_bench::{BuiltScenario, Scale};
+use imcis_core::Method;
 
 fn main() {
     let scale = Scale::from_args();
-    let s = setup::group_repair_setup(setup::GroupRepairIs::Mixture(0.75), scale.seed);
+    let scenario = BuiltScenario::group_repair(scale.seed);
+    let s = scenario.setup();
     let gamma = s.gamma_exact.expect("numeric engine");
     let gamma_center = s.gamma_center.expect("numeric engine");
     eprintln!(
@@ -27,19 +23,9 @@ fn main() {
         scale.reps, scale.n_traces
     );
 
-    let config = ImcisConfig::new(scale.n_traces, 0.05)
-        .with_r_undefeated(scale.r_undefeated)
-        .with_r_max(scale.r_max);
-    let is_runs = repeat_is(
-        &s.center,
-        &s.b,
-        &s.property,
-        &config,
-        scale.reps,
-        scale.seed,
-    );
-    let imcis_runs = repeat_imcis(&s.imc, &s.b, &s.property, &config, scale.reps, scale.seed)
-        .expect("IMCIS runs succeed");
+    let sample = scale.sample(0.05);
+    let is_runs = scenario.run(Method::StandardIs(sample), scale.seed, scale.reps);
+    let imcis_runs = scenario.run(Method::Imcis(scale.imcis(sample)), scale.seed, scale.reps);
 
     println!("# gamma\t{gamma:.6e}");
     println!("rep\tis_lo\tis_hi\timcis_lo\timcis_hi");

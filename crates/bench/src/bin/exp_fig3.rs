@@ -5,28 +5,26 @@
 //! Output: TSV — `round  gamma_min  gamma_max` at every improvement of
 //! either extremum, in estimate units (γ = f/N).
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
-use imcis_bench::{setup, Scale};
-use imcis_core::{imcis, ImcisConfig};
-use rand::SeedableRng;
+use imcis_bench::{BuiltScenario, Scale};
+use imcis_core::{ImcisSpec, Method, OutcomeDetail};
 
 fn main() {
     let scale = Scale::from_args();
-    let s = setup::group_repair_setup(setup::GroupRepairIs::Mixture(0.75), scale.seed);
+    let scenario = BuiltScenario::group_repair(scale.seed);
     eprintln!(
         "Figure 3: single group-repair run, N = {}, R = {}",
         scale.n_traces, scale.r_undefeated
     );
 
-    let config = ImcisConfig::new(scale.n_traces, 0.05)
-        .with_r_undefeated(scale.r_undefeated)
-        .with_r_max(scale.r_max)
-        .with_trace();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(scale.seed);
-    let out = imcis(&s.imc, &s.b, &s.property, &config, &mut rng).expect("IMCIS run succeeds");
+    let method = Method::Imcis(ImcisSpec {
+        record_trace: true,
+        ..scale.imcis(scale.sample(0.05))
+    });
+    // One repetition: its RNG stream is seeded with `scale.seed` itself.
+    // `min_found_at` and `max_found_at` live in the full IMCIS outcome.
+    let OutcomeDetail::Imcis(out) = scenario.run(method, scale.seed, 1).remove(0).detail else {
+        unreachable!("an IMCIS session yields IMCIS outcomes")
+    };
 
     println!("round\tgamma_min\tgamma_max");
     for p in &out.trace {

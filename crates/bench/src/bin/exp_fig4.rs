@@ -6,19 +6,24 @@
 //! intersect each other across repetitions, while the IMCIS intervals are
 //! mutually consistent and typically contain the union of the IS ones.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
-use imcis_bench::{setup, Scale};
-use imcis_core::experiment::{repeat_imcis, repeat_is};
-use imcis_core::ImcisConfig;
+use imcis_bench::{BuiltScenario, Scale};
+use imcis_core::{Method, SampleSpec};
+use serde::json::Value;
 
 fn main() {
     let scale = Scale::from_args();
     // A deliberately rough IS chain (2 CE iterations): heavier likelihood
     // tails reproduce the paper's mutually inconsistent IS intervals.
-    let s = setup::swat_setup_with_ce(4000, 1000, scale.seed, 2);
+    let scenario = BuiltScenario::new(
+        "swat",
+        &[
+            ("n_logs", Value::UInt(4000)),
+            ("log_len", Value::UInt(1000)),
+            ("seed", Value::UInt(scale.seed)),
+            ("ce_iterations", Value::UInt(2)),
+        ],
+    );
+    let s = scenario.setup();
     eprintln!(
         "Figure 4: SWaT (synthetic), {} reps, N = {}, 99%-CIs; learnt γ(Â) = {:.4e}, \
          hidden-truth γ = {:.4e}",
@@ -29,20 +34,12 @@ fn main() {
     );
 
     // The paper uses 99% CIs for this figure (δ = 0.01).
-    let config = ImcisConfig::new(scale.n_traces, 0.01)
-        .with_r_undefeated(scale.r_undefeated)
-        .with_r_max(scale.r_max)
-        .with_max_steps(10_000);
-    let is_runs = repeat_is(
-        &s.center,
-        &s.b,
-        &s.property,
-        &config,
-        scale.reps,
-        scale.seed,
-    );
-    let imcis_runs = repeat_imcis(&s.imc, &s.b, &s.property, &config, scale.reps, scale.seed)
-        .expect("IMCIS runs succeed");
+    let sample = SampleSpec {
+        max_steps: 10_000,
+        ..scale.sample(0.01)
+    };
+    let is_runs = scenario.run(Method::StandardIs(sample), scale.seed, scale.reps);
+    let imcis_runs = scenario.run(Method::Imcis(scale.imcis(sample)), scale.seed, scale.reps);
 
     println!("rep\tis_lo\tis_hi\timcis_lo\timcis_hi");
     for (rep, (is, im)) in is_runs.iter().zip(&imcis_runs).enumerate() {

@@ -5,17 +5,13 @@
 //! true chain, `γ̂(Â) = 1.4944e-5` ("almost three times the exact value"),
 //! and the zero-width perfect-IS interval that misses `γ`.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
-use imcis_bench::{sci, setup::illustrative_setup, Scale};
-use imcis_core::{standard_is, ImcisConfig};
-use rand::SeedableRng;
+use imcis_bench::{sci, BuiltScenario, Scale};
+use imcis_core::Method;
 
 fn main() {
     let scale = Scale::from_args();
-    let setup = illustrative_setup();
+    let scenario = BuiltScenario::new("illustrative", &[]);
+    let setup = scenario.setup();
     let gamma = setup.gamma_exact.expect("closed form");
     let gamma_center = setup.gamma_center.expect("closed form");
 
@@ -29,12 +25,13 @@ fn main() {
         (gamma_center / gamma).round()
     );
 
-    let config = ImcisConfig::new(scale.n_traces, 0.05);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(scale.seed);
-    let out = standard_is(&setup.center, &setup.b, &setup.property, &config, &mut rng);
+    // One repetition: its RNG stream is seeded with `scale.seed` itself.
+    let out = scenario
+        .run(Method::StandardIs(scale.sample(0.05)), scale.seed, 1)
+        .remove(0);
     println!("\nPerfect IS for Â over {} traces:", scale.n_traces);
-    println!("  γ̂(Â)   = {}", sci(out.gamma_hat));
-    println!("  σ̂      = {}", sci(out.sigma_hat));
+    println!("  γ̂(Â)   = {}", sci(out.estimate));
+    println!("  σ̂      = {}", sci(out.sigma));
     println!(
         "  95%-CI = [{}, {}]  (width {})",
         sci(out.ci.lo()),

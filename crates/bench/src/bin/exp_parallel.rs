@@ -11,15 +11,15 @@
 
 use std::time::Instant;
 
-use imc_models::group_repair;
+use imc_models::scenario::group_repair_setup;
+use imc_models::{group_repair, GroupRepairIs, Setup};
 use imc_optim::{random_search, BatchSearch, Problem, RandomSearchConfig};
 use imc_sampling::{is_estimate, sample_is_run, IsConfig, IsRun, PreparedRun};
 use imc_sim::parallel::available_threads;
-use imcis_bench::setup::{group_repair_setup, GroupRepairIs};
 use imcis_bench::{print_table, sci, Scale};
 use rand::SeedableRng;
 
-fn sample_at(setup: &imcis_bench::setup::Setup, n: usize, threads: usize, seed: u64) -> IsRun {
+fn sample_at(setup: &Setup, n: usize, threads: usize, seed: u64) -> IsRun {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     sample_is_run(
         &setup.b,

@@ -7,16 +7,11 @@
 //! Output: the per-repetition CIs, then a sweep over true `α` marking
 //! which method's hull still contains `γ(A(α))`.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use imc_models::repair;
 use imc_numeric::{linspace, reach_before_return, SolveOptions};
 use imc_stats::ConfidenceInterval;
-use imcis_bench::{sci, setup, Scale};
-use imcis_core::experiment::{repeat_imcis, repeat_is};
-use imcis_core::ImcisConfig;
+use imcis_bench::{sci, BuiltScenario, Scale};
+use imcis_core::Method;
 
 fn main() {
     let scale = Scale::from_args();
@@ -26,19 +21,18 @@ fn main() {
         reps, scale.n_traces
     );
 
-    let s = setup::repair_setup(repair::ALPHA_TRUE, repair::ALPHA_LO, repair::ALPHA_HI);
+    // The registry defaults are the paper's α̂ = 1e-3 and its interval.
+    let scenario = BuiltScenario::new("repair", &[]);
+    let s = scenario.setup();
     eprintln!(
         "γ(A(1e-3)) = {} (paper: {})",
         sci(s.gamma_exact.expect("numeric")),
         sci(repair::GAMMA_PAPER)
     );
 
-    let config = ImcisConfig::new(scale.n_traces, 0.05)
-        .with_r_undefeated(scale.r_undefeated)
-        .with_r_max(scale.r_max);
-    let is_runs = repeat_is(&s.center, &s.b, &s.property, &config, reps, scale.seed);
-    let imcis_runs = repeat_imcis(&s.imc, &s.b, &s.property, &config, reps, scale.seed)
-        .expect("IMCIS runs succeed");
+    let sample = scale.sample(0.05);
+    let is_runs = scenario.run(Method::StandardIs(sample), scale.seed, reps);
+    let imcis_runs = scenario.run(Method::Imcis(scale.imcis(sample)), scale.seed, reps);
 
     println!("rep\tis_lo\tis_hi\timcis_lo\timcis_hi");
     for (rep, (is, im)) in is_runs.iter().zip(&imcis_runs).enumerate() {

@@ -6,40 +6,36 @@
 //! `nr` avg 2181 / min 1244 / max 4119 / sd 580;
 //! `a_min ≈ 5.02e-5`, `c_min ≈ 0.0496`, `a_max ≈ 5.48e-4`, `c_max ≈ 0.0501`.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use imc_models::illustrative;
 use imc_stats::Summary;
-use imcis_bench::{print_table, sci, setup::illustrative_setup, Scale};
-use imcis_core::{experiment::repeat_imcis, ImcisConfig};
+use imcis_bench::{print_table, sci, BuiltScenario, Scale};
+use imcis_core::{ImcisSpec, Method, OutcomeDetail};
 
 fn main() {
     let scale = Scale::from_args();
-    let setup = illustrative_setup();
+    let scenario = BuiltScenario::new("illustrative", &[]);
     // Paper-verbatim Algorithm 2: every visited row is searched, so the
     // nr statistic and the partial convergence of Table I are reproduced
     // (the library's default closed-form fast path would solve the
     // single-observed-transition rows exactly, collapsing the spread).
-    let config = ImcisConfig::new(scale.n_traces, 0.05)
-        .with_r_undefeated(scale.r_undefeated)
-        .with_r_max(scale.r_max)
-        .with_forced_sampling();
+    let method = Method::Imcis(ImcisSpec {
+        force_sampling: true,
+        ..scale.imcis(scale.sample(0.05))
+    });
 
     eprintln!(
         "Table I: {} reps, N = {}, R = {} (use --paper for the full scale)",
         scale.reps, scale.n_traces, scale.r_undefeated
     );
-    let outcomes = repeat_imcis(
-        &setup.imc,
-        &setup.b,
-        &setup.property,
-        &config,
-        scale.reps,
-        scale.seed,
-    )
-    .expect("illustrative IMCIS runs succeed");
+    // The argmin/argmax rows live in the full IMCIS outcome.
+    let outcomes: Vec<_> = scenario
+        .run(method, scale.seed, scale.reps)
+        .into_iter()
+        .map(|o| match o.detail {
+            OutcomeDetail::Imcis(out) => out,
+            _ => unreachable!("an IMCIS session yields IMCIS outcomes"),
+        })
+        .collect();
 
     // nr: rounds until the search stopped (improvement phase + R undefeated).
     let nr = Summary::from_values(outcomes.iter().map(|o| o.rounds as f64));

@@ -5,13 +5,9 @@
 //! Paper shape: IS covers `γ(Â)` (100%/80%) but `γ` poorly (0%/27%);
 //! IMCIS covers `γ(Â)` at 100% and `γ` far better (100%/75%).
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
-use imcis_bench::{print_table, sci, setup, Scale};
-use imcis_core::experiment::{repeat_imcis, repeat_is, CoverageSummary};
-use imcis_core::ImcisConfig;
+use imcis_bench::{print_table, sci, BuiltScenario, Scale};
+use imcis_core::{CoverageSummary, Method};
+use serde::json::Value;
 
 fn main() {
     let scale = Scale::from_args();
@@ -20,43 +16,39 @@ fn main() {
         scale.reps, scale.n_traces
     );
 
-    let setups = vec![
-        setup::illustrative_setup(),
-        setup::group_repair_setup(setup::GroupRepairIs::Mixture(0.75), scale.seed),
-        setup::swat_setup(4000, 1000, scale.seed),
+    let scenarios = [
+        BuiltScenario::new("illustrative", &[]),
+        BuiltScenario::group_repair(scale.seed),
+        BuiltScenario::new(
+            "swat",
+            &[
+                ("n_logs", Value::UInt(4000)),
+                ("log_len", Value::UInt(1000)),
+                ("seed", Value::UInt(scale.seed)),
+            ],
+        ),
     ];
 
+    let sample = scale.sample(0.05);
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for s in &setups {
-        let config = ImcisConfig::new(scale.n_traces, 0.05)
-            .with_r_undefeated(scale.r_undefeated)
-            .with_r_max(scale.r_max);
+    for scenario in &scenarios {
+        let s = scenario.setup();
         // For SWaT the paper treats γ as unknown: report "-" coverage.
         let known = s.name != "SWaT";
         let gamma_center = if known { s.gamma_center } else { None };
         let gamma_exact = if known { s.gamma_exact } else { None };
 
-        let is_runs = repeat_is(
-            &s.center,
-            &s.b,
-            &s.property,
-            &config,
-            scale.reps,
-            scale.seed,
-        );
-        let is_cis: Vec<_> = is_runs.iter().map(|o| o.ci).collect();
-        let is_summary = CoverageSummary::from_cis(&is_cis, gamma_center, gamma_exact);
-
-        let imcis_runs = repeat_imcis(&s.imc, &s.b, &s.property, &config, scale.reps, scale.seed)
-            .expect("IMCIS runs succeed");
-        let imcis_cis: Vec<_> = imcis_runs.iter().map(|o| o.ci).collect();
-        let imcis_summary = CoverageSummary::from_cis(&imcis_cis, gamma_center, gamma_exact);
-
         let pct = |c: Option<f64>| c.map_or("-".to_string(), |v| format!("{:.0}%", 100.0 * v));
-        for (method, summary) in [("IS", is_summary), ("IMCIS", imcis_summary)] {
+        for (label, method) in [
+            ("IS", Method::StandardIs(sample)),
+            ("IMCIS", Method::Imcis(scale.imcis(sample))),
+        ] {
+            let runs = scenario.run(method, scale.seed, scale.reps);
+            let cis: Vec<_> = runs.iter().map(|o| o.ci).collect();
+            let summary = CoverageSummary::from_cis(&cis, gamma_center, gamma_exact);
             rows.push(vec![
                 s.name.to_string(),
-                method.to_string(),
+                label.to_string(),
                 format!("[{}, {}]", sci(summary.mean_lo), sci(summary.mean_hi)),
                 sci(summary.mean_mid),
                 pct(summary.coverage_gamma_hat),
@@ -77,7 +69,7 @@ fn main() {
         ],
         &rows,
     );
-    for s in &setups {
+    for s in scenarios.iter().map(BuiltScenario::setup) {
         println!(
             "  {}: γ(Â) = {}, γ = {}",
             s.name,

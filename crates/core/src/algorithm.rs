@@ -197,32 +197,12 @@ fn lookup(rows: &[(State, Vec<(State, f64)>)], from: State, to: State) -> Option
 
 /// Runs IMCIS (Algorithm 1): samples under `b`, optimises the empirical IS
 /// estimator over `imc`, and returns the widened confidence interval.
-///
-/// Deprecated front door: [`crate::Session`] with
-/// [`crate::Method::Imcis`] drives this exact engine (same seeds, same
-/// bit-identical results) and additionally handles repetitions, thread
-/// policy and serializable reports.
+/// [`crate::Session`] reaches it through the `imcis` [`crate::Estimator`].
 ///
 /// # Errors
 ///
 /// Returns [`ImcisError::Optim`] if the observed support mismatches the IMC
 /// or candidate generation fails.
-#[deprecated(
-    since = "0.2.0",
-    note = "use imcis_core::Session with Method::Imcis (the RunSpec → Session → Report API)"
-)]
-pub fn imcis<R: Rng + ?Sized>(
-    imc: &Imc,
-    b: &Dtmc,
-    property: &Property,
-    config: &ImcisConfig,
-    rng: &mut R,
-) -> Result<ImcisOutcome, ImcisError> {
-    imcis_impl(imc, b, property, config, rng)
-}
-
-/// The IMCIS engine shared by [`imcis`] and the [`crate::Session`]
-/// estimators.
 pub(crate) fn imcis_impl<R: Rng + ?Sized>(
     imc: &Imc,
     b: &Dtmc,
@@ -317,25 +297,8 @@ pub struct IsOutcome {
 /// Standard IS (§III-A): samples under `b` and estimates `γ(a_ref)` with a
 /// normal confidence interval — the baseline whose coverage collapses when
 /// `a_ref` is only a point estimate of the true system (§III-B).
-///
-/// Deprecated front door: [`crate::Session`] with
-/// [`crate::Method::StandardIs`] drives this exact engine.
-#[deprecated(
-    since = "0.2.0",
-    note = "use imcis_core::Session with Method::StandardIs (the RunSpec → Session → Report API)"
-)]
-pub fn standard_is<R: Rng + ?Sized>(
-    a_ref: &Dtmc,
-    b: &Dtmc,
-    property: &Property,
-    config: &ImcisConfig,
-    rng: &mut R,
-) -> IsOutcome {
-    standard_is_impl(a_ref, b, property, config, rng)
-}
-
-/// The standard-IS engine shared by [`standard_is`] and the
-/// [`crate::Session`] estimators.
+/// [`crate::Session`] reaches it through the `standard-is`,
+/// `zero-variance`, `cross-entropy` and campaign estimators.
 pub(crate) fn standard_is_impl<R: Rng + ?Sized>(
     a_ref: &Dtmc,
     b: &Dtmc,
@@ -362,9 +325,6 @@ pub(crate) fn standard_is_impl<R: Rng + ?Sized>(
 }
 
 #[cfg(test)]
-// The deprecated free functions stay under test on purpose: they must
-// remain bit-identical to the Session path until they are removed.
-#[allow(deprecated)]
 mod tests {
     use super::*;
     use imc_markov::StateSet;
@@ -394,7 +354,7 @@ mod tests {
         let (_, b, prop) = paper_setup();
         let center = illustrative::dtmc(illustrative::A_HAT, illustrative::C_HAT);
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        let out = standard_is(&center, &b, &prop, &ImcisConfig::new(2000, 0.05), &mut rng);
+        let out = standard_is_impl(&center, &b, &prop, &ImcisConfig::new(2000, 0.05), &mut rng);
         let gamma_center = illustrative::gamma(illustrative::A_HAT, illustrative::C_HAT);
         let gamma_true = illustrative::gamma(illustrative::A_TRUE, illustrative::C_TRUE);
         // The estimate is γ(Â) up to log-space rounding ulps and the CI is
@@ -414,7 +374,7 @@ mod tests {
         let config = ImcisConfig::new(5000, 0.05)
             .with_r_undefeated(300)
             .with_r_max(30_000);
-        let out = imcis(&imc, &b, &prop, &config, &mut rng).unwrap();
+        let out = imcis_impl(&imc, &b, &prop, &config, &mut rng).unwrap();
         let gamma_center = illustrative::gamma(illustrative::A_HAT, illustrative::C_HAT);
         let gamma_true = illustrative::gamma(illustrative::A_TRUE, illustrative::C_TRUE);
         assert!(out.ci.contains(gamma_center), "CI {} misses γ(Â)", out.ci);
@@ -430,7 +390,7 @@ mod tests {
         let config = ImcisConfig::new(2000, 0.05)
             .with_r_undefeated(200)
             .with_r_max(20_000);
-        let out = imcis(&imc, &b, &prop, &config, &mut rng).unwrap();
+        let out = imcis_impl(&imc, &b, &prop, &config, &mut rng).unwrap();
         // Table I reports the argmin/argmax parameter values: a from row 0,
         // c from row 1.
         let a_min = out.min_prob(0, 1).expect("row 0 optimised");
@@ -449,7 +409,7 @@ mod tests {
             .with_r_undefeated(200)
             .with_r_max(10_000)
             .with_trace();
-        let out = imcis(&imc, &b, &prop, &config, &mut rng).unwrap();
+        let out = imcis_impl(&imc, &b, &prop, &config, &mut rng).unwrap();
         assert!(!out.trace.is_empty());
         for pair in out.trace.windows(2) {
             assert!(pair[1].f_min <= pair[0].f_min + 1e-18);
@@ -471,7 +431,7 @@ mod tests {
                 .with_r_max(10_000)
                 .with_batched_search(32)
                 .with_search_threads(threads);
-            imcis(&imc, &b, &prop, &config, &mut rng).unwrap()
+            imcis_impl(&imc, &b, &prop, &config, &mut rng).unwrap()
         };
         let reference = run(1);
         let gamma_center = illustrative::gamma(illustrative::A_HAT, illustrative::C_HAT);
@@ -500,7 +460,7 @@ mod tests {
             .add_self_loop(3);
         let never = nb.build().unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(35);
-        let out = imcis(
+        let out = imcis_impl(
             &imc,
             &never,
             &illustrative::property(),

@@ -97,9 +97,9 @@
 //! 4. report the `(1−δ)` confidence interval
 //!    `[γ̂(A_min) − q·σ̂(A_min)/√N, γ̂(A_max) + q·σ̂(A_max)/√N]`.
 //!
-//! The legacy free functions ([`imcis`], [`standard_is`],
-//! [`experiment::repeat_imcis`], [`experiment::repeat_is`]) remain as
-//! deprecated wrappers over the same engines.
+//! Each method has one way in: [`Session`] or [`Suite`] for repeated
+//! runs, and [`estimator_for`]`(&method).estimate(..)` for a single run
+//! on the caller's RNG.
 //!
 //! # Example
 //!
@@ -155,7 +155,6 @@
 
 mod algorithm;
 pub mod dsl;
-pub mod experiment;
 pub mod fault;
 pub mod report;
 pub mod router;
@@ -164,11 +163,11 @@ pub mod session;
 pub mod spec;
 pub mod suite;
 
-#[allow(deprecated)]
-pub use algorithm::{imcis, standard_is};
 pub use algorithm::{ImcisConfig, ImcisError, ImcisOutcome, IsOutcome};
 pub use fault::{FaultKind, FaultPlan, FaultRule, FAULT_ENV};
-pub use report::{validate_report_json, Repetition, Report, Timing, REPORT_SCHEMA};
+pub use report::{
+    validate_report_json, CoverageSummary, Repetition, Report, Timing, REPORT_SCHEMA,
+};
 pub use router::{dominant_cache_fingerprint, HashRing, Router, RouterConfig};
 pub use serve::{
     BackendStatus, CampaignProgress, Client, HealthInfo, RouterStatus, ServeConfig, ServeError,

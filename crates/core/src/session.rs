@@ -55,8 +55,7 @@ use imc_stats::ConfidenceInterval;
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::algorithm::{imcis_impl, standard_is_impl};
-use crate::experiment::CoverageSummary;
-use crate::report::{Repetition, Report, Timing};
+use crate::report::{CoverageSummary, Repetition, Report, Timing};
 use crate::spec::{
     AdaptiveSpec, CrossEntropySpec, ImcisSpec, Method, RunSpec, SampleSpec, SpecError,
 };
@@ -106,8 +105,9 @@ impl From<ImcisError> for SessionError {
     }
 }
 
-/// Per-repetition resources a session grants an estimator.
-#[derive(Debug, Clone, Copy)]
+/// Per-repetition resources a session grants an estimator. The default
+/// grants all cores to both phases.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct RunContext {
     /// Simulation worker threads for this repetition (`0` = all cores).
     pub threads: usize,
@@ -331,11 +331,11 @@ impl Session {
         })
     }
 
-    /// Wraps an already-built setup (ad-hoc models, tests, the legacy
-    /// free functions). The spec's scenario reference is kept verbatim
-    /// and only documents provenance. Accepts an owned [`Setup`] or an
-    /// [`Arc<Setup>`]; pass an `Arc` clone to run several methods on one
-    /// built scenario without copying the models.
+    /// Wraps an already-built setup (ad-hoc models, tests, or one
+    /// registry build shared by several sessions). The spec's scenario
+    /// reference is kept verbatim and only documents provenance. Accepts
+    /// an owned [`Setup`] or an [`Arc<Setup>`]; pass an `Arc` clone to run
+    /// several methods on one built scenario without copying the models.
     pub fn from_setup(setup: impl Into<Arc<Setup>>, spec: RunSpec) -> Self {
         Session {
             setup: setup.into(),
@@ -914,7 +914,10 @@ impl StageEstimator for DupuisWangEstimator {
 mod tests {
     use super::*;
     use crate::spec::{ScenarioRef, SearchSpec};
+    use imc_logic::Property;
+    use imc_markov::{DtmcBuilder, Imc, StateSet};
     use imc_models::illustrative;
+    use imc_stats::coverage;
 
     fn illustrative_spec(method: Method) -> RunSpec {
         RunSpec::new(ScenarioRef::named("illustrative"), method, 41).with_threads(1, 1)
@@ -1106,5 +1109,85 @@ mod tests {
             Session::from_spec(spec),
             Err(SessionError::Scenario(ScenarioError::UnknownScenario(_)))
         ));
+    }
+
+    /// A coin whose centre chain doubles as the IS chain `B`, inside an
+    /// IMC that widens every centre probability by `eps`.
+    fn coin_setup(p_center: f64, eps: f64) -> Setup {
+        let mut cb = DtmcBuilder::new(3);
+        cb.add_transition(0, 1, p_center)
+            .add_transition(0, 2, 1.0 - p_center)
+            .add_self_loop(1)
+            .add_self_loop(2);
+        let center = cb.build().unwrap();
+        let imc = Imc::from_center(&center, |_, _| eps).unwrap();
+        let property =
+            Property::reach_avoid(StateSet::from_states(3, [1]), StateSet::from_states(3, [2]));
+        Setup {
+            name: "coin".into(),
+            imc,
+            b: center.clone(),
+            center,
+            property,
+            gamma_center: None,
+            gamma_exact: None,
+        }
+    }
+
+    fn coin_imcis(n_traces: usize, r_undefeated: usize, r_max: usize) -> Method {
+        Method::Imcis(ImcisSpec {
+            sample: SampleSpec {
+                n_traces,
+                ..SampleSpec::default()
+            },
+            r_undefeated,
+            r_max,
+            ..ImcisSpec::default()
+        })
+    }
+
+    fn repeat(setup: &Setup, method: Method, reps: usize, seed: u64) -> Vec<MethodOutcome> {
+        let spec = RunSpec::new(ScenarioRef::named("coin"), method, seed).with_repetitions(reps);
+        Session::from_setup(setup.clone(), spec)
+            .run_outcomes()
+            .unwrap()
+    }
+
+    #[test]
+    fn repetitions_are_deterministic_given_seed() {
+        let setup = coin_setup(0.3, 0.05);
+        let method = coin_imcis(500, 50, 2000);
+        let run1 = repeat(&setup, method.clone(), 4, 99);
+        let run2 = repeat(&setup, method, 4, 99);
+        for (a, b) in run1.iter().zip(&run2) {
+            assert_eq!(a.ci.lo(), b.ci.lo());
+            assert_eq!(a.ci.hi(), b.ci.hi());
+        }
+        // Different repetitions genuinely differ.
+        assert_ne!(run1[0].ci.lo(), run1[1].ci.lo());
+    }
+
+    #[test]
+    fn imcis_coverage_dominates_is_coverage() {
+        // True p = 0.27; learnt centre 0.3 ± 0.05. Standard IS targets the
+        // centre and should often miss the truth relative to IMCIS.
+        let setup = coin_setup(0.3, 0.05);
+        let reps = 12;
+        let imcis_out = repeat(&setup, coin_imcis(800, 60, 3000), reps, 7);
+        let is_sample = SampleSpec {
+            n_traces: 800,
+            ..SampleSpec::default()
+        };
+        let is_out = repeat(&setup, Method::StandardIs(is_sample), reps, 7);
+        let truth = 0.27;
+        let imcis_cis: Vec<_> = imcis_out.iter().map(|o| o.ci).collect();
+        let is_cis: Vec<_> = is_out.iter().map(|o| o.ci).collect();
+        let imcis_cov = coverage(&imcis_cis, truth);
+        let is_cov = coverage(&is_cis, truth);
+        assert!(
+            imcis_cov >= is_cov,
+            "IMCIS coverage {imcis_cov} below IS coverage {is_cov}"
+        );
+        assert!(imcis_cov > 0.9, "IMCIS coverage too low: {imcis_cov}");
     }
 }

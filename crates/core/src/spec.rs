@@ -168,14 +168,6 @@ impl SearchSpec {
             SearchSpec::Batched { batch_size } => SearchStrategy::Batched { batch_size },
         }
     }
-
-    /// The spec form of an `imc_optim` strategy.
-    pub fn from_strategy(strategy: SearchStrategy) -> Self {
-        match strategy {
-            SearchStrategy::Sequential => SearchSpec::Sequential,
-            SearchStrategy::Batched { batch_size } => SearchSpec::Batched { batch_size },
-        }
-    }
 }
 
 /// IMCIS (Algorithm 1) configuration.
@@ -227,23 +219,6 @@ impl ImcisSpec {
             config = config.with_trace();
         }
         config
-    }
-
-    /// The spec form of an [`ImcisConfig`] (thread budgets are dropped —
-    /// they live on the enclosing [`RunSpec`]).
-    pub fn from_config(config: &ImcisConfig) -> Self {
-        ImcisSpec {
-            sample: SampleSpec {
-                n_traces: config.n_traces,
-                delta: config.delta,
-                max_steps: config.max_steps,
-            },
-            r_undefeated: config.r_undefeated,
-            r_max: config.r_max,
-            force_sampling: config.force_sampling,
-            record_trace: config.record_trace,
-            search: SearchSpec::from_strategy(config.strategy),
-        }
     }
 }
 
@@ -1047,6 +1022,13 @@ mod tests {
         let config = spec.to_config(3, 4);
         assert_eq!(config.threads, 3);
         assert_eq!(config.search_threads, 4);
-        assert_eq!(ImcisSpec::from_config(&config), spec);
+        // Every spec field reaches the engine config.
+        assert_eq!(
+            (config.n_traces, config.delta, config.max_steps),
+            (123, 0.01, 777)
+        );
+        assert_eq!((config.r_undefeated, config.r_max), (9, 99));
+        assert!(config.force_sampling && config.record_trace);
+        assert_eq!(config.strategy, SearchStrategy::Batched { batch_size: 8 });
     }
 }

@@ -20,10 +20,7 @@
 //!   candidates drawn in rounds across a thread pool with per-candidate
 //!   RNG streams and a `(value, index)` merge rule, bit-identical at every
 //!   thread count; [`SearchStrategy`] selects between it and the exact
-//!   sequential Algorithm 2;
-//! * [`projected_sgd`] — the appendix's projected stochastic gradient
-//!   descent baseline, built on an exact Euclidean
-//!   [`project_row`] projection onto the box-constrained simplex.
+//!   sequential Algorithm 2.
 //!
 //! The objective is evaluated in log space throughout: rare-event paths
 //! have probabilities far below `f64`'s underflow threshold when expressed
@@ -35,13 +32,9 @@
 mod batch_search;
 mod objective;
 mod problem;
-mod projection;
 mod random_search;
-mod sgd;
 
 pub use batch_search::{search, BatchSearch, SearchStrategy, DEFAULT_BATCH_SIZE};
 pub use objective::Objective;
 pub use problem::{CandidateScratch, OptimError, Problem, RowAssignment};
-pub use projection::project_row;
 pub use random_search::{random_search, ConvergencePoint, OptimOutcome, RandomSearchConfig};
-pub use sgd::{projected_sgd, SgdConfig};

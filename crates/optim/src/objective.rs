@@ -54,17 +54,6 @@ impl Objective {
         self.prepared.num_tables()
     }
 
-    /// The exponent list and multiplicity of table `k` (internal: used by
-    /// the SGD baseline to compute per-table gradients).
-    pub(crate) fn table(&self, k: usize) -> (&[(u32, u32)], f64) {
-        self.prepared.table(k)
-    }
-
-    /// `ln b` for transition id `t` (internal).
-    pub(crate) fn log_b(&self, t: usize) -> f64 {
-        self.prepared.log_b(t)
-    }
-
     /// Total trace count `N` behind the run.
     pub fn n_traces(&self) -> usize {
         self.prepared.n_traces()
@@ -80,8 +69,7 @@ impl Objective {
         self.prepared.eval_log(log_a)
     }
 
-    /// Convenience: evaluates against a concrete chain (used by tests and
-    /// the SGD baseline's progress checks).
+    /// Convenience: evaluates against a concrete chain.
     ///
     /// # Panics
     ///

@@ -219,21 +219,6 @@ impl Problem {
         &self.objective
     }
 
-    /// Internal: the optimisable rows.
-    pub(crate) fn rows(&self) -> &[ProblemRow] {
-        &self.rows
-    }
-
-    /// Internal: the `ln a` template with closed-form fills for the chosen
-    /// extreme and centre values for sampled rows.
-    pub(crate) fn template(&self, minimum: bool) -> &[f64] {
-        if minimum {
-            &self.template_min
-        } else {
-            &self.template_max
-        }
-    }
-
     /// States whose rows are being optimised, with their handling.
     pub fn row_assignments(&self) -> Vec<(State, RowAssignment)> {
         self.rows

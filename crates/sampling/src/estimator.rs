@@ -369,17 +369,6 @@ impl PreparedRun {
         self.n_traces
     }
 
-    /// `ln b` of transition id `t`.
-    pub fn log_b(&self, t: usize) -> f64 {
-        self.log_b[t]
-    }
-
-    /// The `(id, n)` entries and multiplicity of table `k`.
-    pub fn table(&self, k: usize) -> (&[(u32, u32)], f64) {
-        let range = self.table_offsets[k] as usize..self.table_offsets[k + 1] as usize;
-        (&self.entries[range], self.table_mult[k])
-    }
-
     /// Fills `buf` with `ln a_ij` per transition id (`-inf` where `a`
     /// assigns probability zero).
     ///

@@ -22,9 +22,7 @@
 //!   change of measure `b(x,y) ∝ a(x,y)·V(y)` whose value function is
 //!   re-trained between campaign stages;
 //! * [`failure_bias`] — classic balanced failure biasing, a cheap
-//!   structural IS baseline;
-//! * [`importance_splitting`] — fixed-effort multilevel splitting, the
-//!   other rare-event technique the paper cites \[13\].
+//!   structural IS baseline.
 //!
 //! # Example
 //!
@@ -63,7 +61,6 @@ mod cross_entropy;
 mod dupuis_wang;
 mod estimator;
 mod failure_bias;
-mod splitting;
 mod zero_variance;
 
 pub use cross_entropy::{
@@ -75,5 +72,4 @@ pub use estimator::{
     is_estimate, sample_is_run, IsConfig, IsEstimate, IsRun, PreparedRun, WeightedTable,
 };
 pub use failure_bias::failure_bias;
-pub use splitting::{importance_splitting, SplittingConfig, SplittingResult};
 pub use zero_variance::{zero_variance_is, ZeroVarianceError};

@@ -17,9 +17,7 @@
 //! * [`parallel`] — static-partition fan-out primitives the engine and
 //!   the experiment harness share;
 //! * [`monte_carlo`] — crude Monte Carlo SMC with normal confidence
-//!   intervals (§II-C), batch-parallel via the engine;
-//! * [`sprt`] — Wald's sequential probability ratio test, the
-//!   hypothesis-testing flavour of SMC the paper cites \[28\].
+//!   intervals (§II-C), batch-parallel via the engine.
 //!
 //! # Example
 //!
@@ -52,13 +50,11 @@ pub mod engine;
 pub mod parallel;
 mod sampler;
 mod smc;
-mod sprt;
 mod trace;
 
 pub use engine::{splitmix64, stream_seed, trace_rng, BatchRunner};
 pub use sampler::{CdfSampler, ChainSampler, StateSampler};
 pub use smc::{monte_carlo, SmcConfig, SmcResult};
-pub use sprt::{sprt, SprtConfig, SprtDecision, SprtResult};
 pub use trace::{
     random_walk, simulate, simulate_counts_into, simulate_path, simulate_verdict, TraceOutcome,
 };

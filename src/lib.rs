@@ -18,7 +18,7 @@
 //! | [`imc_numeric`] | reachability solvers, interval value iteration, sweeps |
 //! | [`imc_sim`] | CSR alias samplers, trace simulation, the parallel batch engine, crude Monte Carlo |
 //! | [`imc_sampling`] | IS estimator, `PreparedRun` hot-path cache, zero-variance / cross-entropy / failure biasing |
-//! | [`imc_optim`] | the IMCIS optimisation problem, random search, projected SGD |
+//! | [`imc_optim`] | the IMCIS optimisation problem, sequential and batched random search |
 //! | [`imc_models`] | the paper's benchmark systems and the scenario registry |
 //! | [`imcis_core`] | the `RunSpec → SuiteSpec → Session → Report/SuiteReport` API over Algorithm 1 end-to-end, plus [`imcis_core::serve`] — the suite-serving daemon |
 //!
@@ -146,10 +146,8 @@ pub mod prelude {
     };
     pub use imc_sim::{monte_carlo, ChainSampler, SmcConfig};
     pub use imc_stats::{normal_quantile, ConfidenceInterval};
-    #[allow(deprecated)]
-    pub use imcis_core::{imcis, standard_is};
     pub use imcis_core::{
-        Estimator, ImcisConfig, ImcisOutcome, Method, Report, RunSpec, Session, Suite, SuiteReport,
-        SuiteSpec,
+        estimator_for, Estimator, ImcisConfig, ImcisOutcome, Method, Report, RunContext, RunSpec,
+        Session, Suite, SuiteReport, SuiteSpec,
     };
 }

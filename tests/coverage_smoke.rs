@@ -1,20 +1,17 @@
 //! Reduced-scale coverage experiments: the Table II shape — IMCIS coverage
 //! dominates IS coverage — must hold even at smoke-test scale.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use imc_markov::StateSet;
-use imc_models::illustrative;
+use imc_models::{illustrative, Setup};
 use imc_numeric::SolveOptions;
 use imc_sampling::zero_variance_is;
 use imc_stats::coverage;
-use imcis_core::experiment::{repeat_imcis, repeat_is, CoverageSummary};
-use imcis_core::ImcisConfig;
+use imcis_core::{
+    CoverageSummary, ImcisSpec, Method, MethodOutcome, RunSpec, SampleSpec, ScenarioRef, Session,
+};
 
-#[test]
-fn table2_shape_on_the_illustrative_model() {
+/// The paper's illustrative IMC under the perfect IS chain for its centre.
+fn paper_setup() -> Setup {
     let center = illustrative::dtmc(illustrative::A_HAT, illustrative::C_HAT);
     let imc = illustrative::paper_imc().expect("paper IMC consistent");
     let b = zero_variance_is(
@@ -24,17 +21,48 @@ fn table2_shape_on_the_illustrative_model() {
         &SolveOptions::default(),
     )
     .expect("ZV exists");
-    let property = illustrative::property();
+    Setup {
+        name: "illustrative".into(),
+        imc,
+        center,
+        b,
+        property: illustrative::property(),
+        gamma_center: None,
+        gamma_exact: None,
+    }
+}
+
+fn imcis_spec(n_traces: usize, r_undefeated: usize, r_max: usize) -> ImcisSpec {
+    ImcisSpec {
+        sample: SampleSpec {
+            n_traces,
+            ..SampleSpec::default()
+        },
+        r_undefeated,
+        r_max,
+        ..ImcisSpec::default()
+    }
+}
+
+/// `reps` repetitions of `method` from `seed` through a [`Session`].
+fn repeat(setup: &Setup, method: Method, reps: usize, seed: u64) -> Vec<MethodOutcome> {
+    let spec =
+        RunSpec::new(ScenarioRef::named("illustrative"), method, seed).with_repetitions(reps);
+    Session::from_setup(setup.clone(), spec)
+        .run_outcomes()
+        .expect("repetitions succeed")
+}
+
+#[test]
+fn table2_shape_on_the_illustrative_model() {
+    let setup = paper_setup();
     let gamma = illustrative::gamma(illustrative::A_TRUE, illustrative::C_TRUE);
     let gamma_center = illustrative::gamma(illustrative::A_HAT, illustrative::C_HAT);
 
     let reps = 10;
-    let config = ImcisConfig::new(2000, 0.05)
-        .with_r_undefeated(150)
-        .with_r_max(10_000);
-    let is_runs = repeat_is(&center, &b, &property, &config, reps, 42);
-    let imcis_runs =
-        repeat_imcis(&imc, &b, &property, &config, reps, 42).expect("IMCIS repetitions succeed");
+    let spec = imcis_spec(2000, 150, 10_000);
+    let is_runs = repeat(&setup, Method::StandardIs(spec.sample), reps, 42);
+    let imcis_runs = repeat(&setup, Method::Imcis(spec), reps, 42);
 
     let is_cis: Vec<_> = is_runs.iter().map(|o| o.ci).collect();
     let imcis_cis: Vec<_> = imcis_runs.iter().map(|o| o.ci).collect();
@@ -62,20 +90,12 @@ fn table2_shape_on_the_illustrative_model() {
 fn imcis_intervals_are_mutually_consistent() {
     // Fig. 4's observation, smoke scale: independent IMCIS intervals
     // pairwise intersect (they all cover the same truth).
-    let center = illustrative::dtmc(illustrative::A_HAT, illustrative::C_HAT);
-    let imc = illustrative::paper_imc().expect("paper IMC consistent");
-    let b = zero_variance_is(
-        &center,
-        &StateSet::from_states(4, [illustrative::S2]),
-        &StateSet::new(4),
-        &SolveOptions::default(),
-    )
-    .expect("ZV exists");
-    let config = ImcisConfig::new(1000, 0.05)
-        .with_r_undefeated(100)
-        .with_r_max(5_000);
-    let runs = repeat_imcis(&imc, &b, &illustrative::property(), &config, 6, 9)
-        .expect("IMCIS repetitions succeed");
+    let runs = repeat(
+        &paper_setup(),
+        Method::Imcis(imcis_spec(1000, 100, 5_000)),
+        6,
+        9,
+    );
     for i in 0..runs.len() {
         for j in i + 1..runs.len() {
             assert!(

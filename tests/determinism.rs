@@ -16,16 +16,16 @@
 //! in the job list; with the variable unset every test sweeps the full
 //! `{1, 2, 8}` matrix.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use imc_logic::Property;
 use imc_markov::{Dtmc, DtmcBuilder, Imc, StateSet};
+use imc_models::Setup;
 use imc_optim::{random_search, BatchSearch, Problem, RandomSearchConfig};
 use imc_sampling::{is_estimate, sample_is_run, IsConfig, IsRun, PreparedRun};
 use imc_sim::{monte_carlo, SmcConfig};
-use imcis_core::{imcis, ImcisConfig};
+use imcis_core::{
+    estimator_for, ImcisOutcome, ImcisSpec, Method, OutcomeDetail, RunContext, SampleSpec,
+    SearchSpec,
+};
 use rand::SeedableRng;
 
 /// The thread counts under test: `IMCIS_DETERMINISM_THREADS` (a single
@@ -177,29 +177,56 @@ fn monte_carlo_is_bit_identical_across_thread_counts() {
     }
 }
 
+/// The two-step fixture as an IMCIS setup: its IS chain `B` over an IMC
+/// that widens its chain `A` by 0.01 per transition.
+fn two_step_imcis_setup() -> Setup {
+    let (center, b, property) = two_step();
+    let imc = Imc::from_center(&center, |_, _| 0.01).unwrap();
+    Setup {
+        name: "two-step".into(),
+        imc,
+        center,
+        b,
+        property,
+        gamma_center: None,
+        gamma_exact: None,
+    }
+}
+
+/// One IMCIS run from seed 5 through the public estimator, with the
+/// engine thread budgets in `ctx`.
+fn run_imcis(setup: &Setup, search: SearchSpec, ctx: RunContext) -> ImcisOutcome {
+    let spec = ImcisSpec {
+        sample: SampleSpec {
+            n_traces: 2_000,
+            ..SampleSpec::default()
+        },
+        r_undefeated: 100,
+        r_max: 5_000,
+        search,
+        ..ImcisSpec::default()
+    };
+    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+    let outcome = estimator_for(&Method::Imcis(spec))
+        .estimate(setup, &ctx, &mut rng)
+        .unwrap();
+    match outcome.detail {
+        OutcomeDetail::Imcis(out) => out,
+        _ => unreachable!("the IMCIS estimator yields IMCIS outcomes"),
+    }
+}
+
 #[test]
 fn imcis_pipeline_is_deterministic_across_thread_counts() {
     // End to end: sampling (parallel) + optimisation (sequential, shares
     // the caller RNG) must give bit-identical confidence intervals.
-    let (_, b, prop) = two_step();
-    let mut builder = DtmcBuilder::new(4);
-    builder
-        .add_transition(0, 1, 0.1)
-        .add_transition(0, 3, 0.9)
-        .add_transition(1, 2, 0.2)
-        .add_transition(1, 0, 0.7)
-        .add_transition(1, 3, 0.1)
-        .add_self_loop(2)
-        .add_self_loop(3);
-    let center = builder.build().unwrap();
-    let imc = Imc::from_center(&center, |_, _| 0.01).unwrap();
+    let setup = two_step_imcis_setup();
     let run = |threads: usize| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let config = ImcisConfig::new(2_000, 0.05)
-            .with_r_undefeated(100)
-            .with_r_max(5_000)
-            .with_threads(threads);
-        imcis(&imc, &b, &prop, &config, &mut rng).unwrap()
+        let ctx = RunContext {
+            threads,
+            search_threads: 0,
+        };
+        run_imcis(&setup, SearchSpec::Sequential, ctx)
     };
     let reference = run(1);
     for threads in thread_counts() {
@@ -322,26 +349,13 @@ fn search_batched_matches_sequential_bracket() {
 fn imcis_batched_pipeline_is_deterministic_across_search_threads() {
     // End to end with the batched strategy: sampling threads fixed, search
     // threads swept — the CI must be bit-identical at every count.
-    let (_, b, prop) = two_step();
-    let mut builder = DtmcBuilder::new(4);
-    builder
-        .add_transition(0, 1, 0.1)
-        .add_transition(0, 3, 0.9)
-        .add_transition(1, 2, 0.2)
-        .add_transition(1, 0, 0.7)
-        .add_transition(1, 3, 0.1)
-        .add_self_loop(2)
-        .add_self_loop(3);
-    let center = builder.build().unwrap();
-    let imc = Imc::from_center(&center, |_, _| 0.01).unwrap();
+    let setup = two_step_imcis_setup();
     let run = |threads: usize| {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-        let config = ImcisConfig::new(2_000, 0.05)
-            .with_r_undefeated(100)
-            .with_r_max(5_000)
-            .with_batched_search(32)
-            .with_search_threads(threads);
-        imcis(&imc, &b, &prop, &config, &mut rng).unwrap()
+        let ctx = RunContext {
+            threads: 0,
+            search_threads: threads,
+        };
+        run_imcis(&setup, SearchSpec::Batched { batch_size: 32 }, ctx)
     };
     let reference = run(1);
     for threads in thread_counts() {

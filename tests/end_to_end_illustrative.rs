@@ -2,18 +2,18 @@
 //! illustrative model: standard IS is confidently wrong, IMCIS brackets
 //! both the learnt and the true probability.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use imc_markov::StateSet;
-use imc_models::illustrative;
+use imc_models::{illustrative, Setup};
 use imc_numeric::SolveOptions;
 use imc_sampling::zero_variance_is;
-use imcis_core::{imcis, standard_is, ImcisConfig};
+use imcis_core::{
+    estimator_for, ImcisOutcome, ImcisSpec, Method, MethodOutcome, OutcomeDetail, RunContext,
+    SampleSpec, SessionError,
+};
+use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn paper_setup() -> (imc_markov::Imc, imc_markov::Dtmc, imc_logic::Property) {
+fn paper_setup() -> Setup {
     let center = illustrative::dtmc(illustrative::A_HAT, illustrative::C_HAT);
     let b = zero_variance_is(
         &center,
@@ -22,32 +22,64 @@ fn paper_setup() -> (imc_markov::Imc, imc_markov::Dtmc, imc_logic::Property) {
         &SolveOptions::default(),
     )
     .expect("target reachable");
-    (
-        illustrative::paper_imc().expect("paper IMC consistent"),
+    Setup {
+        name: "illustrative".into(),
+        imc: illustrative::paper_imc().expect("paper IMC consistent"),
+        center,
         b,
-        illustrative::property(),
-    )
+        property: illustrative::property(),
+        gamma_center: None,
+        gamma_exact: None,
+    }
+}
+
+fn imcis_spec(n_traces: usize, r_undefeated: usize, r_max: usize) -> ImcisSpec {
+    ImcisSpec {
+        sample: SampleSpec {
+            n_traces,
+            ..SampleSpec::default()
+        },
+        r_undefeated,
+        r_max,
+        ..ImcisSpec::default()
+    }
+}
+
+/// One run of `method` on the caller's RNG, through its public estimator.
+fn estimate(
+    setup: &Setup,
+    method: Method,
+    rng: &mut StdRng,
+) -> Result<MethodOutcome, SessionError> {
+    estimator_for(&method).estimate(setup, &RunContext::default(), rng)
+}
+
+fn run_imcis(setup: &Setup, spec: ImcisSpec, rng: &mut StdRng) -> ImcisOutcome {
+    match estimate(setup, Method::Imcis(spec), rng)
+        .expect("IMCIS succeeds")
+        .detail
+    {
+        OutcomeDetail::Imcis(out) => out,
+        _ => unreachable!("the IMCIS estimator yields IMCIS outcomes"),
+    }
 }
 
 #[test]
 fn imcis_covers_truth_where_is_fails() {
-    let (imc, b, property) = paper_setup();
+    let setup = paper_setup();
     let gamma = illustrative::gamma(illustrative::A_TRUE, illustrative::C_TRUE);
     let gamma_center = illustrative::gamma(illustrative::A_HAT, illustrative::C_HAT);
-    let config = ImcisConfig::new(4000, 0.05)
-        .with_r_undefeated(300)
-        .with_r_max(30_000);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let spec = imcis_spec(4000, 300, 30_000);
+    let mut rng = StdRng::seed_from_u64(1);
 
-    let center = illustrative::dtmc(illustrative::A_HAT, illustrative::C_HAT);
-    let is = standard_is(&center, &b, &property, &config, &mut rng);
+    let is = estimate(&setup, Method::StandardIs(spec.sample), &mut rng).expect("IS succeeds");
     assert!(
         is.ci.width() < 1e-12,
         "perfect IS CI degenerates to a point"
     );
     assert!(!is.ci.contains(gamma), "IS misses the true γ");
 
-    let out = imcis(&imc, &b, &property, &config, &mut rng).expect("IMCIS succeeds");
+    let out = run_imcis(&setup, spec, &mut rng);
     assert!(
         out.ci.contains(gamma),
         "IMCIS CI {} misses γ = {gamma:e}",
@@ -65,12 +97,9 @@ fn imcis_covers_truth_where_is_fails() {
 #[test]
 fn imcis_bracket_approaches_paper_values() {
     // Paper Table II: IMCIS mean 95%-CI ≈ [0.249e-5, 2.7e-5].
-    let (imc, b, property) = paper_setup();
-    let config = ImcisConfig::new(10_000, 0.05)
-        .with_r_undefeated(500)
-        .with_r_max(50_000);
-    let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-    let out = imcis(&imc, &b, &property, &config, &mut rng).expect("IMCIS succeeds");
+    let setup = paper_setup();
+    let mut rng = StdRng::seed_from_u64(7);
+    let out = run_imcis(&setup, imcis_spec(10_000, 500, 50_000), &mut rng);
     assert!(
         (2e-6..4e-6).contains(&out.ci.lo()),
         "lower bound {} out of the paper's ballpark",
@@ -88,30 +117,18 @@ fn forced_sampling_matches_closed_form_quality() {
     // The paper-verbatim search (all rows sampled) must approach the same
     // extrema as the closed-form fast path; the closed form is exact, so
     // the search result can only be (slightly) inside it.
-    let (imc, b, property) = paper_setup();
-    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let fast = imcis(
-        &imc,
-        &b,
-        &property,
-        &ImcisConfig::new(2000, 0.05)
-            .with_r_undefeated(200)
-            .with_r_max(20_000),
+    let setup = paper_setup();
+    let mut rng = StdRng::seed_from_u64(3);
+    let fast = run_imcis(&setup, imcis_spec(2000, 200, 20_000), &mut rng);
+    let mut rng = StdRng::seed_from_u64(3);
+    let verbatim = run_imcis(
+        &setup,
+        ImcisSpec {
+            force_sampling: true,
+            ..imcis_spec(2000, 200, 20_000)
+        },
         &mut rng,
-    )
-    .expect("fast path succeeds");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-    let verbatim = imcis(
-        &imc,
-        &b,
-        &property,
-        &ImcisConfig::new(2000, 0.05)
-            .with_r_undefeated(200)
-            .with_r_max(20_000)
-            .with_forced_sampling(),
-        &mut rng,
-    )
-    .expect("verbatim path succeeds");
+    );
     assert!(verbatim.gamma_min >= fast.gamma_min * 0.999);
     assert!(verbatim.gamma_max <= fast.gamma_max * 1.001);
     // The search only partially converges at this budget — the paper's own

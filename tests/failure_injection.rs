@@ -1,27 +1,57 @@
 //! Failure injection across the workspace: invalid models are rejected
 //! with precise errors, degenerate inputs are handled gracefully, and
 //! budgets actually bound work — and the same failure matrix driven
-//! through the modern `RunSpec → Session` and `SuiteSpec → Suite` paths
-//! yields typed errors with the same root causes as the legacy
-//! free-function entry points.
+//! through the `RunSpec → Session` and `SuiteSpec → Suite` paths yields
+//! typed errors with the same root causes as the model parser and the
+//! engines underneath.
 //!
 //! This binary deliberately never sets `IMCIS_FAULT_INJECTION`: it also
 //! pins the refusal of `fault` blocks without the opt-in.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use imc_ctmc::{CtmcBuilder, CtmcError, CtmcModel, ExploreError};
 use imc_distr::{ConstrainedRowSampler, DistrError, IntervalSpec};
 use imc_learn::{learn_dtmc, CountTable, LearnError, LearnOptions};
 use imc_logic::Property;
-use imc_markov::{io, DtmcBuilder, Imc, ImcBuilder, ModelError, StateSet};
+use imc_markov::{io, Dtmc, DtmcBuilder, Imc, ImcBuilder, ModelError, StateSet};
+use imc_models::Setup;
 use imc_numeric::{reach_avoid_probs, SolveError, SolveOptions};
 use imc_optim::{OptimError, Problem};
 use imc_sampling::{sample_is_run, IsConfig};
-use imcis_core::{imcis, ImcisConfig, ImcisError, RunSpec, Session, Suite, SuiteSpec};
+use imcis_core::{
+    estimator_for, ImcisError, ImcisSpec, Method, MethodOutcome, RunContext, RunSpec, SampleSpec,
+    Session, SessionError, Suite, SuiteSpec,
+};
+use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// One IMCIS run of `n_traces` traces and the default search budget over
+/// `imc` under the IS chain `b`, on the caller's RNG, through the public
+/// estimator.
+fn run_imcis(
+    imc: Imc,
+    b: Dtmc,
+    property: Property,
+    n_traces: usize,
+    rng: &mut StdRng,
+) -> Result<MethodOutcome, SessionError> {
+    let setup = Setup {
+        name: "ad hoc".into(),
+        imc,
+        center: b.clone(),
+        b,
+        property,
+        gamma_center: None,
+        gamma_exact: None,
+    };
+    let spec = ImcisSpec {
+        sample: SampleSpec {
+            n_traces,
+            ..SampleSpec::default()
+        },
+        ..ImcisSpec::default()
+    };
+    estimator_for(&Method::Imcis(spec)).estimate(&setup, &RunContext::default(), rng)
+}
 
 #[test]
 fn invalid_models_are_rejected_eagerly() {
@@ -104,10 +134,10 @@ fn optimiser_rejects_support_mismatch() {
         OptimError::SupportMismatch { from: 0, to: 1 }
     ));
     // And the error propagates through the full pipeline.
-    let err = imcis(&imc, &b, &property, &ImcisConfig::new(100, 0.05), &mut rng).unwrap_err();
+    let err = run_imcis(imc, b, property, 100, &mut rng).unwrap_err();
     assert!(matches!(
         err,
-        ImcisError::Optim(OptimError::SupportMismatch { .. })
+        SessionError::Imcis(ImcisError::Optim(OptimError::SupportMismatch { .. }))
     ));
 }
 
@@ -223,9 +253,9 @@ fn model_errors_have_parity_between_legacy_and_session_paths() {
     );
 }
 
-/// The degenerate zero-success estimation the legacy test pins above is
-/// equally well-defined through the Session and Suite paths — and the
-/// two modern paths agree byte-for-byte.
+/// The degenerate zero-success estimation `zero_success_imcis_is_well_defined`
+/// pins for one engine run is equally well-defined through the Session
+/// and Suite paths — and the two paths agree byte-for-byte.
 #[test]
 fn zero_success_estimation_is_well_defined_through_the_session_path() {
     // The goal needs two steps but the property is bounded at one:
@@ -301,14 +331,8 @@ fn zero_success_imcis_is_well_defined() {
     let property =
         Property::reach_avoid(StateSet::from_states(3, [1]), StateSet::from_states(3, [2]));
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-    let out = imcis(
-        &imc,
-        &chain,
-        &property,
-        &ImcisConfig::new(100, 0.05),
-        &mut rng,
-    )
-    .expect("degenerate run still succeeds");
+    let out =
+        run_imcis(imc, chain, property, 100, &mut rng).expect("degenerate run still succeeds");
     assert_eq!((out.ci.lo(), out.ci.hi()), (0.0, 0.0));
     assert_eq!(out.n_success, 0);
 }

@@ -1,20 +1,48 @@
 //! The full learning-to-verification pipeline of the paper: logs → learnt
 //! IMC → IMCIS confidence interval that is honest about the hidden truth.
 
-// Deliberately drives the deprecated free-function entry points: these
-// reproduction artefacts pin the legacy API until it is removed (the
-// Session layer shares the same engines bit-for-bit).
-#![allow(deprecated)]
 use imc_learn::{
     learn_dtmc, learn_imc, learn_imc_with_support, CountTable, LearnOptions, Smoothing,
 };
-use imc_markov::{DtmcBuilder, StateSet};
-use imc_models::swat;
+use imc_logic::Property;
+use imc_markov::{Dtmc, DtmcBuilder, Imc, StateSet};
+use imc_models::{swat, Setup};
 use imc_numeric::bounded_reach_probs;
 use imc_sampling::failure_bias;
 use imc_sim::{random_walk, ChainSampler};
-use imcis_core::{imcis, ImcisConfig};
+use imcis_core::{
+    estimator_for, ImcisOutcome, ImcisSpec, Method, OutcomeDetail, RunContext, SampleSpec,
+};
+use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// One IMCIS run of `spec` over `imc` under the IS chain `b`, on the
+/// caller's RNG, through the public estimator.
+fn run_imcis(
+    imc: Imc,
+    center: Dtmc,
+    b: Dtmc,
+    property: Property,
+    spec: ImcisSpec,
+    rng: &mut StdRng,
+) -> ImcisOutcome {
+    let setup = Setup {
+        name: "learnt".into(),
+        imc,
+        center,
+        b,
+        property,
+        gamma_center: None,
+        gamma_exact: None,
+    };
+    let outcome = estimator_for(&Method::Imcis(spec))
+        .estimate(&setup, &RunContext::default(), rng)
+        .expect("IMCIS succeeds");
+    match outcome.detail {
+        OutcomeDetail::Imcis(out) => out,
+        _ => unreachable!("the IMCIS estimator yields IMCIS outcomes"),
+    }
+}
 
 #[test]
 fn learnt_imc_contains_the_generating_chain() {
@@ -107,11 +135,17 @@ fn swat_pipeline_end_to_end_honest_about_hidden_truth() {
     let property = swat::property(&center);
     let gamma_truth = bounded_reach_probs(&truth, truth.labeled_states("high"), swat::STEP_BOUND)
         [truth.initial()];
-    let config = ImcisConfig::new(6000, 0.01)
-        .with_r_undefeated(300)
-        .with_r_max(20_000)
-        .with_max_steps(1000);
-    let out = imcis(&imc, &b, &property, &config, &mut rng).expect("IMCIS succeeds");
+    let spec = ImcisSpec {
+        sample: SampleSpec {
+            n_traces: 6000,
+            delta: 0.01,
+            max_steps: 1000,
+        },
+        r_undefeated: 300,
+        r_max: 20_000,
+        ..ImcisSpec::default()
+    };
+    let out = run_imcis(imc, center, b, property, spec, &mut rng);
     assert!(out.n_success > 500, "biased chain produces successes");
     assert!(
         out.ci.contains(gamma_truth),
@@ -155,16 +189,23 @@ fn more_data_narrows_the_imcis_interval() {
         )
         .expect("learning succeeds");
         let center = imc.center().expect("centred").clone();
-        let out = imcis(
-            &imc,
-            &center,
-            &property,
-            &ImcisConfig::new(3000, 0.05)
-                .with_r_undefeated(200)
-                .with_r_max(10_000),
+        let spec = ImcisSpec {
+            sample: SampleSpec {
+                n_traces: 3000,
+                ..SampleSpec::default()
+            },
+            r_undefeated: 200,
+            r_max: 10_000,
+            ..ImcisSpec::default()
+        };
+        let out = run_imcis(
+            imc,
+            center.clone(),
+            center,
+            property.clone(),
+            spec,
             &mut rng,
-        )
-        .expect("IMCIS succeeds");
+        );
         widths.push(out.gamma_max - out.gamma_min);
     }
     assert!(

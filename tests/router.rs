@@ -90,6 +90,25 @@ fn tiny_suite(seed: u64) -> SuiteSpec {
     .unwrap()
 }
 
+/// [`tiny_suite`] over `group-repair` with mixture weight `w`.
+fn group_repair_suite(w: f64) -> SuiteSpec {
+    format!(
+        r#"{{
+            "runs": [
+                {{"scenario": {{"name": "group-repair", "params": {{"w": {w}}}}},
+                 "method": {{"name": "smc", "n_traces": 200}},
+                 "seed": 41, "threads": 1}},
+                {{"scenario": {{"name": "group-repair", "params": {{"w": {w}}}}},
+                 "method": {{"name": "standard-is", "n_traces": 200}},
+                 "seed": 41, "threads": 1}}
+            ],
+            "threads": 1
+        }}"#
+    )
+    .parse()
+    .unwrap()
+}
+
 /// Acceptance criterion: a routed suite is `cmp`-identical to the
 /// `imcis suite` batch artefact regardless of which backend ran it —
 /// at backend counts 1, 2 and 3, with member reports reassembling
@@ -376,20 +395,18 @@ impl MockBackend {
 #[test]
 fn a_backend_dying_mid_job_fails_over_byte_identically() {
     let (daemon_addr, daemon_handle) = spawn_daemon(2, 16);
-    let spec = tiny_suite(41);
-    let fingerprint = dominant_cache_fingerprint(&spec);
-
-    // Ephemeral ports randomise ring placement; rebind the mock until
-    // it is the job's FIRST choice, so the kill is guaranteed to hit
-    // the stream the client is being served from.
-    let mock = (0..64)
-        .map(|_| MockBackend::spawn())
-        .find(|mock| {
-            let addrs = vec![mock.addr.to_string(), daemon_addr.to_string()];
-            HashRing::new(&addrs).preference(fingerprint)[0] == 0
-        })
-        .expect("64 ephemeral ports never hashed ahead of the daemon");
+    let mock = MockBackend::spawn();
     let addrs = vec![mock.addr.to_string(), daemon_addr.to_string()];
+
+    // Ephemeral ports randomise ring placement; pick the first job whose
+    // key puts the mock FIRST, so the kill is guaranteed to hit the
+    // stream the client is being served from. Each mixture weight is a
+    // distinct scenario cache key, so each lands at its own ring point.
+    let ring = HashRing::new(&addrs);
+    let spec = (0..64)
+        .map(|k| group_repair_suite(0.5 + k as f64 / 128.0))
+        .find(|spec| ring.preference(dominant_cache_fingerprint(spec))[0] == 0)
+        .expect("64 distinct cache keys never hashed to the mock first");
     let (router_addr, router_handle) = spawn_router(addrs);
 
     let mut client = Client::connect(router_addr).unwrap();
