@@ -1,9 +1,14 @@
 //! Engine scaling experiment: traces/sec of the parallel batch sampler at
-//! increasing thread counts, candidate-evals/sec of the prepared vs naive
-//! estimator hot path, candidate-rounds/sec of the sequential vs
-//! batched random-search engines, and the streaming CSR build throughput
-//! of the million-state repair fleet (states/sec + peak RSS) — the perf
-//! trajectory artefact behind the parallel-engine and sparse-kernel PRs.
+//! increasing thread counts, candidate-evals/sec of the naive, prepared
+//! and lane-blocked estimator hot paths, candidate-rounds/sec of the
+//! sequential vs batched random-search engines, and the streaming CSR
+//! build throughput of the million-state repair fleet (states/sec + peak
+//! RSS) — the perf trajectory artefact behind the parallel-engine,
+//! sparse-kernel and lane-kernel changes.
+//!
+//! The search axis runs on the zero-variance problem, where every table
+//! touches a closed-form row: it shows the lane blocking of the batched
+//! search without the kernel's min/max term sharing.
 //!
 //! Emits `BENCH_parallel.json` in the working directory (plus a printed
 //! table) so future changes have a baseline to beat. Accepts the usual
@@ -13,7 +18,7 @@ use std::time::Instant;
 
 use imc_models::scenario::group_repair_setup;
 use imc_models::{group_repair, GroupRepairIs, Setup};
-use imc_optim::{random_search, BatchSearch, Problem, RandomSearchConfig};
+use imc_optim::{random_search, BatchSearch, Problem, RandomSearchConfig, LANES};
 use imc_sampling::{is_estimate, sample_is_run, IsConfig, IsRun, PreparedRun};
 use imc_sim::parallel::available_threads;
 use imcis_bench::{print_table, sci, Scale};
@@ -100,22 +105,55 @@ fn main() {
         eval_identical &= naive.gamma_hat.to_bits() == fast.gamma_hat.to_bits()
             && naive.sigma_hat.to_bits() == fast.sigma_hat.to_bits();
     }
-    let time_evals = |mut f: Box<dyn FnMut(&imc_markov::Dtmc)>| -> f64 {
+    // The lane kernel over the same candidates, LANES chains per call: fill
+    // each lane from its chain, evaluate the block, take each lane's
+    // moments. Every lane must equal the one-chain path by bits.
+    let blocked_pass = |out: &mut Vec<(f64, f64)>| {
+        out.clear();
+        let mut log_a = Vec::new();
+        let mut lanes = vec![[0.0f64; LANES]; prepared.num_transitions()];
+        for block in candidates.chunks(LANES) {
+            for (lane, a) in block.iter().enumerate() {
+                prepared.log_probs_into(a, &mut log_a);
+                for (slot, &v) in lanes.iter_mut().zip(&log_a) {
+                    slot[lane] = v;
+                }
+            }
+            let sums = prepared.eval_lanes(&lanes, &lanes, &[]);
+            for lane in 0..block.len() {
+                out.push(prepared.moments(sums.f_min[lane], sums.g_min[lane]));
+            }
+        }
+    };
+    let mut blocked = Vec::new();
+    blocked_pass(&mut blocked);
+    let blocked_identical = candidates.iter().zip(&blocked).all(|(a, &(gamma, sigma))| {
+        let fast = prepared.estimate(a, 0.05);
+        fast.gamma_hat.to_bits() == gamma.to_bits() && fast.sigma_hat.to_bits() == sigma.to_bits()
+    });
+    // Candidate-evals/sec of repeated passes over all candidates.
+    let time_evals = |mut pass: Box<dyn FnMut() + '_>| -> f64 {
         let start = Instant::now();
         let mut evals = 0usize;
         while start.elapsed().as_secs_f64() < 1.0 {
-            for a in &candidates {
-                f(a);
-            }
+            pass();
             evals += candidates.len();
         }
         evals as f64 / start.elapsed().as_secs_f64()
     };
-    let naive_rate = time_evals(Box::new(|a| {
-        std::hint::black_box(is_estimate(a, &setup.b, &run, 0.05));
+    let naive_rate = time_evals(Box::new(|| {
+        for a in &candidates {
+            std::hint::black_box(is_estimate(a, &setup.b, &run, 0.05));
+        }
     }));
-    let prepared_rate = time_evals(Box::new(|a| {
-        std::hint::black_box(prepared.estimate(a, 0.05));
+    let prepared_rate = time_evals(Box::new(|| {
+        for a in &candidates {
+            std::hint::black_box(prepared.estimate(a, 0.05));
+        }
+    }));
+    let blocked_rate = time_evals(Box::new(|| {
+        blocked_pass(&mut blocked);
+        std::hint::black_box(&blocked);
     }));
 
     // --- Axis 3: candidate search, sequential vs batched ----------------
@@ -140,10 +178,7 @@ fn main() {
         let out = BatchSearch::new(threads, batch_size)
             .run(&problem, &search_config, scale.seed)
             .expect("batched search succeeds");
-        search_bit_identical &= out.f_min.to_bits() == search_reference.f_min.to_bits()
-            && out.f_max.to_bits() == search_reference.f_max.to_bits()
-            && out.min_found_at == search_reference.min_found_at
-            && out.max_found_at == search_reference.max_found_at;
+        search_bit_identical &= out.bit_identical(&search_reference);
     }
 
     // Then throughput: candidate-rounds/sec over repeated full searches.
@@ -220,12 +255,22 @@ fn main() {
         &[
             vec!["naive".to_string(), sci(naive_rate)],
             vec!["prepared".to_string(), sci(prepared_rate)],
+            vec![format!("blocked ({LANES} lanes)"), sci(blocked_rate)],
         ],
     );
     println!(
         "prepared speedup: {:.2}x; bit-identical estimates: {}",
         prepared_rate / naive_rate,
         if eval_identical { "yes" } else { "NO — BUG" }
+    );
+    println!(
+        "blocked vs prepared: {:.2}x; bit-identical lanes: {}",
+        blocked_rate / prepared_rate,
+        if blocked_identical {
+            "yes"
+        } else {
+            "NO — BUG"
+        }
     );
     println!();
     println!(
@@ -278,7 +323,8 @@ fn main() {
          \"candidate_eval\": {{\n    \"candidates\": {},\n    \"tables\": {},\n    \
          \"distinct_transitions\": {},\n    \"naive_evals_per_sec\": {:.1},\n    \
          \"prepared_evals_per_sec\": {:.1},\n    \"speedup\": {:.3},\n    \
-         \"bit_identical\": {}\n  }},\n  \
+         \"bit_identical\": {},\n    \"blocked_evals_per_sec\": {:.1},\n    \
+         \"blocked_speedup\": {:.3},\n    \"blocked_bit_identical\": {}\n  }},\n  \
          \"candidate_search\": {{\n    \"sampled_rows\": {},\n    \"rounds_per_search\": {},\n    \
          \"batch_size\": {},\n    \"sequential_rounds_per_sec\": {:.1},\n    \
          \"batched_rounds_per_sec\": {:.1},\n    \"speedup\": {:.3},\n    \
@@ -298,6 +344,9 @@ fn main() {
         prepared_rate,
         prepared_rate / naive_rate,
         eval_identical,
+        blocked_rate,
+        blocked_rate / prepared_rate,
+        blocked_identical,
         problem.num_sampled_rows(),
         search_budget,
         batch_size,

@@ -1,14 +1,23 @@
 //! Batched deterministic candidate search: the parallel counterpart of
 //! [`random_search`](crate::random_search) (Algorithm 2).
 //!
-//! PR 1 made trace sampling parallel and candidate evaluation ~15× cheaper,
-//! leaving the sequential candidate loop as the last hot path of the IMCIS
-//! pipeline. [`BatchSearch`] removes it: candidates are drawn in **rounds
-//! of `batch_size`**, fanned across a [`std::thread::scope`] pool with the
-//! same counter-based RNG discipline as [`imc_sim::BatchRunner`] — the
-//! candidate at global index `i` always draws from
-//! `StdRng::seed_from_u64(stream_seed(master_seed, i))`, a pure function of
-//! the search seed and the index, never of the worker that evaluates it.
+//! [`BatchSearch`] draws candidates in **rounds of `batch_size`**, fanned
+//! across a [`std::thread::scope`] pool with the same counter-based RNG
+//! discipline as [`imc_sim::BatchRunner`] — the candidate at global index
+//! `i` always draws from `StdRng::seed_from_u64(stream_seed(master_seed,
+//! i))`, a pure function of the search seed and the index, never of the
+//! worker that evaluates it.
+//!
+//! # Lane blocks
+//!
+//! Each worker draws its share of a round in index order into the
+//! [`LANES`] lanes of its [`CandidateScratch`] and evaluates each block of
+//! up to `LANES` candidates in one pass over the count tables
+//! ([`PreparedRun::eval_lanes`](imc_sampling::PreparedRun::eval_lanes)),
+//! which also shares the min- and max-template terms of every table the
+//! two templates agree on. Each lane is bit-identical to evaluating its
+//! candidate alone, so the blocking changes the cost of a round, never its
+//! values. What remains per candidate is mostly the Dirichlet row draw.
 //!
 //! # The determinism merge rule
 //!
@@ -32,14 +41,17 @@
 //!   fires at round ends, adding up to `batch_size − 1` more);
 //! * the Dirichlet row samplers' λ-inflation (§IV-C1) is reset per
 //!   candidate instead of adapting across the candidate stream (see
-//!   [`Problem::draw_and_eval_with`]).
+//!   [`Problem::draw_lane`]).
+
+use std::ops::Range;
 
 use imc_sim::parallel::{partition, resolve_threads};
 use imc_sim::trace_rng;
 use rand::Rng;
 
+use crate::problem::{CandidateEval, CandidateScratch, Draw};
 use crate::random_search::{random_search, ConvergencePoint, OptimOutcome, RandomSearchConfig};
-use crate::{CandidateScratch, OptimError, Problem};
+use crate::{OptimError, Problem};
 
 /// Which candidate-search engine the IMCIS pipeline runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -71,6 +83,12 @@ impl SearchStrategy {
 /// small enough that the stopping rule stays within a few percent of the
 /// sequential candidate budget at the paper's `R = 1000`.
 pub const DEFAULT_BATCH_SIZE: usize = 64;
+
+/// Candidates a [`BatchSearch`] worker draws into its lane buffers and
+/// evaluates in one
+/// [`PreparedRun::eval_lanes`](imc_sampling::PreparedRun::eval_lanes)
+/// call. Any width gives the same bits; this one sets the block's cost.
+pub const LANES: usize = 8;
 
 /// The batched deterministic candidate-search engine.
 ///
@@ -109,60 +127,81 @@ struct RoundBest {
 }
 
 impl RoundBest {
-    /// Folds candidate `index` (drawn from its own RNG stream) into the
-    /// running extrema.
-    fn eval_candidate(
+    /// Draws and evaluates candidates `indices`, each from its own RNG
+    /// stream, and folds them into the running extrema in index order.
+    ///
+    /// Candidates go through the scratch's lanes [`LANES`] at a time and
+    /// each block is evaluated in one kernel call; a partial block's unused
+    /// lanes are ignored, and a failed draw skips its lane and records its
+    /// error at its own index.
+    fn eval_candidates(
         &mut self,
         problem: &Problem,
         scratch: &mut CandidateScratch,
         master_seed: u64,
-        index: u64,
+        indices: Range<u64>,
     ) {
-        let mut rng = trace_rng(master_seed, index);
-        match problem.draw_and_eval_with(scratch, &mut rng) {
-            Ok(eval) => {
-                // Decide both replacements before building candidates, so
-                // the draw is cloned only when this candidate actually
-                // takes a slot (losing candidates — the vast majority —
-                // cost no allocation).
-                let wins_min = self
-                    .best_min
-                    .as_ref()
-                    .is_none_or(|b| eval.f_min < b.f || (eval.f_min == b.f && index < b.index));
-                let wins_max = self
-                    .best_max
-                    .as_ref()
-                    .is_none_or(|b| eval.f_max > b.f || (eval.f_max == b.f && index < b.index));
-                if wins_min && wins_max {
-                    self.best_min = Some(Candidate {
-                        f: eval.f_min,
-                        g: eval.g_min,
-                        index,
-                        draw: eval.draw.clone(),
-                    });
-                    self.best_max = Some(Candidate {
-                        f: eval.f_max,
-                        g: eval.g_max,
-                        index,
-                        draw: eval.draw,
-                    });
-                } else if wins_min {
-                    self.best_min = Some(Candidate {
-                        f: eval.f_min,
-                        g: eval.g_min,
-                        index,
-                        draw: eval.draw,
-                    });
-                } else if wins_max {
-                    self.best_max = Some(Candidate {
-                        f: eval.f_max,
-                        g: eval.g_max,
-                        index,
-                        draw: eval.draw,
-                    });
+        let mut first = indices.start;
+        while first < indices.end {
+            let block = first..indices.end.min(first + LANES as u64);
+            let mut draws: [Option<Draw>; LANES] = Default::default();
+            for (lane, index) in block.clone().enumerate() {
+                let mut rng = trace_rng(master_seed, index);
+                match problem.draw_lane(scratch, lane, &mut rng) {
+                    Ok(draw) => draws[lane] = Some(draw),
+                    Err(e) => self.record_error(index, e),
                 }
             }
-            Err(e) => self.record_error(index, e),
+            let sums = problem.eval_block(scratch);
+            for ((lane, index), draw) in block.clone().enumerate().zip(draws) {
+                if let Some(draw) = draw {
+                    self.fold(index, CandidateEval::from_lane(&sums, lane, draw));
+                }
+            }
+            first = block.end;
+        }
+    }
+
+    /// Folds evaluated candidate `index` into the running extrema.
+    fn fold(&mut self, index: u64, eval: CandidateEval) {
+        // Decide both replacements before building candidates, so the draw
+        // is cloned only when this candidate actually takes a slot (losing
+        // candidates — the vast majority — cost no allocation).
+        let wins_min = self
+            .best_min
+            .as_ref()
+            .is_none_or(|b| eval.f_min < b.f || (eval.f_min == b.f && index < b.index));
+        let wins_max = self
+            .best_max
+            .as_ref()
+            .is_none_or(|b| eval.f_max > b.f || (eval.f_max == b.f && index < b.index));
+        if wins_min && wins_max {
+            self.best_min = Some(Candidate {
+                f: eval.f_min,
+                g: eval.g_min,
+                index,
+                draw: eval.draw.clone(),
+            });
+            self.best_max = Some(Candidate {
+                f: eval.f_max,
+                g: eval.g_max,
+                index,
+                draw: eval.draw,
+            });
+        } else if wins_min {
+            self.best_min = Some(Candidate {
+                f: eval.f_min,
+                g: eval.g_min,
+                index,
+                draw: eval.draw,
+            });
+        } else if wins_max {
+            self.best_max = Some(Candidate {
+                f: eval.f_max,
+                g: eval.g_max,
+                index,
+                draw: eval.draw,
+            });
         }
     }
 
@@ -385,18 +424,20 @@ fn eval_round(
     let workers = scratches.len().min(count.max(1));
     let mut merged = RoundBest::default();
     if workers <= 1 {
-        let scratch = &mut scratches[0];
-        for i in 0..count {
-            merged.eval_candidate(problem, scratch, master_seed, first + i as u64);
-        }
+        merged.eval_candidates(
+            problem,
+            &mut scratches[0],
+            master_seed,
+            first..first + count as u64,
+        );
     } else {
         let mut slots: Vec<RoundBest> = (0..workers).map(|_| RoundBest::default()).collect();
         std::thread::scope(|scope| {
             for ((w, slot), scratch) in slots.iter_mut().enumerate().zip(scratches.iter_mut()) {
                 scope.spawn(move || {
-                    for i in partition(count, workers, w) {
-                        slot.eval_candidate(problem, scratch, master_seed, first + i as u64);
-                    }
+                    let part = partition(count, workers, w);
+                    let indices = first + part.start as u64..first + part.end as u64;
+                    slot.eval_candidates(problem, scratch, master_seed, indices);
                 });
             }
         });
@@ -444,7 +485,7 @@ mod tests {
     use imc_logic::Property;
     use imc_markov::{Dtmc, DtmcBuilder, Imc, StateSet};
     use imc_numeric::SolveOptions;
-    use imc_sampling::{sample_is_run, zero_variance_is, IsConfig, IsRun};
+    use imc_sampling::{sample_is_run, zero_variance_is, IsConfig, IsRun, LaneSums};
     use rand::SeedableRng;
 
     /// Illustrative chain IMC with both rows genuinely searchable (same
@@ -480,19 +521,6 @@ mod tests {
         (imc, b, run)
     }
 
-    fn outcomes_identical(a: &OptimOutcome, b: &OptimOutcome) -> bool {
-        a.f_min.to_bits() == b.f_min.to_bits()
-            && a.g_min.to_bits() == b.g_min.to_bits()
-            && a.f_max.to_bits() == b.f_max.to_bits()
-            && a.g_max.to_bits() == b.g_max.to_bits()
-            && a.rounds == b.rounds
-            && a.min_found_at == b.min_found_at
-            && a.max_found_at == b.max_found_at
-            && a.rows_min == b.rows_min
-            && a.rows_max == b.rows_max
-            && a.trace == b.trace
-    }
-
     #[test]
     fn batched_search_is_bit_identical_across_thread_counts() {
         let (imc, b, run) = setup(1500);
@@ -502,24 +530,28 @@ mod tests {
             r_max: 5_000,
             record_trace: true,
         };
-        let reference = BatchSearch::new(1, 32)
-            .run(&problem, &config, 2018)
-            .unwrap();
-        assert!(reference.f_min < reference.f_max);
-        for threads in [2usize, 8] {
-            let out = BatchSearch::new(threads, 32)
+        // 13 is not a multiple of the lane width: workers end their share
+        // of every round on a partial block.
+        for batch_size in [32usize, 13] {
+            let reference = BatchSearch::new(1, batch_size)
                 .run(&problem, &config, 2018)
                 .unwrap();
-            assert!(
-                outcomes_identical(&out, &reference),
-                "batched search differs at {threads} threads"
-            );
+            assert!(reference.f_min < reference.f_max);
+            for threads in [2usize, 8] {
+                let out = BatchSearch::new(threads, batch_size)
+                    .run(&problem, &config, 2018)
+                    .unwrap();
+                assert!(
+                    out.bit_identical(&reference),
+                    "batch {batch_size}: batched search differs at {threads} threads"
+                );
+            }
+            // A different master seed genuinely changes the outcome.
+            let other = BatchSearch::new(1, batch_size)
+                .run(&problem, &config, 2019)
+                .unwrap();
+            assert!(!other.bit_identical(&reference));
         }
-        // A different master seed genuinely changes the outcome.
-        let other = BatchSearch::new(1, 32)
-            .run(&problem, &config, 2019)
-            .unwrap();
-        assert!(!outcomes_identical(&other, &reference));
     }
 
     #[test]
@@ -610,29 +642,79 @@ mod tests {
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(42);
         let via_dispatch =
             search(&mut p2, &config, SearchStrategy::Sequential, 8, &mut rng2).unwrap();
-        assert!(outcomes_identical(&direct, &via_dispatch));
+        assert!(direct.bit_identical(&via_dispatch));
+    }
+
+    /// A chain whose searched row (state 0) bounds two transitions far
+    /// tighter than the third: the Dirichlet concentration follows the
+    /// loose one, so most draws are rejected and λ-inflation adapts.
+    fn adapting_setup() -> (Imc, Dtmc, IsRun) {
+        let third = 1.0 / 3.0;
+        let mut cb = DtmcBuilder::new(4);
+        cb.set_initial(0)
+            .add_transition(0, 1, third)
+            .add_transition(0, 2, third)
+            .add_transition(0, 3, third)
+            .add_transition(1, 0, 1.0)
+            .add_self_loop(2)
+            .add_self_loop(3);
+        let chain = cb.build().unwrap();
+        let imc = Imc::from_center(&chain, |from, to| match (from, to) {
+            (0, 3) => 0.05,
+            (0, _) => 2e-3,
+            _ => 0.0,
+        })
+        .unwrap();
+        let prop =
+            Property::reach_avoid(StateSet::from_states(4, [2]), StateSet::from_states(4, [3]));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let run = sample_is_run(&chain, &prop, &IsConfig::new(200), &mut rng);
+        (imc, chain, run)
     }
 
     #[test]
     fn scratch_draws_match_the_shared_problem_contract() {
-        // A candidate drawn through a scratch must be feasible and must
-        // not depend on what the scratch evaluated before (pure function
-        // of the RNG stream).
-        let (imc, b, run) = setup(1500);
-        let problem = Problem::new(&imc, &b, &run).unwrap();
+        // A candidate drawn into a block lane must not depend on what the
+        // scratch drew and evaluated before (pure function of the RNG
+        // stream), and its lane must evaluate to the same bits.
+        let (imc, b, run) = adapting_setup();
+        let mut problem = Problem::new(&imc, &b, &run).unwrap();
+        assert_eq!(problem.num_sampled_rows(), 1);
         let mut warm = problem.scratch();
-        // Warm the scratch on 20 unrelated candidates.
+        // Warm every lane on 20 unrelated candidates.
         for i in 0..20u64 {
             let mut rng = trace_rng(77, i);
-            problem.draw_and_eval_with(&mut warm, &mut rng).unwrap();
+            problem
+                .draw_lane(&mut warm, i as usize % LANES, &mut rng)
+                .unwrap();
+            problem.eval_block(&warm);
         }
         let mut fresh = problem.scratch();
-        let mut rng_a = trace_rng(99, 5);
-        let mut rng_b = trace_rng(99, 5);
-        let from_warm = problem.draw_and_eval_with(&mut warm, &mut rng_a).unwrap();
-        let from_fresh = problem.draw_and_eval_with(&mut fresh, &mut rng_b).unwrap();
-        assert_eq!(from_warm.f_min.to_bits(), from_fresh.f_min.to_bits());
-        assert_eq!(from_warm.f_max.to_bits(), from_fresh.f_max.to_bits());
-        assert_eq!(from_warm.draw, from_fresh.draw);
+        let lane = 3;
+        let from_warm = problem
+            .draw_lane(&mut warm, lane, &mut trace_rng(99, 5))
+            .unwrap();
+        let from_fresh = problem
+            .draw_lane(&mut fresh, lane, &mut trace_rng(99, 5))
+            .unwrap();
+        assert_eq!(from_warm, from_fresh);
+        let (warm_sums, fresh_sums) = (problem.eval_block(&warm), problem.eval_block(&fresh));
+        let bits = |sums: &LaneSums<LANES>| {
+            [sums.f_min, sums.g_min, sums.f_max, sums.g_max].map(|v| v[lane].to_bits())
+        };
+        assert_eq!(bits(&warm_sums), bits(&fresh_sums));
+
+        // The fixture does exercise adaptation: the sequential path, which
+        // keeps λ across draws, draws differently once warm.
+        let first = problem
+            .clone()
+            .draw_and_eval(&mut trace_rng(99, 5))
+            .unwrap();
+        assert_eq!(first.draw, from_fresh);
+        for i in 0..20u64 {
+            problem.draw_and_eval(&mut trace_rng(77, i)).unwrap();
+        }
+        let adapted = problem.draw_and_eval(&mut trace_rng(99, 5)).unwrap();
+        assert_ne!(adapted.draw, from_fresh);
     }
 }

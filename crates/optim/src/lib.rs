@@ -25,6 +25,26 @@
 //! The objective is evaluated in log space throughout: rare-event paths
 //! have probabilities far below `f64`'s underflow threshold when expressed
 //! as plain products.
+//!
+//! # The objective kernel and its order contract
+//!
+//! Every evaluation — the centre chain, the sequential search's candidates
+//! and the batched search's blocks — goes through one kernel,
+//! [`imc_sampling::PreparedRun::eval_lanes`]. It reads the count-table CSR
+//! once per call and evaluates `L` candidates side by side, each under the
+//! min and the max template (closed-form rows at their minimising resp.
+//! maximising values). The sequential paths call it with one lane; a
+//! [`BatchSearch`] worker fills [`LANES`] lanes with
+//! consecutive candidates of its share of a round.
+//!
+//! Results are bit-identical to evaluating each candidate and template on
+//! its own, because every lane keeps the one-candidate operands and order:
+//! the per-table sum `Σ n·ln a` in entry order with a separate multiply and
+//! add (no fused multiply-add, no reassociation), its `exp`, then `f` and
+//! `g` summed in table order. The two templates differ only at closed-form
+//! transitions whose min and max values differ; [`Problem`] marks once the
+//! tables touching such a transition, and on every other table the kernel
+//! computes one term and adds it to both templates' sums.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,7 +54,7 @@ mod objective;
 mod problem;
 mod random_search;
 
-pub use batch_search::{search, BatchSearch, SearchStrategy, DEFAULT_BATCH_SIZE};
+pub use batch_search::{search, BatchSearch, SearchStrategy, DEFAULT_BATCH_SIZE, LANES};
 pub use objective::Objective;
-pub use problem::{CandidateScratch, OptimError, Problem, RowAssignment};
+pub use problem::{OptimError, Problem, RowAssignment};
 pub use random_search::{random_search, ConvergencePoint, OptimOutcome, RandomSearchConfig};

@@ -15,6 +15,11 @@ use imc_sampling::{IsRun, PreparedRun};
 /// f(A) = Σ_tables mult · exp( Σ_t n_t ln a_t − Σ_t n_t ln b_t )
 /// g(A) = Σ_tables mult · exp( 2 Σ_t n_t (ln a_t − ln b_t) )
 /// ```
+///
+/// [`Objective::eval`] evaluates one candidate. The search itself goes
+/// through [`PreparedRun::eval_lanes`], which evaluates a block of
+/// candidates under the min and max templates in one pass, with results
+/// bit-identical to calling [`Objective::eval`] per candidate and template.
 #[derive(Debug, Clone)]
 pub struct Objective {
     prepared: PreparedRun,

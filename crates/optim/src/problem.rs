@@ -3,10 +3,10 @@ use std::fmt;
 
 use imc_distr::{ConstrainedRowSampler, DistrError, IntervalSpec};
 use imc_markov::{Dtmc, Imc, State};
-use imc_sampling::IsRun;
+use imc_sampling::{IsRun, LaneSums};
 use rand::Rng;
 
-use crate::Objective;
+use crate::{Objective, LANES};
 
 /// Errors raised while compiling or solving an optimisation problem.
 #[derive(Debug, Clone, PartialEq)]
@@ -88,14 +88,25 @@ pub(crate) enum RowKind {
 /// Only rows of states visited by successful traces are optimised; all
 /// other rows of the IMC cannot influence `f` (§III-C's observation that
 /// state distributions are independent).
+///
+/// Every candidate is evaluated under two templates at once: closed-form
+/// rows at their minimising (resp. maximising) values, sampled rows at the
+/// draw. The templates differ only at closed-form transitions whose min and
+/// max values differ, so the problem marks once which tables touch such a
+/// transition (the *split* tables); the objective kernel shares one term
+/// between both templates on every other table.
 #[derive(Debug, Clone)]
 pub struct Problem {
     objective: Objective,
     rows: Vec<ProblemRow>,
-    /// Template `ln a` vectors with closed-form rows pre-filled and sampled
-    /// rows at the centre chain.
-    template_min: Vec<f64>,
-    template_max: Vec<f64>,
+    /// Template `ln a` vectors: closed-form rows pre-filled, sampled rows
+    /// at the centre chain.
+    center: Lanes<1>,
+    /// The sequential search's candidate: `center` with the sampled rows
+    /// overwritten by the latest draw.
+    sequential: Lanes<1>,
+    /// Ascending indices of the tables on which the templates differ.
+    split: Vec<u32>,
 }
 
 impl Problem {
@@ -205,12 +216,20 @@ impl Problem {
                 template_max[id as usize] = vmax.max(f64::MIN_POSITIVE).ln();
             }
         }
+        // Draws overwrite sampled-row transitions in both templates alike,
+        // so the tables split by the centre fill stay the split tables of
+        // every candidate.
+        let split = objective
+            .prepared()
+            .split_tables(&template_min, &template_max);
+        let center = Lanes::broadcast(&template_min, &template_max);
 
         Ok(Problem {
             objective,
             rows,
-            template_min,
-            template_max,
+            sequential: center.clone(),
+            center,
+            split,
         })
     }
 
@@ -244,16 +263,18 @@ impl Problem {
     /// Evaluates `(f, g)` of the centre chain under min/max closed-form
     /// fills — the starting point `A(0) = Â` of Algorithm 2.
     pub fn eval_center(&self) -> ((f64, f64), (f64, f64)) {
+        let sums = self.center.eval(self);
         (
-            self.objective.eval(&self.template_min),
-            self.objective.eval(&self.template_max),
+            (sums.f_min[0], sums.g_min[0]),
+            (sums.f_max[0], sums.g_max[0]),
         )
     }
 
     /// Draws one candidate for the sampled rows and evaluates it under both
     /// the min-template and max-template closed-form fills.
     ///
-    /// Returns `(f_min_cand, g_min_cand, f_max_cand, g_max_cand, draw)`.
+    /// The row samplers are the problem's own, so their λ-inflation adapts
+    /// across calls exactly as in the paper's Algorithm 2.
     ///
     /// # Errors
     ///
@@ -263,35 +284,25 @@ impl Problem {
         &mut self,
         rng: &mut R,
     ) -> Result<CandidateEval, OptimError> {
-        let mut draw: Vec<(usize, Vec<f64>)> = Vec::new();
-        let mut log_min = self.template_min.clone();
-        let mut log_max = self.template_max.clone();
+        let mut draw: Draw = Vec::new();
         for (row_idx, row) in self.rows.iter_mut().enumerate() {
             if let RowKind::Sampled(sampler) = &mut row.kind {
                 let values = sampler.sample(rng)?;
-                for &(pos, id) in &row.observed {
-                    let lv = values[pos].max(f64::MIN_POSITIVE).ln();
-                    log_min[id as usize] = lv;
-                    log_max[id as usize] = lv;
-                }
+                self.sequential.set_row(0, &row.observed, &values);
                 draw.push((row_idx, values));
             }
         }
-        let (f_min, g_min) = self.objective.eval(&log_min);
-        let (f_max, g_max) = self.objective.eval(&log_max);
-        Ok(CandidateEval {
-            f_min,
-            g_min,
-            f_max,
-            g_max,
+        Ok(CandidateEval::from_lane(
+            &self.sequential.eval(self),
+            0,
             draw,
-        })
+        ))
     }
 
-    /// Creates the reusable per-worker state for
-    /// [`Problem::draw_and_eval_with`]: pristine clones of the row
-    /// samplers plus evaluation buffers sized for this problem.
-    pub fn scratch(&self) -> CandidateScratch {
+    /// Creates the reusable per-worker state of the batched search:
+    /// pristine clones of the row samplers plus a block of candidate
+    /// buffers at the templates.
+    pub(crate) fn scratch(&self) -> CandidateScratch {
         CandidateScratch {
             samplers: self
                 .rows
@@ -302,54 +313,50 @@ impl Problem {
                     RowKind::ClosedForm { .. } => None,
                 })
                 .collect(),
-            log_min: self.template_min.clone(),
-            log_max: self.template_max.clone(),
+            block: Lanes::broadcast(
+                self.center.log_min.as_flattened(),
+                self.center.log_max.as_flattened(),
+            ),
         }
     }
 
-    /// Like [`Problem::draw_and_eval`], but through `&self` and an external
-    /// [`CandidateScratch`], so many workers can evaluate candidates
-    /// against one shared problem without cloning its tables.
+    /// Draws one candidate into lane `lane` of the scratch's block and
+    /// returns the draw as `(row index, values)`; the block is evaluated by
+    /// [`Problem::eval_block`].
     ///
-    /// Unlike the `&mut self` path, each draw is a **pure function of the
-    /// RNG stream**: the scratch samplers' λ-inflation is reset before
+    /// Unlike [`Problem::draw_and_eval`], each draw is a **pure function of
+    /// the RNG stream**: the scratch samplers' λ-inflation is reset before
     /// every draw (see
     /// [`ConstrainedRowSampler::reset_adaptation`](imc_distr::ConstrainedRowSampler::reset_adaptation)),
     /// so the result cannot depend on which other candidates the same
-    /// scratch evaluated earlier. This is what makes the batched search
+    /// scratch drew earlier. This is what makes the batched search
     /// bit-identical at every thread count.
     ///
     /// # Errors
     ///
     /// Propagates [`OptimError::Distr`] if a row sampler exhausts its
     /// rejection budget.
-    pub fn draw_and_eval_with<R: Rng + ?Sized>(
+    pub(crate) fn draw_lane<R: Rng + ?Sized>(
         &self,
         scratch: &mut CandidateScratch,
+        lane: usize,
         rng: &mut R,
-    ) -> Result<CandidateEval, OptimError> {
-        scratch.log_min.copy_from_slice(&self.template_min);
-        scratch.log_max.copy_from_slice(&self.template_max);
-        let mut draw: Vec<(usize, Vec<f64>)> = Vec::with_capacity(scratch.samplers.len());
+    ) -> Result<Draw, OptimError> {
+        let mut draw: Draw = Vec::with_capacity(scratch.samplers.len());
         for (row_idx, sampler) in &mut scratch.samplers {
             sampler.reset_adaptation();
             let values = sampler.sample(rng)?;
-            for &(pos, id) in &self.rows[*row_idx].observed {
-                let lv = values[pos].max(f64::MIN_POSITIVE).ln();
-                scratch.log_min[id as usize] = lv;
-                scratch.log_max[id as usize] = lv;
-            }
+            scratch
+                .block
+                .set_row(lane, &self.rows[*row_idx].observed, &values);
             draw.push((*row_idx, values));
         }
-        let (f_min, g_min) = self.objective.eval(&scratch.log_min);
-        let (f_max, g_max) = self.objective.eval(&scratch.log_max);
-        Ok(CandidateEval {
-            f_min,
-            g_min,
-            f_max,
-            g_max,
-            draw,
-        })
+        Ok(draw)
+    }
+
+    /// Evaluates every lane of the scratch's block in one kernel call.
+    pub(crate) fn eval_block(&self, scratch: &CandidateScratch) -> LaneSums<LANES> {
+        scratch.block.eval(self)
     }
 
     /// Materialises the full optimised rows for reporting: the drawn values
@@ -395,20 +402,68 @@ impl Problem {
     }
 }
 
-/// Reusable worker-local state for [`Problem::draw_and_eval_with`]:
-/// pristine row-sampler clones and the two `ln a` evaluation buffers.
+/// Reusable worker-local state of the batched search: pristine
+/// row-sampler clones and a block of candidate `ln a` buffers under both
+/// templates.
+///
+/// The buffers are lane-major, one `[f64; LANES]` per transition id, and
+/// start at the templates in every lane. A draw overwrites its lane at the
+/// sampled rows' transitions only; every draw writes all of them, so a lane
+/// never needs resetting. A [`BatchSearch`](crate::BatchSearch) worker
+/// fills the [`LANES`] lanes with consecutive candidates and evaluates them
+/// in one
+/// [`PreparedRun::eval_lanes`](imc_sampling::PreparedRun::eval_lanes) call.
 ///
 /// One scratch per worker thread amortises the allocations of the
 /// candidate hot path; the scratch never influences *what* is drawn (its
 /// samplers are reset before every draw), only where the intermediate
 /// values live.
 #[derive(Debug, Clone)]
-pub struct CandidateScratch {
+pub(crate) struct CandidateScratch {
     /// `(row index, sampler)` for each sampled row, row order.
     samplers: Vec<(usize, ConstrainedRowSampler)>,
-    log_min: Vec<f64>,
-    log_max: Vec<f64>,
+    block: Lanes<LANES>,
 }
+
+/// Lane-major `ln a` buffers of `L` candidates under the min and the max
+/// template: entry `id` holds transition `id` of every lane.
+#[derive(Debug, Clone)]
+struct Lanes<const L: usize> {
+    log_min: Vec<[f64; L]>,
+    log_max: Vec<[f64; L]>,
+}
+
+impl<const L: usize> Lanes<L> {
+    /// Every lane at the given one-lane templates.
+    fn broadcast(template_min: &[f64], template_max: &[f64]) -> Self {
+        Lanes {
+            log_min: template_min.iter().map(|&v| [v; L]).collect(),
+            log_max: template_max.iter().map(|&v| [v; L]).collect(),
+        }
+    }
+
+    /// Writes one sampled row's drawn `values` into lane `lane`: the same
+    /// `ln` value into both templates at each observed transition.
+    fn set_row(&mut self, lane: usize, observed: &[(usize, u32)], values: &[f64]) {
+        for &(pos, id) in observed {
+            let lv = values[pos].max(f64::MIN_POSITIVE).ln();
+            self.log_min[id as usize][lane] = lv;
+            self.log_max[id as usize][lane] = lv;
+        }
+    }
+
+    /// `(f, g)` of every lane under both templates.
+    fn eval(&self, problem: &Problem) -> LaneSums<L> {
+        problem
+            .objective
+            .prepared()
+            .eval_lanes(&self.log_min, &self.log_max, &problem.split)
+    }
+}
+
+/// The drawn values of a candidate's sampled rows, as `(row index,
+/// values)`.
+pub(crate) type Draw = Vec<(usize, Vec<f64>)>;
 
 /// One candidate draw with its objective values under both closed-form
 /// fills.
@@ -424,6 +479,19 @@ pub struct CandidateEval {
     pub g_max: f64,
     /// The drawn values of sampled rows, as `(row index, values)`.
     pub draw: Vec<(usize, Vec<f64>)>,
+}
+
+impl CandidateEval {
+    /// Lane `lane` of a kernel result, with that lane's draw.
+    pub(crate) fn from_lane<const L: usize>(sums: &LaneSums<L>, lane: usize, draw: Draw) -> Self {
+        CandidateEval {
+            f_min: sums.f_min[lane],
+            g_min: sums.g_min[lane],
+            f_max: sums.f_max[lane],
+            g_max: sums.g_max[lane],
+            draw,
+        }
+    }
 }
 
 enum Extreme {
@@ -574,6 +642,32 @@ mod tests {
                     assert!(s.contains(*v));
                 }
             }
+        }
+    }
+
+    #[test]
+    fn split_tables_are_those_the_templates_disagree_on() {
+        let (imc, b, run) = setup();
+        // Every successful trace starts 0 -> 1, the closed-form row's one
+        // observed transition, whose min and max values differ.
+        let problem = Problem::new(&imc, &b, &run).unwrap();
+        assert_eq!(problem.split.len(), problem.objective().num_tables());
+        // Forced sampling leaves no closed-form row: nothing is split.
+        let forced = Problem::with_forced_sampling(&imc, &b, &run).unwrap();
+        assert!(forced.split.is_empty());
+        // Either way the centre evaluation equals one-template evaluations.
+        for p in [&problem, &forced] {
+            let ((f_min, g_min), (f_max, g_max)) = p.eval_center();
+            let min = p.objective().eval(p.center.log_min.as_flattened());
+            let max = p.objective().eval(p.center.log_max.as_flattened());
+            assert_eq!(
+                (f_min.to_bits(), g_min.to_bits()),
+                (min.0.to_bits(), min.1.to_bits())
+            );
+            assert_eq!(
+                (f_max.to_bits(), g_max.to_bits()),
+                (max.0.to_bits(), max.1.to_bits())
+            );
         }
     }
 

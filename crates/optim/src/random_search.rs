@@ -71,6 +71,25 @@ pub struct OptimOutcome {
     pub trace: Vec<ConvergencePoint>,
 }
 
+impl OptimOutcome {
+    /// Whether two outcomes are the same search result: `f` and `g` of both
+    /// extrema by their bits, the round counts, the reported rows and the
+    /// convergence trace. This is the equality the batched search's
+    /// determinism contract promises.
+    pub fn bit_identical(&self, other: &OptimOutcome) -> bool {
+        self.f_min.to_bits() == other.f_min.to_bits()
+            && self.g_min.to_bits() == other.g_min.to_bits()
+            && self.f_max.to_bits() == other.f_max.to_bits()
+            && self.g_max.to_bits() == other.g_max.to_bits()
+            && self.rounds == other.rounds
+            && self.min_found_at == other.min_found_at
+            && self.max_found_at == other.max_found_at
+            && self.rows_min == other.rows_min
+            && self.rows_max == other.rows_max
+            && self.trace == other.trace
+    }
+}
+
 /// Monte Carlo random search over the IMC (Algorithm 2 of the paper).
 ///
 /// Starting from the centre chain `Â`, candidate member chains are drawn

@@ -255,6 +255,20 @@ fn finish_estimate(sum: f64, sum_sq: f64, n_traces: usize, delta: f64) -> IsEsti
     }
 }
 
+/// Per-lane objective sums of one [`PreparedRun::eval_lanes`] call: lane
+/// `l` holds `(f, g)` of candidate `l` under the min and the max template.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LaneSums<const L: usize> {
+    /// `f` under the min template, per lane.
+    pub f_min: [f64; L],
+    /// `g` under the min template, per lane.
+    pub g_min: [f64; L],
+    /// `f` under the max template, per lane.
+    pub f_max: [f64; L],
+    /// `g` under the max template, per lane.
+    pub g_max: [f64; L],
+}
+
 /// A sampled run compiled against its (fixed) IS chain `B` for fast
 /// repeated estimator evaluation.
 ///
@@ -272,6 +286,11 @@ fn finish_estimate(sum: f64, sum_sq: f64, n_traces: usize, delta: f64) -> IsEsti
 /// `B` — half the lookups and none of the redundant `ln` calls of the
 /// naive loop, while producing bit-identical `γ̂`/`σ̂` (same summation
 /// order and operands as [`is_estimate`]).
+///
+/// Every evaluation runs through one kernel, [`PreparedRun::eval_lanes`]:
+/// a single pass over the table CSR that evaluates a block of candidates
+/// side by side, each under a min and a max `ln a` vector.
+/// [`PreparedRun::eval_log`] is its one-lane, one-vector call.
 #[derive(Debug, Clone, PartialEq)]
 pub struct PreparedRun {
     /// Dense id → observed transition, in first-appearance order.
@@ -422,27 +441,112 @@ impl PreparedRun {
     /// g(A) = Σ_tables mult · exp( … )²
     /// ```
     ///
-    /// The second sum is the cached per-table constant.
+    /// The second sum is the cached per-table constant. This is the
+    /// one-lane call of [`PreparedRun::eval_lanes`], with `log_a` as both
+    /// templates and no split table.
     ///
     /// # Panics
     ///
     /// Panics (debug only) if `log_a` has the wrong length.
     pub fn eval_log(&self, log_a: &[f64]) -> (f64, f64) {
-        debug_assert_eq!(log_a.len(), self.transitions.len());
-        let mut f = 0.0f64;
-        let mut g = 0.0f64;
+        let (lanes, _) = log_a.as_chunks::<1>();
+        let sums = self.eval_lanes(lanes, lanes, &[]);
+        (sums.f_min[0], sums.g_min[0])
+    }
+
+    /// Evaluates a block of `L` candidates in one pass over the tables.
+    ///
+    /// `log_min` and `log_max` are lane-major: entry `id` holds `ln a` of
+    /// transition `id` for each of the `L` candidates, under the min and the
+    /// max template respectively. Lane `l` of the result is bit-identical to
+    /// [`PreparedRun::eval_log`] on lane `l` of `log_min` (resp. `log_max`):
+    /// every lane keeps that call's operands and order — the per-table dot
+    /// product `Σ n·ln a` in entry order with a separate `*` and `+`, its
+    /// `exp`, then the running `f`/`g` sums in table order.
+    ///
+    /// `split` lists, ascending, the tables on which the two templates may
+    /// differ ([`PreparedRun::split_tables`]). On every other table the
+    /// caller guarantees bit-identical operands, so the kernel computes the
+    /// dot product and `exp` once, from `log_min`, and adds the term to both
+    /// templates' sums.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug only) if `log_min` or `log_max` has the wrong length.
+    pub fn eval_lanes<const L: usize>(
+        &self,
+        log_min: &[[f64; L]],
+        log_max: &[[f64; L]],
+        mut split: &[u32],
+    ) -> LaneSums<L> {
+        debug_assert_eq!(log_min.len(), self.transitions.len());
+        debug_assert_eq!(log_max.len(), self.transitions.len());
+        let mut sums = LaneSums {
+            f_min: [0.0; L],
+            g_min: [0.0; L],
+            f_max: [0.0; L],
+            g_max: [0.0; L],
+        };
         for k in 0..self.table_mult.len() {
-            let range = self.table_offsets[k] as usize..self.table_offsets[k + 1] as usize;
-            let mut log_pa = 0.0f64;
-            for &(id, n) in &self.entries[range] {
-                log_pa += n as f64 * log_a[id as usize];
+            let entries =
+                &self.entries[self.table_offsets[k] as usize..self.table_offsets[k + 1] as usize];
+            let is_split = split.first() == Some(&(k as u32));
+            if is_split {
+                split = &split[1..];
             }
-            let l = (log_pa - self.table_log_pb[k]).exp();
-            let mult = self.table_mult[k];
-            f += mult * l;
-            g += mult * l * l;
+            let log_pa_min = lane_dot(entries, log_min);
+            let log_pa_max = if is_split {
+                lane_dot(entries, log_max)
+            } else {
+                log_pa_min
+            };
+            let (log_pb, mult) = (self.table_log_pb[k], self.table_mult[k]);
+            for l in 0..L {
+                let l_min = (log_pa_min[l] - log_pb).exp();
+                let l_max = if is_split {
+                    (log_pa_max[l] - log_pb).exp()
+                } else {
+                    l_min
+                };
+                sums.f_min[l] += mult * l_min;
+                sums.g_min[l] += mult * l_min * l_min;
+                sums.f_max[l] += mult * l_max;
+                sums.g_max[l] += mult * l_max * l_max;
+            }
         }
-        (f, g)
+        sums
+    }
+
+    /// The tables [`PreparedRun::eval_lanes`] must treat as split for the
+    /// one-lane templates `log_min` and `log_max`: ascending indices of the
+    /// tables with an entry whose two values differ in bits.
+    ///
+    /// A block whose lanes differ from these templates only at transitions
+    /// where the templates agree, with each lane writing the same value into
+    /// both, may pass the result as `split`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `log_min` or `log_max` has the wrong length.
+    pub fn split_tables(&self, log_min: &[f64], log_max: &[f64]) -> Vec<u32> {
+        assert_eq!(log_min.len(), self.transitions.len());
+        assert_eq!(log_max.len(), self.transitions.len());
+        let differs: Vec<bool> = log_min
+            .iter()
+            .zip(log_max)
+            .map(|(a, b)| a.to_bits() != b.to_bits())
+            .collect();
+        if !differs.contains(&true) {
+            return Vec::new();
+        }
+        (0..self.table_mult.len())
+            .filter(|&k| {
+                self.entries[self.table_offsets[k] as usize..self.table_offsets[k + 1] as usize]
+                    .iter()
+                    .any(|&(id, _)| differs[id as usize])
+            })
+            .map(|k| k as u32)
+            .collect()
     }
 
     /// The estimator pair `(γ̂, σ̂)` at given objective values:
@@ -472,6 +576,20 @@ impl PreparedRun {
         let (f, g) = self.eval_log(log_a_buf);
         finish_estimate(f, g, self.n_traces, delta)
     }
+}
+
+/// `Σ n·ln a` of one table for every lane: entries in CSR order, each
+/// lane its own add chain (a `*` then a `+`, never fused).
+#[inline(always)]
+fn lane_dot<const L: usize>(entries: &[(u32, u32)], log_a: &[[f64; L]]) -> [f64; L] {
+    let mut acc = [0.0f64; L];
+    for &(id, n) in entries {
+        let n = n as f64;
+        for (acc, &a) in acc.iter_mut().zip(&log_a[id as usize]) {
+            *acc += n * a;
+        }
+    }
+    acc
 }
 
 #[cfg(test)]
@@ -563,6 +681,70 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let run = sample_is_run(&b, &prop, &IsConfig::new(1000), &mut rng);
         assert_eq!(run.visited_sources(), vec![0]);
+    }
+
+    #[test]
+    fn lane_kernel_matches_eval_log_on_a_partial_block() {
+        // 0 -> 1 -> (0 -> 1)^k -> 2: every successful table holds (0, 1)
+        // and (1, 2); only the tables with k >= 1 hold (1, 0).
+        let mut builder = DtmcBuilder::new(4);
+        builder
+            .add_transition(0, 1, 0.5)
+            .add_transition(0, 3, 0.5)
+            .add_transition(1, 2, 0.3)
+            .add_transition(1, 0, 0.7)
+            .add_self_loop(2)
+            .add_self_loop(3);
+        let b = builder.build().unwrap();
+        let prop =
+            Property::reach_avoid(StateSet::from_states(4, [2]), StateSet::from_states(4, [3]));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(21);
+        let run = sample_is_run(&b, &prop, &IsConfig::new(5000), &mut rng);
+        let prepared = PreparedRun::new(&run, &b);
+        let loop_back = prepared
+            .transitions()
+            .iter()
+            .position(|&t| t == (1, 0))
+            .expect("some trace loops back");
+
+        // Templates that differ only at 1 -> 0, so some tables split.
+        let base: Vec<f64> = prepared
+            .transitions()
+            .iter()
+            .map(|&(from, to)| (0.9 * b.prob(from, to)).ln())
+            .collect();
+        let mut base_max = base.clone();
+        base_max[loop_back] = 0.8f64.ln();
+        let split = prepared.split_tables(&base, &base_max);
+        assert!(!split.is_empty() && split.len() < prepared.num_tables());
+
+        // Five distinct candidates in a block of eight: each lane writes the
+        // same value into both templates away from 1 -> 0.
+        let used = 5;
+        let lane_value = |v: f64, lane: usize| v + 0.01 * lane as f64;
+        let mut log_min = vec![[f64::NAN; 8]; prepared.num_transitions()];
+        let mut log_max = log_min.clone();
+        for id in 0..prepared.num_transitions() {
+            for lane in 0..used {
+                log_min[id][lane] = lane_value(base[id], lane);
+                log_max[id][lane] = if id == loop_back {
+                    base_max[id]
+                } else {
+                    lane_value(base[id], lane)
+                };
+            }
+        }
+        let sums = prepared.eval_lanes(&log_min, &log_max, &split);
+        for lane in 0..used {
+            let column = |lanes: &[[f64; 8]]| lanes.iter().map(|v| v[lane]).collect::<Vec<f64>>();
+            let (f_min, g_min) = prepared.eval_log(&column(&log_min));
+            let (f_max, g_max) = prepared.eval_log(&column(&log_max));
+            assert_eq!(sums.f_min[lane].to_bits(), f_min.to_bits(), "lane {lane}");
+            assert_eq!(sums.g_min[lane].to_bits(), g_min.to_bits(), "lane {lane}");
+            assert_eq!(sums.f_max[lane].to_bits(), f_max.to_bits(), "lane {lane}");
+            assert_eq!(sums.g_max[lane].to_bits(), g_max.to_bits(), "lane {lane}");
+            assert!(f_min < f_max, "the templates differ on a used transition");
+        }
     }
 
     #[test]

@@ -69,7 +69,7 @@ pub use cross_entropy::{
 };
 pub use dupuis_wang::{dupuis_wang_update, initial_value, DupuisWangConfig};
 pub use estimator::{
-    is_estimate, sample_is_run, IsConfig, IsEstimate, IsRun, PreparedRun, WeightedTable,
+    is_estimate, sample_is_run, IsConfig, IsEstimate, IsRun, LaneSums, PreparedRun, WeightedTable,
 };
 pub use failure_bias::failure_bias;
 pub use zero_variance::{zero_variance_is, ZeroVarianceError};

@@ -89,7 +89,10 @@
 //!   and one `ln` per *distinct* transition — and is guaranteed
 //!   bit-identical to the naive [`imc_sampling::is_estimate`] loop
 //!   (same summation order and operands). The optimiser's
-//!   [`imc_optim::Objective`] is a thin wrapper over it.
+//!   [`imc_optim::Objective`] is a thin wrapper over it, and the batched
+//!   search evaluates blocks of candidates in one pass
+//!   ([`imc_sampling::PreparedRun::eval_lanes`]), each lane bit-identical
+//!   to the one-candidate loop.
 //!
 //! ## Thirty-second tour
 //!

@@ -6,9 +6,12 @@
 //!   report byte-for-byte (`Report` schema stability);
 //! * the group-repair manifest run through the CLI (`imcis run`) emits a
 //!   report identical to the same run through the library `Session` API,
-//!   timing aside — the acceptance criterion of the API redesign.
+//!   timing aside — the acceptance criterion of the API redesign;
+//! * the batched candidate search reproduces its checked-in golden suite
+//!   report byte-for-byte (the only pin on batched-search output, which
+//!   the paper goldens — all sequential — never reach).
 //!
-//! Regenerate the golden file deliberately with
+//! Regenerate the golden files deliberately with
 //! `IMCIS_BLESS_GOLDEN=1 cargo test --test runspec_report`.
 
 use imcis_core::{RunSpec, Session, Suite, SuiteSpec};
@@ -31,6 +34,14 @@ const CE_CAMPAIGN_SUITE: &str = concat!(
 const GOLDEN_REPORT: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/illustrative_report.json"
+);
+const BATCHED_SEARCH_SUITE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/specs/batched_search_suite.json"
+);
+const BATCHED_SEARCH_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/batched_search_report.json"
 );
 
 fn read(path: &str) -> String {
@@ -129,6 +140,40 @@ fn illustrative_report_matches_the_golden_file() {
     assert_eq!(
         stable, golden,
         "pinned-seed illustrative report drifted from the golden file \
+         (IMCIS_BLESS_GOLDEN=1 regenerates it deliberately)"
+    );
+}
+
+/// Three batched IMCIS searches on group repair: a mixture IS chain at
+/// batch 64 (a few closed-form rows, so the min and max templates differ
+/// on some tables), the zero-variance chain at batch 13 (every table
+/// touches a closed-form row, and rounds end mid-block) and the mixture
+/// chain under `force_sampling` (no closed-form rows at all). Their stable
+/// report pins the batched search's `f`/`g`, found-at rounds, rows and
+/// convergence traces byte for byte.
+#[test]
+fn batched_search_suite_matches_the_golden_file() {
+    let text = read(BATCHED_SEARCH_SUITE);
+    let spec = SuiteSpec::from_str(&text).unwrap_or_else(|e| panic!("{BATCHED_SEARCH_SUITE}: {e}"));
+    assert_eq!(
+        spec.to_json_string(),
+        text,
+        "{BATCHED_SEARCH_SUITE} is not canonical"
+    );
+    let stable = Suite::from_spec(spec)
+        .unwrap()
+        .run()
+        .unwrap()
+        .to_json_stable()
+        .pretty();
+    if std::env::var_os("IMCIS_BLESS_GOLDEN").is_some() {
+        std::fs::write(BATCHED_SEARCH_GOLDEN, &stable).expect("can write the golden report");
+        return;
+    }
+    let golden = read(BATCHED_SEARCH_GOLDEN);
+    assert_eq!(
+        stable, golden,
+        "batched-search suite report drifted from the golden file \
          (IMCIS_BLESS_GOLDEN=1 regenerates it deliberately)"
     );
 }
