@@ -5,7 +5,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use imc_models::scenario::group_repair_setup;
 use imc_models::GroupRepairIs;
-use imcis_core::{estimator_for, ImcisSpec, Method, RunContext, SampleSpec};
+use imcis_core::{stage_estimator_for, ImcisSpec, Method, RunContext, SampleSpec};
 use rand::SeedableRng;
 
 fn bench_fig2(c: &mut Criterion) {
@@ -14,8 +14,8 @@ fn bench_fig2(c: &mut Criterion) {
         n_traces: 1000,
         ..SampleSpec::default()
     };
-    let is = estimator_for(&Method::StandardIs(sample));
-    let imcis = estimator_for(&Method::Imcis(ImcisSpec {
+    let is = stage_estimator_for(&Method::StandardIs(sample));
+    let imcis = stage_estimator_for(&Method::Imcis(ImcisSpec {
         sample,
         r_undefeated: 50,
         r_max: 2_000,

@@ -8,7 +8,7 @@ use imc_learn::{learn_imc_with_support, CountTable, LearnOptions, Smoothing};
 use imc_models::scenario::swat_setup;
 use imc_models::swat;
 use imc_sim::{random_walk, ChainSampler};
-use imcis_core::{estimator_for, Method, RunContext, SampleSpec};
+use imcis_core::{stage_estimator_for, Method, RunContext, SampleSpec};
 use rand::SeedableRng;
 
 fn bench_fig4(c: &mut Criterion) {
@@ -42,7 +42,7 @@ fn bench_fig4(c: &mut Criterion) {
 
     // Estimation on the learnt model (setup cost paid once outside).
     let setup = swat_setup(200, 200, 3);
-    let is = estimator_for(&Method::StandardIs(SampleSpec {
+    let is = stage_estimator_for(&Method::StandardIs(SampleSpec {
         n_traces: 1000,
         delta: 0.01,
         max_steps: 10_000,

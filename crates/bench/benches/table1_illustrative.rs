@@ -5,12 +5,12 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use imc_models::scenario::illustrative_setup;
-use imcis_core::{estimator_for, ImcisSpec, Method, RunContext, SampleSpec};
+use imcis_core::{stage_estimator_for, ImcisSpec, Method, RunContext, SampleSpec};
 use rand::SeedableRng;
 
 fn bench_table1(c: &mut Criterion) {
     let setup = illustrative_setup();
-    let imcis = estimator_for(&Method::Imcis(ImcisSpec {
+    let imcis = stage_estimator_for(&Method::Imcis(ImcisSpec {
         sample: SampleSpec {
             n_traces: 1000,
             ..SampleSpec::default()

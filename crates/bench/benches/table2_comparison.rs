@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use imc_models::scenario::illustrative_setup;
-use imcis_core::{estimator_for, ImcisSpec, Method, RunContext, SampleSpec};
+use imcis_core::{stage_estimator_for, ImcisSpec, Method, RunContext, SampleSpec};
 use rand::SeedableRng;
 
 fn bench_table2(c: &mut Criterion) {
@@ -12,8 +12,8 @@ fn bench_table2(c: &mut Criterion) {
         n_traces: 1000,
         ..SampleSpec::default()
     };
-    let is = estimator_for(&Method::StandardIs(sample));
-    let imcis = estimator_for(&Method::Imcis(ImcisSpec {
+    let is = stage_estimator_for(&Method::StandardIs(sample));
+    let imcis = stage_estimator_for(&Method::Imcis(ImcisSpec {
         sample,
         r_undefeated: 100,
         r_max: 5_000,

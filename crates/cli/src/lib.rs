@@ -5,12 +5,11 @@
 //!
 //! * `imcis run <spec.json>` — execute a manifest, print the `Report`
 //!   JSON (`imcis.report/2`);
-//! * `imcis run --spec a.json --spec b.json` — execute several manifests
-//!   as one suite (shared scenario builds), print the `SuiteReport`
-//!   JSON (`imcis.suitereport/2`);
 //! * `imcis suite <suite.json> [--threads T]` — execute a `SuiteSpec`
-//!   manifest the same way, optionally overriding its session-level
-//!   thread budget (scheduling only; output is bit-identical);
+//!   manifest as one job over shared scenario builds, print the
+//!   `SuiteReport` JSON (`imcis.suitereport/2`), optionally overriding
+//!   its session-level thread budget (scheduling only; output is
+//!   bit-identical);
 //! * `imcis run --scenario NAME --method NAME [options]` — build the
 //!   same manifest from flags (add `--dry-run` to print it instead of
 //!   running);
@@ -30,15 +29,17 @@
 //! * `imcis scenarios` — list the scenario registry with parameters;
 //! * `imcis help` / `imcis version` (also `--help` / `--version`).
 //!
-//! The classic model-file subcommands remain
-//! (`imcis <command> <model-file> [options]`):
+//! The model-file subcommands (`imcis <command> <model-file> [options]`)
+//! serve what the `file` scenario cannot: DTMC files and exact analyses.
 //!
 //! * `info` — structural summary of a model file (either kind);
 //! * `solve` — exact reach(-avoid) probability of a DTMC (numeric engine);
 //! * `mttf` — expected steps to a target set;
-//! * `smc` — crude Monte Carlo estimation;
-//! * `envelope` — exact min/max reachability over all members of an IMC;
-//! * `imcis` — the paper's Algorithm 1: importance sampling of an IMC.
+//! * `smc` — crude Monte Carlo estimation on a DTMC;
+//! * `envelope` — exact min/max reachability over all members of an IMC.
+//!
+//! IMCIS on an IMC model file is a run of the `file` scenario:
+//! `imcis run --scenario file --param path=M --param target=L --method imcis`.
 //!
 //! Models use the plain-text format of [`imc_markov::io`]. Every command
 //! is a thin adapter over the same library code paths the benches and
@@ -53,9 +54,6 @@ use std::str::FromStr;
 
 use imc_logic::Property;
 use imc_markov::{io, Dtmc, Imc, StateSet};
-use std::sync::Arc;
-
-use imc_models::scenario::setup_from_imc;
 use imc_models::{ScenarioParams, ScenarioRegistry};
 use imc_numeric::{
     bounded_reach_avoid_probs, expected_steps_to, imc_bounded_reach_bounds, imc_reach_bounds,
@@ -65,8 +63,8 @@ use imc_sim::{monte_carlo, SmcConfig};
 use imcis_core::router::{Router, RouterConfig};
 use imcis_core::serve::{Client, ServeConfig, ServeError, Server, StatusSnapshot};
 use imcis_core::{
-    AdaptiveSpec, CrossEntropySpec, ImcisSpec, Method, OutcomeDetail, RunSpec, SampleSpec,
-    ScenarioRef, SearchSpec, Session, SessionError, SpecError, Suite, SuiteSpec,
+    AdaptiveSpec, CrossEntropySpec, ImcisSpec, Method, RunSpec, SampleSpec, ScenarioRef,
+    SearchStrategy, Session, SessionError, SpecError, Suite, SuiteSpec,
 };
 use rand::SeedableRng;
 use serde::json::Value;
@@ -121,7 +119,6 @@ impl From<ServeError> for CliError {
 /// The usage text shown by `imcis help` and on usage errors.
 pub const USAGE: &str = "\
 usage: imcis run <spec.json>
-       imcis run --spec a.json --spec b.json [--threads T]
        imcis run --scenario NAME --method NAME [options] [--dry-run]
        imcis suite <suite.json> [--threads T]
        imcis dsl <model.dsl> [--param K=V ...] [--emit-spec]
@@ -137,15 +134,13 @@ usage: imcis run <spec.json>
 
 spec runner:
   run <spec.json>     execute a RunSpec manifest, print the Report JSON
-  run --spec F ...    execute several RunSpec manifests as one suite
-                      (scenario builds shared), print the SuiteReport
-                      JSON; --threads bounds concurrent sessions
   suite <suite.json>  execute a SuiteSpec manifest (embedded, file-
-                      referenced or campaign members) the same way;
-                      campaign members run a staged estimator over one
-                      cached scenario build; --threads overrides the
-                      manifest's session budget (scheduling only —
-                      output is bit-identical)
+                      referenced or campaign members) as one job over
+                      shared scenario builds, print the SuiteReport
+                      JSON; campaign members run a staged estimator
+                      over one cached scenario build; --threads
+                      overrides the manifest's session budget
+                      (scheduling only — output is bit-identical)
   run --scenario NAME --method NAME
                       build the manifest from flags (same Session path);
                       --dry-run prints the canonical manifest instead
@@ -232,19 +227,20 @@ model-file commands:
   mttf      expected steps to the target set of a DTMC
   smc       crude Monte Carlo estimation on a DTMC
   envelope  exact min/max reachability over all members of an IMC
-  imcis     Algorithm 1 of the DSN'18 paper on an IMC
+
+  IMCIS (Algorithm 1 of the DSN'18 paper) on an IMC model file runs the
+  `file` scenario, which streams rows in ascending (from, to) order:
+    imcis run --scenario file --param path=M --param target=L --method imcis
 
 model-file options:
   --target LABEL   goal states (required)
   --avoid LABEL    forbidden states (optional)
   --bound K        step bound (optional; property becomes bounded)
-  --n N            traces for smc/imcis            [default 10000]
+  --n N            traces for smc                  [default 10000]
   --delta D        confidence parameter            [default 0.05]
   --seed S         RNG seed                        [default 2018]
-  --r R            undefeated rounds for imcis     [default 1000]
   --threads T      simulation worker threads; 0 = all cores [default 0]
-                   (results are bit-identical for any thread count)
-  --search-batch B / --search-threads T   as above";
+                   (results are bit-identical for any thread count)";
 
 /// `imcis version` output (from the crate metadata).
 pub fn version() -> String {
@@ -270,14 +266,8 @@ pub struct Options {
     pub delta: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Undefeated rounds.
-    pub r: usize,
     /// Simulation worker threads (`0` = all cores).
     pub threads: usize,
-    /// Candidate-search batch size (`0` = sequential Algorithm 2).
-    pub search_batch: usize,
-    /// Candidate-search worker threads (`0` = all cores).
-    pub search_threads: usize,
 }
 
 /// Parses the argument vector of a model-file command (without the
@@ -286,7 +276,9 @@ pub struct Options {
 ///
 /// # Errors
 ///
-/// Returns [`CliError::Usage`] on malformed arguments.
+/// Returns [`CliError::Usage`] on malformed arguments, and on `--n` or
+/// `--delta` values a manifest would reject (`--n 0`, `--delta` outside
+/// `(0, 1)`).
 pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let mut it = args.iter();
     let command = it
@@ -306,10 +298,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
         n: 10_000,
         delta: 0.05,
         seed: 2018,
-        r: 1000,
         threads: 0,
-        search_batch: 0,
-        search_threads: 0,
     };
     while let Some(flag) = it.next() {
         let mut value = |name: &str| {
@@ -326,20 +315,25 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
             "--n" => options.n = parse_value(&value("--n")?, "--n")?,
             "--delta" => options.delta = parse_value(&value("--delta")?, "--delta")?,
             "--seed" => options.seed = parse_value(&value("--seed")?, "--seed")?,
-            "--r" => options.r = parse_value(&value("--r")?, "--r")?,
             "--threads" => {
                 options.threads = parse_value(&value("--threads")?, "--threads")?;
-            }
-            "--search-batch" => {
-                options.search_batch = parse_value(&value("--search-batch")?, "--search-batch")?;
-            }
-            "--search-threads" => {
-                options.search_threads =
-                    parse_value(&value("--search-threads")?, "--search-threads")?;
             }
             other => return Err(CliError::Usage(format!("unknown option `{other}`"))),
         }
     }
+    // `--n`/`--delta` obey the manifest rules (the scenario is only a
+    // placeholder), so `--n 0` is a usage error here rather than a panic
+    // in the engine.
+    let sample = SampleSpec {
+        n_traces: options.n,
+        delta: options.delta,
+        ..SampleSpec::default()
+    };
+    validated(RunSpec::new(
+        ScenarioRef::named("file"),
+        Method::Smc(sample),
+        options.seed,
+    ))?;
     Ok(options)
 }
 
@@ -475,11 +469,11 @@ pub fn spec_from_flags(args: &[String]) -> Result<RunSpec, CliError> {
             force_sampling: false,
             record_trace,
             search: if search_batch > 0 {
-                SearchSpec::Batched {
+                SearchStrategy::Batched {
                     batch_size: search_batch,
                 }
             } else {
-                SearchSpec::Sequential
+                SearchStrategy::Sequential
             },
         }),
         other => {
@@ -499,12 +493,16 @@ pub fn spec_from_flags(args: &[String]) -> Result<RunSpec, CliError> {
         seed,
         threads,
         search_threads,
-        repetitions: reps.max(1),
+        repetitions: reps,
     };
-    // Same validation layer as the manifest file form: out-of-range
-    // values (delta ∉ (0,1), n_traces = 0, …) become usage errors here
-    // instead of panics deeper in the engines, and every `--dry-run`
-    // manifest is guaranteed to be runnable.
+    validated(spec)
+}
+
+/// Runs `spec` through the manifest validation layer: out-of-range
+/// values (delta ∉ (0,1), n_traces = 0, repetitions = 0, …) become usage
+/// errors here instead of panics deeper in the engines, and every
+/// `--dry-run` manifest is guaranteed to be runnable.
+fn validated(spec: RunSpec) -> Result<RunSpec, CliError> {
     RunSpec::from_json(&spec.to_json()).map_err(|e| CliError::Usage(e.to_string()))?;
     Ok(spec)
 }
@@ -526,56 +524,6 @@ fn parse_param_value(raw: &str) -> Value {
         "false" => Value::Bool(false),
         _ => Value::Str(raw.to_string()),
     }
-}
-
-/// `imcis run --spec a.json --spec b.json [--threads T]`: several
-/// manifests as one suite over shared scenario builds.
-fn run_multi_spec_command(args: &[String]) -> Result<String, CliError> {
-    let mut paths: Vec<String> = Vec::new();
-    let mut threads = 0usize;
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{name} requires a value")))
-        };
-        match flag.as_str() {
-            "--spec" => paths.push(value("--spec")?),
-            "--threads" => threads = parse_value(&value("--threads")?, "--threads")?,
-            other => {
-                return Err(CliError::Usage(format!(
-                    "`{other}` cannot be combined with --spec \
-                     (each member manifest carries its own configuration)"
-                )))
-            }
-        }
-    }
-    // Errors name the offending file — with several --spec members, a
-    // bare io/schema message would not say which manifest is broken
-    // (the suite-manifest path gets the same context from its
-    // `suite.runs[i]` prefixes).
-    let mut runs = Vec::with_capacity(paths.len());
-    for path in &paths {
-        let text = std::fs::read_to_string(path).map_err(|e| {
-            CliError::Session(SessionError::Spec(SpecError::File(format!(
-                "cannot read `{path}`: {e}"
-            ))))
-        })?;
-        let run = RunSpec::from_str(&text).map_err(|e| {
-            SessionError::Spec(match e {
-                SpecError::Schema(msg) => SpecError::Schema(format!("`{path}`: {msg}")),
-                SpecError::Json(msg) => SpecError::Json(format!("`{path}`: {msg}")),
-                other => other,
-            })
-        })?;
-        runs.push(run);
-    }
-    let spec = SuiteSpec::new(runs)
-        .map_err(SessionError::Spec)?
-        .with_threads(threads);
-    let report = Suite::from_spec(spec)?.run()?;
-    Ok(report.to_json_string())
 }
 
 /// `imcis suite <suite.json> [--threads T]`: a SuiteSpec manifest end to
@@ -1070,10 +1018,6 @@ fn run_spec_command(args: &[String]) -> Result<String, CliError> {
             "run needs a spec file or --scenario/--method flags".into(),
         ));
     }
-    // Suite form: one or more --spec files.
-    if args.iter().any(|a| a == "--spec") {
-        return run_multi_spec_command(args);
-    }
     // File form: a single positional argument.
     if !args[0].starts_with("--") {
         if args.len() > 1 {
@@ -1110,9 +1054,9 @@ pub fn run_on_text(options: &Options, model_text: &str) -> Result<String, CliErr
             let chain = io::parse_dtmc(model_text).map_err(CliError::Parse)?;
             run_dtmc_command(options, &chain)
         }
-        "envelope" | "imcis" => {
+        "envelope" => {
             let imc = io::parse_imc(model_text).map_err(CliError::Parse)?;
-            run_imc_command(options, &imc)
+            run_envelope(options, &imc)
         }
         "info" => run_info(model_text),
         other => Err(CliError::Usage(format!("unknown command `{other}`"))),
@@ -1237,7 +1181,8 @@ fn run_dtmc_command(options: &Options, chain: &Dtmc) -> Result<String, CliError>
     }
 }
 
-fn run_imc_command(options: &Options, imc: &Imc) -> Result<String, CliError> {
+/// `envelope`: exact min/max reachability over all members of an IMC.
+fn run_envelope(options: &Options, imc: &Imc) -> Result<String, CliError> {
     let target_label = options
         .target
         .as_deref()
@@ -1247,89 +1192,17 @@ fn run_imc_command(options: &Options, imc: &Imc) -> Result<String, CliError> {
         Some(label) => labelled_set(imc.labeled_states(label), label)?,
         None => StateSet::new(imc.num_states()),
     };
-    match options.command.as_str() {
-        "envelope" => {
-            let (min, max) = match options.bound {
-                Some(k) => imc_bounded_reach_bounds(imc, &target, &avoid, k),
-                None => imc_reach_bounds(imc, &target, &avoid, &SolveOptions::default())
-                    .map_err(|e| CliError::Analysis(e.to_string()))?,
-            };
-            Ok(format!(
-                "γ over all members: [{:.6e}, {:.6e}] from state {}",
-                min[imc.initial()],
-                max[imc.initial()],
-                imc.initial()
-            ))
-        }
-        "imcis" => {
-            // The legacy text subcommand rides the Session layer: the
-            // `file` scenario's setup builder wires centre/B/property
-            // exactly as `imcis run` with `{"name": "file"}` does, then
-            // standard IS and IMCIS run through the same estimators.
-            let scenario_params = file_scenario_params(options);
-            let setup = Arc::new(
-                setup_from_imc(imc.clone(), &options.model_path, &scenario_params)
-                    .map_err(|e| CliError::Session(SessionError::Scenario(e)))?,
-            );
-            let sample = SampleSpec {
-                n_traces: options.n,
-                delta: options.delta,
-                max_steps: 1_000_000,
-            };
-            let spec_for = |method: Method| {
-                RunSpec::new(
-                    ScenarioRef {
-                        name: "file".into(),
-                        params: scenario_params.clone(),
-                    },
-                    method,
-                    options.seed,
-                )
-                .with_threads(options.threads, options.search_threads)
-            };
-            let is_outcome =
-                Session::from_setup(setup.clone(), spec_for(Method::StandardIs(sample)))
-                    .run_outcomes()?
-                    .remove(0);
-            let imcis_outcome = Session::from_setup(
-                setup,
-                spec_for(Method::Imcis(ImcisSpec {
-                    sample,
-                    r_undefeated: options.r,
-                    r_max: 100_000,
-                    force_sampling: false,
-                    record_trace: false,
-                    search: if options.search_batch > 0 {
-                        SearchSpec::Batched {
-                            batch_size: options.search_batch,
-                        }
-                    } else {
-                        SearchSpec::Sequential
-                    },
-                })),
-            )
-            .run_outcomes()?
-            .remove(0);
-            let OutcomeDetail::Imcis(out) = &imcis_outcome.detail else {
-                unreachable!("Method::Imcis produces IMCIS outcomes");
-            };
-            Ok(format!(
-                "standard IS (point model): γ̂ = {:.6e}, CI = {}\n\
-                 IMCIS: γ̂ ∈ [{:.6e}, {:.6e}], {:.0}%-CI = {}\n\
-                 ({} traces, {} successful, {} optimisation rounds)",
-                is_outcome.estimate,
-                is_outcome.ci,
-                out.gamma_min,
-                out.gamma_max,
-                100.0 * (1.0 - options.delta),
-                out.ci,
-                options.n,
-                out.n_success,
-                out.rounds
-            ))
-        }
-        _ => unreachable!("dispatched in run_on_text"),
-    }
+    let (min, max) = match options.bound {
+        Some(k) => imc_bounded_reach_bounds(imc, &target, &avoid, k),
+        None => imc_reach_bounds(imc, &target, &avoid, &SolveOptions::default())
+            .map_err(|e| CliError::Analysis(e.to_string()))?,
+    };
+    Ok(format!(
+        "γ over all members: [{:.6e}, {:.6e}] from state {}",
+        min[imc.initial()],
+        max[imc.initial()],
+        imc.initial()
+    ))
 }
 
 fn build_property(options: &Options, target: StateSet, avoid: StateSet) -> Property {
@@ -1337,22 +1210,6 @@ fn build_property(options: &Options, target: StateSet, avoid: StateSet) -> Prope
         Some(k) => Property::reach_avoid_bounded(target, avoid, k),
         None => Property::reach_avoid(target, avoid),
     }
-}
-
-/// The `file` scenario's `target`/`avoid`/`bound` parameters of a legacy
-/// invocation (the model itself is already parsed, so no `path` entry).
-fn file_scenario_params(options: &Options) -> ScenarioParams {
-    let mut pairs = Vec::new();
-    if let Some(target) = &options.target {
-        pairs.push(("target".to_string(), Value::Str(target.clone())));
-    }
-    if let Some(avoid) = &options.avoid {
-        pairs.push(("avoid".to_string(), Value::Str(avoid.clone())));
-    }
-    if let Some(bound) = options.bound {
-        pairs.push(("bound".to_string(), Value::UInt(bound as u64)));
-    }
-    ScenarioParams::from_pairs(pairs)
 }
 
 /// Prints a command's result to `out` with one trailing newline. JSON
@@ -1461,8 +1318,8 @@ label 2 tails
     #[test]
     fn parses_full_option_set() {
         let opts = parse_args(&args(&[
-            "imcis",
-            "m.imc",
+            "smc",
+            "m.dtmc",
             "--target",
             "bad",
             "--avoid",
@@ -1475,30 +1332,38 @@ label 2 tails
             "0.01",
             "--seed",
             "7",
-            "--r",
-            "250",
             "--threads",
             "4",
-            "--search-batch",
-            "128",
-            "--search-threads",
-            "2",
         ]))
         .unwrap();
-        assert_eq!(opts.command, "imcis");
+        assert_eq!(opts.command, "smc");
         assert_eq!(opts.target.as_deref(), Some("bad"));
         assert_eq!(opts.avoid.as_deref(), Some("ok"));
         assert_eq!(opts.bound, Some(30));
         assert_eq!(
-            (opts.n, opts.delta, opts.seed, opts.r, opts.threads),
-            (5000, 0.01, 7, 250, 4)
+            (opts.n, opts.delta, opts.seed, opts.threads),
+            (5000, 0.01, 7, 4)
         );
-        assert_eq!((opts.search_batch, opts.search_threads), (128, 2));
-        // Omitted thread/batch flags default to 0 (= all cores for the
-        // thread knobs, = sequential search for the batch size).
+        // An omitted thread flag defaults to 0 (= all cores).
         let defaults = parse_args(&args(&["smc", "m.dtmc", "--target", "bad"])).unwrap();
         assert_eq!(defaults.threads, 0);
-        assert_eq!((defaults.search_batch, defaults.search_threads), (0, 0));
+    }
+
+    #[test]
+    fn model_file_sample_values_are_validated_like_manifests() {
+        // `--n 0` and a `--delta` outside (0, 1) would panic in the
+        // engine, so they are usage errors under the manifest rules.
+        for (flag, raw, rule) in [
+            ("--n", "0", "`method.n_traces` must be positive"),
+            ("--delta", "1.5", "`method.delta` must lie in (0, 1)"),
+            ("--delta", "0", "`method.delta` must lie in (0, 1)"),
+        ] {
+            let bad = args(&["smc", "coin.dtmc", "--target", "heads", flag, raw]);
+            match parse_args(&bad) {
+                Err(CliError::Usage(msg)) => assert!(msg.contains(rule), "{flag} {raw}: {msg}"),
+                other => panic!("{flag} {raw}: expected a usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -1648,6 +1513,29 @@ label 2 tails
     }
 
     #[test]
+    fn run_reps_zero_is_a_usage_error() {
+        // The flag form keeps the manifest rule that rejects
+        // `repetitions: 0` instead of running one repetition.
+        let err = run(&args(&[
+            "run",
+            "--scenario",
+            "illustrative",
+            "--method",
+            "smc",
+            "--reps",
+            "0",
+            "--dry-run",
+        ]))
+        .unwrap_err();
+        match err {
+            CliError::Usage(msg) => {
+                assert!(msg.contains("`spec.repetitions` must be positive"), "{msg}")
+            }
+            other => panic!("expected a usage error, got {other}"),
+        }
+    }
+
+    #[test]
     fn run_multi_spec_and_suite_execute_shared_suites() {
         let dir = std::env::temp_dir().join("imcis_cli_suite_forms");
         std::fs::create_dir_all(&dir).unwrap();
@@ -1673,17 +1561,15 @@ label 2 tails
         std::fs::write(&spec_a, dry("smc", "3")).unwrap();
         std::fs::write(&spec_b, dry("standard-is", "4")).unwrap();
 
-        // `run --spec a --spec b` emits a SuiteReport over both members.
-        let suite_out = run(&args(&[
-            "run",
-            "--spec",
-            spec_a.to_str().unwrap(),
-            "--spec",
-            spec_b.to_str().unwrap(),
-            "--threads",
-            "1",
-        ]))
+        // `imcis suite` over a file-referenced manifest (paths relative to
+        // the manifest's directory) emits a SuiteReport over both members.
+        let manifest = dir.join("suite.json");
+        std::fs::write(
+            &manifest,
+            "{\"runs\": [{\"file\": \"a.json\"}, {\"file\": \"b.json\"}], \"threads\": 1}",
+        )
         .unwrap();
+        let suite_out = run(&args(&["suite", manifest.to_str().unwrap()])).unwrap();
         let value = serde::json::parse(&suite_out).unwrap();
         assert_eq!(
             value.get("schema").and_then(Value::as_str),
@@ -1708,21 +1594,8 @@ label 2 tails
         assert_eq!(reports[0].get("status").and_then(Value::as_str), Some("ok"));
         assert_eq!(reports[0].get("report"), Some(&single));
 
-        // `imcis suite` over a file-referenced manifest (paths relative to
-        // the manifest's directory) produces the identical stable report.
-        let manifest = dir.join("suite.json");
-        std::fs::write(
-            &manifest,
-            "{\"runs\": [{\"file\": \"a.json\"}, {\"file\": \"b.json\"}], \"threads\": 1}",
-        )
-        .unwrap();
-        let mut via_suite =
-            serde::json::parse(&run(&args(&["suite", manifest.to_str().unwrap()])).unwrap())
-                .unwrap();
+        let mut via_suite = value;
         via_suite.remove("timing");
-        let mut via_flags = serde::json::parse(&suite_out).unwrap();
-        via_flags.remove("timing");
-        assert_eq!(via_suite, via_flags);
 
         // `suite --threads T` overrides the manifest budget for
         // scheduling only: the stable report is byte-identical.
@@ -1757,11 +1630,10 @@ label 2 tails
             run(&args(&["suite", "a.json", "--seed", "1"])),
             Err(CliError::Usage(_))
         ));
-        // --spec cannot be mixed with per-run flags: member manifests own
-        // their configuration.
+        // Several manifests run as a suite, not through `run`.
         assert!(matches!(
-            run(&args(&["run", "--spec", "a.json", "--seed", "1"])),
-            Err(CliError::Usage(_))
+            run(&args(&["run", "--spec", "a.json"])),
+            Err(CliError::Usage(msg)) if msg.contains("unknown option `--spec`")
         ));
         // A missing suite manifest is a spec file error, not a panic.
         assert!(matches!(
@@ -2004,47 +1876,6 @@ label 2 tails
         let report = run_on_text(&opts, COIN_IMC).unwrap();
         assert!(report.contains("[2"), "{report}"); // lower ≈ 2e-1
         assert!(report.contains("3."), "{report}"); // upper ≈ 3e-1
-    }
-
-    #[test]
-    fn imcis_command_runs_end_to_end() {
-        let opts = parse_args(&args(&[
-            "imcis", "-", "--target", "heads", "--avoid", "tails", "--n", "500", "--r", "50",
-        ]))
-        .unwrap();
-        let report = run_on_text(&opts, COIN_IMC).unwrap();
-        assert!(report.contains("IMCIS"), "{report}");
-        assert!(report.contains("CI ="), "{report}");
-    }
-
-    #[test]
-    fn imcis_batched_search_runs_and_is_thread_invariant() {
-        let report_at = |threads: &str| {
-            let opts = parse_args(&args(&[
-                "imcis",
-                "-",
-                "--target",
-                "heads",
-                "--avoid",
-                "tails",
-                "--n",
-                "500",
-                "--r",
-                "50",
-                "--search-batch",
-                "16",
-                "--search-threads",
-                threads,
-            ]))
-            .unwrap();
-            run_on_text(&opts, COIN_IMC).unwrap()
-        };
-        let reference = report_at("1");
-        assert!(reference.contains("IMCIS"), "{reference}");
-        // The printed report embeds every estimate: textual equality pins
-        // bit-identical results across search thread counts.
-        assert_eq!(report_at("2"), reference);
-        assert_eq!(report_at("8"), reference);
     }
 
     #[test]

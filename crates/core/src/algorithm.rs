@@ -197,7 +197,7 @@ fn lookup(rows: &[(State, Vec<(State, f64)>)], from: State, to: State) -> Option
 
 /// Runs IMCIS (Algorithm 1): samples under `b`, optimises the empirical IS
 /// estimator over `imc`, and returns the widened confidence interval.
-/// [`crate::Session`] reaches it through the `imcis` [`crate::Estimator`].
+/// [`crate::Session`] reaches it through the `imcis` [`crate::StageEstimator`].
 ///
 /// # Errors
 ///

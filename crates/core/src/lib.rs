@@ -33,9 +33,10 @@
 //!    time, so a parameter sweep is one manifest entry.
 //! 3. **Session** ([`Session`]) — resolves one scenario, derives one
 //!    deterministic RNG stream per repetition, fans repetitions over the
-//!    available cores, and drives the method's [`Estimator`]. Crude
+//!    available cores, and drives the method's [`StageEstimator`]. Crude
 //!    Monte Carlo, standard IS, IMCIS, cross-entropy and zero-variance
-//!    baselines all travel this one path.
+//!    baselines all travel this one path; the adaptive methods carry a
+//!    typed [`EstimatorState`] from one campaign stage to the next.
 //! 4. **Report** ([`Report`] / [`SuiteReport`]) — the uniform results:
 //!    estimate, confidence interval, dispersion, per-repetition outcomes
 //!    with optional convergence traces, coverage against the scenario's
@@ -98,8 +99,9 @@
 //!    `[γ̂(A_min) − q·σ̂(A_min)/√N, γ̂(A_max) + q·σ̂(A_max)/√N]`.
 //!
 //! Each method has one way in: [`Session`] or [`Suite`] for repeated
-//! runs, and [`estimator_for`]`(&method).estimate(..)` for a single run
-//! on the caller's RNG.
+//! runs, and [`stage_estimator_for`]`(&method).estimate(..)` for a single
+//! run on the caller's RNG. Every method implements the one
+//! [`StageEstimator`] trait.
 //!
 //! # Example
 //!
@@ -174,18 +176,18 @@ pub use serve::{
     Server, ServerStatus, StatusSnapshot, SubmitOutcome, WIRE_SCHEMA,
 };
 pub use session::{
-    estimator_for, stage_estimator_for, Estimator, EstimatorState, MethodOutcome, OutcomeDetail,
-    RunContext, Session, SessionError, SingleStage, StageEstimator,
+    stage_estimator_for, EstimatorState, MethodOutcome, OutcomeDetail, RunContext, Session,
+    SessionError, StageEstimator,
 };
 pub use spec::{
-    AdaptiveSpec, CrossEntropySpec, ImcisSpec, Method, RunSpec, SampleSpec, ScenarioRef,
-    SearchSpec, SpecError, RUNSPEC_SCHEMA,
+    AdaptiveSpec, CrossEntropySpec, ImcisSpec, Method, RunSpec, SampleSpec, ScenarioRef, SpecError,
+    RUNSPEC_SCHEMA,
 };
 pub use suite::{
     validate_suite_report_json, CampaignOutcome, CampaignSpec, MemberOutcome, MemberStatus,
     SetupCache, StageOutcome, Suite, SuiteMember, SuiteReport, SuiteSpec, SUITEREPORT_SCHEMA,
     SUITEREPORT_SCHEMA_V3, SUITESPEC_SCHEMA,
 };
-// Re-exported so pipeline callers can pick a search engine without a
-// direct `imc_optim` dependency.
+// Re-exported so pipeline callers and manifests (`ImcisSpec::search`)
+// pick a search engine without a direct `imc_optim` dependency.
 pub use imc_optim::SearchStrategy;

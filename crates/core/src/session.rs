@@ -7,9 +7,11 @@
 //! the spec's seed, fans repetitions out over the available cores, and
 //! folds the per-repetition [`MethodOutcome`]s into a uniform,
 //! serializable [`Report`]. Every estimation method is a
-//! [`Estimator`] implementation behind the [`Method`] enum, so SMC,
+//! [`StageEstimator`] implementation behind the [`Method`] enum, so SMC,
 //! standard IS, IMCIS, cross-entropy and zero-variance runs all travel
 //! the same path — and new methods plug in without new entry points.
+//! One-shot methods keep the trait's stateless defaults; the adaptive
+//! methods carry a typed [`EstimatorState`] between campaign stages.
 //!
 //! Determinism contract: a `Session` result is a pure function of its
 //! `RunSpec` (and the scenario it names). Thread budgets affect
@@ -127,7 +129,7 @@ pub enum OutcomeDetail {
     Smc(imc_sim::SmcResult),
 }
 
-/// The uniform per-repetition outcome every [`Estimator`] returns.
+/// The uniform per-repetition outcome every [`StageEstimator`] returns.
 #[derive(Debug, Clone)]
 pub struct MethodOutcome {
     /// Point estimate (`γ̂`; for IMCIS the bracket midpoint).
@@ -152,32 +154,10 @@ pub struct MethodOutcome {
     pub detail: OutcomeDetail,
 }
 
-/// One estimation method, pluggable into a [`Session`].
-///
-/// Implementations must be deterministic given `rng`'s stream and
-/// bit-identical at every thread count in `ctx` — the session relies on
-/// both to keep reports reproducible.
-pub trait Estimator: Sync {
-    /// The stable method name (matches [`Method::name`] for built-ins).
-    fn method_name(&self) -> &'static str;
-
-    /// Runs one repetition against a built scenario.
-    ///
-    /// # Errors
-    ///
-    /// Any [`SessionError`]; the session aborts at the first failure.
-    fn estimate(
-        &self,
-        setup: &Setup,
-        ctx: &RunContext,
-        rng: &mut StdRng,
-    ) -> Result<MethodOutcome, SessionError>;
-}
-
 /// The typed state an estimator carries from one campaign stage to the
 /// next ([`StageEstimator`]).
 ///
-/// Single-stage estimators are [`EstimatorState::Stateless`]; the
+/// One-shot estimators are [`EstimatorState::Stateless`]; the
 /// adaptive estimators carry the change of measure they refine between
 /// stages. `Arc`-held so cloning a state (the campaign runner snapshots
 /// it across supervision boundaries) never copies a model.
@@ -197,27 +177,30 @@ pub enum EstimatorState {
     },
 }
 
-/// A stepwise estimation method: the form a campaign drives.
+/// One estimation method, pluggable into a [`Session`].
 ///
-/// Where [`Estimator`] is one-shot, a stage estimator factors the run
-/// into *estimate under a typed state* plus *advance the state from a
-/// stage's outcomes*. A campaign re-seeds each stage from
+/// A method is stepwise: it estimates under a typed state and advances
+/// that state from a finished stage's outcomes. One-shot methods keep
+/// the provided [`initial_state`](StageEstimator::initial_state) and
+/// [`advance`](StageEstimator::advance), which carry
+/// [`EstimatorState::Stateless`], so each campaign stage is an
+/// independent run; the adaptive methods override both. A session runs
+/// stage 0; a campaign re-seeds each stage from
 /// `stream_seed(seed, 2·stage)` (sessions) and
 /// `stream_seed(seed, 2·stage + 1)` (state updates), so the whole
 /// campaign remains a pure function of its manifest. Implementations
 /// must keep both halves deterministic given `rng`'s stream and
-/// bit-identical at every thread count — `advance` is typically
-/// sequential, which satisfies the contract trivially.
+/// bit-identical at every thread count in `ctx` — `advance` is
+/// typically sequential, which satisfies the contract trivially.
 pub trait StageEstimator: Sync {
-    /// The stable method name (matches [`Method::name`] for built-ins).
-    fn method_name(&self) -> &'static str;
-
     /// The state stage 0 estimates under.
     ///
     /// # Errors
     ///
     /// Any [`SessionError`]; the campaign fails its first stage.
-    fn initial_state(&self, setup: &Setup) -> Result<EstimatorState, SessionError>;
+    fn initial_state(&self, _setup: &Setup) -> Result<EstimatorState, SessionError> {
+        Ok(EstimatorState::Stateless)
+    }
 
     /// Runs one repetition of one stage under `state`.
     ///
@@ -241,46 +224,28 @@ pub trait StageEstimator: Sync {
     /// failure entry.
     fn advance(
         &self,
-        setup: &Setup,
-        state: EstimatorState,
-        outcomes: &[MethodOutcome],
-        rng: &mut StdRng,
-    ) -> Result<EstimatorState, SessionError>;
-}
-
-/// Adapts a one-shot [`Estimator`] into a [`StageEstimator`] whose
-/// every stage is an independent run: stateless, byte-identical to the
-/// unwrapped estimator. All five classic methods campaign through this
-/// adapter.
-pub struct SingleStage<E>(pub E);
-
-impl<E: Estimator> StageEstimator for SingleStage<E> {
-    fn method_name(&self) -> &'static str {
-        self.0.method_name()
-    }
-
-    fn initial_state(&self, _setup: &Setup) -> Result<EstimatorState, SessionError> {
-        Ok(EstimatorState::Stateless)
-    }
-
-    fn estimate_staged(
-        &self,
-        setup: &Setup,
-        _state: &EstimatorState,
-        ctx: &RunContext,
-        rng: &mut StdRng,
-    ) -> Result<MethodOutcome, SessionError> {
-        self.0.estimate(setup, ctx, rng)
-    }
-
-    fn advance(
-        &self,
         _setup: &Setup,
         _state: EstimatorState,
         _outcomes: &[MethodOutcome],
         _rng: &mut StdRng,
     ) -> Result<EstimatorState, SessionError> {
         Ok(EstimatorState::Stateless)
+    }
+
+    /// Runs one repetition on the caller's RNG: stage 0, under
+    /// [`initial_state`](StageEstimator::initial_state).
+    ///
+    /// # Errors
+    ///
+    /// Any [`SessionError`] of either step.
+    fn estimate(
+        &self,
+        setup: &Setup,
+        ctx: &RunContext,
+        rng: &mut StdRng,
+    ) -> Result<MethodOutcome, SessionError> {
+        let state = self.initial_state(setup)?;
+        self.estimate_staged(setup, &state, ctx, rng)
     }
 }
 
@@ -511,32 +476,17 @@ impl Session {
     }
 }
 
-/// The built-in estimator behind a [`Method`].
-///
-/// The adaptive methods run here in their single-stage form: estimate
-/// once under their bootstrap state (exactly stage 0 of a campaign).
-pub fn estimator_for(method: &Method) -> Box<dyn Estimator> {
+/// The built-in estimator behind a [`Method`]. A [`Session`] runs it
+/// through [`StageEstimator::initial_state`] and
+/// [`StageEstimator::estimate_staged`]; one run on the caller's RNG is
+/// [`StageEstimator::estimate`].
+pub fn stage_estimator_for(method: &Method) -> Box<dyn StageEstimator> {
     match method {
         Method::Smc(s) => Box::new(SmcEstimator(*s)),
         Method::StandardIs(s) => Box::new(StandardIsEstimator(*s)),
         Method::ZeroVarianceIs(s) => Box::new(ZeroVarianceEstimator(*s)),
         Method::CrossEntropyIs(ce) => Box::new(CrossEntropyEstimator(*ce)),
         Method::Imcis(i) => Box::new(ImcisEstimator(*i)),
-        Method::CeCampaign(a) => Box::new(CeCampaignEstimator(*a)),
-        Method::DupuisWang(a) => Box::new(DupuisWangEstimator(*a)),
-    }
-}
-
-/// The built-in stepwise estimator behind a [`Method`]: the classic
-/// five wrap through [`SingleStage`] (byte-identical to their one-shot
-/// form); the adaptive methods return their true stage form.
-pub fn stage_estimator_for(method: &Method) -> Box<dyn StageEstimator> {
-    match method {
-        Method::Smc(s) => Box::new(SingleStage(SmcEstimator(*s))),
-        Method::StandardIs(s) => Box::new(SingleStage(StandardIsEstimator(*s))),
-        Method::ZeroVarianceIs(s) => Box::new(SingleStage(ZeroVarianceEstimator(*s))),
-        Method::CrossEntropyIs(ce) => Box::new(SingleStage(CrossEntropyEstimator(*ce))),
-        Method::Imcis(i) => Box::new(SingleStage(ImcisEstimator(*i))),
         Method::CeCampaign(a) => Box::new(CeCampaignEstimator(*a)),
         Method::DupuisWang(a) => Box::new(DupuisWangEstimator(*a)),
     }
@@ -567,13 +517,11 @@ fn outcome_from_is(out: IsOutcome) -> MethodOutcome {
 /// Crude Monte Carlo on the centre chain `Â` (§II-C baseline).
 struct SmcEstimator(SampleSpec);
 
-impl Estimator for SmcEstimator {
-    fn method_name(&self) -> &'static str {
-        "smc"
-    }
-    fn estimate(
+impl StageEstimator for SmcEstimator {
+    fn estimate_staged(
         &self,
         setup: &Setup,
+        _state: &EstimatorState,
         ctx: &RunContext,
         rng: &mut StdRng,
     ) -> Result<MethodOutcome, SessionError> {
@@ -604,13 +552,11 @@ impl Estimator for SmcEstimator {
 /// Standard IS against `Â` under the scenario's chain `B` (§III-A).
 struct StandardIsEstimator(SampleSpec);
 
-impl Estimator for StandardIsEstimator {
-    fn method_name(&self) -> &'static str {
-        "standard-is"
-    }
-    fn estimate(
+impl StageEstimator for StandardIsEstimator {
+    fn estimate_staged(
         &self,
         setup: &Setup,
+        _state: &EstimatorState,
         ctx: &RunContext,
         rng: &mut StdRng,
     ) -> Result<MethodOutcome, SessionError> {
@@ -628,13 +574,11 @@ impl Estimator for StandardIsEstimator {
 /// Standard IS under a freshly built zero-variance chain for `Â`.
 struct ZeroVarianceEstimator(SampleSpec);
 
-impl Estimator for ZeroVarianceEstimator {
-    fn method_name(&self) -> &'static str {
-        "zero-variance"
-    }
-    fn estimate(
+impl StageEstimator for ZeroVarianceEstimator {
+    fn estimate_staged(
         &self,
         setup: &Setup,
+        _state: &EstimatorState,
         ctx: &RunContext,
         rng: &mut StdRng,
     ) -> Result<MethodOutcome, SessionError> {
@@ -659,13 +603,11 @@ impl Estimator for ZeroVarianceEstimator {
 /// Standard IS under a cross-entropy-trained chain (reference \[24\]).
 struct CrossEntropyEstimator(CrossEntropySpec);
 
-impl Estimator for CrossEntropyEstimator {
-    fn method_name(&self) -> &'static str {
-        "cross-entropy"
-    }
-    fn estimate(
+impl StageEstimator for CrossEntropyEstimator {
+    fn estimate_staged(
         &self,
         setup: &Setup,
+        _state: &EstimatorState,
         ctx: &RunContext,
         rng: &mut StdRng,
     ) -> Result<MethodOutcome, SessionError> {
@@ -695,13 +637,11 @@ impl Estimator for CrossEntropyEstimator {
 /// The paper's Algorithm 1: importance sampling of the IMC.
 struct ImcisEstimator(ImcisSpec);
 
-impl Estimator for ImcisEstimator {
-    fn method_name(&self) -> &'static str {
-        "imcis"
-    }
-    fn estimate(
+impl StageEstimator for ImcisEstimator {
+    fn estimate_staged(
         &self,
         setup: &Setup,
+        _state: &EstimatorState,
         ctx: &RunContext,
         rng: &mut StdRng,
     ) -> Result<MethodOutcome, SessionError> {
@@ -726,23 +666,6 @@ impl Estimator for ImcisEstimator {
 /// between campaign stages.
 struct CeCampaignEstimator(AdaptiveSpec);
 
-impl CeCampaignEstimator {
-    fn bootstrap(&self, setup: &Setup) -> Result<EstimatorState, SessionError> {
-        let weight = CrossEntropyConfig::default().initial_uniform_weight;
-        let b = initial_chain(&setup.center, weight)
-            .map_err(|e| SessionError::Analysis(format!("ce-campaign bootstrap: {e}")))?;
-        Ok(EstimatorState::Chain(Arc::new(b)))
-    }
-
-    fn refine_config(&self) -> CrossEntropyConfig {
-        CrossEntropyConfig {
-            traces_per_iteration: self.0.training_traces,
-            max_steps: self.0.sample.max_steps,
-            ..CrossEntropyConfig::default()
-        }
-    }
-}
-
 fn state_chain<'a>(state: &'a EstimatorState, method: &str) -> Result<&'a Arc<Dtmc>, SessionError> {
     match state {
         EstimatorState::Chain(b) => Ok(b),
@@ -753,28 +676,32 @@ fn state_chain<'a>(state: &'a EstimatorState, method: &str) -> Result<&'a Arc<Dt
     }
 }
 
-impl Estimator for CeCampaignEstimator {
-    fn method_name(&self) -> &'static str {
-        "ce-campaign"
-    }
-    fn estimate(
-        &self,
-        setup: &Setup,
-        ctx: &RunContext,
-        rng: &mut StdRng,
-    ) -> Result<MethodOutcome, SessionError> {
-        let state = self.bootstrap(setup)?;
-        self.estimate_staged(setup, &state, ctx, rng)
-    }
+/// Standard IS against `Â` under the chain an adaptive `state` carries.
+fn is_under_state(
+    method: &str,
+    sample: &SampleSpec,
+    setup: &Setup,
+    state: &EstimatorState,
+    ctx: &RunContext,
+    rng: &mut StdRng,
+) -> Result<MethodOutcome, SessionError> {
+    let b = state_chain(state, method)?;
+    let out = standard_is_impl(
+        &setup.center,
+        b,
+        &setup.property,
+        &is_config(sample, ctx),
+        rng,
+    );
+    Ok(outcome_from_is(out))
 }
 
 impl StageEstimator for CeCampaignEstimator {
-    fn method_name(&self) -> &'static str {
-        "ce-campaign"
-    }
-
     fn initial_state(&self, setup: &Setup) -> Result<EstimatorState, SessionError> {
-        self.bootstrap(setup)
+        let weight = CrossEntropyConfig::default().initial_uniform_weight;
+        let b = initial_chain(&setup.center, weight)
+            .map_err(|e| SessionError::Analysis(format!("ce-campaign bootstrap: {e}")))?;
+        Ok(EstimatorState::Chain(Arc::new(b)))
     }
 
     fn estimate_staged(
@@ -784,15 +711,7 @@ impl StageEstimator for CeCampaignEstimator {
         ctx: &RunContext,
         rng: &mut StdRng,
     ) -> Result<MethodOutcome, SessionError> {
-        let b = state_chain(state, "ce-campaign")?;
-        let out = standard_is_impl(
-            &setup.center,
-            b,
-            &setup.property,
-            &is_config(&self.0.sample, ctx),
-            rng,
-        );
-        Ok(outcome_from_is(out))
+        is_under_state("ce-campaign", &self.0.sample, setup, state, ctx, rng)
     }
 
     fn advance(
@@ -803,14 +722,13 @@ impl StageEstimator for CeCampaignEstimator {
         rng: &mut StdRng,
     ) -> Result<EstimatorState, SessionError> {
         let b = state_chain(&state, "ce-campaign")?;
-        let step = cross_entropy_refine(
-            &setup.center,
-            &setup.property,
-            b,
-            &self.refine_config(),
-            rng,
-        )
-        .map_err(|e| SessionError::Analysis(format!("ce-campaign refinement: {e}")))?;
+        let config = CrossEntropyConfig {
+            traces_per_iteration: self.0.training_traces,
+            max_steps: self.0.sample.max_steps,
+            ..CrossEntropyConfig::default()
+        };
+        let step = cross_entropy_refine(&setup.center, &setup.property, b, &config, rng)
+            .map_err(|e| SessionError::Analysis(format!("ce-campaign refinement: {e}")))?;
         Ok(EstimatorState::Chain(Arc::new(step.b)))
     }
 }
@@ -819,8 +737,8 @@ impl StageEstimator for CeCampaignEstimator {
 /// its value function re-trained between campaign stages.
 struct DupuisWangEstimator(AdaptiveSpec);
 
-impl DupuisWangEstimator {
-    fn bootstrap(&self, setup: &Setup) -> Result<EstimatorState, SessionError> {
+impl StageEstimator for DupuisWangEstimator {
+    fn initial_state(&self, setup: &Setup) -> Result<EstimatorState, SessionError> {
         let weight = CrossEntropyConfig::default().initial_uniform_weight;
         let b = initial_chain(&setup.center, weight)
             .map_err(|e| SessionError::Analysis(format!("dupuis-wang bootstrap: {e}")))?;
@@ -831,39 +749,6 @@ impl DupuisWangEstimator {
         })
     }
 
-    fn update_config(&self) -> DupuisWangConfig {
-        DupuisWangConfig {
-            training_traces: self.0.training_traces,
-            max_steps: self.0.sample.max_steps,
-            ..DupuisWangConfig::default()
-        }
-    }
-}
-
-impl Estimator for DupuisWangEstimator {
-    fn method_name(&self) -> &'static str {
-        "dupuis-wang"
-    }
-    fn estimate(
-        &self,
-        setup: &Setup,
-        ctx: &RunContext,
-        rng: &mut StdRng,
-    ) -> Result<MethodOutcome, SessionError> {
-        let state = self.bootstrap(setup)?;
-        self.estimate_staged(setup, &state, ctx, rng)
-    }
-}
-
-impl StageEstimator for DupuisWangEstimator {
-    fn method_name(&self) -> &'static str {
-        "dupuis-wang"
-    }
-
-    fn initial_state(&self, setup: &Setup) -> Result<EstimatorState, SessionError> {
-        self.bootstrap(setup)
-    }
-
     fn estimate_staged(
         &self,
         setup: &Setup,
@@ -871,15 +756,7 @@ impl StageEstimator for DupuisWangEstimator {
         ctx: &RunContext,
         rng: &mut StdRng,
     ) -> Result<MethodOutcome, SessionError> {
-        let b = state_chain(state, "dupuis-wang")?;
-        let out = standard_is_impl(
-            &setup.center,
-            b,
-            &setup.property,
-            &is_config(&self.0.sample, ctx),
-            rng,
-        );
-        Ok(outcome_from_is(out))
+        is_under_state("dupuis-wang", &self.0.sample, setup, state, ctx, rng)
     }
 
     fn advance(
@@ -894,15 +771,13 @@ impl StageEstimator for DupuisWangEstimator {
                 "dupuis-wang needs a value/chain estimator state".into(),
             ));
         };
-        let (nb, nv) = dupuis_wang_update(
-            &setup.center,
-            &setup.property,
-            b,
-            v,
-            &self.update_config(),
-            rng,
-        )
-        .map_err(|e| SessionError::Analysis(format!("dupuis-wang update: {e}")))?;
+        let config = DupuisWangConfig {
+            training_traces: self.0.training_traces,
+            max_steps: self.0.sample.max_steps,
+            ..DupuisWangConfig::default()
+        };
+        let (nb, nv) = dupuis_wang_update(&setup.center, &setup.property, b, v, &config, rng)
+            .map_err(|e| SessionError::Analysis(format!("dupuis-wang update: {e}")))?;
         Ok(EstimatorState::ValueChain {
             b: Arc::new(nb),
             v: Arc::new(nv),
@@ -913,7 +788,8 @@ impl StageEstimator for DupuisWangEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{ScenarioRef, SearchSpec};
+    use crate::spec::ScenarioRef;
+    use crate::SearchStrategy;
     use imc_logic::Property;
     use imc_markov::{DtmcBuilder, Imc, StateSet};
     use imc_models::illustrative;
@@ -934,7 +810,7 @@ mod tests {
             r_max: 5_000,
             force_sampling: false,
             record_trace: true,
-            search: SearchSpec::Sequential,
+            search: SearchStrategy::Sequential,
         })
     }
 
@@ -1011,9 +887,9 @@ mod tests {
 
     #[test]
     fn single_stage_adapter_is_byte_identical_to_the_one_shot_run() {
-        // The refactored session path routes every classic method
-        // through SingleStage; pin that a staged run with the adapter's
-        // own initial state reproduces `run()` exactly.
+        // One-shot methods take the trait's single-stage defaults: a
+        // staged run under their own initial state reproduces `run()`
+        // exactly, and so does `estimate` on repetition 0's stream.
         let spec = illustrative_spec(Method::StandardIs(SampleSpec {
             n_traces: 300,
             delta: 0.05,
@@ -1029,6 +905,13 @@ mod tests {
             staged.to_json_stable().pretty(),
             baseline.to_json_stable().pretty()
         );
+        let mut rng = StdRng::seed_from_u64(session.spec().seed);
+        let one = estimator
+            .estimate(session.setup(), &RunContext::default(), &mut rng)
+            .unwrap();
+        assert_eq!(one.estimate.to_bits(), outcomes[0].estimate.to_bits());
+        assert_eq!(one.ci, outcomes[0].ci);
+        assert_eq!(one.n_success, outcomes[0].n_success);
     }
 
     #[test]

@@ -147,29 +147,6 @@ impl Default for SampleSpec {
     }
 }
 
-/// Candidate-search engine selection for IMCIS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SearchSpec {
-    /// The paper-exact sequential Algorithm 2.
-    #[default]
-    Sequential,
-    /// The batched deterministic engine (`0` = engine default batch).
-    Batched {
-        /// Candidates per round.
-        batch_size: usize,
-    },
-}
-
-impl SearchSpec {
-    /// The equivalent `imc_optim` strategy.
-    pub fn strategy(self) -> SearchStrategy {
-        match self {
-            SearchSpec::Sequential => SearchStrategy::Sequential,
-            SearchSpec::Batched { batch_size } => SearchStrategy::Batched { batch_size },
-        }
-    }
-}
-
 /// IMCIS (Algorithm 1) configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImcisSpec {
@@ -185,7 +162,7 @@ pub struct ImcisSpec {
     /// Record the optimisation convergence trace in the report.
     pub record_trace: bool,
     /// Candidate-search engine.
-    pub search: SearchSpec,
+    pub search: SearchStrategy,
 }
 
 impl Default for ImcisSpec {
@@ -196,7 +173,7 @@ impl Default for ImcisSpec {
             r_max: 100_000,
             force_sampling: false,
             record_trace: false,
-            search: SearchSpec::Sequential,
+            search: SearchStrategy::Sequential,
         }
     }
 }
@@ -211,7 +188,7 @@ impl ImcisSpec {
             .with_max_steps(self.sample.max_steps)
             .with_threads(threads)
             .with_search_threads(search_threads)
-            .with_strategy(self.search.strategy());
+            .with_strategy(self.search);
         if self.force_sampling {
             config = config.with_forced_sampling();
         }
@@ -584,7 +561,7 @@ fn parse_method(value: &Value) -> Result<Method, SpecError> {
             ])?;
             let defaults = ImcisSpec::default();
             let search = match fields.opt("search") {
-                None => SearchSpec::Sequential,
+                None => SearchStrategy::Sequential,
                 Some(v) => parse_search(v)?,
             };
             Ok(Method::Imcis(ImcisSpec {
@@ -617,7 +594,7 @@ fn parse_method(value: &Value) -> Result<Method, SpecError> {
     }
 }
 
-fn parse_search(value: &Value) -> Result<SearchSpec, SpecError> {
+fn parse_search(value: &Value) -> Result<SearchStrategy, SpecError> {
     let fields = Fields::new(value, "method.search")?;
     fields.allow(&["strategy", "batch_size"])?;
     let strategy = fields
@@ -631,9 +608,9 @@ fn parse_search(value: &Value) -> Result<SearchSpec, SpecError> {
                     "`search.batch_size` is only valid with the batched strategy",
                 ));
             }
-            Ok(SearchSpec::Sequential)
+            Ok(SearchStrategy::Sequential)
         }
-        "batched" => Ok(SearchSpec::Batched {
+        "batched" => Ok(SearchStrategy::Batched {
             batch_size: fields.usize_or("batch_size", 0)?,
         }),
         other => Err(schema_err(format!(
@@ -670,10 +647,10 @@ fn method_to_json(method: &Method) -> Value {
             pairs.push(("force_sampling".into(), Value::Bool(i.force_sampling)));
             pairs.push(("record_trace".into(), Value::Bool(i.record_trace)));
             let search = match i.search {
-                SearchSpec::Sequential => {
+                SearchStrategy::Sequential => {
                     Value::object([("strategy".into(), Value::Str("sequential".into()))])
                 }
-                SearchSpec::Batched { batch_size } => Value::object([
+                SearchStrategy::Batched { batch_size } => Value::object([
                     ("strategy".into(), Value::Str("batched".into())),
                     ("batch_size".into(), Value::UInt(batch_size as u64)),
                 ]),
@@ -823,7 +800,7 @@ mod tests {
                 r_max: 5000,
                 force_sampling: false,
                 record_trace: true,
-                search: SearchSpec::Batched { batch_size: 32 },
+                search: SearchStrategy::Batched { batch_size: 32 },
             }),
             seed: 2018,
             threads: 1,
@@ -1017,7 +994,7 @@ mod tests {
             r_max: 99,
             force_sampling: true,
             record_trace: true,
-            search: SearchSpec::Batched { batch_size: 8 },
+            search: SearchStrategy::Batched { batch_size: 8 },
         };
         let config = spec.to_config(3, 4);
         assert_eq!(config.threads, 3);

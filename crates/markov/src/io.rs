@@ -25,6 +25,9 @@
 //!   buffer, at the price of requiring transitions in ascending
 //!   `(from, to)` order (the order the writers emit). Out-of-order input is
 //!   a typed [`ModelError::OutOfOrderTransition`].
+//!
+//! All four read the grammar through one loader; only the model builder
+//! behind it differs.
 
 use std::fmt;
 use std::io::BufRead;
@@ -91,17 +94,81 @@ impl From<ModelError> for ParseError {
     }
 }
 
-/// Tokenised line stream shared by both in-memory parsers.
-fn lines(text: &str) -> impl Iterator<Item = (usize, Vec<&str>)> {
-    text.lines().enumerate().filter_map(|(i, raw)| {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            None
-        } else {
-            Some((i + 1, line.split_whitespace().collect()))
-        }
-    })
+/// What the loader needs of a model builder. The four builders share
+/// one grammar; they differ in the model they assemble and in edge order:
+/// the batch builders buffer and sort, the stream builders append to the
+/// CSR arrays and reject out-of-order edges.
+trait Builder: Sized {
+    /// The model this builder assembles.
+    type Model;
+    /// The header line: `dtmc` or `imc`.
+    const HEADER: &'static str;
+    /// The edge directive's shape, keyword first: `transition FROM TO P`
+    /// or `interval FROM TO LO HI`. [`ParseError::Malformed`] quotes it.
+    const EDGE: &'static str;
+
+    /// `states N`.
+    fn start(n: usize) -> Self;
+    /// `initial S`.
+    fn initial(&mut self, state: usize);
+    /// `label STATE NAME`.
+    fn label(&mut self, state: usize, name: &str);
+    /// The edge directive; `values` holds `P`, or `LO` and `HI`.
+    fn edge(&mut self, from: usize, to: usize, values: [f64; 2]) -> Result<(), ModelError>;
+    /// Validates and builds the model at the end of the input.
+    fn assemble(self) -> Result<Self::Model, ModelError>;
 }
+
+/// Implements [`Builder`] over a builder's inherent `new`, `set_initial`
+/// and `add_label`; `$assemble` names its build method, and the closure
+/// adds one edge.
+macro_rules! builder {
+    ($builder:ident => $model:ident, $header:expr, $edge_shape:expr, $assemble:ident,
+     |$b:ident, $from:ident, $to:ident, $values:ident| $edge:expr) => {
+        impl Builder for $builder {
+            type Model = $model;
+            const HEADER: &'static str = $header;
+            const EDGE: &'static str = $edge_shape;
+
+            fn start(n: usize) -> Self {
+                $builder::new(n)
+            }
+            fn initial(&mut self, state: usize) {
+                self.set_initial(state);
+            }
+            fn label(&mut self, state: usize, name: &str) {
+                self.add_label(state, name);
+            }
+            fn edge(
+                &mut self,
+                $from: usize,
+                $to: usize,
+                $values: [f64; 2],
+            ) -> Result<(), ModelError> {
+                let $b = self;
+                $edge
+            }
+            fn assemble(self) -> Result<$model, ModelError> {
+                self.$assemble()
+            }
+        }
+    };
+}
+
+builder!(DtmcBuilder => Dtmc, "dtmc", "transition FROM TO P", build, |b, from, to, v| {
+    b.add_transition(from, to, v[0]);
+    Ok(())
+});
+builder!(DtmcStreamBuilder => Dtmc, "dtmc", "transition FROM TO P", finish, |b, from, to, v| {
+    b.push_transition(from, to, v[0])
+});
+builder!(ImcBuilder => Imc, "imc", "interval FROM TO LO HI", build, |b, from, to, v| {
+    b.add_interval(from, to, v[0], v[1]);
+    Ok(())
+});
+builder!(ImcStreamBuilder => Imc, "imc", "interval FROM TO LO HI", finish, |b, from, to, v| {
+    b.push_interval(from, to, v[0], v[1])
+});
 
 fn parse_num<T: std::str::FromStr>(
     fields: &[&str],
@@ -115,36 +182,38 @@ fn parse_num<T: std::str::FromStr>(
         .ok_or(ParseError::Malformed { line, expected })
 }
 
-/// Parses a DTMC from the text format (directives in any order).
-///
-/// # Errors
-///
-/// Returns a [`ParseError`] describing the first offending line, or the
-/// model-validation failure.
-pub fn parse_dtmc(text: &str) -> Result<Dtmc, ParseError> {
-    let mut it = lines(text);
-    match it.next() {
-        Some((_, fields)) if fields == ["dtmc"] => {}
-        _ => return Err(ParseError::WrongHeader { expected: "dtmc" }),
-    }
-    let mut builder: Option<DtmcBuilder> = None;
-    for (line, fields) in it {
-        match fields[0] {
-            "states" => {
-                let n: usize = parse_num(&fields, 1, line, "states N")?;
-                builder = Some(DtmcBuilder::new(n));
+/// The one loader of the text format: checks the header, strips comments
+/// and blank lines, and hands each directive to `B`. Reads one line at a
+/// time, so a stream builder never holds the whole file.
+fn load<B: Builder>(reader: impl BufRead) -> Result<B::Model, ParseError> {
+    let mut shape = B::EDGE.split_whitespace();
+    let edge = shape.next().unwrap_or_default();
+    // The numbers after `FROM TO`.
+    let arity = shape.count() - 2;
+    let mut saw_header = false;
+    let mut builder: Option<B> = None;
+    for (i, raw) in reader.lines().enumerate() {
+        let raw = raw.map_err(|e| ParseError::Io(e.to_string()))?;
+        let text = raw.split('#').next().unwrap_or("").trim();
+        if text.is_empty() {
+            continue;
+        }
+        let fields: Vec<&str> = text.split_whitespace().collect();
+        if !saw_header {
+            if fields != [B::HEADER] {
+                return Err(ParseError::WrongHeader {
+                    expected: B::HEADER,
+                });
             }
+            saw_header = true;
+            continue;
+        }
+        let line = i + 1;
+        match fields[0] {
+            "states" => builder = Some(B::start(parse_num(&fields, 1, line, "states N")?)),
             "initial" => {
                 let b = builder.as_mut().ok_or(ParseError::MissingStates)?;
-                let s: usize = parse_num(&fields, 1, line, "initial S")?;
-                b.set_initial(s);
-            }
-            "transition" => {
-                let b = builder.as_mut().ok_or(ParseError::MissingStates)?;
-                let from: usize = parse_num(&fields, 1, line, "transition FROM TO P")?;
-                let to: usize = parse_num(&fields, 2, line, "transition FROM TO P")?;
-                let p: f64 = parse_num(&fields, 3, line, "transition FROM TO P")?;
-                b.add_transition(from, to, p);
+                b.initial(parse_num(&fields, 1, line, "initial S")?);
             }
             "label" => {
                 let b = builder.as_mut().ok_or(ParseError::MissingStates)?;
@@ -153,7 +222,17 @@ pub fn parse_dtmc(text: &str) -> Result<Dtmc, ParseError> {
                     line,
                     expected: "label STATE NAME",
                 })?;
-                b.add_label(s, name);
+                b.label(s, name);
+            }
+            keyword if keyword == edge => {
+                let b = builder.as_mut().ok_or(ParseError::MissingStates)?;
+                let from: usize = parse_num(&fields, 1, line, B::EDGE)?;
+                let to: usize = parse_num(&fields, 2, line, B::EDGE)?;
+                let mut values = [0.0; 2];
+                for (k, value) in values.iter_mut().take(arity).enumerate() {
+                    *value = parse_num(&fields, 3 + k, line, B::EDGE)?;
+                }
+                b.edge(from, to, values)?;
             }
             other => {
                 return Err(ParseError::UnknownDirective {
@@ -163,10 +242,25 @@ pub fn parse_dtmc(text: &str) -> Result<Dtmc, ParseError> {
             }
         }
     }
+    if !saw_header {
+        return Err(ParseError::WrongHeader {
+            expected: B::HEADER,
+        });
+    }
     builder
         .ok_or(ParseError::MissingStates)?
-        .build()
+        .assemble()
         .map_err(ParseError::from)
+}
+
+/// Parses a DTMC from the text format (directives in any order).
+///
+/// # Errors
+///
+/// Returns a [`ParseError`] describing the first offending line, or the
+/// model-validation failure.
+pub fn parse_dtmc(text: &str) -> Result<Dtmc, ParseError> {
+    load::<DtmcBuilder>(text.as_bytes())
 }
 
 /// Parses an IMC from the text format (directives in any order).
@@ -176,96 +270,7 @@ pub fn parse_dtmc(text: &str) -> Result<Dtmc, ParseError> {
 /// Returns a [`ParseError`] describing the first offending line, or the
 /// model-validation failure.
 pub fn parse_imc(text: &str) -> Result<Imc, ParseError> {
-    let mut it = lines(text);
-    match it.next() {
-        Some((_, fields)) if fields == ["imc"] => {}
-        _ => return Err(ParseError::WrongHeader { expected: "imc" }),
-    }
-    let mut builder: Option<ImcBuilder> = None;
-    for (line, fields) in it {
-        match fields[0] {
-            "states" => {
-                let n: usize = parse_num(&fields, 1, line, "states N")?;
-                builder = Some(ImcBuilder::new(n));
-            }
-            "initial" => {
-                let b = builder.as_mut().ok_or(ParseError::MissingStates)?;
-                let s: usize = parse_num(&fields, 1, line, "initial S")?;
-                b.set_initial(s);
-            }
-            "interval" => {
-                let b = builder.as_mut().ok_or(ParseError::MissingStates)?;
-                let from: usize = parse_num(&fields, 1, line, "interval FROM TO LO HI")?;
-                let to: usize = parse_num(&fields, 2, line, "interval FROM TO LO HI")?;
-                let lo: f64 = parse_num(&fields, 3, line, "interval FROM TO LO HI")?;
-                let hi: f64 = parse_num(&fields, 4, line, "interval FROM TO LO HI")?;
-                b.add_interval(from, to, lo, hi);
-            }
-            "label" => {
-                let b = builder.as_mut().ok_or(ParseError::MissingStates)?;
-                let s: usize = parse_num(&fields, 1, line, "label STATE NAME")?;
-                let name = fields.get(2).ok_or(ParseError::Malformed {
-                    line,
-                    expected: "label STATE NAME",
-                })?;
-                b.add_label(s, name);
-            }
-            other => {
-                return Err(ParseError::UnknownDirective {
-                    line,
-                    keyword: other.to_owned(),
-                })
-            }
-        }
-    }
-    builder
-        .ok_or(ParseError::MissingStates)?
-        .build()
-        .map_err(ParseError::from)
-}
-
-/// One tokenised line delivered to a streaming directive handler.
-struct StreamLine {
-    line: usize,
-    fields: Vec<String>,
-}
-
-/// Drives a [`BufRead`] through the shared tokeniser: strips comments,
-/// skips blank lines, checks the header, and hands every remaining line to
-/// `handle`. Reads one line at a time — the whole file is never buffered.
-fn stream_lines<R: BufRead>(
-    reader: R,
-    header: &'static str,
-    mut handle: impl FnMut(StreamLine) -> Result<(), ParseError>,
-) -> Result<(), ParseError> {
-    let mut saw_header = false;
-    for (i, raw) in reader.lines().enumerate() {
-        let raw = raw.map_err(|e| ParseError::Io(e.to_string()))?;
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let fields: Vec<String> = line.split_whitespace().map(str::to_owned).collect();
-        if !saw_header {
-            if fields.len() == 1 && fields[0] == header {
-                saw_header = true;
-                continue;
-            }
-            return Err(ParseError::WrongHeader { expected: header });
-        }
-        handle(StreamLine {
-            line: i + 1,
-            fields,
-        })?;
-    }
-    if !saw_header {
-        return Err(ParseError::WrongHeader { expected: header });
-    }
-    Ok(())
-}
-
-fn fields_ref(fields: &[String]) -> Vec<&str> {
-    fields.iter().map(String::as_str).collect()
+    load::<ImcBuilder>(text.as_bytes())
 }
 
 /// Streams a DTMC from `reader`, building the CSR arrays incrementally.
@@ -282,49 +287,7 @@ fn fields_ref(fields: &[String]) -> Vec<&str> {
 /// and [`ModelError::OutOfOrderTransition`] (wrapped in
 /// [`ParseError::Model`]) on out-of-order transitions.
 pub fn read_dtmc<R: BufRead>(reader: R) -> Result<Dtmc, ParseError> {
-    let mut builder: Option<DtmcStreamBuilder> = None;
-    stream_lines(reader, "dtmc", |l| {
-        let fields = fields_ref(&l.fields);
-        let line = l.line;
-        match fields[0] {
-            "states" => {
-                let n: usize = parse_num(&fields, 1, line, "states N")?;
-                builder = Some(DtmcStreamBuilder::new(n));
-            }
-            "initial" => {
-                let b = builder.as_mut().ok_or(ParseError::MissingStates)?;
-                let s: usize = parse_num(&fields, 1, line, "initial S")?;
-                b.set_initial(s);
-            }
-            "transition" => {
-                let b = builder.as_mut().ok_or(ParseError::MissingStates)?;
-                let from: usize = parse_num(&fields, 1, line, "transition FROM TO P")?;
-                let to: usize = parse_num(&fields, 2, line, "transition FROM TO P")?;
-                let p: f64 = parse_num(&fields, 3, line, "transition FROM TO P")?;
-                b.push_transition(from, to, p)?;
-            }
-            "label" => {
-                let b = builder.as_mut().ok_or(ParseError::MissingStates)?;
-                let s: usize = parse_num(&fields, 1, line, "label STATE NAME")?;
-                let name = fields.get(2).ok_or(ParseError::Malformed {
-                    line,
-                    expected: "label STATE NAME",
-                })?;
-                b.add_label(s, name);
-            }
-            other => {
-                return Err(ParseError::UnknownDirective {
-                    line,
-                    keyword: other.to_owned(),
-                })
-            }
-        }
-        Ok(())
-    })?;
-    builder
-        .ok_or(ParseError::MissingStates)?
-        .finish()
-        .map_err(ParseError::from)
+    load::<DtmcStreamBuilder>(reader)
 }
 
 /// Streams an IMC from `reader`, building the CSR arrays incrementally.
@@ -339,50 +302,7 @@ pub fn read_dtmc<R: BufRead>(reader: R) -> Result<Dtmc, ParseError> {
 /// and [`ModelError::OutOfOrderTransition`] (wrapped in
 /// [`ParseError::Model`]) on out-of-order intervals.
 pub fn read_imc<R: BufRead>(reader: R) -> Result<Imc, ParseError> {
-    let mut builder: Option<ImcStreamBuilder> = None;
-    stream_lines(reader, "imc", |l| {
-        let fields = fields_ref(&l.fields);
-        let line = l.line;
-        match fields[0] {
-            "states" => {
-                let n: usize = parse_num(&fields, 1, line, "states N")?;
-                builder = Some(ImcStreamBuilder::new(n));
-            }
-            "initial" => {
-                let b = builder.as_mut().ok_or(ParseError::MissingStates)?;
-                let s: usize = parse_num(&fields, 1, line, "initial S")?;
-                b.set_initial(s);
-            }
-            "interval" => {
-                let b = builder.as_mut().ok_or(ParseError::MissingStates)?;
-                let from: usize = parse_num(&fields, 1, line, "interval FROM TO LO HI")?;
-                let to: usize = parse_num(&fields, 2, line, "interval FROM TO LO HI")?;
-                let lo: f64 = parse_num(&fields, 3, line, "interval FROM TO LO HI")?;
-                let hi: f64 = parse_num(&fields, 4, line, "interval FROM TO LO HI")?;
-                b.push_interval(from, to, lo, hi)?;
-            }
-            "label" => {
-                let b = builder.as_mut().ok_or(ParseError::MissingStates)?;
-                let s: usize = parse_num(&fields, 1, line, "label STATE NAME")?;
-                let name = fields.get(2).ok_or(ParseError::Malformed {
-                    line,
-                    expected: "label STATE NAME",
-                })?;
-                b.add_label(s, name);
-            }
-            other => {
-                return Err(ParseError::UnknownDirective {
-                    line,
-                    keyword: other.to_owned(),
-                })
-            }
-        }
-        Ok(())
-    })?;
-    builder
-        .ok_or(ParseError::MissingStates)?
-        .finish()
-        .map_err(ParseError::from)
+    load::<ImcStreamBuilder>(reader)
 }
 
 /// Serialises a DTMC to the text format.

@@ -1028,7 +1028,48 @@ impl Scenario for FromFile {
             .map_err(|e| ScenarioError::Build(format!("cannot read `{path}`: {e}")))?;
         let imc = io::read_imc(std::io::BufReader::new(file))
             .map_err(|e| ScenarioError::Build(format!("cannot parse `{path}` as an IMC: {e}")))?;
-        setup_from_imc(imc, &path, params)
+        // The centre is a member chain of the IMC and `B` its
+        // zero-variance change of measure.
+        let target_label = params.str_required("target")?;
+        let target = imc.labeled_states(&target_label).clone();
+        if target.is_empty() {
+            return Err(bad(
+                "target",
+                &format!("label `{target_label}` marks no state in the model"),
+            ));
+        }
+        let avoid = match params.str_opt("avoid")? {
+            Some(label) => {
+                let set = imc.labeled_states(&label);
+                if set.is_empty() {
+                    return Err(bad(
+                        "avoid",
+                        &format!("label `{label}` marks no state in the model"),
+                    ));
+                }
+                set.clone()
+            }
+            None => StateSet::new(imc.num_states()),
+        };
+        let bound = params.usize_opt("bound")?;
+        let property = match bound {
+            Some(k) => Property::reach_avoid_bounded(target.clone(), avoid.clone(), k),
+            None => Property::reach_avoid(target.clone(), avoid.clone()),
+        };
+        let center = imc
+            .some_member()
+            .map_err(|e| ScenarioError::Build(e.to_string()))?;
+        let b = zero_variance_is(&center, &target, &avoid, &SolveOptions::default())
+            .map_err(|e| ScenarioError::Build(e.to_string()))?;
+        Ok(Setup {
+            name: path,
+            imc,
+            center,
+            b,
+            property,
+            gamma_center: None,
+            gamma_exact: None,
+        })
     }
 }
 
@@ -1071,57 +1112,6 @@ impl Scenario for FromDsl {
         // typed `DslError` with its span intact.
         crate::dsl::compile(&source, &bound).map_err(|e| ScenarioError::Build(e.to_string()))
     }
-}
-
-/// Builds a [`Setup`] around an already-parsed IMC using the `file`
-/// scenario's `target`/`avoid`/`bound` parameters: the centre is a
-/// member chain of the IMC and `B` its zero-variance change of measure
-/// (the construction the CLI `imcis` subcommand has always used).
-pub fn setup_from_imc(
-    imc: Imc,
-    name: &str,
-    params: &ScenarioParams,
-) -> Result<Setup, ScenarioError> {
-    let target_label = params.str_required("target")?;
-    let target = imc.labeled_states(&target_label).clone();
-    if target.is_empty() {
-        return Err(bad(
-            "target",
-            &format!("label `{target_label}` marks no state in the model"),
-        ));
-    }
-    let avoid = match params.str_opt("avoid")? {
-        Some(label) => {
-            let set = imc.labeled_states(&label);
-            if set.is_empty() {
-                return Err(bad(
-                    "avoid",
-                    &format!("label `{label}` marks no state in the model"),
-                ));
-            }
-            set.clone()
-        }
-        None => StateSet::new(imc.num_states()),
-    };
-    let bound = params.usize_opt("bound")?;
-    let property = match bound {
-        Some(k) => Property::reach_avoid_bounded(target.clone(), avoid.clone(), k),
-        None => Property::reach_avoid(target.clone(), avoid.clone()),
-    };
-    let center = imc
-        .some_member()
-        .map_err(|e| ScenarioError::Build(e.to_string()))?;
-    let b = zero_variance_is(&center, &target, &avoid, &SolveOptions::default())
-        .map_err(|e| ScenarioError::Build(e.to_string()))?;
-    Ok(Setup {
-        name: name.into(),
-        imc,
-        center,
-        b,
-        property,
-        gamma_center: None,
-        gamma_exact: None,
-    })
 }
 
 #[cfg(test)]

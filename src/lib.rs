@@ -41,7 +41,7 @@
 //!    sessions via `Arc`;
 //! 3. a **[`imcis_core::Session`]** resolves one scenario, derives one
 //!    deterministic RNG stream per repetition and drives the method's
-//!    [`imcis_core::Estimator`];
+//!    [`imcis_core::StageEstimator`];
 //! 4. a **[`imcis_core::Report`]** (or, per suite, a
 //!    [`imcis_core::SuiteReport`] with a cross-run summary table)
 //!    carries the uniform result (estimate, CI, dispersion,
@@ -150,7 +150,7 @@ pub mod prelude {
     pub use imc_sim::{monte_carlo, ChainSampler, SmcConfig};
     pub use imc_stats::{normal_quantile, ConfidenceInterval};
     pub use imcis_core::{
-        estimator_for, Estimator, ImcisConfig, ImcisOutcome, Method, Report, RunContext, RunSpec,
-        Session, Suite, SuiteReport, SuiteSpec,
+        stage_estimator_for, ImcisConfig, ImcisOutcome, Method, Report, RunContext, RunSpec,
+        Session, StageEstimator, Suite, SuiteReport, SuiteSpec,
     };
 }

@@ -64,12 +64,20 @@ fn documented_subcommands_dispatch() {
     };
     assert!(msg.contains("unexpected router argument"), "{msg}");
     // Model-file subcommands parse through the legacy options parser.
-    for command in ["info", "solve", "mttf", "smc", "envelope", "imcis"] {
+    for command in ["info", "solve", "mttf", "smc", "envelope"] {
         assert!(
             parse_args(&args(&[command, "model.txt"])).is_ok(),
             "`imcis {command}` is documented but does not parse"
         );
     }
+    // IMCIS on a model file is `run --scenario file`: `imcis` is not a
+    // model-file command.
+    let coin = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/coin.imc");
+    let err = run(&args(&["imcis", coin, "--target", "heads"])).unwrap_err();
+    let CliError::Usage(msg) = err else {
+        panic!("`imcis imcis` should be a usage error");
+    };
+    assert!(msg.contains("unknown command `imcis`"), "{msg}");
     assert!(run(&args(&["scenarios"])).is_ok());
     assert!(run(&args(&["version"])).is_ok());
 }
@@ -96,7 +104,6 @@ fn documented_flags_match_the_parsers() {
         "--search-batch",
         "--search-threads",
         "--dry-run",
-        "--spec",
     ];
     let model_flags = [
         "--target",
@@ -105,10 +112,7 @@ fn documented_flags_match_the_parsers() {
         "--n",
         "--delta",
         "--seed",
-        "--r",
         "--threads",
-        "--search-batch",
-        "--search-threads",
     ];
     let dsl_flags = ["--param", "--emit-spec"];
     let serve_flags = ["--addr", "--workers", "--queue", "--rate"];
@@ -140,7 +144,6 @@ fn documented_flags_match_the_parsers() {
         "--threads",
         "--search-batch",
         "--search-threads",
-        "--spec",
     ] {
         let err = run(&args(&["run", flag])).unwrap_err();
         let CliError::Usage(msg) = err else {
@@ -166,6 +169,14 @@ fn documented_flags_match_the_parsers() {
             panic!("solve {flag}: expected usage error");
         };
         assert!(msg.contains("requires a value"), "solve {flag}: {msg}");
+    }
+    // The IMCIS flags belong to `imcis run`, not to model files.
+    for flag in ["--r", "--search-batch", "--search-threads"] {
+        let err = parse_args(&args(&["smc", "m.txt", flag, "1"])).unwrap_err();
+        let CliError::Usage(msg) = err else {
+            panic!("smc {flag}: expected usage error");
+        };
+        assert!(msg.contains("unknown option"), "smc {flag}: {msg}");
     }
     // `dsl` accepts --param (valued) and --emit-spec (boolean); anything
     // else is its own usage error, not a fall-through.

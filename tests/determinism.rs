@@ -23,8 +23,8 @@ use imc_optim::{random_search, BatchSearch, Problem, RandomSearchConfig};
 use imc_sampling::{is_estimate, sample_is_run, IsConfig, IsRun, PreparedRun};
 use imc_sim::{monte_carlo, SmcConfig};
 use imcis_core::{
-    estimator_for, ImcisOutcome, ImcisSpec, Method, OutcomeDetail, RunContext, SampleSpec,
-    SearchSpec,
+    stage_estimator_for, ImcisOutcome, ImcisSpec, Method, OutcomeDetail, RunContext, SampleSpec,
+    SearchStrategy,
 };
 use rand::SeedableRng;
 
@@ -195,7 +195,7 @@ fn two_step_imcis_setup() -> Setup {
 
 /// One IMCIS run from seed 5 through the public estimator, with the
 /// engine thread budgets in `ctx`.
-fn run_imcis(setup: &Setup, search: SearchSpec, ctx: RunContext) -> ImcisOutcome {
+fn run_imcis(setup: &Setup, search: SearchStrategy, ctx: RunContext) -> ImcisOutcome {
     let spec = ImcisSpec {
         sample: SampleSpec {
             n_traces: 2_000,
@@ -207,7 +207,7 @@ fn run_imcis(setup: &Setup, search: SearchSpec, ctx: RunContext) -> ImcisOutcome
         ..ImcisSpec::default()
     };
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    let outcome = estimator_for(&Method::Imcis(spec))
+    let outcome = stage_estimator_for(&Method::Imcis(spec))
         .estimate(setup, &ctx, &mut rng)
         .unwrap();
     match outcome.detail {
@@ -226,7 +226,7 @@ fn imcis_pipeline_is_deterministic_across_thread_counts() {
             threads,
             search_threads: 0,
         };
-        run_imcis(&setup, SearchSpec::Sequential, ctx)
+        run_imcis(&setup, SearchStrategy::Sequential, ctx)
     };
     let reference = run(1);
     for threads in thread_counts() {
@@ -355,7 +355,7 @@ fn imcis_batched_pipeline_is_deterministic_across_search_threads() {
             threads: 0,
             search_threads: threads,
         };
-        run_imcis(&setup, SearchSpec::Batched { batch_size: 32 }, ctx)
+        run_imcis(&setup, SearchStrategy::Batched { batch_size: 32 }, ctx)
     };
     let reference = run(1);
     for threads in thread_counts() {

@@ -7,7 +7,7 @@ use imc_models::{illustrative, Setup};
 use imc_numeric::SolveOptions;
 use imc_sampling::zero_variance_is;
 use imcis_core::{
-    estimator_for, ImcisOutcome, ImcisSpec, Method, MethodOutcome, OutcomeDetail, RunContext,
+    stage_estimator_for, ImcisOutcome, ImcisSpec, Method, MethodOutcome, OutcomeDetail, RunContext,
     SampleSpec, SessionError,
 };
 use rand::rngs::StdRng;
@@ -51,7 +51,7 @@ fn estimate(
     method: Method,
     rng: &mut StdRng,
 ) -> Result<MethodOutcome, SessionError> {
-    estimator_for(&method).estimate(setup, &RunContext::default(), rng)
+    stage_estimator_for(&method).estimate(setup, &RunContext::default(), rng)
 }
 
 fn run_imcis(setup: &Setup, spec: ImcisSpec, rng: &mut StdRng) -> ImcisOutcome {

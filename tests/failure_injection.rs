@@ -18,8 +18,8 @@ use imc_numeric::{reach_avoid_probs, SolveError, SolveOptions};
 use imc_optim::{OptimError, Problem};
 use imc_sampling::{sample_is_run, IsConfig};
 use imcis_core::{
-    estimator_for, ImcisError, ImcisSpec, Method, MethodOutcome, RunContext, RunSpec, SampleSpec,
-    Session, SessionError, Suite, SuiteSpec,
+    stage_estimator_for, ImcisError, ImcisSpec, Method, MethodOutcome, RunContext, RunSpec,
+    SampleSpec, Session, SessionError, Suite, SuiteSpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -50,7 +50,7 @@ fn run_imcis(
         },
         ..ImcisSpec::default()
     };
-    estimator_for(&Method::Imcis(spec)).estimate(&setup, &RunContext::default(), rng)
+    stage_estimator_for(&Method::Imcis(spec)).estimate(&setup, &RunContext::default(), rng)
 }
 
 #[test]

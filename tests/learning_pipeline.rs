@@ -11,7 +11,7 @@ use imc_numeric::bounded_reach_probs;
 use imc_sampling::failure_bias;
 use imc_sim::{random_walk, ChainSampler};
 use imcis_core::{
-    estimator_for, ImcisOutcome, ImcisSpec, Method, OutcomeDetail, RunContext, SampleSpec,
+    stage_estimator_for, ImcisOutcome, ImcisSpec, Method, OutcomeDetail, RunContext, SampleSpec,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -35,7 +35,7 @@ fn run_imcis(
         gamma_center: None,
         gamma_exact: None,
     };
-    let outcome = estimator_for(&Method::Imcis(spec))
+    let outcome = stage_estimator_for(&Method::Imcis(spec))
         .estimate(&setup, &RunContext::default(), rng)
         .expect("IMCIS succeeds");
     match outcome.detail {

@@ -2,10 +2,12 @@
 //! missing model file, a malformed model, and a property referencing
 //! labels no state carries must all surface as
 //! `SessionError::Scenario(..)` — never a panic — while a valid fixture
-//! runs end to end.
+//! runs end to end, from the library and from `imcis run`.
 
 use imc_models::{ScenarioError, ScenarioParams};
-use imcis_core::{Method, RunSpec, SampleSpec, ScenarioRef, Session, SessionError};
+use imcis_core::{
+    ImcisSpec, Method, RunSpec, SampleSpec, ScenarioRef, SearchStrategy, Session, SessionError,
+};
 use serde::json::Value;
 
 const COIN_IMC: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/coin.imc");
@@ -33,6 +35,12 @@ fn file_spec(params: Vec<(&str, Value)>) -> RunSpec {
         7,
     )
     .with_threads(1, 1)
+}
+
+/// The report `imcis <args>` prints, parsed.
+fn cli_report(args: &[&str]) -> Value {
+    let args: Vec<String> = args.iter().map(ToString::to_string).collect();
+    serde::json::parse(&imcis_cli::run(&args).unwrap()).unwrap()
 }
 
 fn scenario_error(spec: RunSpec) -> ScenarioError {
@@ -135,4 +143,85 @@ fn valid_fixture_runs_end_to_end() {
     // rather than pretending.
     assert_eq!(report.coverage_gamma_hat, None);
     assert_eq!(report.coverage_gamma_true, None);
+}
+
+#[test]
+fn cli_imcis_run_brackets_the_coin_fixture() {
+    // Under the zero-variance `B` every trace succeeds, and the
+    // closed-form bracket is the fixture's interval [0.2, 0.3].
+    let path = format!("path={COIN_IMC}");
+    let report = cli_report(&[
+        "run",
+        "--scenario",
+        "file",
+        "--param",
+        &path,
+        "--param",
+        "target=heads",
+        "--param",
+        "avoid=tails",
+        "--method",
+        "imcis",
+        "--n",
+        "500",
+        "--r",
+        "50",
+    ]);
+    let run = &report.get("runs").and_then(Value::as_array).unwrap()[0];
+    let num = |v: &Value, key: &str| v.get(key).and_then(Value::as_f64).unwrap();
+    assert_eq!((num(run, "gamma_min"), num(run, "gamma_max")), (0.2, 0.3));
+    let ci = run.get("ci").unwrap();
+    assert_eq!((num(ci, "lo"), num(ci, "hi")), (0.2, 0.3));
+    assert_eq!(run.get("n_success").and_then(Value::as_u64), Some(500));
+}
+
+#[test]
+fn cli_batched_file_run_is_search_thread_invariant() {
+    // Forced sampling makes the batched search run real rounds on the
+    // coin; the stable report, minus the `spec` echo of the budget, is
+    // byte-identical at every search-thread count.
+    let dir = std::env::temp_dir().join("imcis_file_scenario_search_threads");
+    std::fs::create_dir_all(&dir).unwrap();
+    let stable_at = |search_threads: usize| {
+        let mut spec = file_spec(vec![
+            ("path", Value::Str(COIN_IMC.into())),
+            ("target", Value::Str("heads".into())),
+            ("avoid", Value::Str("tails".into())),
+        ])
+        .with_threads(1, search_threads);
+        spec.method = Method::Imcis(ImcisSpec {
+            sample: SampleSpec {
+                n_traces: 500,
+                ..SampleSpec::default()
+            },
+            r_undefeated: 50,
+            force_sampling: true,
+            search: SearchStrategy::Batched { batch_size: 16 },
+            ..ImcisSpec::default()
+        });
+        spec.seed = 2018;
+        let manifest = dir.join(format!("coin_{search_threads}.json"));
+        std::fs::write(&manifest, spec.to_json_string()).unwrap();
+        let mut report = cli_report(&["run", manifest.to_str().unwrap()]);
+        report.remove("spec");
+        report.remove("timing");
+        report
+    };
+    let reference = stable_at(1);
+    let run = &reference.get("runs").and_then(Value::as_array).unwrap()[0];
+    assert_eq!(run.get("rounds").and_then(Value::as_u64), Some(96));
+    let gamma = |key: &str| run.get(key).and_then(Value::as_f64).unwrap();
+    assert!(
+        (gamma("gamma_min") - 0.20156).abs() < 1e-5,
+        "{}",
+        gamma("gamma_min")
+    );
+    assert!(
+        (gamma("gamma_max") - 0.29869).abs() < 1e-5,
+        "{}",
+        gamma("gamma_max")
+    );
+    for search_threads in [2, 8] {
+        assert_eq!(stable_at(search_threads).pretty(), reference.pretty());
+    }
 }
