@@ -1,6 +1,6 @@
 //! Experiment harness for the IMCIS reproduction: the scaling knobs, the
 //! shared scenario runner and the printing utilities used by the `exp_*`
-//! binaries and the Criterion benches.
+//! binaries.
 //!
 //! Each binary regenerates one artefact of the paper's evaluation:
 //!

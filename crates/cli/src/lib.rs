@@ -42,9 +42,9 @@
 //! `imcis run --scenario file --param path=M --param target=L --method imcis`.
 //!
 //! Models use the plain-text format of [`imc_markov::io`]. Every command
-//! is a thin adapter over the same library code paths the benches and
-//! examples use — `imcis run` in particular prints exactly what the
-//! library `Session` computes.
+//! is a thin adapter over the same library code paths the `exp_*`
+//! binaries and examples use — `imcis run` in particular prints exactly
+//! what the library `Session` computes.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

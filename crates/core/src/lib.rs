@@ -44,7 +44,10 @@
 //!    centre's exact `γ(Â)`) and `coverage_gamma_true` (the true
 //!    system's `γ`), and timing — serializable to schema-stable JSON
 //!    (`imcis.report/2`, `imcis.suitereport/2`); `timing` is the only
-//!    volatile field and the `to_json_stable` forms omit it. Suite
+//!    volatile field and the `to_json_stable` forms omit it.
+//!    [`Report::from_json`] and [`SuiteReport::from_json`] decode either
+//!    form and accept a value only if it is exactly what the writer
+//!    gives back for the decoded result. Suite
 //!    members are supervised: a panicking or erroring member becomes a
 //!    typed, manifest-ordered [`MemberOutcome`] entry instead of taking
 //!    the suite down ([`fault`] provides the deterministic
@@ -167,9 +170,7 @@ pub mod suite;
 
 pub use algorithm::{ImcisConfig, ImcisError, ImcisOutcome, IsOutcome};
 pub use fault::{FaultKind, FaultPlan, FaultRule, FAULT_ENV};
-pub use report::{
-    validate_report_json, CoverageSummary, Repetition, Report, Timing, REPORT_SCHEMA,
-};
+pub use report::{CoverageSummary, Repetition, Report, Timing, REPORT_SCHEMA};
 pub use router::{dominant_cache_fingerprint, HashRing, Router, RouterConfig};
 pub use serve::{
     BackendStatus, CampaignProgress, Client, HealthInfo, RouterStatus, ServeConfig, ServeError,
@@ -184,9 +185,9 @@ pub use spec::{
     RUNSPEC_SCHEMA,
 };
 pub use suite::{
-    validate_suite_report_json, CampaignOutcome, CampaignSpec, MemberOutcome, MemberStatus,
-    SetupCache, StageOutcome, Suite, SuiteMember, SuiteReport, SuiteSpec, SUITEREPORT_SCHEMA,
-    SUITEREPORT_SCHEMA_V3, SUITESPEC_SCHEMA,
+    CampaignOutcome, CampaignSpec, MemberOutcome, MemberStatus, SetupCache, StageOutcome, Suite,
+    SuiteMember, SuiteReport, SuiteSpec, SUITEREPORT_SCHEMA, SUITEREPORT_SCHEMA_V3,
+    SUITESPEC_SCHEMA,
 };
 // Re-exported so pipeline callers and manifests (`ImcisSpec::search`)
 // pick a search engine without a direct `imc_optim` dependency.

@@ -16,7 +16,9 @@
 //! is the *only* volatile part. [`Report::to_json_stable`] omits it, so
 //! two runs of the same `RunSpec` — through the library or through
 //! `imcis run` — produce byte-identical stable JSON (pinned by the
-//! golden-report tests).
+//! golden-report tests). [`Report::from_json`] decodes either form and
+//! accepts a value only if re-encoding the decoded report gives it back,
+//! so the writer is the one description of the format.
 //!
 //! [`Session`]: crate::Session
 
@@ -186,11 +188,15 @@ impl CoverageSummary {
     }
 }
 
+/// A number, or `null` for `None`: the written form [`Decoder::or_null`]
+/// reads back.
 pub(crate) fn opt_float(value: Option<f64>) -> Value {
-    match value {
-        Some(x) => Value::Float(x),
-        None => Value::Null,
-    }
+    value.map_or(Value::Null, Value::Float)
+}
+
+/// [`opt_float`] for unsigned integers.
+pub(crate) fn opt_uint(value: Option<u64>) -> Value {
+    value.map_or(Value::Null, Value::UInt)
 }
 
 pub(crate) fn ci_json(ci: &ConfidenceInterval) -> Value {
@@ -237,13 +243,7 @@ impl Report {
                     ("gamma_max".into(), opt_float(rep.gamma_max)),
                     ("n_success".into(), Value::UInt(rep.n_success)),
                     ("n_undecided".into(), Value::UInt(rep.n_undecided)),
-                    (
-                        "rounds".into(),
-                        match rep.rounds {
-                            Some(r) => Value::UInt(r as u64),
-                            None => Value::Null,
-                        },
-                    ),
+                    ("rounds".into(), opt_uint(rep.rounds.map(|r| r as u64))),
                     ("trace".into(), Value::Array(trace)),
                 ])
             })
@@ -277,129 +277,237 @@ impl Report {
     pub fn to_json_string(&self) -> String {
         self.to_json().pretty()
     }
+
+    /// Decodes a report in either form. The value is valid only if it is
+    /// exactly what this version writes for the decoded report —
+    /// [`Report::to_json`] when the input carries `timing`,
+    /// [`Report::to_json_stable`] when it does not — so key order and
+    /// every column are checked by re-encoding. The `spec` echo decodes
+    /// through [`RunSpec::from_json`]. What no encoding shows is checked
+    /// by hand: `runs` is not empty and every interval has `lo <= hi`.
+    ///
+    /// # Errors
+    ///
+    /// A description of the first violation; a value that decodes but is
+    /// not in the written form names the first differing path.
+    pub fn from_json(value: &Value) -> Result<Report, String> {
+        let report = Report::decode(&Decoder {
+            value,
+            context: "report".into(),
+        })?;
+        same_form("report", value, report.to_json())?;
+        Ok(report)
+    }
+
+    /// Decodes a report without the re-encoding check, which the
+    /// enclosing document's decoder makes once for the whole value.
+    pub(crate) fn decode(report: &Decoder) -> Result<Report, String> {
+        if report.str("schema")? != REPORT_SCHEMA {
+            return Err(format!("{} needs schema `{REPORT_SCHEMA}`", report.context));
+        }
+        let spec = RunSpec::from_json(report.field("spec", "a", Some)?)
+            .map_err(|e| format!("{} `spec` echo does not validate: {e}", report.context))?;
+        let runs = report
+            .array("runs")?
+            .iter()
+            .map(Repetition::from_json)
+            .collect::<Result<Vec<_>, _>>()?;
+        if runs.is_empty() {
+            return Err(format!("{} needs at least one repetition", report.context));
+        }
+        let (references, coverage) = (report.object("references")?, report.object("coverage")?);
+        Ok(Report {
+            spec,
+            model: report.str("model")?,
+            estimate: report.f64("estimate")?,
+            sigma: report.f64("sigma")?,
+            ci: report.interval("ci")?,
+            gamma_center: references.or_null("gamma_center", "a numeric", Value::as_f64)?,
+            gamma_exact: references.or_null("gamma_exact", "a numeric", Value::as_f64)?,
+            coverage_gamma_hat: coverage.or_null("gamma_hat", "a numeric", Value::as_f64)?,
+            coverage_gamma_true: coverage.or_null("gamma_true", "a numeric", Value::as_f64)?,
+            runs,
+            timing: Timing::from_json(report)?,
+        })
+    }
 }
 
-fn number_or_null(value: Option<&Value>, what: &str) -> Result<(), String> {
-    match value {
-        Some(Value::Null) => Ok(()),
-        Some(v) if v.as_f64().is_some() => Ok(()),
-        _ => Err(format!("{what} must be a number or null")),
-    }
-}
-
-fn ci_checked(value: Option<&Value>, what: &str) -> Result<(), String> {
-    let ci = value.ok_or(format!("{what} is missing"))?;
-    let lo = ci.get("lo").and_then(Value::as_f64);
-    let hi = ci.get("hi").and_then(Value::as_f64);
-    match (lo, hi) {
-        (Some(lo), Some(hi)) if lo <= hi => Ok(()),
-        (Some(_), Some(_)) => Err(format!("{what}: `lo` must not exceed `hi`")),
-        _ => Err(format!("{what} must be an object with numeric `lo`/`hi`")),
-    }
-}
-
-/// Validates a JSON value against the `imcis.report/2` shape using the
-/// real spec parser underneath: the `spec` echo must parse as a
-/// [`RunSpec`] (so a stale or hand-edited echo fails exactly like a bad
-/// manifest would), the aggregate fields must be shaped and ordered
-/// correctly, and every repetition row must carry the full column set.
-/// Accepts both the stable form and the full form (with the volatile
-/// `timing` object).
-///
-/// This is the validator behind the `imcis submit` client's event checks
-/// and the `docs/FORMATS.md` example tests.
-///
-/// # Errors
-///
-/// A human-readable description of the first violation.
-pub fn validate_report_json(value: &Value) -> Result<(), String> {
-    let pairs = value.as_object().ok_or("report must be a JSON object")?;
-    for (key, _) in pairs {
-        if !matches!(
-            key.as_str(),
-            "schema"
-                | "spec"
-                | "model"
-                | "estimate"
-                | "sigma"
-                | "ci"
-                | "references"
-                | "coverage"
-                | "runs"
-                | "timing"
-        ) {
-            return Err(format!("unknown report key `{key}`"));
-        }
-    }
-    match value.get("schema").and_then(Value::as_str) {
-        Some(REPORT_SCHEMA) => {}
-        Some(other) => return Err(format!("unexpected schema `{other}`")),
-        None => return Err("missing `schema` tag".into()),
-    }
-    let spec = value.get("spec").ok_or("missing `spec` echo")?;
-    RunSpec::from_json(spec).map_err(|e| format!("`spec` echo does not validate: {e}"))?;
-    if value.get("model").and_then(Value::as_str).is_none() {
-        return Err("`model` must be a string".into());
-    }
-    for key in ["estimate", "sigma"] {
-        if value.get(key).and_then(Value::as_f64).is_none() {
-            return Err(format!("`{key}` must be a number"));
-        }
-    }
-    ci_checked(value.get("ci"), "`ci`")?;
-    let references = value.get("references").ok_or("missing `references`")?;
-    number_or_null(references.get("gamma_center"), "`references.gamma_center`")?;
-    number_or_null(references.get("gamma_exact"), "`references.gamma_exact`")?;
-    let coverage = value.get("coverage").ok_or("missing `coverage`")?;
-    number_or_null(coverage.get("gamma_hat"), "`coverage.gamma_hat`")?;
-    number_or_null(coverage.get("gamma_true"), "`coverage.gamma_true`")?;
-    let runs = value
-        .get("runs")
-        .and_then(Value::as_array)
-        .ok_or("`runs` must be an array")?;
-    if runs.is_empty() {
-        return Err("`runs` must contain at least one repetition".into());
-    }
-    for (i, run) in runs.iter().enumerate() {
-        let context = |msg: String| format!("`runs[{i}]`: {msg}");
-        for key in ["estimate", "sigma"] {
-            if run.get(key).and_then(Value::as_f64).is_none() {
-                return Err(context(format!("`{key}` must be a number")));
-            }
-        }
-        ci_checked(run.get("ci"), "`ci`").map_err(context)?;
-        number_or_null(run.get("gamma_min"), "`gamma_min`").map_err(context)?;
-        number_or_null(run.get("gamma_max"), "`gamma_max`").map_err(context)?;
-        for key in ["n_success", "n_undecided"] {
-            if run.get(key).and_then(Value::as_u64).is_none() {
-                return Err(context(format!("`{key}` must be an unsigned integer")));
-            }
-        }
-        match run.get("rounds") {
-            Some(Value::Null) => {}
-            Some(v) if v.as_u64().is_some() => {}
-            _ => {
-                return Err(context(
-                    "`rounds` must be an unsigned integer or null".into(),
-                ))
-            }
-        }
+impl Repetition {
+    fn from_json(run: &Decoder) -> Result<Self, String> {
         let trace = run
-            .get("trace")
-            .and_then(Value::as_array)
-            .ok_or_else(|| context("`trace` must be an array".into()))?;
-        for point in trace {
-            let ok = point.get("round").and_then(Value::as_u64).is_some()
-                && point.get("f_min").and_then(Value::as_f64).is_some()
-                && point.get("f_max").and_then(Value::as_f64).is_some();
-            if !ok {
-                return Err(context(
-                    "trace points need `round`, `f_min` and `f_max`".into(),
-                ));
-            }
+            .array("trace")?
+            .iter()
+            .map(|point| {
+                Ok(ConvergencePoint {
+                    round: point.usize("round")?,
+                    f_min: point.f64("f_min")?,
+                    f_max: point.f64("f_max")?,
+                })
+            })
+            .collect::<Result<_, String>>()?;
+        Ok(Repetition {
+            estimate: run.f64("estimate")?,
+            sigma: run.f64("sigma")?,
+            ci: run.interval("ci")?,
+            gamma_min: run.or_null("gamma_min", "a numeric", Value::as_f64)?,
+            gamma_max: run.or_null("gamma_max", "a numeric", Value::as_f64)?,
+            n_success: run.u64("n_success")?,
+            n_undecided: run.u64("n_undecided")?,
+            rounds: run.or_null("rounds", "an unsigned", Value::as_usize)?,
+            trace,
+        })
+    }
+}
+
+impl Timing {
+    /// Decodes the optional `timing` object of a report or suite report
+    /// (the stable forms have none).
+    pub(crate) fn from_json(report: &Decoder) -> Result<Self, String> {
+        if report.value.get("timing").is_none() {
+            return Ok(Timing::default());
+        }
+        let timing = report.object("timing")?;
+        Ok(Timing {
+            total_ms: timing.f64("total_ms")?,
+            per_run_ms: timing.field("per_run_ms", "a numeric array", |v| {
+                v.as_array()?.iter().map(Value::as_f64).collect()
+            })?,
+        })
+    }
+}
+
+/// Typed field access on one JSON object, for the report and wire
+/// decoders; errors name `context`.
+pub(crate) struct Decoder<'a> {
+    pub(crate) value: &'a Value,
+    pub(crate) context: String,
+}
+
+impl<'a> Decoder<'a> {
+    pub(crate) fn field<T>(
+        &self,
+        key: &str,
+        what: &str,
+        view: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        self.value
+            .get(key)
+            .and_then(view)
+            .ok_or_else(|| format!("{} needs {what} `{key}`", self.context))
+    }
+
+    /// [`Decoder::field`], with `null` read as `None`.
+    pub(crate) fn or_null<T>(
+        &self,
+        key: &str,
+        what: &str,
+        view: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<Option<T>, String> {
+        match self.value.get(key) {
+            Some(Value::Null) => Ok(None),
+            value => value
+                .and_then(view)
+                .map(Some)
+                .ok_or_else(|| format!("{} needs {what} or null `{key}`", self.context)),
         }
     }
-    Ok(())
+
+    pub(crate) fn u64(&self, key: &str) -> Result<u64, String> {
+        self.field(key, "an unsigned", Value::as_u64)
+    }
+
+    pub(crate) fn usize(&self, key: &str) -> Result<usize, String> {
+        self.field(key, "an unsigned", Value::as_usize)
+    }
+
+    pub(crate) fn f64(&self, key: &str) -> Result<f64, String> {
+        self.field(key, "a numeric", Value::as_f64)
+    }
+
+    pub(crate) fn bool(&self, key: &str) -> Result<bool, String> {
+        self.field(key, "a boolean", Value::as_bool)
+    }
+
+    pub(crate) fn str(&self, key: &str) -> Result<String, String> {
+        self.field(key, "a string", |v| v.as_str().map(String::from))
+    }
+
+    /// The object under `key`.
+    pub(crate) fn object(&self, key: &str) -> Result<Decoder<'a>, String> {
+        Ok(Decoder {
+            value: self.field(key, "an object", |v| v.as_object().map(|_| v))?,
+            context: format!("{} `{key}`", self.context),
+        })
+    }
+
+    /// The elements of the array under `key`.
+    pub(crate) fn array(&self, key: &str) -> Result<Vec<Decoder<'a>>, String> {
+        let items = self.field(key, "an array", Value::as_array)?;
+        let item = |(i, value)| Decoder {
+            value,
+            context: format!("{} `{key}[{i}]`", self.context),
+        };
+        Ok(items.iter().enumerate().map(item).collect())
+    }
+
+    /// The `{"lo": …, "hi": …}` interval under `key`. The order is checked
+    /// here because [`ConfidenceInterval::new`] asserts it.
+    pub(crate) fn interval(&self, key: &str) -> Result<ConfidenceInterval, String> {
+        let ci = self.object(key)?;
+        let (lo, hi) = (ci.f64("lo")?, ci.f64("hi")?);
+        if lo <= hi {
+            Ok(ConfidenceInterval::new(lo, hi))
+        } else {
+            Err(format!("{} needs `lo` <= `hi`", ci.context))
+        }
+    }
+}
+
+/// Checks that `input` equals `encoded`, the form this version writes for
+/// the value decoded from it: the stable form, without `timing`, when the
+/// input has none.
+pub(crate) fn same_form(what: &str, input: &Value, mut encoded: Value) -> Result<(), String> {
+    if input.get("timing").is_none() {
+        encoded.remove("timing");
+    }
+    match first_difference(input, &encoded) {
+        None => Ok(()),
+        Some(path) => Err(format!(
+            "{what} is not in the form this version writes (first difference at {})",
+            path.trim_start_matches('.')
+        )),
+    }
+}
+
+/// The path to the first place where `a` and `b` differ, such as
+/// `.summary[1].sigma`; `None` when they are equal.
+fn first_difference(a: &Value, b: &Value) -> Option<String> {
+    fn first_unequal<T: PartialEq>(x: &[T], y: &[T]) -> usize {
+        let common = x.len().min(y.len());
+        x.iter().zip(y).position(|(p, q)| p != q).unwrap_or(common)
+    }
+    if a == b {
+        return None;
+    }
+    let (step, a, b) = match (a, b) {
+        (Value::Object(x), Value::Object(y)) => {
+            let i = first_unequal(x, y);
+            match (x.get(i), y.get(i)) {
+                (Some((k, v)), Some((l, w))) if k == l => (format!(".{k}"), v, w),
+                (Some((k, _)), _) | (_, Some((k, _))) => return Some(format!(".{k}")),
+                (None, None) => return Some(String::new()),
+            }
+        }
+        (Value::Array(x), Value::Array(y)) => {
+            let i = first_unequal(x, y);
+            match (x.get(i), y.get(i)) {
+                (Some(v), Some(w)) => (format!("[{i}]"), v, w),
+                _ => return Some(format!("[{i}]")),
+            }
+        }
+        _ => return Some(String::new()),
+    };
+    Some(step + &first_difference(a, b).unwrap_or_default())
 }
 
 #[cfg(test)]

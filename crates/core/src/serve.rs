@@ -196,10 +196,9 @@ use std::time::{Duration, Instant};
 use imc_models::ScenarioRegistry;
 use serde::json::{self, Value};
 
-use crate::report::validate_report_json;
+use crate::report::{same_form, Decoder, Report};
 use crate::suite::{
-    validate_member_entry, validate_suite_report_json, MemberOutcome, MemberStatus, Observer,
-    SetupCache, StageOutcome, Suite, SuiteSpec,
+    MemberOutcome, MemberStatus, Observer, SetupCache, StageOutcome, Suite, SuiteReport, SuiteSpec,
 };
 
 /// Schema tag carried by every wire message, both directions.
@@ -1163,16 +1162,6 @@ impl Request {
     }
 }
 
-/// [`Request::from_json`] as a free function (the format-reference
-/// tests run the documented examples through it).
-///
-/// # Errors
-///
-/// As for [`Request::from_json`].
-pub fn parse_request(value: &Value) -> Result<Request, (String, String)> {
-    Request::from_json(value)
-}
-
 /// A snapshot of daemon load, answered to a `status` request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServerStatus {
@@ -1274,9 +1263,9 @@ pub enum StatusSnapshot {
 
 /// One `imcis.wire/2` server event, the typed codec of every event
 /// line: the daemon and the router encode with [`Event::to_json`], and
-/// [`Client`], the router's backend streams and [`validate_event`]
-/// decode with [`Event::from_json`]. Decoding an event the daemon sends
-/// and encoding it again gives back the same value, key order included.
+/// [`Client`] and the router's backend streams decode with
+/// [`Event::from_json`]. Decoding an event the daemon sends and encoding
+/// it again gives back the same value, key order included.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// The manifest validated and the job was admitted.
@@ -1544,8 +1533,9 @@ impl Event {
     }
 
     /// Decodes and validates one event value against the
-    /// `imcis.wire/2` shape, validating embedded payloads with the real
-    /// report validators.
+    /// `imcis.wire/2` shape; embedded reports, suite reports and campaign
+    /// entries go through their own decoders ([`Report::from_json`],
+    /// [`SuiteReport::from_json`]).
     ///
     /// # Errors
     ///
@@ -1581,13 +1571,13 @@ impl Event {
                 entry: match (value.get("report"), value.get("entry")) {
                     (Some(_), None) => Value::object([
                         ("status".into(), Value::Str("ok".into())),
-                        ("report".into(), event.report("report")?),
+                        ("report".into(), event.payload("report", Report::from_json)?),
                     ]),
-                    (None, Some(entry)) => {
-                        validate_member_entry(entry, true)
-                            .map_err(|e| format!("embedded campaign entry: {e}"))?;
-                        entry.clone()
-                    }
+                    (None, Some(_)) => event.payload("entry", |value| {
+                        let context = "campaign entry".to_string();
+                        let outcome = MemberOutcome::from_json(&Decoder { value, context }, true)?;
+                        same_form("campaign entry", value, outcome.to_json_stable())
+                    })?,
                     _ => {
                         return Err("`member_report` event needs exactly one of `report` \
                              (run member) or `entry` (campaign member)"
@@ -1611,7 +1601,7 @@ impl Event {
                     stage,
                     converged: event.bool("converged")?,
                     elapsed_ms: event.f64("elapsed_ms")?,
-                    report: event.report("report")?,
+                    report: event.payload("report", Report::from_json)?,
                 }
             }
             "member_error" => {
@@ -1639,12 +1629,7 @@ impl Event {
             "suite_report" => Event::SuiteReport {
                 job_id: event.u64("job_id")?,
                 elapsed_ms: event.f64("elapsed_ms")?,
-                suite_report: {
-                    let report = event.field("suite_report", "a", |v| Some(v.clone()))?;
-                    validate_suite_report_json(&report)
-                        .map_err(|e| format!("embedded suite report: {e}"))?;
-                    report
-                },
+                suite_report: event.payload("suite_report", SuiteReport::from_json)?,
             },
             "error" => Event::Error {
                 class: event.str("error")?,
@@ -1659,21 +1644,14 @@ impl Event {
             "status" => Event::Status(match value.get("role").and_then(Value::as_str) {
                 None => StatusSnapshot::Daemon(event.server_status()?),
                 Some("router") => {
-                    let backends = event.field("backends", "an array", |v| {
-                        v.as_array().map(<[Value]>::to_vec)
-                    })?;
-                    let backends = backends
+                    let backends = event
+                        .array("backends")?
                         .iter()
-                        .enumerate()
-                        .map(|(i, backend)| {
-                            let entry = Decoder {
-                                value: backend,
-                                context: format!("`status` backends[{i}]"),
-                            };
+                        .map(|entry| {
                             Ok(BackendStatus {
                                 addr: entry.str("addr")?,
                                 healthy: entry.bool("healthy")?,
-                                status: match backend.get("queue_depth") {
+                                status: match entry.value.get("queue_depth") {
                                     Some(_) => Some(entry.server_status()?),
                                     None => None,
                                 },
@@ -1706,17 +1684,10 @@ impl Event {
             }
             "pong" => Event::Pong,
             "shutting_down" => {
-                let jobs = event.field("jobs", "a disposition array", |v| {
-                    v.as_array().map(<[Value]>::to_vec)
-                })?;
-                let jobs = jobs
+                let jobs = event
+                    .array("jobs")?
                     .iter()
-                    .enumerate()
-                    .map(|(i, job)| {
-                        let job = Decoder {
-                            value: job,
-                            context: format!("`shutting_down` jobs[{i}]"),
-                        };
+                    .map(|job| {
                         let job_id = job.u64("job_id")?;
                         Ok(JobDisposition {
                             job_id,
@@ -1766,50 +1737,16 @@ fn progress_field(campaigns: &[CampaignProgress], with_job: bool) -> Option<(&'s
     (!campaigns.is_empty()).then(|| ("campaigns", Value::Array(entries.collect())))
 }
 
-/// Typed field access on one decoded object; errors name `context`.
-struct Decoder<'a> {
-    value: &'a Value,
-    context: String,
-}
-
 impl Decoder<'_> {
-    fn field<T>(
+    /// An embedded payload, kept as JSON once `decode` accepts it.
+    fn payload<T>(
         &self,
         key: &str,
-        what: &str,
-        view: impl FnOnce(&Value) -> Option<T>,
-    ) -> Result<T, String> {
-        self.value
-            .get(key)
-            .and_then(view)
-            .ok_or_else(|| format!("{} needs {what} `{key}`", self.context))
-    }
-
-    fn u64(&self, key: &str) -> Result<u64, String> {
-        self.field(key, "an unsigned", Value::as_u64)
-    }
-
-    fn usize(&self, key: &str) -> Result<usize, String> {
-        self.field(key, "an unsigned", Value::as_usize)
-    }
-
-    fn f64(&self, key: &str) -> Result<f64, String> {
-        self.field(key, "a numeric", Value::as_f64)
-    }
-
-    fn bool(&self, key: &str) -> Result<bool, String> {
-        self.field(key, "a boolean", Value::as_bool)
-    }
-
-    fn str(&self, key: &str) -> Result<String, String> {
-        self.field(key, "a string", |v| v.as_str().map(String::from))
-    }
-
-    /// An embedded `imcis.report/2` payload, validated.
-    fn report(&self, key: &str) -> Result<Value, String> {
-        let report = self.field(key, "a", |v| Some(v.clone()))?;
-        validate_report_json(&report).map_err(|e| format!("{} `{key}`: {e}", self.context))?;
-        Ok(report)
+        decode: impl FnOnce(&Value) -> Result<T, String>,
+    ) -> Result<Value, String> {
+        let payload = self.field(key, "a", Some)?;
+        decode(payload).map_err(|e| format!("{} `{key}`: {e}", self.context))?;
+        Ok(payload.clone())
     }
 
     /// A daemon load snapshot: the flat `status` event or a router
@@ -1830,20 +1767,12 @@ impl Decoder<'_> {
     /// a `shutting_down` job the entries omit `job_id`, which `job`
     /// then supplies.
     fn progress(&self, job: Option<u64>) -> Result<Vec<CampaignProgress>, String> {
-        let Some(campaigns) = self.value.get("campaigns") else {
+        if self.value.get("campaigns").is_none() {
             return Ok(Vec::new());
-        };
-        let entries = campaigns
-            .as_array()
-            .ok_or(format!("{} `campaigns` must be an array", self.context))?;
-        entries
+        }
+        self.array("campaigns")?
             .iter()
-            .enumerate()
-            .map(|(i, entry)| {
-                let entry = Decoder {
-                    value: entry,
-                    context: format!("{} campaigns[{i}]", self.context),
-                };
+            .map(|entry| {
                 let stage = entry.u64("stage")?;
                 if entry.u64("stages_done")? != stage + 1 {
                     return Err(format!("{} stages_done must be stage + 1", entry.context));
@@ -1860,17 +1789,6 @@ impl Decoder<'_> {
             })
             .collect()
     }
-}
-
-/// Validates one server event value against the `imcis.wire/2` shape:
-/// [`Event::from_json`] with the decoded event dropped, for the
-/// format-reference tests.
-///
-/// # Errors
-///
-/// A human-readable description of the first violation.
-pub fn validate_event(value: &Value) -> Result<(), String> {
-    Event::from_json(value).map(|_| ())
 }
 
 /// The result of one [`Client::submit`]: the terminal suite report plus
@@ -2116,13 +2034,10 @@ impl Client {
                     status,
                     message,
                     ..
-                } => {
-                    let entry = Value::object([
-                        ("status".into(), Value::Str(status.as_str().into())),
-                        ("message".into(), Value::Str(message)),
-                    ]);
-                    (member_index, entry)
-                }
+                } => (
+                    member_index,
+                    MemberOutcome::Failed { status, message }.to_json_stable(),
+                ),
                 // Stage reports are progress, not outcomes: the terminal
                 // campaign entry repeats every stage.
                 Event::StageReport { .. } => continue,
@@ -2214,7 +2129,7 @@ mod tests {
         ))
         .unwrap();
         assert!(matches!(
-            parse_request(&submit),
+            Request::from_json(&submit),
             Ok(Request::Submit {
                 deadline_ms: None,
                 ..
@@ -2226,23 +2141,23 @@ mod tests {
         ))
         .unwrap();
         assert!(matches!(
-            parse_request(&bounded),
+            Request::from_json(&bounded),
             Ok(Request::Submit {
                 deadline_ms: Some(250),
                 ..
             })
         ));
         let ping = json::parse("{\"type\": \"ping\"}").unwrap();
-        assert!(matches!(parse_request(&ping), Ok(Request::Ping)));
+        assert!(matches!(Request::from_json(&ping), Ok(Request::Ping)));
         let health = json::parse("{\"type\": \"health\"}").unwrap();
-        assert!(matches!(parse_request(&health), Ok(Request::Health)));
+        assert!(matches!(Request::from_json(&health), Ok(Request::Health)));
         let down = json::parse("{\"type\": \"shutdown\"}").unwrap();
-        assert!(matches!(parse_request(&down), Ok(Request::Shutdown)));
+        assert!(matches!(Request::from_json(&down), Ok(Request::Shutdown)));
         let status = json::parse("{\"type\": \"status\"}").unwrap();
-        assert!(matches!(parse_request(&status), Ok(Request::Status)));
+        assert!(matches!(Request::from_json(&status), Ok(Request::Status)));
         let cancel = json::parse("{\"type\": \"cancel\", \"job_id\": 3}").unwrap();
         assert!(matches!(
-            parse_request(&cancel),
+            Request::from_json(&cancel),
             Ok(Request::Cancel { job_id: 3 })
         ));
 
@@ -2256,7 +2171,7 @@ mod tests {
             ("[1, 2]", "wire"),
         ] {
             let value = json::parse(text).unwrap();
-            let (got, _) = parse_request(&value).unwrap_err();
+            let (got, _) = Request::from_json(&value).unwrap_err();
             assert_eq!(got, class, "{text}");
         }
         // `deadline_ms: 0` is a pinned usage error, not an instant
@@ -2266,7 +2181,7 @@ mod tests {
             tiny_suite().to_json()
         ))
         .unwrap();
-        let (class, message) = parse_request(&zero).unwrap_err();
+        let (class, message) = Request::from_json(&zero).unwrap_err();
         assert_eq!(class, "wire");
         assert_eq!(message, "`deadline_ms` must be positive");
     }

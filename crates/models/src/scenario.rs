@@ -11,9 +11,10 @@
 //! IMC/centre/B construction locally.
 //!
 //! The free functions ([`illustrative_setup`], [`group_repair_setup`],
-//! [`repair_setup`], [`swat_setup`]) remain available for callers that
-//! want a specific setup without going through names and parameters; the
-//! registry entries are thin parameter-parsing adapters over them.
+//! [`repair_setup`], [`swat_setup_with_ce`]) remain available for callers
+//! that want a specific setup without going through names and
+//! parameters; the registry entries are thin parameter-parsing adapters
+//! over them.
 //!
 //! # Example
 //!
@@ -104,8 +105,8 @@ pub enum GroupRepairIs {
     /// our empirical per-transition CE is heavier-tailed than Ridder's
     /// structured change of measure, so estimates need larger `N`).
     CrossEntropy,
-    /// Zero-variance chain from the numeric engine (deterministic, used by
-    /// the Criterion benches; makes the IS baseline's CI degenerate).
+    /// Zero-variance chain from the numeric engine (deterministic; makes
+    /// the IS baseline's CI degenerate).
     ZeroVariance,
     /// `w·ZV + (1−w)·Â` row mixture: a *good but imperfect* IS chain with
     /// bounded per-step likelihood ratios. This reproduces the paper's
@@ -233,15 +234,10 @@ pub fn repair_setup(alpha_hat: f64, alpha_lo: f64, alpha_hi: f64) -> Setup {
 ///
 /// `n_logs` traces of `log_len` steps are sampled as the "testbed logs";
 /// the paper's authors had weeks of real logs, we default to enough data
-/// for a faithful 70-state abstraction.
-pub fn swat_setup(n_logs: usize, log_len: usize, seed: u64) -> Setup {
-    swat_setup_with_ce(n_logs, log_len, seed, 8)
-}
-
-/// [`swat_setup`] with an explicit cross-entropy iteration budget: fewer
-/// iterations give a rougher IS chain with heavier likelihood-ratio tails,
-/// reproducing the paper's Fig. 4 phenomenon of mutually inconsistent IS
-/// intervals.
+/// for a faithful 70-state abstraction. `ce_iterations` is the
+/// cross-entropy budget: fewer iterations give a rougher IS chain with
+/// heavier likelihood-ratio tails, reproducing the paper's Fig. 4
+/// phenomenon of mutually inconsistent IS intervals.
 pub fn swat_setup_with_ce(n_logs: usize, log_len: usize, seed: u64, ce_iterations: usize) -> Setup {
     let truth = swat::truth();
     let sampler = ChainSampler::new(&truth);
@@ -1136,7 +1132,7 @@ mod tests {
 
     #[test]
     fn swat_setup_learns_a_plausible_model() {
-        let s = swat_setup(400, 300, 7);
+        let s = swat_setup_with_ce(400, 300, 7, 8);
         assert_eq!(s.center.num_states(), 70);
         assert!(s.imc.contains(&s.center));
         // γ(Â) in the paper's reported ballpark [5e-3, 2.5e-2].

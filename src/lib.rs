@@ -24,7 +24,7 @@
 //!
 //! (Two more crates complete the workspace without being library
 //! dependencies of this root crate: `imcis_cli` — the `imcis` binary —
-//! and `imcis_bench`, the criterion benches and `exp_*` binaries.)
+//! and `imcis_bench`, the `exp_*` binaries.)
 //!
 //! ## Experiment API
 //!
@@ -58,7 +58,7 @@
 //! `suite_report` that is byte-identical to the batch `imcis suite`
 //! output. The normative schema reference for all five JSON
 //! formats is `docs/FORMATS.md`, whose examples are parsed through the
-//! real validators by `tests/formats_doc.rs`.
+//! real decoders by `tests/formats_doc.rs`.
 //!
 //! The CLI (`imcis run <spec.json>`, `imcis suite <suite.json>`,
 //! `imcis serve` / `imcis submit`), the `exp_*` binaries and the

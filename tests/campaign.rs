@@ -132,7 +132,7 @@ fn ce_campaign_suite_is_bit_identical_at_thread_counts_1_2_8() {
     // The stable form is a valid `/3` suite report whose coverage
     // ordering holds: CE campaign final stage ≥ fixed mixture.
     let value = json::parse(&baseline_stable).unwrap();
-    imcis_core::validate_suite_report_json(&value).expect("report validates");
+    imcis_core::SuiteReport::from_json(&value).expect("report validates");
     assert_eq!(
         value.get("schema").and_then(Value::as_str),
         Some("imcis.suitereport/3")
@@ -317,7 +317,7 @@ fn stage_faults_produce_typed_per_stage_entries() {
     // validates as a `/3` suite report.
     let failures: Vec<usize> = report.failures().map(|(i, _, _)| i).collect();
     assert_eq!(failures, [0, 1]);
-    imcis_core::validate_suite_report_json(&report.to_json_stable())
+    imcis_core::SuiteReport::from_json(&report.to_json_stable())
         .expect("a faulted campaign report still validates");
 }
 

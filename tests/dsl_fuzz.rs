@@ -13,12 +13,20 @@
 //! The sweep is deterministic (fixed seed, fixed case count) so CI runs
 //! are reproducible; deep-nesting and pathological-length inputs are
 //! pinned explicitly alongside the random sweep.
+//!
+//! The same mutator style fuzzes whole `imcis.wire/2` request lines
+//! against a live daemon: every mutant gets its answer on a connection
+//! that stays open.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::panic::{self, AssertUnwindSafe};
+use std::time::Duration;
 
 use imcis_core::dsl::{self, DslError, MAX_EXPR_DEPTH};
+use imcis_core::serve::{Client, Event, Request, ServeConfig, Server};
 use imcis_core::{RunSpec, SpecError};
-use serde::json::Value;
+use serde::json::{self, Value};
 
 /// The same splitmix64 the simulation engine uses for stream seeds —
 /// deterministic, statistically solid, dependency-free.
@@ -236,4 +244,138 @@ fn pathological_inputs_stay_linear_and_typed() {
         let err = fuzz_one(source, i).expect("pathological input is rejected");
         assert_valid_span(&err, source, i);
     }
+}
+
+/// The request lines the wire fuzz mutates. A mutant that still decodes
+/// as a submit runs one small illustrative `smc` job.
+const WIRE_LINES: [&str; 3] = [
+    r#"{"wire":"imcis.wire/2","type":"submit","suite":{"runs":[{"scenario":{"name":"illustrative"},"method":{"name":"smc","n_traces":300},"seed":7,"threads":1}],"threads":1}}"#,
+    r#"{"wire":"imcis.wire/2","type":"ping"}"#,
+    r#"{"wire":"imcis.wire/2","type":"status"}"#,
+];
+
+/// Bytes the wire mutator substitutes: JSON punctuation, digits, the
+/// letters of `true`/`false`/`null` and whitespace other than a newline.
+const WIRE_POOL: &[u8] = b"{}[]:,\"\\-+.eE0179truefalsn \t";
+
+/// Duplicates or swaps keys of the request object or of its `suite`;
+/// `None` when `bytes` is not a JSON object.
+fn edit_keys(bytes: &[u8], rng: &mut u64) -> Option<Vec<u8>> {
+    let mut value = json::parse(std::str::from_utf8(bytes).ok()?).ok()?;
+    let Value::Object(top) = &mut value else {
+        return None;
+    };
+    let suite = top.iter().position(|(k, _)| k == "suite");
+    let pairs = match (suite, splitmix64(rng) % 2) {
+        (Some(i), 0) => match &mut top[i].1 {
+            Value::Object(suite) => suite,
+            _ => return None,
+        },
+        _ => top,
+    };
+    if pairs.is_empty() {
+        return None;
+    }
+    let i = (splitmix64(rng) % pairs.len() as u64) as usize;
+    let j = (splitmix64(rng) % pairs.len() as u64) as usize;
+    if splitmix64(rng).is_multiple_of(2) {
+        pairs.swap(i, j);
+    } else {
+        let duplicate = pairs[i].clone();
+        pairs.insert(j, duplicate);
+    }
+    Some(value.to_string().into_bytes())
+}
+
+/// One to three edits: truncations, byte flips, duplicated or swapped
+/// keys, runs of `[` up to 100,000 deep, and bytes that are not UTF-8.
+/// No edit writes a newline, so a mutant stays one request line.
+fn mutate_line(line: &str, rng: &mut u64) -> Vec<u8> {
+    let mut bytes = line.as_bytes().to_vec();
+    for _ in 0..1 + splitmix64(rng) % 3 {
+        let pos = (splitmix64(rng) % bytes.len() as u64) as usize;
+        match splitmix64(rng) % 5 {
+            0 => bytes.truncate(pos.max(1)),
+            1 => bytes[pos] = WIRE_POOL[(splitmix64(rng) % WIRE_POOL.len() as u64) as usize],
+            2 => bytes = edit_keys(&bytes, rng).unwrap_or(bytes),
+            3 => {
+                let depth = match splitmix64(rng) % 3 {
+                    0 => 100_000,
+                    1 => 120 + splitmix64(rng) % 16,
+                    _ => 1 + splitmix64(rng) % 100_000,
+                };
+                bytes.splice(pos..pos, std::iter::repeat_n(b'[', depth as usize));
+            }
+            _ => bytes.insert(pos, 0x80 | splitmix64(rng) as u8),
+        }
+    }
+    bytes
+}
+
+#[test]
+fn mutated_wire_lines_each_get_an_answer_on_a_live_connection() {
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        workers: 2,
+        queue: 64,
+        rate: 0,
+    })
+    .unwrap();
+    let addr = server.local_addr();
+    let handle = server.spawn();
+    let mut writer = TcpStream::connect(addr).unwrap();
+    writer
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(writer.try_clone().unwrap());
+    let mut read_event = |case: usize| {
+        let mut line = String::new();
+        let n = reader.read_line(&mut line).unwrap();
+        assert!(n > 0, "case {case}: the daemon closed the connection");
+        let value = json::parse(line.trim_end()).unwrap();
+        Event::from_json(&value).unwrap_or_else(|e| panic!("case {case}: bad event {line}: {e}"))
+    };
+
+    let mut rng = 0x31AE_F022_u64;
+    let (mut errors, mut jobs) = (0usize, 0usize);
+    const CASES: usize = 600;
+    for case in 0..CASES {
+        let mut mutant = mutate_line(WIRE_LINES[case % WIRE_LINES.len()], &mut rng);
+        let text = String::from_utf8_lossy(&mutant).into_owned();
+        if text.trim().is_empty() {
+            continue;
+        }
+        // The daemon's own reading of the line decides the answer.
+        let request = json::parse(text.trim_end())
+            .map_err(drop)
+            .and_then(|v| Request::from_json(&v).map_err(drop));
+        if matches!(request, Ok(Request::Shutdown | Request::Cancel { .. })) {
+            continue;
+        }
+        mutant.push(b'\n');
+        writer.write_all(&mutant).unwrap();
+        let answer = read_event(case);
+        let answered = match (&request, &answer) {
+            (Ok(Request::Submit { .. }), Event::Accepted { .. }) => {
+                while !matches!(read_event(case), Event::SuiteReport { .. }) {}
+                jobs += 1;
+                true
+            }
+            // A scenario that fails to build is a `session` error.
+            (Ok(Request::Submit { .. }) | Err(()), Event::Error { .. }) => true,
+            (Ok(Request::Ping), Event::Pong) | (Ok(Request::Status), Event::Status(_)) => true,
+            (Ok(Request::Health), Event::Health(_)) => true,
+            _ => false,
+        };
+        assert!(answered, "case {case}: answered {answer:?} to {text}");
+        errors += usize::from(matches!(answer, Event::Error { .. }));
+    }
+    // The sweep must reach both the error paths and running jobs.
+    assert!(errors > CASES / 2, "mutator too tame: {errors} errors");
+    assert!(jobs > 0, "no mutant ran a job");
+
+    writer.write_all(b"{\"type\": \"ping\"}\n").unwrap();
+    assert!(matches!(read_event(CASES), Event::Pong));
+    Client::connect(addr).unwrap().shutdown().unwrap();
+    handle.join().unwrap().unwrap();
 }

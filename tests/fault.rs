@@ -16,7 +16,7 @@
 //! asserted below are pure functions of the manifest.
 
 use imcis_core::serve::{Client, ServeConfig, ServeError, Server};
-use imcis_core::{validate_suite_report_json, MemberStatus, Suite, SuiteSpec, FAULT_ENV};
+use imcis_core::{MemberStatus, Suite, SuiteReport, SuiteSpec, FAULT_ENV};
 use serde::json::Value;
 
 fn spawn_server(
@@ -108,7 +108,7 @@ fn injected_faults_become_typed_manifest_ordered_member_errors() {
     );
     // The stable JSON passes the suitereport/2 validator, failures and
     // all.
-    validate_suite_report_json(&report.to_json_stable()).unwrap();
+    SuiteReport::from_json(&report.to_json_stable()).unwrap();
 }
 
 #[test]

@@ -1,15 +1,15 @@
 //! `docs/FORMATS.md` is normative and must not rot: every ```json code
 //! block in it is parsed through the *real* validators — manifests
 //! through the strict `RunSpec`/`SuiteSpec` parsers, reports through
-//! `validate_report_json`/`validate_suite_report_json`, wire messages
-//! through `parse_request`/`validate_event` — and every ```dsl block
+//! `Report::from_json`/`SuiteReport::from_json`, wire messages
+//! through `Request::from_json`/`Event::from_json` — and every ```dsl block
 //! through the real scenario-DSL compiler. A documented example that
 //! the implementation would reject fails this test.
 
-use imcis_core::serve::{parse_request, validate_event, Event, Request};
+use imcis_core::serve::{Event, Request};
 use imcis_core::{
-    validate_report_json, validate_suite_report_json, RunSpec, SuiteSpec, REPORT_SCHEMA,
-    RUNSPEC_SCHEMA, SUITEREPORT_SCHEMA, SUITEREPORT_SCHEMA_V3, SUITESPEC_SCHEMA,
+    Report, RunSpec, SuiteReport, SuiteSpec, REPORT_SCHEMA, RUNSPEC_SCHEMA, SUITEREPORT_SCHEMA,
+    SUITEREPORT_SCHEMA_V3, SUITESPEC_SCHEMA,
 };
 use serde::json::{self, Value};
 
@@ -80,8 +80,10 @@ fn every_documented_example_passes_the_real_validators() {
                 "submit" | "cancel" | "status" | "health" | "ping" | "shutdown"
             );
             let dual_role = matches!(kind, "status" | "health");
-            if !is_request_kind || (dual_role && validate_event(&value).is_ok()) {
-                validate_event(&value).unwrap_or_else(|e| context("wire event", e));
+            if !is_request_kind || (dual_role && Event::from_json(&value).is_ok()) {
+                Event::from_json(&value)
+                    .map(drop)
+                    .unwrap_or_else(|e| context("wire event", e));
                 // The typed codec round-trips every documented event:
                 // decoding and encoding again gives back the same value,
                 // key order included.
@@ -98,7 +100,7 @@ fn every_documented_example_passes_the_real_validators() {
                     reports += 1;
                 }
             } else {
-                match parse_request(&value) {
+                match Request::from_json(&value) {
                     Ok(
                         Request::Submit { .. }
                         | Request::Cancel { .. }
@@ -129,11 +131,15 @@ fn every_documented_example_passes_the_real_validators() {
                 suitespecs += 1;
             }
             Some(REPORT_SCHEMA) => {
-                validate_report_json(&value).unwrap_or_else(|e| context("Report", e));
+                Report::from_json(&value)
+                    .map(drop)
+                    .unwrap_or_else(|e| context("Report", e));
                 reports += 1;
             }
             Some(SUITEREPORT_SCHEMA | SUITEREPORT_SCHEMA_V3) => {
-                validate_suite_report_json(&value).unwrap_or_else(|e| context("SuiteReport", e));
+                SuiteReport::from_json(&value)
+                    .map(drop)
+                    .unwrap_or_else(|e| context("SuiteReport", e));
                 suitereports += 1;
             }
             other => panic!("docs/FORMATS.md json block #{i} has no known schema tag: {other:?}"),

@@ -14,7 +14,7 @@
 //! Regenerate the golden files deliberately with
 //! `IMCIS_BLESS_GOLDEN=1 cargo test --test runspec_report`.
 
-use imcis_core::{RunSpec, Session, Suite, SuiteSpec};
+use imcis_core::{Report, RunSpec, Session, Suite, SuiteReport, SuiteSpec};
 use serde::json::{self, Value};
 use std::str::FromStr;
 
@@ -142,6 +142,9 @@ fn illustrative_report_matches_the_golden_file() {
         "pinned-seed illustrative report drifted from the golden file \
          (IMCIS_BLESS_GOLDEN=1 regenerates it deliberately)"
     );
+    // The golden file decodes, and re-encodes to its own text.
+    let decoded = Report::from_json(&json::parse(&golden).unwrap()).unwrap();
+    assert_eq!(decoded.to_json_stable().pretty(), golden);
 }
 
 /// Three batched IMCIS searches on group repair: a mixture IS chain at
@@ -176,6 +179,9 @@ fn batched_search_suite_matches_the_golden_file() {
         "batched-search suite report drifted from the golden file \
          (IMCIS_BLESS_GOLDEN=1 regenerates it deliberately)"
     );
+    // The golden file decodes, and re-encodes to its own text.
+    let decoded = SuiteReport::from_json(&json::parse(&golden).unwrap()).unwrap();
+    assert_eq!(decoded.to_json_stable().pretty(), golden);
 }
 
 #[test]

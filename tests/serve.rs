@@ -175,6 +175,17 @@ fn malformed_wire_json_is_an_error_event_and_the_connection_survives() {
         Some("unsupported wire schema `imcis.wire/9` (expected `imcis.wire/2`)")
     );
 
+    // Nesting past the parser's cap is a `wire` error, not a stack
+    // overflow that takes the daemon down.
+    wire.send(&"[".repeat(100_000));
+    let event = wire.read_event();
+    assert_eq!(event.get("error").and_then(Value::as_str), Some("wire"));
+    let message = event.get("message").and_then(Value::as_str).unwrap();
+    assert!(
+        message.contains("nesting deeper than 128 levels"),
+        "{message}"
+    );
+
     // The same connection still serves real requests afterwards —
     // including a server-side file-referenced submit.
     wire.send("{\"type\": \"ping\"}");

@@ -8,7 +8,10 @@
 //!   thread budgets {1, 2, 8}**, and each member report is bit-identical
 //!   to running that member's spec through its own `Session`;
 //! * the `SetupCache` builds each unique `(scenario, params)` pair
-//!   exactly once, asserted through instrumented scenario builders.
+//!   exactly once, asserted through instrumented scenario builders;
+//! * `SuiteReport::from_json` accepts exactly what the writer writes: a
+//!   summary column or key order that drifts from it is named by path,
+//!   and the rules no encoding shows are checked without a panic.
 //!
 //! Re-canonicalise the checked-in manifest deliberately with
 //! `IMCIS_BLESS_GOLDEN=1 cargo test --test suite`.
@@ -19,7 +22,8 @@ use std::sync::Arc;
 
 use imc_models::scenario::illustrative_setup;
 use imc_models::{Scenario, ScenarioError, ScenarioParams, ScenarioRegistry, Setup};
-use imcis_core::{Session, Suite, SuiteSpec};
+use imcis_core::{Report, Session, Suite, SuiteReport, SuiteSpec};
+use serde::json::{self, Value};
 
 const TABLE1_SUITE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/paper_table1_suite.json");
 
@@ -198,4 +202,105 @@ fn setup_cache_builds_each_unique_scenario_exactly_once() {
     // Building sessions and running them never re-enters the builders.
     assert_eq!(builds_a.load(Ordering::SeqCst), 1);
     assert_eq!(builds_b.load(Ordering::SeqCst), 1);
+}
+
+/// `value` with the JSON text `new` at the dotted `path` of object keys
+/// and array indices.
+fn edited(value: &Value, path: &str, new: &str) -> Value {
+    let mut value = value.clone();
+    let slot = path.split('.').fold(&mut value, |value, step| match value {
+        Value::Object(pairs) => &mut pairs.iter_mut().find(|(k, _)| k == step).unwrap().1,
+        Value::Array(items) => &mut items[step.parse::<usize>().unwrap()],
+        other => panic!("no `{step}` in {other}"),
+    });
+    *slot = json::parse(new).unwrap();
+    value
+}
+
+#[test]
+fn suite_report_decoder_names_the_first_drift_from_the_written_form() {
+    let spec = SuiteSpec::from_str(&read(TABLE1_SUITE)).unwrap();
+    let report = Suite::from_spec(spec).unwrap().run().unwrap();
+    let (full, stable) = (report.to_json(), report.to_json_stable());
+    assert_eq!(SuiteReport::from_json(&full).unwrap().to_json(), full);
+    assert_eq!(
+        SuiteReport::from_json(&stable).unwrap().to_json_stable(),
+        stable
+    );
+    // Summary columns that disagree with the member report they echo.
+    for (column, new) in [
+        ("sigma", "0.25"),
+        ("ci", r#"{"lo": 0.0, "hi": 1.0}"#),
+        ("coverage_gamma_hat", "0.5"),
+        ("coverage_gamma_true", "0.5"),
+    ] {
+        let err = SuiteReport::from_json(&edited(&stable, &format!("summary.1.{column}"), new));
+        let err = err.unwrap_err();
+        assert!(
+            err.contains(&format!("first difference at summary[1].{column}")),
+            "{err}"
+        );
+    }
+    // Reordered top-level keys.
+    let mut swapped = stable.clone();
+    if let Value::Object(pairs) = &mut swapped {
+        pairs.swap(2, 3);
+    }
+    assert_eq!(
+        SuiteReport::from_json(&swapped).unwrap_err(),
+        "suite report is not in the form this version writes (first difference at reports)"
+    );
+}
+
+#[test]
+fn report_decoders_reject_what_no_encoding_shows_without_panicking() {
+    // A two-stage CE campaign next to a run member.
+    let spec = SuiteSpec::from_str(
+        r#"{"runs": [
+            {"campaign": {"run": {"scenario": {"name": "illustrative"},
+                                  "method": {"name": "ce-campaign", "n_traces": 300,
+                                             "training_traces": 300},
+                                  "seed": 2, "threads": 1},
+                          "stages": 2}},
+            {"scenario": {"name": "illustrative"},
+             "method": {"name": "smc", "n_traces": 200}, "seed": 3, "threads": 1}
+        ], "threads": 1}"#,
+    )
+    .unwrap();
+    let stable = Suite::from_spec(spec)
+        .unwrap()
+        .run()
+        .unwrap()
+        .to_json_stable();
+    SuiteReport::from_json(&stable).unwrap();
+    let member = stable.get("reports").unwrap().as_array().unwrap()[1].get("report");
+    let member = member.unwrap();
+    Report::from_json(member).unwrap();
+    let reversed = edited(member, "ci", r#"{"lo": 0.5, "hi": 0.25}"#);
+    let err = Report::from_json(&reversed).unwrap_err();
+    assert_eq!(err, "report `ci` needs `lo` <= `hi`");
+    let err = Report::from_json(&edited(member, "runs", "[]")).unwrap_err();
+    assert_eq!(err, "report needs at least one repetition");
+    let campaign = |value: &Value, path: &str, new: &str, rule: &str| {
+        let path = format!("reports.0.campaign.{path}");
+        let err = SuiteReport::from_json(&edited(value, &path, new)).unwrap_err();
+        assert!(err.contains(rule), "{err}");
+    };
+    let failed = r#"{"stage": 0, "status": "error", "message": "stage failed"}"#;
+    campaign(&stable, "stages", "[]", "needs at least one stage");
+    campaign(&stable, "stages.0", failed, "only the final stage may fail");
+    let converged = edited(&stable, "reports.0.campaign.converged_stage", "1");
+    campaign(
+        &converged,
+        "stages.1",
+        failed,
+        "`converged_stage` must name",
+    );
+    let empty_message = edited(
+        &stable,
+        "reports.1",
+        r#"{"status": "panic", "message": ""}"#,
+    );
+    let err = SuiteReport::from_json(&empty_message).unwrap_err();
+    assert_eq!(err, "suite report `reports[1]` needs a non-empty `message`");
 }
