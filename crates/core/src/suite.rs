@@ -1634,7 +1634,9 @@ impl SuiteReport {
     }
 
     /// Decodes a suite report in either form: the `spec` echo through
-    /// [`SuiteSpec::from_json_with_base`], then one entry per manifest
+    /// [`SuiteSpec::from_json_with_base`] (a `{"file": …}` member is
+    /// refused first, since the writer embeds every member and a decoder
+    /// reads no file), then one entry per manifest
     /// run of the kind the echo declares. The value is valid only if it
     /// is exactly what this version writes for the decoded report —
     /// [`SuiteReport::to_json`] when the input carries `timing`,
@@ -1655,7 +1657,21 @@ impl SuiteReport {
         if schema != SUITEREPORT_SCHEMA && schema != SUITEREPORT_SCHEMA_V3 {
             return Err(format!("suite report has unexpected schema `{schema}`"));
         }
-        let spec = SuiteSpec::from_json_with_base(report.field("spec", "a", Some)?, None)
+        let echo = report.field("spec", "a", Some)?;
+        // This version writes every member inline, so a file reference in
+        // an echo could only name a path on the reader's disk: refuse it
+        // before anything is read.
+        let echoed = echo
+            .get("runs")
+            .and_then(Value::as_array)
+            .unwrap_or_default();
+        if let Some(i) = echoed.iter().position(|m| m.get("file").is_some()) {
+            return Err(format!(
+                "suite report `spec.runs[{i}]` is a `file` reference; \
+                 a report's spec echo carries its members inline"
+            ));
+        }
+        let spec = SuiteSpec::from_json_with_base(echo, None)
             .map_err(|e| format!("suite report `spec` echo does not validate: {e}"))?;
         let entries = report.array("reports")?;
         if entries.len() != spec.runs.len() {

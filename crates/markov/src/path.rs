@@ -1,5 +1,3 @@
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
 use crate::State;
@@ -69,6 +67,10 @@ impl Path {
     }
 }
 
+/// Steps a [`TransitionCounts`] logs before it counts them: the log never
+/// holds more than this many words, however long the trace.
+const COMPACT_LEN: usize = 4096;
+
 /// Per-path transition count table: `n_ij(ω)` for each observed transition.
 ///
 /// This is the on-the-fly table of Algorithm 1 (lines 6–12): the set of
@@ -76,13 +78,68 @@ impl Path {
 /// likelihood ratio of a path is entirely determined by its table, so traces
 /// themselves never need to be stored.
 ///
+/// [`record`](TransitionCounts::record) appends each step to a flat log as
+/// one packed `from << 32 | to` word; the table counts by sorting when it
+/// is frozen. Every 4096 steps the log is sorted and merged into a sorted
+/// run list of distinct transitions, so a table's heap is at most that log
+/// plus one entry per distinct transition.
+///
 /// Tables of different traces frequently coincide (rare-event workloads
-/// revisit the same few successful path shapes); [`TransitionCounts`]
-/// implements `Eq`/`Hash` on the *frozen* sorted form so callers can
-/// deduplicate and attach multiplicities.
+/// revisit the same few successful path shapes); the canonical sorted
+/// [`frozen`](TransitionCounts::frozen) form is the deduplication key, and
+/// `Eq` compares tables by it.
+///
+/// Costs, for a table whose log holds `l` steps and whose run list holds `d`
+/// distinct transitions: `record` is amortised O(1); `frozen_into` sorts the
+/// log, O(l log l + d); `count` is O(l + log d); `total` is O(d);
+/// `is_empty` and `clear` are O(1); `frozen`, `iter`, `num_distinct`,
+/// `visited_sources` and `==` freeze a copy, O(l log l + d) plus an
+/// allocation; `merge` records `other`'s log and sorts the two run lists
+/// together.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TransitionCounts {
-    counts: HashMap<(State, State), u64>,
+    /// Steps not yet counted, one packed `from << 32 | to` word each, in
+    /// recording order; never longer than `COMPACT_LEN`.
+    log: Vec<u64>,
+    /// Steps counted so far: distinct transitions with their counts,
+    /// ascending.
+    runs: Vec<((State, State), u64)>,
+}
+
+/// Packs a step into one word, `from` in the high half. The packed order of
+/// two keys is their `(from, to)` order.
+fn pack(from: State, to: State) -> u64 {
+    assert!(
+        (from | to) as u64 >> 32 == 0,
+        "transition {from} -> {to} has a state of 2^32 or more: \
+         count tables pack each step into one u64"
+    );
+    (from as u64) << 32 | to as u64
+}
+
+/// Inverse of [`pack`].
+fn unpack(key: u64) -> (State, State) {
+    ((key >> 32) as State, key as u32 as State)
+}
+
+/// Appends the run-length encoding of the sorted `keys` to `out`.
+fn push_runs(keys: &[u64], out: &mut Vec<((State, State), u64)>) {
+    for run in keys.chunk_by(|a, b| a == b) {
+        out.push((unpack(run[0]), run.len() as u64));
+    }
+}
+
+/// Sorts `runs` by transition and adds up the counts of equal transitions.
+fn coalesce(runs: &mut Vec<((State, State), u64)>) {
+    // Stable: on two ascending halves this is one linear merge.
+    runs.sort_by_key(|&(transition, _)| transition);
+    runs.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            kept.1 += later.1;
+        }
+        same
+    });
 }
 
 impl TransitionCounts {
@@ -92,39 +149,68 @@ impl TransitionCounts {
     }
 
     /// Records one occurrence of `from -> to`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` or `to` is 2³² or more: the table packs each step
+    /// into one `u64`, as the CSR kernel's `u32` column index already
+    /// requires states below 2³².
     pub fn record(&mut self, from: State, to: State) {
-        *self.counts.entry((from, to)).or_insert(0) += 1;
+        self.push(pack(from, to));
+    }
+
+    fn push(&mut self, key: u64) {
+        self.log.push(key);
+        if self.log.len() == COMPACT_LEN {
+            self.compact();
+        }
+    }
+
+    /// Counts the log into the run list and empties it.
+    fn compact(&mut self) {
+        self.log.sort_unstable();
+        let counted = self.runs.len();
+        push_runs(&self.log, &mut self.runs);
+        self.log.clear();
+        if counted > 0 {
+            coalesce(&mut self.runs);
+        }
     }
 
     /// The multiplicity `n_ij` of transition `from -> to` (0 if unobserved).
     pub fn count(&self, from: State, to: State) -> u64 {
-        self.counts.get(&(from, to)).copied().unwrap_or(0)
+        let counted = self
+            .runs
+            .binary_search_by_key(&(from, to), |&(transition, _)| transition)
+            .map_or(0, |i| self.runs[i].1);
+        let logged = self.log.iter().filter(|&&k| unpack(k) == (from, to));
+        counted + logged.count() as u64
     }
 
     /// Number of *distinct* transitions observed.
     pub fn num_distinct(&self) -> usize {
-        self.counts.len()
+        self.frozen().len()
     }
 
     /// Total number of recorded transition occurrences, `Σ n_ij = |ω|`.
     pub fn total(&self) -> u64 {
-        self.counts.values().sum()
+        self.runs.iter().map(|&(_, n)| n).sum::<u64>() + self.log.len() as u64
     }
 
     /// Returns `true` if no transition was recorded.
     pub fn is_empty(&self) -> bool {
-        self.counts.is_empty()
+        self.log.is_empty() && self.runs.is_empty()
     }
 
-    /// Iterates over `((from, to), n_ij)` in unspecified order.
+    /// Iterates over `((from, to), n_ij)`. It walks the frozen form, so the
+    /// order is ascending, but callers should not rely on an order.
     pub fn iter(&self) -> impl Iterator<Item = ((State, State), u64)> + '_ {
-        self.counts.iter().map(|(&k, &v)| (k, v))
+        self.frozen().into_iter()
     }
 
-    /// The distinct source states `V_k` observed in this table.
+    /// The distinct source states `V_k` observed in this table, ascending.
     pub fn visited_sources(&self) -> Vec<State> {
-        let mut sources: Vec<State> = self.counts.keys().map(|&(from, _)| from).collect();
-        sources.sort_unstable();
+        let mut sources: Vec<State> = self.frozen().iter().map(|&((from, _), _)| from).collect();
         sources.dedup();
         sources
     }
@@ -132,37 +218,48 @@ impl TransitionCounts {
     /// Removes every recorded transition, keeping the allocated capacity —
     /// batch simulation loops reuse one table across traces.
     pub fn clear(&mut self) {
-        self.counts.clear();
+        self.log.clear();
+        self.runs.clear();
     }
 
     /// Freezes the table into a canonical sorted vector, suitable for use as
     /// a deduplication key.
     pub fn frozen(&self) -> Vec<((State, State), u64)> {
-        let mut v: Vec<_> = self.counts.iter().map(|(&k, &c)| (k, c)).collect();
-        v.sort_unstable();
-        v
+        let mut buf = Vec::new();
+        self.clone().frozen_into(&mut buf);
+        buf
     }
 
     /// Allocation-free [`TransitionCounts::frozen`]: clears `buf` and fills
-    /// it with the canonical sorted form, reusing its capacity.
-    pub fn frozen_into(&self, buf: &mut Vec<((State, State), u64)>) {
+    /// it with the canonical sorted form, reusing its capacity. Sorts the
+    /// log in place, which changes no count.
+    pub fn frozen_into(&mut self, buf: &mut Vec<((State, State), u64)>) {
         buf.clear();
-        buf.extend(self.counts.iter().map(|(&k, &c)| (k, c)));
-        buf.sort_unstable();
+        if self.runs.is_empty() {
+            self.log.sort_unstable();
+            push_runs(&self.log, buf);
+        } else {
+            self.compact();
+            buf.extend_from_slice(&self.runs);
+        }
     }
 
     /// Merges another table into this one (used to build the union table
     /// `T = ∪_k T_k` of Algorithm 1 line 16).
     pub fn merge(&mut self, other: &TransitionCounts) {
-        for (&key, &n) in &other.counts {
-            *self.counts.entry(key).or_insert(0) += n;
+        for &key in &other.log {
+            self.push(key);
+        }
+        if !other.runs.is_empty() {
+            self.runs.extend_from_slice(&other.runs);
+            coalesce(&mut self.runs);
         }
     }
 }
 
 impl PartialEq for TransitionCounts {
     fn eq(&self, other: &Self) -> bool {
-        self.counts == other.counts
+        self.frozen() == other.frozen()
     }
 }
 
@@ -181,6 +278,7 @@ impl FromIterator<(State, State)> for TransitionCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeMap;
 
     #[test]
     fn path_basics() {
@@ -255,5 +353,168 @@ mod tests {
         path.push(3);
         path.push(1);
         assert_eq!(path.states(), &[0, 3, 1]);
+    }
+
+    /// A seeded walk of `len` steps over 40 states spread across the whole
+    /// `u32` range, with a handful of successors per state so that steps
+    /// repeat.
+    fn walk(seed: u64, len: usize) -> Vec<(State, State)> {
+        const SPREAD: [State; 4] = [0, 7, 1 << 31, u32::MAX as State - 39];
+        let mut x = seed;
+        let mut next = || {
+            // SplitMix64.
+            x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = x;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        };
+        let state = |i: u64| SPREAD[(i % 4) as usize] + (i % 40) as State;
+        let mut at = next() % 40;
+        (0..len)
+            .map(|_| {
+                let to = (at + next() % 5) % 40;
+                let step = (state(at), state(to));
+                at = to;
+                step
+            })
+            .collect()
+    }
+
+    fn reference(steps: &[(State, State)]) -> BTreeMap<(State, State), u64> {
+        let mut map = BTreeMap::new();
+        for &step in steps {
+            *map.entry(step).or_insert(0) += 1;
+        }
+        map
+    }
+
+    fn assert_matches(table: &TransitionCounts, steps: &[(State, State)]) {
+        let map = reference(steps);
+        let expected: Vec<((State, State), u64)> = map.iter().map(|(&k, &n)| (k, n)).collect();
+        assert_eq!(table.frozen(), expected);
+        assert_eq!(table.iter().collect::<Vec<_>>(), expected);
+        assert_eq!(table.total(), steps.len() as u64);
+        assert_eq!(table.num_distinct(), map.len());
+        assert_eq!(table.is_empty(), steps.is_empty());
+        for (&(from, to), &n) in &map {
+            assert_eq!(table.count(from, to), n);
+            assert_eq!(
+                table.count(to, from),
+                map.get(&(to, from)).copied().unwrap_or(0)
+            );
+        }
+        assert_eq!(table.count(3, 1 << 20), 0);
+        #[cfg(target_pointer_width = "64")]
+        assert_eq!(table.count(1 << 32, 0), 0);
+        let mut sources: Vec<State> = map.keys().map(|&(from, _)| from).collect();
+        sources.dedup();
+        assert_eq!(table.visited_sources(), sources);
+        let mut copy = table.clone();
+        let mut buf = vec![((9, 9), 9)];
+        copy.frozen_into(&mut buf);
+        assert_eq!(buf, expected);
+        assert_eq!(&copy, table, "freezing changes no count");
+    }
+
+    #[test]
+    fn count_tables_match_a_sorted_map_reference() {
+        for (seed, len) in [(1, 0), (2, 1), (3, 2), (4, 57), (5, 3 * COMPACT_LEN + 123)] {
+            let steps = walk(seed, len);
+            let table: TransitionCounts = steps.iter().copied().collect();
+            assert_matches(&table, &steps);
+
+            // The same steps in another order give an equal table.
+            let reversed: TransitionCounts = steps.iter().rev().copied().collect();
+            assert_eq!(reversed, table);
+            if !steps.is_empty() {
+                let mut fewer = steps.clone();
+                fewer.pop();
+                assert_ne!(fewer.into_iter().collect::<TransitionCounts>(), table);
+            }
+
+            // Recording after a freeze keeps counting.
+            let mut grown = table.clone();
+            grown.frozen_into(&mut Vec::new());
+            let more = walk(seed + 100, 1000);
+            for &(from, to) in &more {
+                grown.record(from, to);
+            }
+            let all: Vec<(State, State)> = steps.iter().chain(&more).copied().collect();
+            assert_matches(&grown, &all);
+
+            // Merging two parts gives the whole, whichever side holds runs.
+            for cut in [0, len / 3, len] {
+                let mut head: TransitionCounts = steps[..cut].iter().copied().collect();
+                let tail: TransitionCounts = steps[cut..].iter().copied().collect();
+                head.merge(&tail);
+                assert_matches(&head, &steps);
+            }
+            let mut both = walk(seed + 200, 2 * COMPACT_LEN);
+            let mut big: TransitionCounts = both.iter().copied().collect();
+            big.merge(&table);
+            both.extend_from_slice(&steps);
+            assert_matches(&big, &both);
+        }
+    }
+
+    #[test]
+    fn a_cleared_table_counts_like_a_fresh_one() {
+        let long = walk(11, 2 * COMPACT_LEN + 5);
+        let short = walk(12, 30);
+        let mut reused: TransitionCounts = long.iter().copied().collect();
+        reused.clear();
+        assert!(reused.is_empty());
+        assert_eq!(reused.total(), 0);
+        for &(from, to) in &short {
+            reused.record(from, to);
+        }
+        let fresh: TransitionCounts = short.iter().copied().collect();
+        let (mut a, mut b) = (Vec::new(), Vec::new());
+        reused.frozen_into(&mut a);
+        fresh.clone().frozen_into(&mut b);
+        assert_eq!(a, b);
+        assert_eq!(reused, fresh);
+        assert_matches(&reused, &short);
+    }
+
+    #[test]
+    fn a_million_step_self_loop_keeps_the_log_bounded() {
+        let mut table = TransitionCounts::new();
+        for _ in 0..1_000_000 {
+            table.record(3, 3);
+            assert!(table.log.len() <= COMPACT_LEN);
+        }
+        assert!(table.log.capacity() <= COMPACT_LEN);
+        assert!(table.runs.capacity() <= 4, "{}", table.runs.capacity());
+        assert_eq!(table.count(3, 3), 1_000_000);
+        assert_eq!(table.frozen(), vec![((3, 3), 1_000_000)]);
+    }
+
+    #[test]
+    fn heap_is_bounded_by_the_log_and_the_distinct_transitions() {
+        let mut table = TransitionCounts::new();
+        for (from, to) in walk(21, 50 * COMPACT_LEN) {
+            table.record(from, to);
+            assert!(table.log.len() <= COMPACT_LEN);
+        }
+        let distinct = table.num_distinct();
+        assert!(
+            distinct > 100,
+            "the walk repeats only {distinct} transitions"
+        );
+        assert!(table.log.capacity() <= COMPACT_LEN);
+        assert!(
+            table.runs.capacity() <= 4 * distinct,
+            "{} run slots for {distinct} transitions",
+            table.runs.capacity()
+        );
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    #[should_panic(expected = "has a state of 2^32 or more")]
+    fn states_beyond_u32_are_refused() {
+        TransitionCounts::new().record(0, 1 << 32);
     }
 }

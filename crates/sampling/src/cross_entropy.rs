@@ -1,9 +1,9 @@
-use std::collections::HashMap;
-
 use imc_logic::{Property, Verdict};
-use imc_markov::{Dtmc, ModelError, RowEntry, State};
-use imc_sim::{simulate, ChainSampler};
+use imc_markov::{Dtmc, ModelError, RowEntry, State, TransitionCounts};
+use imc_sim::{simulate_counts_into, ChainSampler};
 use rand::Rng;
+
+use crate::hash::FastMap;
 
 /// Configuration of the cross-entropy optimisation of an IS distribution
 /// (Ridder 2005, the paper's reference \[24\]).
@@ -95,31 +95,43 @@ pub fn cross_entropy_refine<R: Rng + ?Sized>(
 ) -> Result<CeIteration, ModelError> {
     let sampler = ChainSampler::new(b);
     let mut monitor = property.monitor();
-    // Weighted transition counts over successful traces.
-    let mut w_trans: HashMap<(State, State), f64> = HashMap::new();
-    let mut w_source: HashMap<State, f64> = HashMap::new();
+    let mut counts = TransitionCounts::new();
     let mut frozen: Vec<((State, State), u64)> = Vec::new();
+    // Per distinct transition of a successful trace: `ln a − ln b`, taken
+    // once, and the weighted count `Σ_k w_k n_k`.
+    let mut w_trans: FastMap<(State, State), (f64, f64)> = FastMap::default();
+    let mut w_source: FastMap<State, f64> = FastMap::default();
     let mut gamma_sum = 0.0f64;
     let mut n_success = 0u64;
 
     for _ in 0..config.traces_per_iteration {
-        let outcome = simulate(&sampler, b.initial(), &mut monitor, rng, config.max_steps);
-        if outcome.verdict != Verdict::Accepted {
+        let (verdict, _, _) = simulate_counts_into(
+            &sampler,
+            b.initial(),
+            &mut monitor,
+            rng,
+            config.max_steps,
+            &mut counts,
+        );
+        if verdict != Verdict::Accepted {
             continue;
         }
         n_success += 1;
         // Accumulate in the frozen (sorted) transition order: float
-        // addition is order-sensitive in the last ulp, and the raw table
-        // iterates in hash order, which varies between map instances.
-        outcome.counts.frozen_into(&mut frozen);
+        // addition is order-sensitive in the last ulp, so every trace's
+        // sums run in one canonical order.
+        counts.frozen_into(&mut frozen);
         let mut log_l = 0.0f64;
         for &((from, to), n) in &frozen {
-            log_l += n as f64 * (a.prob(from, to).ln() - b.prob(from, to).ln());
+            let (log_ratio, _) = *w_trans
+                .entry((from, to))
+                .or_insert_with(|| (a.prob(from, to).ln() - b.prob(from, to).ln(), 0.0));
+            log_l += n as f64 * log_ratio;
         }
         let w = log_l.exp();
         gamma_sum += w;
         for &((from, to), n) in &frozen {
-            *w_trans.entry((from, to)).or_insert(0.0) += w * n as f64;
+            w_trans.get_mut(&(from, to)).expect("entered above").1 += w * n as f64;
             *w_source.entry(from).or_insert(0.0) += w * n as f64;
         }
     }
@@ -133,9 +145,9 @@ pub fn cross_entropy_refine<R: Rng + ?Sized>(
         });
     }
 
-    // Re-fit visited rows. HashMap iteration order is unspecified, but
-    // every row update is an independent pure function of the batch, so
-    // the refined chain is order-invariant (and thus deterministic).
+    // Re-fit visited rows. The map yields them in no particular order, but
+    // every row update is an independent pure function of the batch and
+    // `with_rows` places rows by state, so the order reaches no float.
     let mut replacements: Vec<(State, Vec<RowEntry>)> = Vec::new();
     for (&state, &total) in &w_source {
         if total <= 0.0 {
@@ -145,7 +157,7 @@ pub fn cross_entropy_refine<R: Rng + ?Sized>(
         let mut entries: Vec<RowEntry> = a_row
             .iter()
             .map(|e| {
-                let ce = w_trans.get(&(state, e.target)).copied().unwrap_or(0.0) / total;
+                let ce = w_trans.get(&(state, e.target)).map_or(0.0, |&(_, w)| w) / total;
                 let smoothed =
                     config.smoothing * ce + (1.0 - config.smoothing) * b.prob(state, e.target);
                 // Floor keeps every original transition samplable.

@@ -23,8 +23,8 @@
 //! invariant.
 
 use imc_logic::{Property, Verdict};
-use imc_markov::{Dtmc, ModelError, RowEntry, State};
-use imc_sim::{simulate, ChainSampler};
+use imc_markov::{Dtmc, ModelError, RowEntry, State, TransitionCounts};
+use imc_sim::{simulate_counts_into, ChainSampler};
 use rand::Rng;
 
 /// Configuration of one Dupuis–Wang value/measure update.
@@ -106,14 +106,21 @@ pub fn dupuis_wang_update<R: Rng + ?Sized>(
     let mut num = vec![0.0f64; n];
     let mut den = vec![0.0f64; n];
     let mut visited: Vec<State> = Vec::new();
+    let mut counts = TransitionCounts::new();
     let mut frozen: Vec<((State, State), u64)> = Vec::new();
 
     for _ in 0..config.training_traces {
-        let outcome = simulate(&sampler, b.initial(), &mut monitor, rng, config.max_steps);
-        // Frozen (sorted) order: the raw table iterates in hash order,
-        // which would make the order-sensitive log-likelihood sum vary
-        // between map instances.
-        outcome.counts.frozen_into(&mut frozen);
+        let (verdict, _, _) = simulate_counts_into(
+            &sampler,
+            b.initial(),
+            &mut monitor,
+            rng,
+            config.max_steps,
+            &mut counts,
+        );
+        // Frozen (sorted) order: the log-likelihood sum is order-sensitive
+        // in the last ulp, so it runs in one canonical order.
+        counts.frozen_into(&mut frozen);
         let mut log_l = 0.0f64;
         visited.clear();
         for &((from, to), n_ft) in &frozen {
@@ -128,7 +135,7 @@ pub fn dupuis_wang_update<R: Rng + ?Sized>(
         visited.sort_unstable();
         visited.dedup();
         let w = log_l.exp();
-        let z = if outcome.verdict == Verdict::Accepted {
+        let z = if verdict == Verdict::Accepted {
             1.0
         } else {
             0.0
@@ -282,5 +289,45 @@ mod tests {
         for (x, y) in v1.iter().zip(&v2) {
             assert_eq!(x.to_bits(), y.to_bits());
         }
+    }
+
+    /// Two updates on the illustrative chain from a pinned seed reproduce
+    /// recorded bits, so a change to the trace loop must keep every operand
+    /// and summation order of the weights, the value fit and the row re-fit.
+    #[test]
+    fn update_reproduces_its_recorded_bits() {
+        let a = illustrative(1e-2, 0.1);
+        let property = prop();
+        let mut b = initial_chain(&a, 0.5).unwrap();
+        let mut v = initial_value(&a, &property);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let config = DupuisWangConfig {
+            training_traces: 500,
+            ..DupuisWangConfig::default()
+        };
+        for _ in 0..2 {
+            (b, v) = dupuis_wang_update(&a, &property, &b, &v, &config, &mut rng).unwrap();
+        }
+        let mut bits: Vec<u64> = v.iter().map(|x| x.to_bits()).collect();
+        for (s, row) in a.rows().enumerate() {
+            bits.extend(row.iter().map(|e| b.prob(s, e.target).to_bits()));
+        }
+        assert_eq!(
+            bits,
+            [
+                // v
+                0x3fa7_8ab5_a19a_e943,
+                0x3fc1_84b5_aff8_12e5,
+                0x3ff0_0000_0000_0000,
+                0x0000_0000_0000_0000,
+                // b, row by row
+                0x3fed_dab9_f559_b3d0,
+                0x3fb1_2a30_5532_617e,
+                0x3fd8_e210_d701_584a,
+                0x3fe3_8ef7_947f_53db,
+                0x3ff0_0000_0000_0000,
+                0x3ff0_0000_0000_0000,
+            ]
+        );
     }
 }

@@ -1,10 +1,10 @@
-use std::collections::HashMap;
-
 use imc_logic::{Property, PropertyMonitor, Verdict};
 use imc_markov::{Dtmc, State, TransitionCounts};
 use imc_sim::{simulate_counts_into, BatchRunner, ChainSampler};
 use imc_stats::ConfidenceInterval;
 use rand::Rng;
+
+use crate::hash::FastMap;
 
 /// Configuration of an importance-sampling run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,7 +100,7 @@ struct SampleWorker {
     monitor: PropertyMonitor,
     counts: TransitionCounts,
     scratch: FrozenCounts,
-    dedup: HashMap<FrozenCounts, u64>,
+    dedup: FastMap<FrozenCounts, u64>,
     n_success: u64,
     n_undecided: u64,
 }
@@ -116,9 +116,12 @@ struct SampleWorker {
 /// according to `config.threads`; trace `i` always simulates under its own
 /// counter-based RNG stream keyed by one draw from `rng`, so for a seeded
 /// caller the returned [`IsRun`] is **bit-identical at every thread
-/// count**. The dedup hit path allocates nothing: each worker freezes the
-/// trace table into a reusable buffer and only clones it when a new path
-/// shape first appears.
+/// count**. The per-trace path allocates nothing once warm: each worker
+/// logs a trace's steps in one reused count table, counts them by sorting
+/// into a reusable buffer, and looks that frozen table up in its dedup map,
+/// cloning it only when a new path shape first appears. The map's hasher
+/// is unkeyed and its order never reaches the result: the tables are
+/// sorted before they are returned.
 pub fn sample_is_run<R: Rng + ?Sized>(
     b: &Dtmc,
     property: &Property,
@@ -135,7 +138,7 @@ pub fn sample_is_run<R: Rng + ?Sized>(
             monitor: property.monitor(),
             counts: TransitionCounts::new(),
             scratch: FrozenCounts::new(),
-            dedup: HashMap::new(),
+            dedup: FastMap::default(),
             n_success: 0,
             n_undecided: 0,
         },
@@ -180,7 +183,7 @@ pub fn sample_is_run<R: Rng + ?Sized>(
             multiplicity,
         })
         .collect();
-    // Deterministic order regardless of hash-map iteration and merge order.
+    // Deterministic order regardless of map iteration and merge order.
     tables.sort_by(|a, b| a.counts.cmp(&b.counts));
     IsRun {
         tables,
@@ -322,7 +325,7 @@ impl PreparedRun {
     /// trace could not have been sampled under `b`, so the run and chain
     /// are mismatched.
     pub fn new(run: &IsRun, b: &Dtmc) -> Self {
-        let mut lookup: HashMap<(State, State), u32> = HashMap::new();
+        let mut lookup: FastMap<(State, State), u32> = FastMap::default();
         let mut transitions: Vec<(State, State)> = Vec::new();
         let mut log_b: Vec<f64> = Vec::new();
         let mut entries = Vec::new();

@@ -61,6 +61,7 @@ mod cross_entropy;
 mod dupuis_wang;
 mod estimator;
 mod failure_bias;
+mod hash;
 mod zero_variance;
 
 pub use cross_entropy::{

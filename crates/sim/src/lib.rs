@@ -10,7 +10,9 @@
 //!   step with no per-row pointer chasing;
 //! * [`CdfSampler`] — binary-search inversion sampler (ablation baseline),
 //!   with build-time row renormalisation;
-//! * [`simulate`] / [`simulate_path`] — monitor-driven trace generation;
+//! * [`simulate_counts_into`] / [`simulate_verdict`] / [`simulate_path`] —
+//!   monitor-driven trace generation into a reused count table, to a bare
+//!   verdict, or to the full path;
 //! * [`BatchRunner`] ([`engine`]) — the parallel deterministic batch
 //!   engine: counter-based per-trace RNG streams ([`trace_rng`]) fanned
 //!   over a scoped thread pool, bit-identical across thread counts;
@@ -55,6 +57,4 @@ mod trace;
 pub use engine::{splitmix64, stream_seed, trace_rng, BatchRunner};
 pub use sampler::{CdfSampler, ChainSampler, StateSampler};
 pub use smc::{monte_carlo, SmcConfig, SmcResult};
-pub use trace::{
-    random_walk, simulate, simulate_counts_into, simulate_path, simulate_verdict, TraceOutcome,
-};
+pub use trace::{random_walk, simulate_counts_into, simulate_path, simulate_verdict};

@@ -94,7 +94,7 @@ pub fn monte_carlo<R: Rng + ?Sized>(
         || (property.monitor(), 0u64, 0u64),
         |(monitor, hits, undecided), _i, trace_rng| {
             // Crude MC needs no count tables — the count-free walk keeps
-            // the inner loop free of hashing and allocation.
+            // the inner loop free of recording and allocation.
             let (verdict, _, _) = simulate_verdict(
                 &sampler,
                 chain.initial(),

@@ -4,63 +4,9 @@ use rand::Rng;
 
 use crate::StateSampler;
 
-/// The result of simulating one trace until its property was decided (or the
-/// step budget ran out).
-///
-/// Carries the per-trace transition count table `(T_k, n_k)` of Algorithm 1
-/// — sufficient for every likelihood-ratio computation — instead of the
-/// trace itself.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TraceOutcome {
-    /// Final verdict ([`Verdict::Undecided`] only if `max_steps` was hit).
-    pub verdict: Verdict,
-    /// Transition multiplicities `n_k(s_i, s_j)` of the trace.
-    pub counts: TransitionCounts,
-    /// Number of transitions taken.
-    pub len: usize,
-    /// State in which simulation stopped.
-    pub last_state: State,
-}
-
-impl TraceOutcome {
-    /// The indicator `z(ω_k)`: 1 if the property was accepted.
-    pub fn indicator(&self) -> f64 {
-        self.verdict.indicator()
-    }
-}
-
-/// Simulates one trace from `initial`, driving `monitor` until it decides or
-/// `max_steps` transitions have been taken.
-///
-/// The monitor is `reset` with the initial state first, so properties that
-/// decide immediately (e.g. the initial state is already a target) cost no
-/// transitions.
-pub fn simulate<S, M, R>(
-    sampler: &S,
-    initial: State,
-    monitor: &mut M,
-    rng: &mut R,
-    max_steps: usize,
-) -> TraceOutcome
-where
-    S: StateSampler,
-    M: Monitor,
-    R: Rng + ?Sized,
-{
-    let mut counts = TransitionCounts::new();
-    let (verdict, len, last_state) =
-        simulate_counts_into(sampler, initial, monitor, rng, max_steps, &mut counts);
-    TraceOutcome {
-        verdict,
-        counts,
-        len,
-        last_state,
-    }
-}
-
-/// Count-free variant of [`simulate`] for estimators that only need the
-/// verdict (crude Monte Carlo): no table is built, so the inner loop does
-/// zero hashing and zero allocation per trace.
+/// Count-free variant of [`simulate_counts_into`] for estimators that only
+/// need the verdict (crude Monte Carlo): no table is built, so the inner
+/// loop records nothing and allocates nothing per trace.
 ///
 /// Returns `(verdict, transitions taken, stop state)`.
 pub fn simulate_verdict<S, M, R>(
@@ -87,12 +33,18 @@ where
     (verdict, len, state)
 }
 
-/// Allocation-free variant of [`simulate`] for batch hot loops: clears and
-/// refills a caller-owned count table instead of returning a fresh one,
-/// so a worker can reuse one table (and its hash buckets) across millions
-/// of traces.
+/// Simulates one trace from `initial`, driving `monitor` until it decides or
+/// `max_steps` transitions have been taken, and leaves the trace's
+/// transition count table `(T_k, n_k)` of Algorithm 1 in `counts`.
 ///
-/// Returns `(verdict, transitions taken, stop state)`.
+/// `counts` is cleared first and then records every step, so a loop reuses
+/// one caller-owned table (and its log's capacity) across millions of
+/// traces. The monitor is `reset` with the initial state first, so
+/// properties that decide immediately (e.g. the initial state is already a
+/// target) cost no transitions.
+///
+/// Returns `(verdict, transitions taken, stop state)`; the verdict is
+/// [`Verdict::Undecided`] only if `max_steps` was hit.
 pub fn simulate_counts_into<S, M, R>(
     sampler: &S,
     initial: State,
@@ -188,11 +140,13 @@ mod tests {
         let prop =
             Property::reach_avoid(StateSet::from_states(3, [1]), StateSet::from_states(3, [2]));
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let outcome = simulate(&sampler, 0, &mut prop.monitor(), &mut rng, 100);
-        assert!(outcome.verdict.is_decided());
-        assert_eq!(outcome.len, 1);
-        assert_eq!(outcome.counts.total(), 1);
-        assert!(outcome.last_state == 1 || outcome.last_state == 2);
+        let mut counts = TransitionCounts::new();
+        let (verdict, len, last_state) =
+            simulate_counts_into(&sampler, 0, &mut prop.monitor(), &mut rng, 100, &mut counts);
+        assert!(verdict.is_decided());
+        assert_eq!(len, 1);
+        assert_eq!(counts.total(), 1);
+        assert!(last_state == 1 || last_state == 2);
     }
 
     #[test]
@@ -204,10 +158,12 @@ mod tests {
         let sampler = ChainSampler::new(&chain);
         let prop = Property::reach_avoid(StateSet::from_states(2, [1]), StateSet::new(2));
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let outcome = simulate(&sampler, 0, &mut prop.monitor(), &mut rng, 50);
-        assert_eq!(outcome.verdict, Verdict::Undecided);
-        assert_eq!(outcome.len, 50);
-        assert_eq!(outcome.counts.count(0, 0), 50);
+        let mut counts = TransitionCounts::new();
+        let (verdict, len, _) =
+            simulate_counts_into(&sampler, 0, &mut prop.monitor(), &mut rng, 50, &mut counts);
+        assert_eq!(verdict, Verdict::Undecided);
+        assert_eq!(len, 50);
+        assert_eq!(counts.count(0, 0), 50);
     }
 
     #[test]
@@ -216,10 +172,13 @@ mod tests {
         let sampler = ChainSampler::new(&chain);
         let prop = Property::bounded_reach(StateSet::from_states(3, [0]), 5);
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
-        let outcome = simulate(&sampler, 0, &mut prop.monitor(), &mut rng, 100);
-        assert_eq!(outcome.verdict, Verdict::Accepted);
-        assert_eq!(outcome.len, 0);
-        assert!(outcome.counts.is_empty());
+        // A table left over from another trace is cleared first.
+        let mut counts: TransitionCounts = [(0, 1), (1, 1)].into_iter().collect();
+        let (verdict, len, _) =
+            simulate_counts_into(&sampler, 0, &mut prop.monitor(), &mut rng, 100, &mut counts);
+        assert_eq!(verdict, Verdict::Accepted);
+        assert_eq!(len, 0);
+        assert!(counts.is_empty());
     }
 
     #[test]
@@ -233,8 +192,16 @@ mod tests {
         assert_eq!(path.first(), 0);
         // Recomputing counts from the path agrees with the online table.
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(11);
-        let outcome = simulate(&sampler, 0, &mut prop.monitor(), &mut rng2, 100);
-        assert_eq!(path.transition_counts(), outcome.counts);
+        let mut counts = TransitionCounts::new();
+        simulate_counts_into(
+            &sampler,
+            0,
+            &mut prop.monitor(),
+            &mut rng2,
+            100,
+            &mut counts,
+        );
+        assert_eq!(path.transition_counts(), counts);
     }
 }
 

@@ -9,7 +9,10 @@
 //!   timing aside — the acceptance criterion of the API redesign;
 //! * the batched candidate search reproduces its checked-in golden suite
 //!   report byte-for-byte (the only pin on batched-search output, which
-//!   the paper goldens — all sequential — never reach).
+//!   the paper goldens — all sequential — never reach);
+//! * the two adaptive campaign methods reproduce their checked-in golden
+//!   suite report byte-for-byte (the pin on the cross-entropy refit and
+//!   the Dupuis–Wang update between stages).
 //!
 //! Regenerate the golden files deliberately with
 //! `IMCIS_BLESS_GOLDEN=1 cargo test --test runspec_report`.
@@ -42,6 +45,14 @@ const BATCHED_SEARCH_SUITE: &str = concat!(
 const BATCHED_SEARCH_GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/batched_search_report.json"
+);
+const ADAPTIVE_CAMPAIGN_SUITE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/specs/adaptive_campaign_suite.json"
+);
+const ADAPTIVE_CAMPAIGN_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/adaptive_campaign_report.json"
 );
 
 fn read(path: &str) -> String {
@@ -177,6 +188,46 @@ fn batched_search_suite_matches_the_golden_file() {
     assert_eq!(
         stable, golden,
         "batched-search suite report drifted from the golden file \
+         (IMCIS_BLESS_GOLDEN=1 regenerates it deliberately)"
+    );
+    // The golden file decodes, and re-encodes to its own text.
+    let decoded = SuiteReport::from_json(&json::parse(&golden).unwrap()).unwrap();
+    assert_eq!(decoded.to_json_stable().pretty(), golden);
+}
+
+/// A cross-entropy and a Dupuis–Wang campaign on group repair (mixture
+/// chain, `w` 0.9), three stages of two repetitions each. Between stages
+/// each re-trains its change of measure on fresh traces, so the stable
+/// report pins `cross_entropy_refine` — the likelihood-ratio weights and
+/// the row re-fit — byte for byte through every later stage's estimate,
+/// and the staged Dupuis–Wang path end to end. Its later stages see at
+/// most one success, so a last-ulp change in `dupuis_wang_update` can
+/// leave this report as it is; that function's bits are pinned by its
+/// own unit test.
+#[test]
+fn adaptive_campaign_suite_matches_the_golden_file() {
+    let text = read(ADAPTIVE_CAMPAIGN_SUITE);
+    let spec =
+        SuiteSpec::from_str(&text).unwrap_or_else(|e| panic!("{ADAPTIVE_CAMPAIGN_SUITE}: {e}"));
+    assert_eq!(
+        spec.to_json_string(),
+        text,
+        "{ADAPTIVE_CAMPAIGN_SUITE} is not canonical"
+    );
+    let stable = Suite::from_spec(spec)
+        .unwrap()
+        .run()
+        .unwrap()
+        .to_json_stable()
+        .pretty();
+    if std::env::var_os("IMCIS_BLESS_GOLDEN").is_some() {
+        std::fs::write(ADAPTIVE_CAMPAIGN_GOLDEN, &stable).expect("can write the golden report");
+        return;
+    }
+    let golden = read(ADAPTIVE_CAMPAIGN_GOLDEN);
+    assert_eq!(
+        stable, golden,
+        "adaptive campaign suite report drifted from the golden file \
          (IMCIS_BLESS_GOLDEN=1 regenerates it deliberately)"
     );
     // The golden file decodes, and re-encodes to its own text.

@@ -212,6 +212,31 @@ fn malformed_wire_json_is_an_error_event_and_the_connection_survives() {
 }
 
 #[test]
+fn a_submit_that_repeats_a_key_is_one_wire_error_and_the_connection_survives() {
+    let (addr, handle) = spawn_server(1);
+    let mut wire = RawWire::connect(addr);
+    let run = "{\"scenario\": {\"name\": \"illustrative\"}, \"method\": {\"name\": \"smc\"}}";
+    let line = format!(
+        "{{\"type\": \"submit\", \"suite\": {{\"runs\": [{run}], \"runs\": [{run}, {run}]}}}}"
+    );
+    wire.send(&line);
+    let event = wire.read_event();
+    assert_eq!(event.get("error").and_then(Value::as_str), Some("wire"));
+    let at = line.rfind("\"runs\"").unwrap();
+    assert_eq!(
+        event.get("message").and_then(Value::as_str),
+        Some(
+            format!("request is not valid JSON: JSON error at byte {at}: duplicate key `runs`")
+                .as_str()
+        )
+    );
+    // Nothing ran: the next answer on the same connection is the pong.
+    wire.send("{\"type\": \"ping\"}");
+    assert_eq!(event_type(&wire.read_event()), "pong");
+    shut_down(addr, handle);
+}
+
+#[test]
 fn invalid_suite_specs_reuse_the_pinned_spec_errors() {
     let (addr, handle) = spawn_server(1);
     let mut wire = RawWire::connect(addr);

@@ -11,7 +11,10 @@
 //!   exactly once, asserted through instrumented scenario builders;
 //! * `SuiteReport::from_json` accepts exactly what the writer writes: a
 //!   summary column or key order that drifts from it is named by path,
-//!   and the rules no encoding shows are checked without a panic.
+//!   the rules no encoding shows are checked without a panic, and a
+//!   `{"file": …}` member in the spec echo is refused before any read;
+//! * a manifest that repeats a key in one object is refused, not read
+//!   as its first binding.
 //!
 //! Re-canonicalise the checked-in manifest deliberately with
 //! `IMCIS_BLESS_GOLDEN=1 cargo test --test suite`.
@@ -303,4 +306,43 @@ fn report_decoders_reject_what_no_encoding_shows_without_panicking() {
     );
     let err = SuiteReport::from_json(&empty_message).unwrap_err();
     assert_eq!(err, "suite report `reports[1]` needs a non-empty `message`");
+}
+
+#[test]
+fn a_suite_manifest_that_repeats_a_key_is_refused() {
+    let text = r#"{
+        "runs": [{"scenario": {"name": "illustrative"}, "method": {"name": "smc"}}],
+        "runs": [{"scenario": {"name": "illustrative"}, "method": {"name": "smc"}},
+                 {"scenario": {"name": "illustrative"}, "method": {"name": "standard-is"}}]
+    }"#;
+    let err = SuiteSpec::from_str(text).unwrap_err().to_string();
+    let at = text.rfind("\"runs\"").unwrap();
+    assert_eq!(
+        err,
+        format!("spec is not valid JSON: JSON error at byte {at}: duplicate key `runs`")
+    );
+}
+
+#[test]
+fn a_file_reference_in_a_report_echo_is_refused_before_it_is_read() {
+    let spec = SuiteSpec::from_str(&read(TABLE1_SUITE)).unwrap();
+    let stable = Suite::from_spec(spec)
+        .unwrap()
+        .run()
+        .unwrap()
+        .to_json_stable();
+    let refusal = "suite report `spec.runs[0]` is a `file` reference; \
+                   a report's spec echo carries its members inline";
+    let absent = std::env::temp_dir().join("imcis-absent-dir-7f3a/secret.json");
+    let existing = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/illustrative_smoke.json");
+    assert!(std::path::Path::new(existing).is_file());
+    for path in [absent.to_str().unwrap(), existing] {
+        let file = Value::object([("file".to_string(), Value::Str(path.into()))]);
+        let echo = edited(&stable, "spec.runs.0", &file.to_string());
+        assert_eq!(
+            SuiteReport::from_json(&echo).unwrap_err(),
+            refusal,
+            "{path}"
+        );
+    }
 }
