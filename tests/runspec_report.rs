@@ -12,7 +12,12 @@
 //!   the paper goldens — all sequential — never reach);
 //! * the two adaptive campaign methods reproduce their checked-in golden
 //!   suite report byte-for-byte (the pin on the cross-entropy refit and
-//!   the Dupuis–Wang update between stages).
+//!   the Dupuis–Wang update between stages);
+//! * plain `standard-is` and `smc` members reproduce their checked-in
+//!   golden suite report byte-for-byte (the pin on trace sampling and the
+//!   likelihood-ratio estimate on a repair-fleet chain, on a
+//!   zero-variance chain that drops transitions of `A`, and on group
+//!   repair).
 //!
 //! Regenerate the golden files deliberately with
 //! `IMCIS_BLESS_GOLDEN=1 cargo test --test runspec_report`.
@@ -53,6 +58,14 @@ const ADAPTIVE_CAMPAIGN_SUITE: &str = concat!(
 const ADAPTIVE_CAMPAIGN_GOLDEN: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/golden/adaptive_campaign_report.json"
+);
+const SAMPLING_PATHS_SUITE: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/specs/sampling_paths_suite.json"
+);
+const SAMPLING_PATHS_GOLDEN: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/golden/sampling_paths_report.json"
 );
 
 fn read(path: &str) -> String {
@@ -228,6 +241,42 @@ fn adaptive_campaign_suite_matches_the_golden_file() {
     assert_eq!(
         stable, golden,
         "adaptive campaign suite report drifted from the golden file \
+         (IMCIS_BLESS_GOLDEN=1 regenerates it deliberately)"
+    );
+    // The golden file decodes, and re-encodes to its own text.
+    let decoded = SuiteReport::from_json(&json::parse(&golden).unwrap()).unwrap();
+    assert_eq!(decoded.to_json_stable().pretty(), golden);
+}
+
+/// The plain sampling paths: `standard-is` on a small repair fleet (`A`
+/// and `B` share one sparsity pattern), `standard-is` and `smc` on the
+/// illustrative chain (its zero-variance `B` drops the transitions of `A`
+/// that cannot reach the target) and `standard-is` on group repair under
+/// the mixture chain. Their stable report pins the sampled traces, the
+/// count tables and the likelihood-ratio estimate byte for byte.
+#[test]
+fn sampling_paths_suite_matches_the_golden_file() {
+    let text = read(SAMPLING_PATHS_SUITE);
+    let spec = SuiteSpec::from_str(&text).unwrap_or_else(|e| panic!("{SAMPLING_PATHS_SUITE}: {e}"));
+    assert_eq!(
+        spec.to_json_string(),
+        text,
+        "{SAMPLING_PATHS_SUITE} is not canonical"
+    );
+    let stable = Suite::from_spec(spec)
+        .unwrap()
+        .run()
+        .unwrap()
+        .to_json_stable()
+        .pretty();
+    if std::env::var_os("IMCIS_BLESS_GOLDEN").is_some() {
+        std::fs::write(SAMPLING_PATHS_GOLDEN, &stable).expect("can write the golden report");
+        return;
+    }
+    let golden = read(SAMPLING_PATHS_GOLDEN);
+    assert_eq!(
+        stable, golden,
+        "sampling-paths suite report drifted from the golden file \
          (IMCIS_BLESS_GOLDEN=1 regenerates it deliberately)"
     );
     // The golden file decodes, and re-encodes to its own text.
