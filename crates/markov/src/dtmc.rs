@@ -18,13 +18,20 @@
 //! out-of-range states, non-stochastic rows and (for the streaming path)
 //! out-of-order triplets are all construction-time errors, never silent
 //! last-write-wins.
+//!
+//! A transition is also addressed by its [`Edge`] id, its slot in the CSR
+//! arrays: [`Dtmc::edge`] decodes one to `(from, to)` and
+//! [`Dtmc::edge_id`] finds one. The chain's Walker tables
+//! ([`Dtmc::alias_table`]) and its [`Dtmc::pattern_fingerprint`] are
+//! derived on first use and kept.
 
 use std::collections::BTreeMap;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
 use crate::csr::{CsrAssembler, Push};
-use crate::{LabelTable, ModelError, Path, State, StateSet, ROW_SUM_TOLERANCE};
+use crate::{AliasTable, Edge, LabelTable, ModelError, Path, State, StateSet, ROW_SUM_TOLERANCE};
 
 /// A single sparse transition: target state and probability.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -141,6 +148,22 @@ pub struct Dtmc {
     probs: Vec<f64>,
     initial: State,
     labels: LabelTable,
+    derived: Derived,
+}
+
+/// What a chain derives from its CSR arrays on first use. A `Dtmc` never
+/// changes after construction, so clones share these, and equality
+/// ignores them.
+#[derive(Debug, Clone, Default)]
+struct Derived {
+    alias: OnceLock<Arc<AliasTable>>,
+    pattern: OnceLock<u64>,
+}
+
+impl PartialEq for Derived {
+    fn eq(&self, _: &Self) -> bool {
+        true
+    }
 }
 
 impl Dtmc {
@@ -213,6 +236,68 @@ impl Dtmc {
     /// Panics if `from` is out of range. Out-of-range `to` yields `0.0`.
     pub fn prob(&self, from: State, to: State) -> f64 {
         self.row_view(from).prob_to(to)
+    }
+
+    /// The transition `(from, to)` stored in CSR slot `edge`: a binary
+    /// search over the row offsets.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `edge >= num_transitions()`.
+    pub fn edge(&self, edge: Edge) -> (State, State) {
+        let edge = edge as usize;
+        let to = self.col_idx[edge] as State;
+        (self.row_ptr.partition_point(|&p| p <= edge) - 1, to)
+    }
+
+    /// The CSR slot of transition `from -> to`, or `None` if the chain has
+    /// no such transition: a binary search in row `from`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `from` is out of range.
+    pub fn edge_id(&self, from: State, to: State) -> Option<Edge> {
+        let to = u32::try_from(to).ok()?;
+        let start = self.row_ptr[from];
+        let pos = self.col_idx[start..self.row_ptr[from + 1]]
+            .binary_search(&to)
+            .ok()?;
+        Some((start + pos) as Edge)
+    }
+
+    /// The Walker alias tables of the chain, built on the first call and
+    /// kept for the chain's lifetime (12 bytes per transition). Every
+    /// later call, from any thread, borrows the same tables; threads that
+    /// first call it at the same time wait for one build. Clones share
+    /// the tables; a chain made by [`Dtmc::with_rows`] builds its own.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the chain has `u32::MAX` transitions or more.
+    pub fn alias_table(&self) -> &AliasTable {
+        self.derived
+            .alias
+            .get_or_init(|| Arc::new(AliasTable::build(self)))
+    }
+
+    /// A 64-bit fingerprint of the chain's sparsity pattern (its row
+    /// offsets and targets, not its probabilities), computed on the first
+    /// call and kept. Count tables key transitions by [`Edge`] id, and an
+    /// edge id means the same transition in two chains exactly when their
+    /// patterns agree; a sampled run records this value to refuse a chain
+    /// with another pattern.
+    pub fn pattern_fingerprint(&self) -> u64 {
+        *self
+            .derived
+            .pattern
+            .get_or_init(|| fingerprint(&self.row_ptr, &self.col_idx))
+    }
+
+    /// Returns `true` if `other` has exactly this chain's sparsity
+    /// pattern, so that edge `e` is the same transition in both.
+    pub fn same_pattern(&self, other: &Dtmc) -> bool {
+        std::ptr::eq(self, other)
+            || (self.row_ptr == other.row_ptr && self.col_idx == other.col_idx)
     }
 
     /// The set of states carrying `label`, borrowed from the interned
@@ -305,6 +390,7 @@ impl Dtmc {
             probs,
             initial: self.initial,
             labels: self.labels.clone(),
+            derived: Derived::default(),
         })
     }
 
@@ -543,8 +629,30 @@ impl DtmcStreamBuilder {
             probs,
             initial: self.initial,
             labels,
+            derived: Derived::default(),
         })
     }
+}
+
+/// Folds a sparsity pattern into 64 bits: one multiply-rotate step per
+/// word (targets two to a word), finished by the SplitMix64 avalanche.
+fn fingerprint(row_ptr: &[usize], col_idx: &[u32]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
+    let mut h = step(row_ptr.len() as u64, col_idx.len() as u64);
+    for &offset in row_ptr {
+        h = step(h, offset as u64);
+    }
+    let pairs = col_idx.chunks_exact(2);
+    if let [last] = pairs.remainder() {
+        h = step(h, u64::from(*last));
+    }
+    for pair in pairs {
+        h = step(h, u64::from(pair[0]) | u64::from(pair[1]) << 32);
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
 }
 
 /// Validates the row that just closed in the assembler.
@@ -818,6 +926,92 @@ mod tests {
         let preds = chain.predecessors();
         assert_eq!(preds[1], vec![0, 1]);
         assert_eq!(preds[0], vec![0]);
+    }
+
+    #[test]
+    fn edges_are_csr_slots_in_pair_order() {
+        let chain = two_state();
+        let pairs: Vec<(State, State)> = (0..3).map(|e| chain.edge(e)).collect();
+        assert_eq!(pairs, vec![(0, 0), (0, 1), (1, 1)]);
+        for (e, &(from, to)) in pairs.iter().enumerate() {
+            assert_eq!(chain.edge_id(from, to), Some(e as Edge));
+        }
+        assert_eq!(chain.edge_id(1, 0), None);
+        assert_eq!(chain.edge_id(0, 7), None);
+    }
+
+    #[test]
+    fn alias_tables_are_built_once_per_chain() {
+        use crate::alias::BUILDS;
+        use std::sync::atomic::Ordering;
+        // The only test of this crate that builds alias tables.
+        let builds = || BUILDS.load(Ordering::SeqCst);
+        let chain = two_state();
+        let before = builds();
+        // Two threads ask for the tables of a new chain at the same time.
+        let barrier = std::sync::Barrier::new(2);
+        let seen: Vec<usize> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..2)
+                .map(|_| {
+                    scope.spawn(|| {
+                        barrier.wait();
+                        chain.alias_table() as *const AliasTable as usize
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(seen[0], seen[1], "both threads borrow one table");
+        assert_eq!(builds(), before + 1, "built once");
+        assert!(std::ptr::eq(
+            chain.alias_table(),
+            chain.clone().alias_table()
+        ));
+        assert_eq!(builds(), before + 1, "a clone shares the tables");
+        let rebuilt = chain.with_rows(std::iter::empty()).unwrap();
+        assert_eq!(rebuilt, chain, "equality ignores the tables");
+        assert!(!std::ptr::eq(chain.alias_table(), rebuilt.alias_table()));
+        assert_eq!(
+            builds(),
+            before + 2,
+            "a chain made by with_rows builds its own"
+        );
+    }
+
+    #[test]
+    fn patterns_ignore_probabilities() {
+        let chain = two_state();
+        let reweighted = chain
+            .with_rows([(
+                0,
+                vec![
+                    RowEntry {
+                        target: 0,
+                        prob: 0.5,
+                    },
+                    RowEntry {
+                        target: 1,
+                        prob: 0.5,
+                    },
+                ],
+            )])
+            .unwrap();
+        assert!(chain.same_pattern(&reweighted));
+        assert_eq!(
+            chain.pattern_fingerprint(),
+            reweighted.pattern_fingerprint()
+        );
+        let rewired = chain
+            .with_rows([(
+                0,
+                vec![RowEntry {
+                    target: 1,
+                    prob: 1.0,
+                }],
+            )])
+            .unwrap();
+        assert!(!chain.same_pattern(&rewired));
+        assert_ne!(chain.pattern_fingerprint(), rewired.pattern_fingerprint());
     }
 
     #[test]

@@ -9,7 +9,10 @@
 //!   i.e. the set of all DTMCs whose transition probabilities lie within the
 //!   per-transition intervals ([Definition 2.2]);
 //! * [`Path`] and [`TransitionCounts`] — finite paths and the per-path
-//!   transition count tables `n_ij(ω)` used by the likelihood-ratio machinery;
+//!   transition count tables `n_ij(ω)` used by the likelihood-ratio
+//!   machinery, keyed by [`Edge`] id (a transition's CSR slot);
+//! * [`AliasTable`] — a chain's Walker tables for O(1) row draws, built
+//!   once per chain by [`Dtmc::alias_table`];
 //! * [`StateSet`] — a compact bit-set over state indices, and [`LabelTable`]
 //!   — interned label names resolving to borrowed `StateSet`s;
 //! * graph analyses ([`graph`]) — forward/backward reachability, strongly
@@ -71,6 +74,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod alias;
 mod csr;
 mod dtmc;
 mod error;
@@ -82,6 +86,7 @@ mod state_set;
 pub mod graph;
 pub mod io;
 
+pub use alias::AliasTable;
 pub use dtmc::{Dtmc, DtmcBuilder, DtmcStreamBuilder, RowEntry, RowView};
 pub use error::ModelError;
 pub use imc::{Imc, ImcBuilder, ImcStreamBuilder, IntervalEntry, IntervalRowView};
@@ -91,6 +96,11 @@ pub use state_set::StateSet;
 
 /// Index of a state in a chain. States are dense indices `0..n`.
 pub type State = usize;
+
+/// Index of a transition in a chain: its slot in the CSR arrays. A chain's
+/// transitions are sorted by `(from, to)`, so ascending edge ids are
+/// ascending `(from, to)` pairs.
+pub type Edge = u32;
 
 /// Tolerance used when validating that probability rows sum to one.
 ///

@@ -1,6 +1,6 @@
 use serde::{Deserialize, Serialize};
 
-use crate::State;
+use crate::{Edge, State};
 
 /// A finite path `ω = ω_0 → ω_1 → … → ω_l` through a chain.
 ///
@@ -56,15 +56,6 @@ impl Path {
     pub fn push(&mut self, state: State) {
         self.states.push(state);
     }
-
-    /// The transition count table `n_ij(ω)` of this path.
-    pub fn transition_counts(&self) -> TransitionCounts {
-        let mut counts = TransitionCounts::new();
-        for (from, to) in self.transitions() {
-            counts.record(from, to);
-        }
-        counts
-    }
 }
 
 /// Steps a [`TransitionCounts`] logs before it counts them: the log never
@@ -78,11 +69,17 @@ const COMPACT_LEN: usize = 4096;
 /// likelihood ratio of a path is entirely determined by its table, so traces
 /// themselves never need to be stored.
 ///
+/// A table keys each transition by its [`Edge`] id in the chain the trace
+/// was sampled under, the CSR slot the sampler picked; the chain decodes an
+/// id with [`Dtmc::edge`](crate::Dtmc::edge). A chain's slots are sorted by
+/// `(from, to)`, so the ascending edge order of a table is its `(from, to)`
+/// order.
+///
 /// [`record`](TransitionCounts::record) appends each step to a flat log as
-/// one packed `from << 32 | to` word; the table counts by sorting when it
-/// is frozen. Every 4096 steps the log is sorted and merged into a sorted
-/// run list of distinct transitions, so a table's heap is at most that log
-/// plus one entry per distinct transition.
+/// one `u32` word; the table counts by sorting when it is frozen. Every 4096
+/// steps the log is sorted and merged into a sorted run list of distinct
+/// edges, so a table's heap is at most that log plus one entry per distinct
+/// edge.
 ///
 /// Tables of different traces frequently coincide (rare-event workloads
 /// revisit the same few successful path shapes); the canonical sorted
@@ -90,49 +87,31 @@ const COMPACT_LEN: usize = 4096;
 /// `Eq` compares tables by it.
 ///
 /// Costs, for a table whose log holds `l` steps and whose run list holds `d`
-/// distinct transitions: `record` is amortised O(1); `frozen_into` sorts the
+/// distinct edges: `record` is amortised O(1); `frozen_into` sorts the
 /// log, O(l log l + d); `count` is O(l + log d); `total` is O(d);
-/// `is_empty` and `clear` are O(1); `frozen`, `iter`, `num_distinct`,
-/// `visited_sources` and `==` freeze a copy, O(l log l + d) plus an
-/// allocation; `merge` records `other`'s log and sorts the two run lists
-/// together.
+/// `is_empty` and `clear` are O(1); `frozen`, `iter`, `num_distinct` and
+/// `==` freeze a copy, O(l log l + d) plus an allocation; `merge` records
+/// `other`'s log and sorts the two run lists together.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct TransitionCounts {
-    /// Steps not yet counted, one packed `from << 32 | to` word each, in
-    /// recording order; never longer than `COMPACT_LEN`.
-    log: Vec<u64>,
-    /// Steps counted so far: distinct transitions with their counts,
-    /// ascending.
-    runs: Vec<((State, State), u64)>,
+    /// Steps not yet counted, one edge id each, in recording order; never
+    /// longer than `COMPACT_LEN`.
+    log: Vec<Edge>,
+    /// Steps counted so far: distinct edges with their counts, ascending.
+    runs: Vec<(Edge, u64)>,
 }
 
-/// Packs a step into one word, `from` in the high half. The packed order of
-/// two keys is their `(from, to)` order.
-fn pack(from: State, to: State) -> u64 {
-    assert!(
-        (from | to) as u64 >> 32 == 0,
-        "transition {from} -> {to} has a state of 2^32 or more: \
-         count tables pack each step into one u64"
-    );
-    (from as u64) << 32 | to as u64
-}
-
-/// Inverse of [`pack`].
-fn unpack(key: u64) -> (State, State) {
-    ((key >> 32) as State, key as u32 as State)
-}
-
-/// Appends the run-length encoding of the sorted `keys` to `out`.
-fn push_runs(keys: &[u64], out: &mut Vec<((State, State), u64)>) {
-    for run in keys.chunk_by(|a, b| a == b) {
-        out.push((unpack(run[0]), run.len() as u64));
+/// Appends the run-length encoding of the sorted `edges` to `out`.
+fn push_runs(edges: &[Edge], out: &mut Vec<(Edge, u64)>) {
+    for run in edges.chunk_by(|a, b| a == b) {
+        out.push((run[0], run.len() as u64));
     }
 }
 
-/// Sorts `runs` by transition and adds up the counts of equal transitions.
-fn coalesce(runs: &mut Vec<((State, State), u64)>) {
+/// Sorts `runs` by edge and adds up the counts of equal edges.
+fn coalesce(runs: &mut Vec<(Edge, u64)>) {
     // Stable: on two ascending halves this is one linear merge.
-    runs.sort_by_key(|&(transition, _)| transition);
+    runs.sort_by_key(|&(edge, _)| edge);
     runs.dedup_by(|later, kept| {
         let same = later.0 == kept.0;
         if same {
@@ -148,19 +127,9 @@ impl TransitionCounts {
         TransitionCounts::default()
     }
 
-    /// Records one occurrence of `from -> to`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `from` or `to` is 2³² or more: the table packs each step
-    /// into one `u64`, as the CSR kernel's `u32` column index already
-    /// requires states below 2³².
-    pub fn record(&mut self, from: State, to: State) {
-        self.push(pack(from, to));
-    }
-
-    fn push(&mut self, key: u64) {
-        self.log.push(key);
+    /// Records one step along edge `edge`.
+    pub fn record(&mut self, edge: Edge) {
+        self.log.push(edge);
         if self.log.len() == COMPACT_LEN {
             self.compact();
         }
@@ -177,54 +146,46 @@ impl TransitionCounts {
         }
     }
 
-    /// The multiplicity `n_ij` of transition `from -> to` (0 if unobserved).
-    pub fn count(&self, from: State, to: State) -> u64 {
+    /// The multiplicity `n_ij` of edge `edge` (0 if unobserved).
+    pub fn count(&self, edge: Edge) -> u64 {
         let counted = self
             .runs
-            .binary_search_by_key(&(from, to), |&(transition, _)| transition)
+            .binary_search_by_key(&edge, |&(e, _)| e)
             .map_or(0, |i| self.runs[i].1);
-        let logged = self.log.iter().filter(|&&k| unpack(k) == (from, to));
-        counted + logged.count() as u64
+        counted + self.log.iter().filter(|&&e| e == edge).count() as u64
     }
 
-    /// Number of *distinct* transitions observed.
+    /// Number of *distinct* edges observed.
     pub fn num_distinct(&self) -> usize {
         self.frozen().len()
     }
 
-    /// Total number of recorded transition occurrences, `Σ n_ij = |ω|`.
+    /// Total number of recorded steps, `Σ n_ij = |ω|`.
     pub fn total(&self) -> u64 {
         self.runs.iter().map(|&(_, n)| n).sum::<u64>() + self.log.len() as u64
     }
 
-    /// Returns `true` if no transition was recorded.
+    /// Returns `true` if no step was recorded.
     pub fn is_empty(&self) -> bool {
         self.log.is_empty() && self.runs.is_empty()
     }
 
-    /// Iterates over `((from, to), n_ij)`. It walks the frozen form, so the
+    /// Iterates over `(edge, n_ij)`. It walks the frozen form, so the
     /// order is ascending, but callers should not rely on an order.
-    pub fn iter(&self) -> impl Iterator<Item = ((State, State), u64)> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = (Edge, u64)> + '_ {
         self.frozen().into_iter()
     }
 
-    /// The distinct source states `V_k` observed in this table, ascending.
-    pub fn visited_sources(&self) -> Vec<State> {
-        let mut sources: Vec<State> = self.frozen().iter().map(|&((from, _), _)| from).collect();
-        sources.dedup();
-        sources
-    }
-
-    /// Removes every recorded transition, keeping the allocated capacity —
-    /// batch simulation loops reuse one table across traces.
+    /// Removes every recorded step, keeping the allocated capacity — batch
+    /// simulation loops reuse one table across traces.
     pub fn clear(&mut self) {
         self.log.clear();
         self.runs.clear();
     }
 
-    /// Freezes the table into a canonical sorted vector, suitable for use as
-    /// a deduplication key.
-    pub fn frozen(&self) -> Vec<((State, State), u64)> {
+    /// Freezes the table into a canonical vector of `(edge, n_ij)` sorted
+    /// by edge, suitable for use as a deduplication key.
+    pub fn frozen(&self) -> Vec<(Edge, u64)> {
         let mut buf = Vec::new();
         self.clone().frozen_into(&mut buf);
         buf
@@ -233,7 +194,7 @@ impl TransitionCounts {
     /// Allocation-free [`TransitionCounts::frozen`]: clears `buf` and fills
     /// it with the canonical sorted form, reusing its capacity. Sorts the
     /// log in place, which changes no count.
-    pub fn frozen_into(&mut self, buf: &mut Vec<((State, State), u64)>) {
+    pub fn frozen_into(&mut self, buf: &mut Vec<(Edge, u64)>) {
         buf.clear();
         if self.runs.is_empty() {
             self.log.sort_unstable();
@@ -244,11 +205,11 @@ impl TransitionCounts {
         }
     }
 
-    /// Merges another table into this one (used to build the union table
-    /// `T = ∪_k T_k` of Algorithm 1 line 16).
+    /// Merges another table of the same chain into this one (used to build
+    /// the union table `T = ∪_k T_k` of Algorithm 1 line 16).
     pub fn merge(&mut self, other: &TransitionCounts) {
-        for &key in &other.log {
-            self.push(key);
+        for &edge in &other.log {
+            self.record(edge);
         }
         if !other.runs.is_empty() {
             self.runs.extend_from_slice(&other.runs);
@@ -265,19 +226,10 @@ impl PartialEq for TransitionCounts {
 
 impl Eq for TransitionCounts {}
 
-impl FromIterator<(State, State)> for TransitionCounts {
-    fn from_iter<I: IntoIterator<Item = (State, State)>>(iter: I) -> Self {
-        let mut counts = TransitionCounts::new();
-        for (from, to) in iter {
-            counts.record(from, to);
-        }
-        counts
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Dtmc, DtmcBuilder};
     use std::collections::BTreeMap;
 
     #[test]
@@ -307,44 +259,58 @@ mod tests {
         let _ = Path::new(vec![]);
     }
 
+    /// The chain the tests' paths walk: 0 → {1, 2}, 1 → {0, 2}, 2 absorbing.
+    fn chain() -> Dtmc {
+        let mut b = DtmcBuilder::new(3);
+        b.add_transition(0, 1, 0.5)
+            .add_transition(0, 2, 0.5)
+            .add_transition(1, 0, 0.5)
+            .add_transition(1, 2, 0.5)
+            .add_self_loop(2);
+        b.build().unwrap()
+    }
+
+    fn table(edges: impl IntoIterator<Item = Edge>) -> TransitionCounts {
+        let mut table = TransitionCounts::new();
+        for edge in edges {
+            table.record(edge);
+        }
+        table
+    }
+
     #[test]
     fn counts_match_path() {
+        let chain = chain();
+        let edge = |from, to| chain.edge_id(from, to).expect("the chain has the step");
         let path = Path::new(vec![0, 1, 0, 1, 2]);
-        let counts = path.transition_counts();
-        assert_eq!(counts.count(0, 1), 2);
-        assert_eq!(counts.count(1, 0), 1);
-        assert_eq!(counts.count(1, 2), 1);
-        assert_eq!(counts.count(2, 0), 0);
+        let counts = table(path.transitions().map(|(from, to)| edge(from, to)));
+        assert_eq!(counts.count(edge(0, 1)), 2);
+        assert_eq!(counts.count(edge(1, 0)), 1);
+        assert_eq!(counts.count(edge(1, 2)), 1);
+        assert_eq!(counts.count(edge(0, 2)), 0);
         assert_eq!(counts.total(), path.len() as u64);
         assert_eq!(counts.num_distinct(), 3);
-        assert_eq!(counts.visited_sources(), vec![0, 1]);
+        // Decoded through the chain, ascending edges are ascending pairs.
+        let decoded: Vec<((State, State), u64)> =
+            counts.iter().map(|(e, n)| (chain.edge(e), n)).collect();
+        assert_eq!(decoded, vec![((0, 1), 2), ((1, 0), 1), ((1, 2), 1)]);
     }
 
     #[test]
     fn frozen_is_canonical_and_hashable() {
-        let mut a = TransitionCounts::new();
-        a.record(1, 2);
-        a.record(0, 1);
-        a.record(0, 1);
-        let mut b = TransitionCounts::new();
-        b.record(0, 1);
-        b.record(1, 2);
-        b.record(0, 1);
+        let a = table([3, 0, 0]);
+        let b = table([0, 3, 0]);
         assert_eq!(a, b);
         assert_eq!(a.frozen(), b.frozen());
-        assert_eq!(a.frozen(), vec![((0, 1), 2), ((1, 2), 1)]);
+        assert_eq!(a.frozen(), vec![(0, 2), (3, 1)]);
     }
 
     #[test]
     fn merge_accumulates() {
-        let mut a = TransitionCounts::new();
-        a.record(0, 1);
-        let mut b = TransitionCounts::new();
-        b.record(0, 1);
-        b.record(2, 2);
-        a.merge(&b);
-        assert_eq!(a.count(0, 1), 2);
-        assert_eq!(a.count(2, 2), 1);
+        let mut a = table([0]);
+        a.merge(&table([0, 4]));
+        assert_eq!(a.count(0), 2);
+        assert_eq!(a.count(4), 1);
     }
 
     #[test]
@@ -355,11 +321,11 @@ mod tests {
         assert_eq!(path.states(), &[0, 3, 1]);
     }
 
-    /// A seeded walk of `len` steps over 40 states spread across the whole
-    /// `u32` range, with a handful of successors per state so that steps
+    /// A seeded walk of `len` steps over 200 edge ids spread across the
+    /// whole `u32` range, a handful of successors per step, so that steps
     /// repeat.
-    fn walk(seed: u64, len: usize) -> Vec<(State, State)> {
-        const SPREAD: [State; 4] = [0, 7, 1 << 31, u32::MAX as State - 39];
+    fn walk(seed: u64, len: usize) -> Vec<Edge> {
+        const SPREAD: [Edge; 4] = [0, 7, 1 << 31, u32::MAX - 49];
         let mut x = seed;
         let mut next = || {
             // SplitMix64.
@@ -369,19 +335,18 @@ mod tests {
             z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
             z ^ (z >> 31)
         };
-        let state = |i: u64| SPREAD[(i % 4) as usize] + (i % 40) as State;
         let mut at = next() % 40;
         (0..len)
             .map(|_| {
-                let to = (at + next() % 5) % 40;
-                let step = (state(at), state(to));
-                at = to;
-                step
+                let step = next() % 5;
+                let i = at * 5 + step;
+                at = (at + step) % 40;
+                SPREAD[(i % 4) as usize] + (i / 4) as Edge
             })
             .collect()
     }
 
-    fn reference(steps: &[(State, State)]) -> BTreeMap<(State, State), u64> {
+    fn reference(steps: &[Edge]) -> BTreeMap<Edge, u64> {
         let mut map = BTreeMap::new();
         for &step in steps {
             *map.entry(step).or_insert(0) += 1;
@@ -389,29 +354,22 @@ mod tests {
         map
     }
 
-    fn assert_matches(table: &TransitionCounts, steps: &[(State, State)]) {
+    fn assert_matches(table: &TransitionCounts, steps: &[Edge]) {
         let map = reference(steps);
-        let expected: Vec<((State, State), u64)> = map.iter().map(|(&k, &n)| (k, n)).collect();
+        let expected: Vec<(Edge, u64)> = map.iter().map(|(&k, &n)| (k, n)).collect();
         assert_eq!(table.frozen(), expected);
         assert_eq!(table.iter().collect::<Vec<_>>(), expected);
         assert_eq!(table.total(), steps.len() as u64);
         assert_eq!(table.num_distinct(), map.len());
         assert_eq!(table.is_empty(), steps.is_empty());
-        for (&(from, to), &n) in &map {
-            assert_eq!(table.count(from, to), n);
-            assert_eq!(
-                table.count(to, from),
-                map.get(&(to, from)).copied().unwrap_or(0)
-            );
+        for (&edge, &n) in &map {
+            assert_eq!(table.count(edge), n);
+            let next = edge.wrapping_add(1);
+            assert_eq!(table.count(next), map.get(&next).copied().unwrap_or(0));
         }
-        assert_eq!(table.count(3, 1 << 20), 0);
-        #[cfg(target_pointer_width = "64")]
-        assert_eq!(table.count(1 << 32, 0), 0);
-        let mut sources: Vec<State> = map.keys().map(|&(from, _)| from).collect();
-        sources.dedup();
-        assert_eq!(table.visited_sources(), sources);
+        assert_eq!(table.count(1000), 0);
         let mut copy = table.clone();
-        let mut buf = vec![((9, 9), 9)];
+        let mut buf = vec![(9, 9)];
         copy.frozen_into(&mut buf);
         assert_eq!(buf, expected);
         assert_eq!(&copy, table, "freezing changes no count");
@@ -421,38 +379,36 @@ mod tests {
     fn count_tables_match_a_sorted_map_reference() {
         for (seed, len) in [(1, 0), (2, 1), (3, 2), (4, 57), (5, 3 * COMPACT_LEN + 123)] {
             let steps = walk(seed, len);
-            let table: TransitionCounts = steps.iter().copied().collect();
-            assert_matches(&table, &steps);
+            let table_of = |steps: &[Edge]| table(steps.iter().copied());
+            let whole = table_of(&steps);
+            assert_matches(&whole, &steps);
 
             // The same steps in another order give an equal table.
-            let reversed: TransitionCounts = steps.iter().rev().copied().collect();
-            assert_eq!(reversed, table);
+            let reversed = table(steps.iter().rev().copied());
+            assert_eq!(reversed, whole);
             if !steps.is_empty() {
-                let mut fewer = steps.clone();
-                fewer.pop();
-                assert_ne!(fewer.into_iter().collect::<TransitionCounts>(), table);
+                assert_ne!(table_of(&steps[1..]), whole);
             }
 
             // Recording after a freeze keeps counting.
-            let mut grown = table.clone();
+            let mut grown = whole.clone();
             grown.frozen_into(&mut Vec::new());
             let more = walk(seed + 100, 1000);
-            for &(from, to) in &more {
-                grown.record(from, to);
+            for &edge in &more {
+                grown.record(edge);
             }
-            let all: Vec<(State, State)> = steps.iter().chain(&more).copied().collect();
+            let all: Vec<Edge> = steps.iter().chain(&more).copied().collect();
             assert_matches(&grown, &all);
 
             // Merging two parts gives the whole, whichever side holds runs.
             for cut in [0, len / 3, len] {
-                let mut head: TransitionCounts = steps[..cut].iter().copied().collect();
-                let tail: TransitionCounts = steps[cut..].iter().copied().collect();
-                head.merge(&tail);
+                let mut head = table_of(&steps[..cut]);
+                head.merge(&table_of(&steps[cut..]));
                 assert_matches(&head, &steps);
             }
             let mut both = walk(seed + 200, 2 * COMPACT_LEN);
-            let mut big: TransitionCounts = both.iter().copied().collect();
-            big.merge(&table);
+            let mut big = table_of(&both);
+            big.merge(&whole);
             both.extend_from_slice(&steps);
             assert_matches(&big, &both);
         }
@@ -462,14 +418,14 @@ mod tests {
     fn a_cleared_table_counts_like_a_fresh_one() {
         let long = walk(11, 2 * COMPACT_LEN + 5);
         let short = walk(12, 30);
-        let mut reused: TransitionCounts = long.iter().copied().collect();
+        let mut reused = table(long);
         reused.clear();
         assert!(reused.is_empty());
         assert_eq!(reused.total(), 0);
-        for &(from, to) in &short {
-            reused.record(from, to);
+        for &edge in &short {
+            reused.record(edge);
         }
-        let fresh: TransitionCounts = short.iter().copied().collect();
+        let fresh = table(short.iter().copied());
         let (mut a, mut b) = (Vec::new(), Vec::new());
         reused.frozen_into(&mut a);
         fresh.clone().frozen_into(&mut b);
@@ -482,39 +438,29 @@ mod tests {
     fn a_million_step_self_loop_keeps_the_log_bounded() {
         let mut table = TransitionCounts::new();
         for _ in 0..1_000_000 {
-            table.record(3, 3);
+            table.record(3);
             assert!(table.log.len() <= COMPACT_LEN);
         }
         assert!(table.log.capacity() <= COMPACT_LEN);
         assert!(table.runs.capacity() <= 4, "{}", table.runs.capacity());
-        assert_eq!(table.count(3, 3), 1_000_000);
-        assert_eq!(table.frozen(), vec![((3, 3), 1_000_000)]);
+        assert_eq!(table.count(3), 1_000_000);
+        assert_eq!(table.frozen(), vec![(3, 1_000_000)]);
     }
 
     #[test]
     fn heap_is_bounded_by_the_log_and_the_distinct_transitions() {
         let mut table = TransitionCounts::new();
-        for (from, to) in walk(21, 50 * COMPACT_LEN) {
-            table.record(from, to);
+        for edge in walk(21, 50 * COMPACT_LEN) {
+            table.record(edge);
             assert!(table.log.len() <= COMPACT_LEN);
         }
         let distinct = table.num_distinct();
-        assert!(
-            distinct > 100,
-            "the walk repeats only {distinct} transitions"
-        );
+        assert!(distinct > 100, "the walk repeats only {distinct} edges");
         assert!(table.log.capacity() <= COMPACT_LEN);
         assert!(
             table.runs.capacity() <= 4 * distinct,
-            "{} run slots for {distinct} transitions",
+            "{} run slots for {distinct} edges",
             table.runs.capacity()
         );
-    }
-
-    #[test]
-    #[cfg(target_pointer_width = "64")]
-    #[should_panic(expected = "has a state of 2^32 or more")]
-    fn states_beyond_u32_are_refused() {
-        TransitionCounts::new().record(0, 1 << 32);
     }
 }

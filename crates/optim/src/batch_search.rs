@@ -617,6 +617,7 @@ mod tests {
             n_traces: 10,
             n_success: 0,
             n_undecided: 0,
+            b_pattern: b.pattern_fingerprint(),
         };
         let problem = Problem::new(&imc, &b, &empty).unwrap();
         let out = BatchSearch::new(4, 16)

@@ -181,6 +181,7 @@ mod tests {
             n_traces: 100,
             n_success: 0,
             n_undecided: 0,
+            b_pattern: b.pattern_fingerprint(),
         };
         let objective = Objective::new(&empty, &b);
         let (f, g) = objective.eval(&[]);

@@ -299,6 +299,7 @@ mod tests {
             n_traces: 10,
             n_success: 0,
             n_undecided: 0,
+            b_pattern: b.pattern_fingerprint(),
         };
         let mut problem = Problem::new(&imc, &b, &empty).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);

@@ -1,5 +1,5 @@
 use imc_logic::{Property, Verdict};
-use imc_markov::{Dtmc, ModelError, RowEntry, State, TransitionCounts};
+use imc_markov::{Dtmc, Edge, ModelError, RowEntry, State, TransitionCounts};
 use imc_sim::{simulate_counts_into, ChainSampler};
 use rand::Rng;
 
@@ -94,12 +94,13 @@ pub fn cross_entropy_refine<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<CeIteration, ModelError> {
     let sampler = ChainSampler::new(b);
+    let pb_at = b.transition_probs();
     let mut monitor = property.monitor();
     let mut counts = TransitionCounts::new();
-    let mut frozen: Vec<((State, State), u64)> = Vec::new();
-    // Per distinct transition of a successful trace: `ln a − ln b`, taken
-    // once, and the weighted count `Σ_k w_k n_k`.
-    let mut w_trans: FastMap<(State, State), (f64, f64)> = FastMap::default();
+    let mut frozen: Vec<(Edge, u64)> = Vec::new();
+    // Per distinct edge of `b` on a successful trace: its source state,
+    // `ln a − ln b` (taken once) and the weighted count `Σ_k w_k n_k`.
+    let mut w_trans: FastMap<Edge, (State, f64, f64)> = FastMap::default();
     let mut w_source: FastMap<State, f64> = FastMap::default();
     let mut gamma_sum = 0.0f64;
     let mut n_success = 0u64;
@@ -117,22 +118,24 @@ pub fn cross_entropy_refine<R: Rng + ?Sized>(
             continue;
         }
         n_success += 1;
-        // Accumulate in the frozen (sorted) transition order: float
-        // addition is order-sensitive in the last ulp, so every trace's
-        // sums run in one canonical order.
+        // Accumulate in the frozen (sorted) edge order, which is the
+        // `(from, to)` order: float addition is order-sensitive in the last
+        // ulp, so every trace's sums run in one canonical order.
         counts.frozen_into(&mut frozen);
         let mut log_l = 0.0f64;
-        for &((from, to), n) in &frozen {
-            let (log_ratio, _) = *w_trans
-                .entry((from, to))
-                .or_insert_with(|| (a.prob(from, to).ln() - b.prob(from, to).ln(), 0.0));
+        for &(edge, n) in &frozen {
+            let (_, log_ratio, _) = *w_trans.entry(edge).or_insert_with(|| {
+                let (from, to) = b.edge(edge);
+                (from, a.prob(from, to).ln() - pb_at[edge as usize].ln(), 0.0)
+            });
             log_l += n as f64 * log_ratio;
         }
         let w = log_l.exp();
         gamma_sum += w;
-        for &((from, to), n) in &frozen {
-            w_trans.get_mut(&(from, to)).expect("entered above").1 += w * n as f64;
-            *w_source.entry(from).or_insert(0.0) += w * n as f64;
+        for &(edge, n) in &frozen {
+            let (from, _, weight) = w_trans.get_mut(&edge).expect("entered above");
+            *weight += w * n as f64;
+            *w_source.entry(*from).or_insert(0.0) += w * n as f64;
         }
     }
     let gamma = gamma_sum / config.traces_per_iteration as f64;
@@ -157,9 +160,11 @@ pub fn cross_entropy_refine<R: Rng + ?Sized>(
         let mut entries: Vec<RowEntry> = a_row
             .iter()
             .map(|e| {
-                let ce = w_trans.get(&(state, e.target)).map_or(0.0, |&(_, w)| w) / total;
-                let smoothed =
-                    config.smoothing * ce + (1.0 - config.smoothing) * b.prob(state, e.target);
+                let edge = b.edge_id(state, e.target);
+                let weight = edge.and_then(|edge| w_trans.get(&edge));
+                let ce = weight.map_or(0.0, |&(_, _, w)| w) / total;
+                let pb = edge.map_or(0.0, |edge| pb_at[edge as usize]);
+                let smoothed = config.smoothing * ce + (1.0 - config.smoothing) * pb;
                 // Floor keeps every original transition samplable.
                 RowEntry {
                     target: e.target,

@@ -23,9 +23,11 @@
 //! invariant.
 
 use imc_logic::{Property, Verdict};
-use imc_markov::{Dtmc, ModelError, RowEntry, State, TransitionCounts};
+use imc_markov::{Dtmc, Edge, ModelError, RowEntry, State, TransitionCounts};
 use imc_sim::{simulate_counts_into, ChainSampler};
 use rand::Rng;
+
+use crate::hash::FastMap;
 
 /// Configuration of one Dupuis–Wang value/measure update.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -107,7 +109,11 @@ pub fn dupuis_wang_update<R: Rng + ?Sized>(
     let mut den = vec![0.0f64; n];
     let mut visited: Vec<State> = Vec::new();
     let mut counts = TransitionCounts::new();
-    let mut frozen: Vec<((State, State), u64)> = Vec::new();
+    let mut frozen: Vec<(Edge, u64)> = Vec::new();
+    // Per distinct edge of `b` seen in training: `ln a − ln b` and its
+    // endpoints, looked up once.
+    let pb_at = b.transition_probs();
+    let mut edges: FastMap<Edge, (f64, State, State)> = FastMap::default();
 
     for _ in 0..config.training_traces {
         let (verdict, _, _) = simulate_counts_into(
@@ -118,13 +124,18 @@ pub fn dupuis_wang_update<R: Rng + ?Sized>(
             config.max_steps,
             &mut counts,
         );
-        // Frozen (sorted) order: the log-likelihood sum is order-sensitive
-        // in the last ulp, so it runs in one canonical order.
+        // Frozen (sorted) order, which is the `(from, to)` order: the
+        // log-likelihood sum is order-sensitive in the last ulp, so it runs
+        // in one canonical order.
         counts.frozen_into(&mut frozen);
         let mut log_l = 0.0f64;
         visited.clear();
-        for &((from, to), n_ft) in &frozen {
-            log_l += n_ft as f64 * (a.prob(from, to).ln() - b.prob(from, to).ln());
+        for &(edge, n_ft) in &frozen {
+            let (log_ratio, from, to) = *edges.entry(edge).or_insert_with(|| {
+                let (from, to) = b.edge(edge);
+                (a.prob(from, to).ln() - pb_at[edge as usize].ln(), from, to)
+            });
+            log_l += n_ft as f64 * log_ratio;
             visited.push(from);
             visited.push(to);
         }

@@ -1,5 +1,5 @@
 use imc_logic::{Property, PropertyMonitor, Verdict};
-use imc_markov::{Dtmc, State, TransitionCounts};
+use imc_markov::{Dtmc, Edge, State, TransitionCounts};
 use imc_sim::{simulate_counts_into, BatchRunner, ChainSampler};
 use imc_stats::ConfidenceInterval;
 use rand::Rng;
@@ -55,8 +55,10 @@ impl IsConfig {
 /// the IMCIS optimiser by orders of magnitude.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WeightedTable {
-    /// Sorted `((from, to), n_ij)` pairs of the trace.
-    pub counts: Vec<((State, State), u64)>,
+    /// `(edge, n_ij)` pairs of the trace, sorted by edge id: slots of the
+    /// IS chain `B`'s CSR arrays, so also sorted by `(from, to)`.
+    /// [`Dtmc::edge`] decodes an edge through `B`.
+    pub counts: Vec<(Edge, u64)>,
     /// How many sampled traces produced exactly this table.
     pub multiplicity: u64,
 }
@@ -64,6 +66,10 @@ pub struct WeightedTable {
 /// The sampling phase of an IS experiment: everything needed to evaluate
 /// the estimator under *any* reference chain `A` (the IMC optimiser
 /// re-evaluates the same run against many candidate chains).
+///
+/// The tables key transitions by edge id in the IS chain `B`, so a run is
+/// read together with `B`: [`is_estimate`] and [`PreparedRun::new`] refuse
+/// a chain whose sparsity pattern is not `b_pattern`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IsRun {
     /// Deduplicated count tables of the successful traces.
@@ -74,25 +80,47 @@ pub struct IsRun {
     pub n_success: u64,
     /// Traces that hit the step budget undecided (counted as failures).
     pub n_undecided: u64,
+    /// [`Dtmc::pattern_fingerprint`] of the chain `B` the run was sampled
+    /// under, whose CSR slots the tables' edge ids are.
+    pub b_pattern: u64,
 }
 
 impl IsRun {
     /// The distinct source states observed in successful traces (the set
-    /// `V` of Algorithm 1 line 16).
-    pub fn visited_sources(&self) -> Vec<State> {
-        let mut sources: Vec<State> = self
+    /// `V` of Algorithm 1 line 16), decoded through `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run was not sampled under a chain with `b`'s pattern.
+    pub fn visited_sources(&self, b: &Dtmc) -> Vec<State> {
+        self.check_chain(b);
+        let mut edges: Vec<Edge> = self
             .tables
             .iter()
-            .flat_map(|t| t.counts.iter().map(|&((from, _), _)| from))
+            .flat_map(|t| t.counts.iter().map(|&(edge, _)| edge))
             .collect();
-        sources.sort_unstable();
+        edges.sort_unstable();
+        edges.dedup();
+        // Ascending edges have non-decreasing sources.
+        let mut sources: Vec<State> = edges.into_iter().map(|e| b.edge(e).0).collect();
         sources.dedup();
         sources
+    }
+
+    /// Refuses a chain the run was not sampled under: the tables' edge ids
+    /// would name other transitions there.
+    fn check_chain(&self, b: &Dtmc) {
+        assert_eq!(
+            self.b_pattern,
+            b.pattern_fingerprint(),
+            "the run was sampled under a chain with another sparsity pattern: \
+             its edge ids do not index this chain's transitions"
+        );
     }
 }
 
 /// Canonical frozen count-table key used for deduplication.
-type FrozenCounts = Vec<((State, State), u64)>;
+type FrozenCounts = Vec<(Edge, u64)>;
 
 /// Per-worker state of the batch sampling loop: reusable scratch (monitor,
 /// count table, frozen buffer) plus the worker's share of the reduction.
@@ -116,12 +144,14 @@ struct SampleWorker {
 /// according to `config.threads`; trace `i` always simulates under its own
 /// counter-based RNG stream keyed by one draw from `rng`, so for a seeded
 /// caller the returned [`IsRun`] is **bit-identical at every thread
-/// count**. The per-trace path allocates nothing once warm: each worker
-/// logs a trace's steps in one reused count table, counts them by sorting
-/// into a reusable buffer, and looks that frozen table up in its dedup map,
-/// cloning it only when a new path shape first appears. The map's hasher
-/// is unkeyed and its order never reaches the result: the tables are
-/// sorted before they are returned.
+/// count**. The sampler borrows `b`'s alias tables, which `b` builds on its
+/// first sampling and keeps ([`Dtmc::alias_table`]), so repeated runs on
+/// one chain share one build. The per-trace path allocates nothing once
+/// warm: each worker logs a trace's edge ids in one reused count table,
+/// counts them by sorting into a reusable buffer, and looks that frozen
+/// table up in its dedup map, cloning it only when a new path shape first
+/// appears. The map's hasher is unkeyed and its order never reaches the
+/// result: the tables are sorted before they are returned.
 pub fn sample_is_run<R: Rng + ?Sized>(
     b: &Dtmc,
     property: &Property,
@@ -190,6 +220,7 @@ pub fn sample_is_run<R: Rng + ?Sized>(
         n_traces: config.n_traces,
         n_success: merged.n_success,
         n_undecided: merged.n_undecided,
+        b_pattern: b.pattern_fingerprint(),
     }
 }
 
@@ -213,13 +244,25 @@ pub struct IsEstimate {
 /// with zero probability yields `L = 0` for that trace (the path is
 /// impossible under `a`).
 ///
-/// This is the one-shot path: every call re-reads both chains' rows and
-/// recomputes every `ln`. When the same run is evaluated against *many*
-/// reference chains — exactly what the IMCIS optimiser does with
-/// candidate members of the IMC — build a [`PreparedRun`] once instead;
-/// [`PreparedRun::estimate`] returns bit-identical values at a fraction of
-/// the per-candidate cost.
+/// Each table entry reads `b_ij` at its edge id. When `a` has `b`'s
+/// sparsity pattern (a failure-biased or cross-entropy chain) `a_ij` is
+/// read at the same slot; otherwise (a zero-variance `b` drops the
+/// transitions of `a` that cannot reach the target) `a_ij` is looked up
+/// once per distinct edge of the run.
+///
+/// This is the one-shot path: every call recomputes every `ln`. When the
+/// same run is evaluated against *many* reference chains — exactly what
+/// the IMCIS optimiser does with candidate members of the IMC — build a
+/// [`PreparedRun`] once instead; [`PreparedRun::estimate`] returns
+/// bit-identical values at a fraction of the per-candidate cost.
+///
+/// # Panics
+///
+/// Panics if the run was not sampled under a chain with `b`'s pattern.
 pub fn is_estimate(a: &Dtmc, b: &Dtmc, run: &IsRun, delta: f64) -> IsEstimate {
+    run.check_chain(b);
+    let pa_at = ProbsOnEdges::new(a, b, run);
+    let pb_at = b.transition_probs();
     let mut sum = 0.0f64;
     let mut sum_sq = 0.0f64;
     for table in &run.tables {
@@ -229,10 +272,10 @@ pub fn is_estimate(a: &Dtmc, b: &Dtmc, run: &IsRun, delta: f64) -> IsEstimate {
         // bit-identical, which the determinism tests pin down.
         let mut log_pa = 0.0f64;
         let mut log_pb = 0.0f64;
-        for &((from, to), n) in &table.counts {
-            let pa = a.prob(from, to);
-            let pb = b.prob(from, to);
-            // pb > 0 is guaranteed: the trace was sampled under b.
+        for &(edge, n) in &table.counts {
+            let pa = pa_at.get(edge);
+            // pb > 0: a chain stores only its transitions.
+            let pb = pb_at[edge as usize];
             log_pa += n as f64 * pa.ln();
             log_pb += n as f64 * pb.ln();
         }
@@ -242,6 +285,41 @@ pub fn is_estimate(a: &Dtmc, b: &Dtmc, run: &IsRun, delta: f64) -> IsEstimate {
         sum_sq += m * l * l;
     }
     finish_estimate(sum, sum_sq, run.n_traces, delta)
+}
+
+/// The reference chain's probability `a_ij` of each edge of `B`.
+enum ProbsOnEdges<'a> {
+    /// `a` has `b`'s pattern: slot `e` of `a` is edge `e` of `b`.
+    Shared(&'a [f64]),
+    /// `a(from, to)` of each distinct edge of the run, `0.0` where `a` has
+    /// no such transition.
+    Mapped(FastMap<Edge, f64>),
+}
+
+impl<'a> ProbsOnEdges<'a> {
+    fn new(a: &'a Dtmc, b: &Dtmc, run: &IsRun) -> Self {
+        if a.same_pattern(b) {
+            return ProbsOnEdges::Shared(a.transition_probs());
+        }
+        let mut map = FastMap::default();
+        for table in &run.tables {
+            for &(edge, _) in &table.counts {
+                map.entry(edge).or_insert_with(|| {
+                    let (from, to) = b.edge(edge);
+                    a.prob(from, to)
+                });
+            }
+        }
+        ProbsOnEdges::Mapped(map)
+    }
+
+    #[inline]
+    fn get(&self, edge: Edge) -> f64 {
+        match self {
+            ProbsOnEdges::Shared(probs) => probs[edge as usize],
+            ProbsOnEdges::Mapped(map) => map[&edge],
+        }
+    }
 }
 
 fn finish_estimate(sum: f64, sum_sq: f64, n_traces: usize, delta: f64) -> IsEstimate {
@@ -279,16 +357,18 @@ pub struct LaneSums<const L: usize> {
 /// candidate reference chains. Everything that depends only on the run and
 /// on `B` is precomputed here, once:
 ///
-/// * distinct observed transitions get dense ids (`transitions`);
+/// * distinct observed edges of `B` get dense ids, in first-appearance
+///   order, and are decoded to `(from, to)` once (`transitions`);
 /// * each deduplicated table becomes a CSR slice of `(id, n)` pairs;
-/// * `ln b_ij` is taken once per distinct transition (`log_b`), and the
-///   per-table constant `Σ n_ij ln b_ij` is cached (`table_log_pb`).
+/// * `ln b_ij` is read at the edge and taken once per distinct transition
+///   (`log_b`), and the per-table constant `Σ n_ij ln b_ij` is cached
+///   (`table_log_pb`).
 ///
-/// A candidate evaluation then needs one `Dtmc::prob` lookup and one `ln`
-/// per **distinct** transition (not per table entry), and zero work for
-/// `B` — half the lookups and none of the redundant `ln` calls of the
-/// naive loop, while producing bit-identical `γ̂`/`σ̂` (same summation
-/// order and operands as [`is_estimate`]).
+/// A candidate evaluation then needs one `ln a` per **distinct**
+/// transition (not per table entry), read in one forward walk over each
+/// touched row of `A` ([`PreparedRun::log_probs_into`]), and zero work for
+/// `B`, while producing bit-identical `γ̂`/`σ̂` (same summation order and
+/// operands as [`is_estimate`]).
 ///
 /// Every evaluation runs through one kernel, [`PreparedRun::eval_lanes`]:
 /// a single pass over the table CSR that evaluates a block of candidates
@@ -321,12 +401,13 @@ impl PreparedRun {
     ///
     /// # Panics
     ///
-    /// Panics if a table references a transition with `b_ij = 0` — such a
-    /// trace could not have been sampled under `b`, so the run and chain
-    /// are mismatched.
+    /// Panics if `b`'s sparsity pattern is not the one the run was sampled
+    /// under: the run's edge ids would name other transitions of `b`.
     pub fn new(run: &IsRun, b: &Dtmc) -> Self {
-        let mut lookup: FastMap<(State, State), u32> = FastMap::default();
-        let mut transitions: Vec<(State, State)> = Vec::new();
+        run.check_chain(b);
+        let pb_at = b.transition_probs();
+        let mut lookup: FastMap<Edge, u32> = FastMap::default();
+        let mut edges: Vec<Edge> = Vec::new();
         let mut log_b: Vec<f64> = Vec::new();
         let mut entries = Vec::new();
         let mut table_offsets = Vec::with_capacity(run.tables.len() + 1);
@@ -335,16 +416,11 @@ impl PreparedRun {
         table_offsets.push(0u32);
         for table in &run.tables {
             let mut log_pb = 0.0f64;
-            for &((from, to), n) in &table.counts {
-                let id = *lookup.entry((from, to)).or_insert_with(|| {
-                    let p = b.prob(from, to);
-                    assert!(
-                        p > 0.0,
-                        "transition {from} -> {to} observed under B but has b = 0"
-                    );
-                    transitions.push((from, to));
-                    log_b.push(p.ln());
-                    (transitions.len() - 1) as u32
+            for &(edge, n) in &table.counts {
+                let id = *lookup.entry(edge).or_insert_with(|| {
+                    edges.push(edge);
+                    log_b.push(pb_at[edge as usize].ln());
+                    (edges.len() - 1) as u32
                 });
                 entries.push((id, n as u32));
                 log_pb += n as f64 * log_b[id as usize];
@@ -357,8 +433,10 @@ impl PreparedRun {
             table_mult.push(table.multiplicity as f64);
             table_log_pb.push(log_pb);
         }
-        let mut sorted_ids: Vec<u32> = (0..transitions.len() as u32).collect();
-        sorted_ids.sort_unstable_by_key(|&id| transitions[id as usize]);
+        // Ascending edge ids are ascending `(from, to)`.
+        let mut sorted_ids: Vec<u32> = (0..edges.len() as u32).collect();
+        sorted_ids.sort_unstable_by_key(|&id| edges[id as usize]);
+        let transitions = edges.into_iter().map(|e| b.edge(e)).collect();
         PreparedRun {
             transitions,
             entries,
@@ -645,7 +723,7 @@ mod tests {
         let run = sample_is_run(&b, &prop, &IsConfig::new(10_000), &mut rng);
         // Every successful trace is the single path 0 -> 1.
         assert_eq!(run.tables.len(), 1);
-        assert_eq!(run.tables[0].counts, vec![((0, 1), 1)]);
+        assert_eq!(run.tables[0].counts, vec![(b.edge_id(0, 1).unwrap(), 1)]);
         assert_eq!(run.tables[0].multiplicity, run.n_success);
     }
 
@@ -683,7 +761,58 @@ mod tests {
         let (_, b, prop) = rare_coin();
         let mut rng = rand::rngs::StdRng::seed_from_u64(6);
         let run = sample_is_run(&b, &prop, &IsConfig::new(1000), &mut rng);
-        assert_eq!(run.visited_sources(), vec![0]);
+        assert_eq!(run.visited_sources(&b), vec![0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "sampled under a chain with another sparsity pattern")]
+    fn a_run_refuses_a_chain_it_was_not_sampled_under() {
+        let (_, b, prop) = rare_coin();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
+        let run = sample_is_run(&b, &prop, &IsConfig::new(1000), &mut rng);
+        // Same size, other transitions: edge 0 would be 0 -> 0 here.
+        let mut builder = DtmcBuilder::new(3);
+        builder
+            .add_transition(0, 0, 0.5)
+            .add_transition(0, 2, 0.5)
+            .add_self_loop(1)
+            .add_self_loop(2);
+        let other = builder.build().unwrap();
+        assert_eq!(other.num_transitions(), b.num_transitions());
+        let _ = PreparedRun::new(&run, &other);
+    }
+
+    #[test]
+    fn is_estimate_reads_a_through_the_edges_of_b() {
+        // A zero-variance-like B drops 0 -> 2 of A and adds nothing; the
+        // estimate must equal the one read pair by pair.
+        let (a, b, prop) = rare_coin();
+        let mut builder = DtmcBuilder::new(3);
+        builder
+            .add_transition(0, 1, 1.0)
+            .add_self_loop(1)
+            .add_self_loop(2);
+        let zv = builder.build().unwrap();
+        for chain in [&b, &zv] {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+            let run = sample_is_run(chain, &prop, &IsConfig::new(2000), &mut rng);
+            let est = is_estimate(&a, chain, &run, 0.05);
+            let (mut sum, mut sum_sq) = (0.0f64, 0.0f64);
+            for table in &run.tables {
+                let (mut log_pa, mut log_pb) = (0.0f64, 0.0f64);
+                for &(edge, n) in &table.counts {
+                    let (from, to) = chain.edge(edge);
+                    log_pa += n as f64 * a.prob(from, to).ln();
+                    log_pb += n as f64 * chain.prob(from, to).ln();
+                }
+                let l = (log_pa - log_pb).exp();
+                sum += table.multiplicity as f64 * l;
+                sum_sq += table.multiplicity as f64 * l * l;
+            }
+            let by_pairs = finish_estimate(sum, sum_sq, run.n_traces, 0.05);
+            assert_eq!(est, by_pairs);
+            assert_eq!(est, PreparedRun::new(&run, chain).estimate(&a, 0.05));
+        }
     }
 
     #[test]

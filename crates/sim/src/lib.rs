@@ -7,12 +7,12 @@
 //! `(T_k, n_k)` — the trace itself is never stored.
 //!
 //! * [`ChainSampler`] — Walker alias tables in flat CSR arrays, O(1) per
-//!   step with no per-row pointer chasing;
-//! * [`CdfSampler`] — binary-search inversion sampler (ablation baseline),
-//!   with build-time row renormalisation;
+//!   step with no per-row pointer chasing. It borrows the tables a chain
+//!   builds once, on its first sampler ([`imc_markov::Dtmc::alias_table`]),
+//!   and returns the edge id (CSR slot) of each step it draws;
 //! * [`simulate_counts_into`] / [`simulate_verdict`] / [`simulate_path`] —
-//!   monitor-driven trace generation into a reused count table, to a bare
-//!   verdict, or to the full path;
+//!   monitor-driven trace generation into a reused count table of edge
+//!   ids, to a bare verdict, or to the full path;
 //! * [`BatchRunner`] ([`engine`]) — the parallel deterministic batch
 //!   engine: counter-based per-trace RNG streams ([`trace_rng`]) fanned
 //!   over a scoped thread pool, bit-identical across thread counts;
@@ -55,6 +55,6 @@ mod smc;
 mod trace;
 
 pub use engine::{splitmix64, stream_seed, trace_rng, BatchRunner};
-pub use sampler::{CdfSampler, ChainSampler, StateSampler};
+pub use sampler::ChainSampler;
 pub use smc::{monte_carlo, SmcConfig, SmcResult};
 pub use trace::{random_walk, simulate_counts_into, simulate_path, simulate_verdict};

@@ -1,183 +1,75 @@
-use imc_markov::{Dtmc, State};
+use imc_markov::{Dtmc, Edge, State};
 use rand::Rng;
 
-/// Draws successor states of a chain, one transition at a time.
-///
-/// Implementations precompute per-state lookup structures from a [`Dtmc`];
-/// whether the chain stays borrowed afterwards depends on the
-/// implementation ([`ChainSampler`] borrows the chain's CSR arrays,
-/// [`CdfSampler`] owns its tables).
-pub trait StateSampler {
-    /// Samples a successor of `state`.
-    fn step<R: Rng + ?Sized>(&self, state: State, rng: &mut R) -> State;
-
-    /// Number of states of the underlying chain.
-    fn num_states(&self) -> usize;
-}
-
-/// Walker alias-method sampler: O(row length) construction, O(1) per draw.
+/// Walker alias-method sampler: O(1) per draw.
 ///
 /// The standard choice for SMC workloads, where the same rows are sampled
 /// millions of times. The slot layout **is** the chain's CSR layout: the
 /// sampler borrows the chain's `row_offsets` and `transition_targets`
-/// arrays directly and owns only the computed acceptance/alias tables, so
-/// construction copies nothing per row and the inner simulation loop
-/// touches four flat arrays per step.
-#[derive(Debug, Clone)]
+/// arrays and its alias tables ([`Dtmc::alias_table`]), which the chain
+/// builds on first use and keeps. So `new` copies and computes nothing
+/// after a chain's first sampler, every sampler of a chain shares one
+/// table, and the inner simulation loop touches four flat arrays per step.
+///
+/// [`ChainSampler::edge`] returns the CSR slot it picked, the transition's
+/// [`Edge`] id, which count tables record; [`ChainSampler::step`] returns
+/// the successor state.
+#[derive(Debug, Clone, Copy)]
 pub struct ChainSampler<'a> {
     /// Slot range of state `s` is `offsets[s]..offsets[s + 1]` (borrowed
     /// from the chain's CSR row offsets).
     offsets: &'a [usize],
     /// Target state of each slot (borrowed CSR column indices).
     targets: &'a [u32],
-    /// Acceptance probability of each slot.
-    prob: Vec<f64>,
+    /// Acceptance probability of each slot (borrowed alias table).
+    prob: &'a [f64],
     /// Alternative slot (absolute index) used on rejection.
-    alias: Vec<u32>,
+    alias: &'a [u32],
 }
 
 impl<'a> ChainSampler<'a> {
-    /// Builds the flat alias tables for every state of `chain`.
+    /// Borrows the chain's CSR arrays and alias tables, building the
+    /// tables if this is the chain's first sampler.
     pub fn new(chain: &'a Dtmc) -> Self {
-        let num_slots = chain.num_transitions();
-        assert!(
-            num_slots < u32::MAX as usize,
-            "chain too large for u32 slot indices"
-        );
-        let offsets = chain.row_offsets();
-        let targets = chain.transition_targets();
-        let probs = chain.transition_probs();
-        let mut prob = Vec::with_capacity(num_slots);
-        let mut alias = vec![0u32; num_slots];
-        let mut small: Vec<usize> = Vec::new();
-        let mut large: Vec<usize> = Vec::new();
-        for s in 0..chain.num_states() {
-            let (start, end) = (offsets[s], offsets[s + 1]);
-            let k = end - start;
-            prob.extend(probs[start..end].iter().map(|&p| p * k as f64));
-            // Walker's construction over the local slots of this row.
-            let row_prob = &mut prob[start..];
-            let row_alias = &mut alias[start..end];
-            small.clear();
-            large.clear();
-            for (i, &p) in row_prob.iter().enumerate() {
-                if p < 1.0 {
-                    small.push(i);
-                } else {
-                    large.push(i);
-                }
-            }
-            while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
-                row_alias[s] = (start + l) as u32;
-                row_prob[l] = (row_prob[l] + row_prob[s]) - 1.0;
-                if row_prob[l] < 1.0 {
-                    small.push(l);
-                } else {
-                    large.push(l);
-                }
-            }
-            // Numerical leftovers: both stacks drain to probability 1.
-            for i in small.drain(..).chain(large.drain(..)) {
-                row_prob[i] = 1.0;
-            }
-        }
+        let table = chain.alias_table();
         ChainSampler {
-            offsets,
-            targets,
-            prob,
-            alias,
+            offsets: chain.row_offsets(),
+            targets: chain.transition_targets(),
+            prob: table.acceptance(),
+            alias: table.alias(),
         }
     }
-}
 
-impl StateSampler for ChainSampler<'_> {
+    /// Samples a transition out of `state` and returns its edge id.
+    ///
+    /// A row with one transition draws nothing; otherwise one uniform slot
+    /// draw and one acceptance draw.
     #[inline]
-    fn step<R: Rng + ?Sized>(&self, state: State, rng: &mut R) -> State {
+    pub fn edge<R: Rng + ?Sized>(&self, state: State, rng: &mut R) -> Edge {
         let start = self.offsets[state];
         let end = self.offsets[state + 1];
         let k = end - start;
         if k == 1 {
-            return self.targets[start] as State;
+            return start as Edge;
         }
         let slot = start + rng.gen_range(0..k);
         if rng.gen::<f64>() < self.prob[slot] {
-            self.targets[slot] as State
+            slot as Edge
         } else {
-            self.targets[self.alias[slot] as usize] as State
+            self.alias[slot]
         }
     }
 
-    fn num_states(&self) -> usize {
-        self.offsets.len() - 1
-    }
-}
-
-/// Inversion sampler: binary search over per-state cumulative distributions.
-///
-/// O(log row length) per draw; kept as the ablation baseline for the
-/// row-sampling bench and as a reference implementation for testing the
-/// alias tables. Tables are owned, flattened into CSR-shaped arrays.
-#[derive(Debug, Clone)]
-pub struct CdfSampler {
-    /// Slot range of state `s` is `offsets[s]..offsets[s + 1]`.
-    offsets: Vec<usize>,
-    cumulative: Vec<f64>,
-    targets: Vec<u32>,
-}
-
-impl CdfSampler {
-    /// Builds cumulative rows for every state of `chain`.
-    ///
-    /// Rows are renormalised by their actual sum at build time: a row is
-    /// only guaranteed stochastic within [`imc_markov::ROW_SUM_TOLERANCE`],
-    /// and clamping just the final bucket to `1.0` would silently dump all
-    /// of that rounding drift onto the last transition. Dividing every
-    /// cumulative value by the true row sum spreads the correction
-    /// proportionally across the row; the final bucket is then pinned to
-    /// exactly `1.0` so every draw of `u ∈ [0, 1)` lands in a bucket.
-    pub fn new(chain: &Dtmc) -> Self {
-        let offsets = chain.row_offsets().to_vec();
-        let targets = chain.transition_targets().to_vec();
-        let mut cumulative = Vec::with_capacity(chain.num_transitions());
-        let probs = chain.transition_probs();
-        for s in 0..chain.num_states() {
-            let (start, end) = (offsets[s], offsets[s + 1]);
-            let mut acc = 0.0;
-            for &p in &probs[start..end] {
-                acc += p;
-                cumulative.push(acc);
-            }
-            let total = acc;
-            let cum = &mut cumulative[start..];
-            for c in cum.iter_mut() {
-                *c /= total;
-            }
-            if let Some(last) = cum.last_mut() {
-                *last = 1.0;
-            }
-        }
-        CdfSampler {
-            offsets,
-            cumulative,
-            targets,
-        }
-    }
-}
-
-impl StateSampler for CdfSampler {
-    fn step<R: Rng + ?Sized>(&self, state: State, rng: &mut R) -> State {
-        let (start, end) = (self.offsets[state], self.offsets[state + 1]);
-        let cum = &self.cumulative[start..end];
-        if cum.len() == 1 {
-            return self.targets[start] as State;
-        }
-        let u: f64 = rng.gen();
-        let idx = cum.partition_point(|&c| c < u);
-        self.targets[start + idx.min(cum.len() - 1)] as State
+    /// The target state of edge `edge`.
+    #[inline]
+    pub fn target(&self, edge: Edge) -> State {
+        self.targets[edge as usize] as State
     }
 
-    fn num_states(&self) -> usize {
-        self.offsets.len() - 1
+    /// Samples a successor of `state`.
+    #[inline]
+    pub fn step<R: Rng + ?Sized>(&self, state: State, rng: &mut R) -> State {
+        self.target(self.edge(state, rng))
     }
 }
 
@@ -185,7 +77,70 @@ impl StateSampler for CdfSampler {
 mod tests {
     use super::*;
     use imc_markov::DtmcBuilder;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Inversion sampler: binary search over per-state cumulative
+    /// distributions, O(log row length) per draw. The reference the alias
+    /// tables are checked against.
+    #[derive(Debug, Clone)]
+    struct CdfSampler {
+        /// Slot range of state `s` is `offsets[s]..offsets[s + 1]`.
+        offsets: Vec<usize>,
+        cumulative: Vec<f64>,
+        targets: Vec<u32>,
+    }
+
+    impl CdfSampler {
+        /// Builds cumulative rows for every state of `chain`.
+        ///
+        /// Rows are renormalised by their actual sum at build time: a row
+        /// is only guaranteed stochastic within
+        /// [`imc_markov::ROW_SUM_TOLERANCE`], and clamping just the final
+        /// bucket to `1.0` would silently dump all of that rounding drift
+        /// onto the last transition. Dividing every cumulative value by the
+        /// true row sum spreads the correction proportionally across the
+        /// row; the final bucket is then pinned to exactly `1.0` so every
+        /// draw of `u ∈ [0, 1)` lands in a bucket.
+        fn new(chain: &Dtmc) -> Self {
+            let offsets = chain.row_offsets().to_vec();
+            let targets = chain.transition_targets().to_vec();
+            let mut cumulative = Vec::with_capacity(chain.num_transitions());
+            let probs = chain.transition_probs();
+            for s in 0..chain.num_states() {
+                let (start, end) = (offsets[s], offsets[s + 1]);
+                let mut acc = 0.0;
+                for &p in &probs[start..end] {
+                    acc += p;
+                    cumulative.push(acc);
+                }
+                let total = acc;
+                let cum = &mut cumulative[start..];
+                for c in cum.iter_mut() {
+                    *c /= total;
+                }
+                if let Some(last) = cum.last_mut() {
+                    *last = 1.0;
+                }
+            }
+            CdfSampler {
+                offsets,
+                cumulative,
+                targets,
+            }
+        }
+
+        fn step<R: Rng + ?Sized>(&self, state: State, rng: &mut R) -> State {
+            let (start, end) = (self.offsets[state], self.offsets[state + 1]);
+            let cum = &self.cumulative[start..end];
+            if cum.len() == 1 {
+                return self.targets[start] as State;
+            }
+            let u: f64 = rng.gen();
+            let idx = cum.partition_point(|&c| c < u);
+            self.targets[start + idx.min(cum.len() - 1)] as State
+        }
+    }
 
     fn test_chain() -> Dtmc {
         let mut b = DtmcBuilder::new(4);
@@ -198,11 +153,17 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn empirical_row<S: StateSampler>(sampler: &S, state: State, n: usize) -> Vec<f64> {
-        let mut rng = rand::rngs::StdRng::seed_from_u64(99);
-        let mut counts = vec![0u64; sampler.num_states()];
+    /// Successor frequencies of `state` over `n` draws of `step`.
+    fn empirical_row(
+        step: impl Fn(State, &mut StdRng) -> State,
+        num_states: usize,
+        state: State,
+        n: usize,
+    ) -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(99);
+        let mut counts = vec![0u64; num_states];
         for _ in 0..n {
-            counts[sampler.step(state, &mut rng)] += 1;
+            counts[step(state, &mut rng)] += 1;
         }
         counts.iter().map(|&c| c as f64 / n as f64).collect()
     }
@@ -211,7 +172,7 @@ mod tests {
     fn alias_matches_row_distribution() {
         let chain = test_chain();
         let sampler = ChainSampler::new(&chain);
-        let freq = empirical_row(&sampler, 0, 200_000);
+        let freq = empirical_row(|s, rng| sampler.step(s, rng), 4, 0, 200_000);
         assert!((freq[1] - 0.1).abs() < 0.005, "{freq:?}");
         assert!((freq[2] - 0.2).abs() < 0.005, "{freq:?}");
         assert!((freq[3] - 0.7).abs() < 0.005, "{freq:?}");
@@ -223,13 +184,38 @@ mod tests {
         let sampler = ChainSampler::new(&chain);
         assert!(std::ptr::eq(sampler.offsets, chain.row_offsets()));
         assert!(std::ptr::eq(sampler.targets, chain.transition_targets()));
+        assert!(std::ptr::eq(sampler.prob, chain.alias_table().acceptance()));
+        assert!(std::ptr::eq(sampler.alias, chain.alias_table().alias()));
+        // A second sampler of the chain borrows the same tables.
+        let again = ChainSampler::new(&chain);
+        assert!(std::ptr::eq(again.prob, sampler.prob));
+        assert!(std::ptr::eq(again.alias, sampler.alias));
+    }
+
+    #[test]
+    fn edges_are_the_slots_of_the_sampled_steps() {
+        let chain = test_chain();
+        let sampler = ChainSampler::new(&chain);
+        let mut by_edge = StdRng::seed_from_u64(5);
+        let mut by_step = StdRng::seed_from_u64(5);
+        for _ in 0..1000 {
+            let edge = sampler.edge(0, &mut by_edge);
+            let (from, to) = chain.edge(edge);
+            assert_eq!(from, 0);
+            assert_eq!(to, sampler.target(edge));
+            assert_eq!(to, sampler.step(0, &mut by_step), "same draws, same step");
+        }
+        // A one-transition row draws nothing.
+        let before = by_edge.clone().gen::<u64>();
+        assert_eq!(sampler.edge(2, &mut by_edge), chain.edge_id(2, 2).unwrap());
+        assert_eq!(by_edge.gen::<u64>(), before);
     }
 
     #[test]
     fn cdf_matches_row_distribution() {
         let chain = test_chain();
         let sampler = CdfSampler::new(&chain);
-        let freq = empirical_row(&sampler, 0, 200_000);
+        let freq = empirical_row(|s, rng| sampler.step(s, rng), 4, 0, 200_000);
         assert!((freq[1] - 0.1).abs() < 0.005, "{freq:?}");
         assert!((freq[3] - 0.7).abs() < 0.005, "{freq:?}");
     }
@@ -239,7 +225,7 @@ mod tests {
         let chain = test_chain();
         let alias = ChainSampler::new(&chain);
         let cdf = CdfSampler::new(&chain);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let mut rng = StdRng::seed_from_u64(1);
         for _ in 0..100 {
             assert_eq!(alias.step(1, &mut rng), 1);
             assert_eq!(cdf.step(1, &mut rng), 1);
@@ -248,7 +234,7 @@ mod tests {
 
     #[test]
     fn rare_transition_is_sampled_eventually() {
-        // A 1e-4 transition: both samplers must produce it at plausible rate.
+        // A 1e-4 transition: the sampler must produce it at plausible rate.
         let mut b = DtmcBuilder::new(3);
         b.add_transition(0, 1, 1e-4)
             .add_transition(0, 2, 1.0 - 1e-4)
@@ -256,7 +242,7 @@ mod tests {
             .add_self_loop(2);
         let chain = b.build().unwrap();
         let sampler = ChainSampler::new(&chain);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let mut rng = StdRng::seed_from_u64(7);
         let n = 2_000_000;
         let hits = (0..n).filter(|_| sampler.step(0, &mut rng) == 1).count();
         let rate = hits as f64 / n as f64;
@@ -269,7 +255,7 @@ mod tests {
     /// draw-by-draw).
     #[test]
     fn random_rows_alias_and_cdf_agree_with_the_distribution() {
-        let mut meta_rng = rand::rngs::StdRng::seed_from_u64(2018);
+        let mut meta_rng = StdRng::seed_from_u64(2018);
         for case in 0..20 {
             let k = meta_rng.gen_range(2..=8usize);
             // Random positive weights, normalised into a row; exercise
@@ -299,8 +285,8 @@ mod tests {
             let alias = ChainSampler::new(&chain);
             let cdf = CdfSampler::new(&chain);
             let n = 40_000;
-            let freq_alias = empirical_row(&alias, 0, n);
-            let freq_cdf = empirical_row(&cdf, 0, n);
+            let freq_alias = empirical_row(|s, rng| alias.step(s, rng), k, 0, n);
+            let freq_cdf = empirical_row(|s, rng| cdf.step(s, rng), k, 0, n);
             // ~4-sigma binomial tolerance at p <= 1, n = 40k.
             let tol = 4.0 * (0.25f64 / n as f64).sqrt();
             for (target, &w) in weights.iter().enumerate() {
@@ -341,7 +327,7 @@ mod tests {
         for pair in cum.windows(2) {
             assert!(pair[0] < pair[1]);
         }
-        let freq = empirical_row(&cdf, 0, 100_000);
+        let freq = empirical_row(|s, rng| cdf.step(s, rng), 10, 0, 100_000);
         for target in 0..10 {
             assert!((freq[target] - p).abs() < 0.01, "{freq:?}");
         }
@@ -352,7 +338,7 @@ mod tests {
         let chain = test_chain();
         let alias = ChainSampler::new(&chain);
         let cdf = CdfSampler::new(&chain);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mut rng = StdRng::seed_from_u64(3);
         for _ in 0..1000 {
             let a = alias.step(0, &mut rng);
             let c = cdf.step(0, &mut rng);

@@ -2,22 +2,21 @@ use imc_logic::{Monitor, Verdict};
 use imc_markov::{Path, State, TransitionCounts};
 use rand::Rng;
 
-use crate::StateSampler;
+use crate::ChainSampler;
 
 /// Count-free variant of [`simulate_counts_into`] for estimators that only
 /// need the verdict (crude Monte Carlo): no table is built, so the inner
 /// loop records nothing and allocates nothing per trace.
 ///
 /// Returns `(verdict, transitions taken, stop state)`.
-pub fn simulate_verdict<S, M, R>(
-    sampler: &S,
+pub fn simulate_verdict<M, R>(
+    sampler: &ChainSampler<'_>,
     initial: State,
     monitor: &mut M,
     rng: &mut R,
     max_steps: usize,
 ) -> (Verdict, usize, State)
 where
-    S: StateSampler,
     M: Monitor,
     R: Rng + ?Sized,
 {
@@ -45,8 +44,8 @@ where
 ///
 /// Returns `(verdict, transitions taken, stop state)`; the verdict is
 /// [`Verdict::Undecided`] only if `max_steps` was hit.
-pub fn simulate_counts_into<S, M, R>(
-    sampler: &S,
+pub fn simulate_counts_into<M, R>(
+    sampler: &ChainSampler<'_>,
     initial: State,
     monitor: &mut M,
     rng: &mut R,
@@ -54,7 +53,6 @@ pub fn simulate_counts_into<S, M, R>(
     counts: &mut TransitionCounts,
 ) -> (Verdict, usize, State)
 where
-    S: StateSampler,
     M: Monitor,
     R: Rng + ?Sized,
 {
@@ -63,8 +61,9 @@ where
     let mut state = initial;
     let mut len = 0usize;
     while !verdict.is_decided() && len < max_steps {
-        let next = sampler.step(state, rng);
-        counts.record(state, next);
+        let edge = sampler.edge(state, rng);
+        counts.record(edge);
+        let next = sampler.target(edge);
         len += 1;
         verdict = monitor.observe(next);
         state = next;
@@ -74,15 +73,14 @@ where
 
 /// Simulates one trace and keeps the full [`Path`] — used by the learning
 /// pipeline, which needs raw state sequences rather than count tables.
-pub fn simulate_path<S, M, R>(
-    sampler: &S,
+pub fn simulate_path<M, R>(
+    sampler: &ChainSampler<'_>,
     initial: State,
     monitor: &mut M,
     rng: &mut R,
     max_steps: usize,
 ) -> (Path, Verdict)
 where
-    S: StateSampler,
     M: Monitor,
     R: Rng + ?Sized,
 {
@@ -101,9 +99,8 @@ where
 /// Samples an unconditioned random walk of exactly `len` transitions from
 /// `initial` — the "system log" generator used by learning pipelines, where
 /// traces are observed wholesale rather than monitored for a property.
-pub fn random_walk<S, R>(sampler: &S, initial: State, len: usize, rng: &mut R) -> Path
+pub fn random_walk<R>(sampler: &ChainSampler<'_>, initial: State, len: usize, rng: &mut R) -> Path
 where
-    S: StateSampler,
     R: Rng + ?Sized,
 {
     let mut path = Path::new(vec![initial]);
@@ -163,7 +160,7 @@ mod tests {
             simulate_counts_into(&sampler, 0, &mut prop.monitor(), &mut rng, 50, &mut counts);
         assert_eq!(verdict, Verdict::Undecided);
         assert_eq!(len, 50);
-        assert_eq!(counts.count(0, 0), 50);
+        assert_eq!(counts.count(chain.edge_id(0, 0).unwrap()), 50);
     }
 
     #[test]
@@ -173,7 +170,9 @@ mod tests {
         let prop = Property::bounded_reach(StateSet::from_states(3, [0]), 5);
         let mut rng = rand::rngs::StdRng::seed_from_u64(4);
         // A table left over from another trace is cleared first.
-        let mut counts: TransitionCounts = [(0, 1), (1, 1)].into_iter().collect();
+        let mut counts = TransitionCounts::new();
+        counts.record(chain.edge_id(0, 1).unwrap());
+        counts.record(chain.edge_id(1, 1).unwrap());
         let (verdict, len, _) =
             simulate_counts_into(&sampler, 0, &mut prop.monitor(), &mut rng, 100, &mut counts);
         assert_eq!(verdict, Verdict::Accepted);
@@ -190,7 +189,8 @@ mod tests {
         let (path, verdict) = simulate_path(&sampler, 0, &mut prop.monitor(), &mut rng, 100);
         assert!(verdict.is_decided());
         assert_eq!(path.first(), 0);
-        // Recomputing counts from the path agrees with the online table.
+        // The online table, decoded through the chain, counts the path's
+        // steps.
         let mut rng2 = rand::rngs::StdRng::seed_from_u64(11);
         let mut counts = TransitionCounts::new();
         simulate_counts_into(
@@ -201,7 +201,13 @@ mod tests {
             100,
             &mut counts,
         );
-        assert_eq!(path.transition_counts(), counts);
+        let mut steps: Vec<(State, State)> = path.transitions().collect();
+        steps.sort_unstable();
+        let decoded: Vec<(State, State)> = counts
+            .iter()
+            .flat_map(|(edge, n)| std::iter::repeat_n(chain.edge(edge), n as usize))
+            .collect();
+        assert_eq!(decoded, steps);
     }
 }
 

@@ -78,15 +78,23 @@
 //!   runs a trace, never what the trace is. Workers own static
 //!   contiguous index ranges and their accumulators merge in worker
 //!   order ([`imc_sim::parallel`]).
-//! * **CSR alias tables** — [`imc_sim::ChainSampler`] flattens all
-//!   per-state Walker tables into single `prob`/`alias`/`targets`
-//!   arrays plus row offsets: O(1) per step, no per-row pointer chasing.
+//! * **CSR alias tables** — [`imc_sim::ChainSampler`] reads per-state
+//!   Walker tables flattened into single `prob`/`alias` arrays aligned
+//!   with the chain's CSR `targets` and row offsets: O(1) per step, no
+//!   per-row pointer chasing. A chain builds its tables once, on its
+//!   first sampling, and every later sampler borrows them
+//!   ([`imc_markov::Dtmc::alias_table`]).
+//! * **Edge-keyed count tables** — the sampler returns the CSR slot it
+//!   picked, and count tables record that edge id
+//!   ([`imc_markov::Edge`]), so the estimator reads `b_ij` by index
+//!   instead of searching a row.
 //! * **`PreparedRun`** — [`imc_sampling::PreparedRun`] compiles a
 //!   sampled run against its fixed IS chain `B` once: dense transition
 //!   ids, CSR `(id, n)` table entries, `ln b_ij` per id and the cached
 //!   per-table constant `Σ n_ij ln b_ij`. Re-evaluating the estimator
-//!   against a candidate chain `A` then costs one probability lookup
-//!   and one `ln` per *distinct* transition — and is guaranteed
+//!   against a candidate chain `A` then costs one `ln` per *distinct*
+//!   transition, read in one walk over each touched row of `A` — and is
+//!   guaranteed
 //!   bit-identical to the naive [`imc_sampling::is_estimate`] loop
 //!   (same summation order and operands). The optimiser's
 //!   [`imc_optim::Objective`] is a thin wrapper over it, and the batched

@@ -8,7 +8,7 @@
 //! hand.
 
 use imc_logic::{Monitor, Property};
-use imc_markov::{graph, Dtmc, DtmcBuilder, Imc, StateSet};
+use imc_markov::{graph, Dtmc, DtmcBuilder, Imc, StateSet, TransitionCounts};
 use imc_numeric::{bounded_reach_probs, imc_reach_bounds, reach_avoid_probs, SolveOptions};
 use imc_sampling::{is_estimate, sample_is_run, IsConfig};
 use imc_sim::{random_walk, ChainSampler};
@@ -236,10 +236,20 @@ fn likelihood_ratio_telescopes() {
                 .collect();
             chain.with_rows(rows).unwrap()
         };
-        let counts = path.transition_counts();
+        // The path's count table keys each step by its edge id in the
+        // chain and is decoded through it.
+        let mut counts = TransitionCounts::new();
+        for (from, to) in path.transitions() {
+            counts.record(
+                chain
+                    .edge_id(from, to)
+                    .expect("the walk steps along the chain"),
+            );
+        }
         let log_l: f64 = counts
             .iter()
-            .map(|((from, to), cnt)| {
+            .map(|(edge, cnt)| {
+                let (from, to) = chain.edge(edge);
                 cnt as f64 * (chain.prob(from, to).ln() - b.prob(from, to).ln())
             })
             .sum();

@@ -14,7 +14,9 @@
 //!   the rules no encoding shows are checked without a panic, and a
 //!   `{"file": …}` member in the spec echo is refused before any read;
 //! * a manifest that repeats a key in one object is refused, not read
-//!   as its first binding.
+//!   as its first binding;
+//! * a campaign's `run` is inline only: a `{"file": …}` reference there is
+//!   refused with a pinned message.
 //!
 //! Re-canonicalise the checked-in manifest deliberately with
 //! `IMCIS_BLESS_GOLDEN=1 cargo test --test suite`.
@@ -320,6 +322,18 @@ fn a_suite_manifest_that_repeats_a_key_is_refused() {
     assert_eq!(
         err,
         format!("spec is not valid JSON: JSON error at byte {at}: duplicate key `runs`")
+    );
+}
+
+#[test]
+fn a_campaign_run_given_as_a_file_reference_is_refused() {
+    let text = r#"{"runs": [{"campaign": {
+        "run": {"file": "specs/illustrative_smoke.json"}, "stages": 2}}]}"#;
+    let err = SuiteSpec::from_str(text).unwrap_err().to_string();
+    assert_eq!(
+        err,
+        "spec does not match the schema: `suite.runs[0]`: `campaign.run`: unknown key `file` \
+         in `spec` (allowed: schema, scenario, method, seed, threads, search_threads, repetitions)"
     );
 }
 
