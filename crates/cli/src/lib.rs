@@ -661,7 +661,6 @@ fn dsl_command(args: &[String]) -> Result<String, CliError> {
         Property::ReachAvoid { bound: None, .. } => "reach-avoid".to_string(),
         Property::ReachAvoid { bound: Some(b), .. } => format!("reach-avoid (within {b})"),
         Property::XReachAvoid { .. } => "reach before return".to_string(),
-        _ => "bounded until".to_string(),
     };
     out.push_str(&format!("property: {property}\n"));
     if let Some(g) = setup.gamma_center {

@@ -9,6 +9,8 @@ use imc_sampling::{is_estimate, sample_is_run, IsConfig};
 use imc_stats::{normal_quantile, ConfidenceInterval};
 use rand::Rng;
 
+use crate::spec::SampleSpec;
+
 /// Configuration of one IMCIS run (inputs of Algorithm 1).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImcisConfig {
@@ -108,13 +110,6 @@ impl ImcisConfig {
     /// Replaces the candidate-search strategy.
     pub fn with_strategy(mut self, strategy: SearchStrategy) -> Self {
         self.strategy = strategy;
-        self
-    }
-
-    /// Selects the batched search engine (`batch_size == 0` = the engine
-    /// default).
-    pub fn with_batched_search(mut self, batch_size: usize) -> Self {
-        self.strategy = SearchStrategy::Batched { batch_size };
         self
     }
 }
@@ -303,18 +298,19 @@ pub(crate) fn standard_is_impl<R: Rng + ?Sized>(
     a_ref: &Dtmc,
     b: &Dtmc,
     property: &Property,
-    config: &ImcisConfig,
+    sample: &SampleSpec,
+    threads: usize,
     rng: &mut R,
 ) -> IsOutcome {
     let run = sample_is_run(
         b,
         property,
-        &IsConfig::new(config.n_traces)
-            .with_max_steps(config.max_steps)
-            .with_threads(config.threads),
+        &IsConfig::new(sample.n_traces)
+            .with_max_steps(sample.max_steps)
+            .with_threads(threads),
         rng,
     );
-    let est = is_estimate(a_ref, b, &run, config.delta);
+    let est = is_estimate(a_ref, b, &run, sample.delta);
     IsOutcome {
         gamma_hat: est.gamma_hat,
         sigma_hat: est.sigma_hat,
@@ -354,7 +350,11 @@ mod tests {
         let (_, b, prop) = paper_setup();
         let center = illustrative::dtmc(illustrative::A_HAT, illustrative::C_HAT);
         let mut rng = rand::rngs::StdRng::seed_from_u64(31);
-        let out = standard_is_impl(&center, &b, &prop, &ImcisConfig::new(2000, 0.05), &mut rng);
+        let sample = SampleSpec {
+            n_traces: 2000,
+            ..SampleSpec::default()
+        };
+        let out = standard_is_impl(&center, &b, &prop, &sample, 0, &mut rng);
         let gamma_center = illustrative::gamma(illustrative::A_HAT, illustrative::C_HAT);
         let gamma_true = illustrative::gamma(illustrative::A_TRUE, illustrative::C_TRUE);
         // The estimate is γ(Â) up to log-space rounding ulps and the CI is
@@ -429,7 +429,7 @@ mod tests {
             let config = ImcisConfig::new(1500, 0.05)
                 .with_r_undefeated(150)
                 .with_r_max(10_000)
-                .with_batched_search(32)
+                .with_strategy(SearchStrategy::Batched { batch_size: 32 })
                 .with_search_threads(threads);
             imcis_impl(&imc, &b, &prop, &config, &mut rng).unwrap()
         };

@@ -61,7 +61,7 @@ use crate::report::{CoverageSummary, Repetition, Report, Timing};
 use crate::spec::{
     AdaptiveSpec, CrossEntropySpec, ImcisSpec, Method, RunSpec, SampleSpec, SpecError,
 };
-use crate::{ImcisConfig, ImcisError, ImcisOutcome, IsOutcome};
+use crate::{ImcisError, ImcisOutcome, IsOutcome};
 
 /// Errors of the spec → session → report pipeline.
 #[derive(Debug)]
@@ -492,13 +492,6 @@ pub fn stage_estimator_for(method: &Method) -> Box<dyn StageEstimator> {
     }
 }
 
-fn is_config(sample: &SampleSpec, ctx: &RunContext) -> ImcisConfig {
-    ImcisConfig::new(sample.n_traces, sample.delta)
-        .with_max_steps(sample.max_steps)
-        .with_threads(ctx.threads)
-        .with_search_threads(ctx.search_threads)
-}
-
 fn outcome_from_is(out: IsOutcome) -> MethodOutcome {
     MethodOutcome {
         estimate: out.gamma_hat,
@@ -564,7 +557,8 @@ impl StageEstimator for StandardIsEstimator {
             &setup.center,
             &setup.b,
             &setup.property,
-            &is_config(&self.0, ctx),
+            &self.0,
+            ctx.threads,
             rng,
         );
         Ok(outcome_from_is(out))
@@ -593,7 +587,8 @@ impl StageEstimator for ZeroVarianceEstimator {
             &setup.center,
             &zv,
             &setup.property,
-            &is_config(&self.0, ctx),
+            &self.0,
+            ctx.threads,
             rng,
         );
         Ok(outcome_from_is(out))
@@ -618,7 +613,6 @@ impl StageEstimator for CrossEntropyEstimator {
                 iterations: self.0.iterations,
                 traces_per_iteration: self.0.traces_per_iteration,
                 max_steps: self.0.sample.max_steps,
-                ..CrossEntropyConfig::default()
             },
             rng,
         )
@@ -627,7 +621,8 @@ impl StageEstimator for CrossEntropyEstimator {
             &setup.center,
             &ce.b,
             &setup.property,
-            &is_config(&self.0.sample, ctx),
+            &self.0.sample,
+            ctx.threads,
             rng,
         );
         Ok(outcome_from_is(out))
@@ -686,20 +681,13 @@ fn is_under_state(
     rng: &mut StdRng,
 ) -> Result<MethodOutcome, SessionError> {
     let b = state_chain(state, method)?;
-    let out = standard_is_impl(
-        &setup.center,
-        b,
-        &setup.property,
-        &is_config(sample, ctx),
-        rng,
-    );
+    let out = standard_is_impl(&setup.center, b, &setup.property, sample, ctx.threads, rng);
     Ok(outcome_from_is(out))
 }
 
 impl StageEstimator for CeCampaignEstimator {
     fn initial_state(&self, setup: &Setup) -> Result<EstimatorState, SessionError> {
-        let weight = CrossEntropyConfig::default().initial_uniform_weight;
-        let b = initial_chain(&setup.center, weight)
+        let b = initial_chain(&setup.center)
             .map_err(|e| SessionError::Analysis(format!("ce-campaign bootstrap: {e}")))?;
         Ok(EstimatorState::Chain(Arc::new(b)))
     }
@@ -739,8 +727,7 @@ struct DupuisWangEstimator(AdaptiveSpec);
 
 impl StageEstimator for DupuisWangEstimator {
     fn initial_state(&self, setup: &Setup) -> Result<EstimatorState, SessionError> {
-        let weight = CrossEntropyConfig::default().initial_uniform_weight;
-        let b = initial_chain(&setup.center, weight)
+        let b = initial_chain(&setup.center)
             .map_err(|e| SessionError::Analysis(format!("dupuis-wang bootstrap: {e}")))?;
         let v = initial_value(&setup.center, &setup.property);
         Ok(EstimatorState::ValueChain {
@@ -774,7 +761,6 @@ impl StageEstimator for DupuisWangEstimator {
         let config = DupuisWangConfig {
             training_traces: self.0.training_traces,
             max_steps: self.0.sample.max_steps,
-            ..DupuisWangConfig::default()
         };
         let (nb, nv) = dupuis_wang_update(&setup.center, &setup.property, b, v, &config, rng)
             .map_err(|e| SessionError::Analysis(format!("dupuis-wang update: {e}")))?;

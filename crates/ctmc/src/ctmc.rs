@@ -46,13 +46,6 @@ pub enum CtmcError {
         /// Target state.
         to: usize,
     },
-    /// The uniformisation rate is smaller than some exit rate.
-    UniformisationRateTooSmall {
-        /// Requested rate.
-        rate: f64,
-        /// Largest exit rate in the model.
-        max_exit: f64,
-    },
     /// Deriving a DTMC failed (bubbled up from chain validation).
     Derived(ModelError),
 }
@@ -76,10 +69,6 @@ impl fmt::Display for CtmcError {
             CtmcError::DuplicateTransition { from, to } => {
                 write!(f, "transition {from} -> {to} specified more than once")
             }
-            CtmcError::UniformisationRateTooSmall { rate, max_exit } => write!(
-                f,
-                "uniformisation rate {rate} is below the maximal exit rate {max_exit}"
-            ),
             CtmcError::Derived(e) => write!(f, "derived chain invalid: {e}"),
         }
     }
@@ -125,13 +114,6 @@ impl Ctmc {
         self.rows[state].iter().map(|e| e.rate).sum()
     }
 
-    /// The largest exit rate over all states.
-    pub fn max_exit_rate(&self) -> f64 {
-        (0..self.num_states())
-            .map(|s| self.exit_rate(s))
-            .fold(0.0, f64::max)
-    }
-
     /// The set of states carrying `label`.
     pub fn labeled_states(&self, label: &str) -> StateSet {
         self.labels
@@ -165,42 +147,6 @@ impl Ctmc {
             for entry in row {
                 builder.add_transition(from, entry.target, entry.rate / exit);
             }
-        }
-        for (name, set) in &self.labels {
-            for state in set.iter() {
-                builder.add_label(state, name);
-            }
-        }
-        builder.build().map_err(CtmcError::from)
-    }
-
-    /// The uniformised DTMC at rate `lambda` (defaults to the maximal exit
-    /// rate when `None`): `P(s, t) = r(s, t)/Λ` for `t ≠ s` and
-    /// `P(s, s) = 1 − E(s)/Λ`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CtmcError::UniformisationRateTooSmall`] if `lambda` is
-    /// smaller than some exit rate.
-    pub fn uniformized_dtmc(&self, lambda: Option<f64>) -> Result<Dtmc, CtmcError> {
-        let max_exit = self.max_exit_rate();
-        let lambda = lambda.unwrap_or(max_exit);
-        if lambda < max_exit || lambda <= 0.0 {
-            return Err(CtmcError::UniformisationRateTooSmall {
-                rate: lambda,
-                max_exit,
-            });
-        }
-        let mut builder = DtmcBuilder::new(self.num_states());
-        builder.set_initial(self.initial);
-        for (from, row) in self.rows.iter().enumerate() {
-            let mut stay = 1.0;
-            for entry in row {
-                let p = entry.rate / lambda;
-                stay -= p;
-                builder.add_transition(from, entry.target, p);
-            }
-            builder.add_transition(from, from, stay.max(0.0));
         }
         for (name, set) in &self.labels {
             for state in set.iter() {
@@ -336,7 +282,6 @@ mod tests {
         assert_eq!(ctmc.exit_rate(0), 2.0);
         assert_eq!(ctmc.exit_rate(1), 4.0);
         assert_eq!(ctmc.exit_rate(2), 0.0);
-        assert_eq!(ctmc.max_exit_rate(), 4.0);
     }
 
     #[test]
@@ -348,26 +293,6 @@ mod tests {
         // Absorbing CTMC state becomes a DTMC self-loop.
         assert_eq!(jump.prob(2, 2), 1.0);
         assert!(jump.has_label(2, "done"));
-    }
-
-    #[test]
-    fn uniformisation_preserves_rates_and_adds_diagonal() {
-        let ctmc = birth_death();
-        let unif = ctmc.uniformized_dtmc(None).unwrap();
-        // Λ = 4: state 0 has p(0,1) = 0.5 and p(0,0) = 0.5.
-        assert!((unif.prob(0, 1) - 0.5).abs() < 1e-12);
-        assert!((unif.prob(0, 0) - 0.5).abs() < 1e-12);
-        // State 1: exit 4 = Λ, so no self-loop mass.
-        assert!((unif.prob(1, 2) - 0.75).abs() < 1e-12);
-        assert_eq!(unif.prob(1, 1), 0.0);
-        // Absorbing state: all mass stays.
-        assert_eq!(unif.prob(2, 2), 1.0);
-    }
-
-    #[test]
-    fn uniformisation_rejects_small_rate() {
-        let err = birth_death().uniformized_dtmc(Some(1.0)).unwrap_err();
-        assert!(matches!(err, CtmcError::UniformisationRateTooSmall { .. }));
     }
 
     #[test]

@@ -10,10 +10,6 @@
 //! 3. extract the [`Ctmc::embedded_dtmc`] and analyse it with the rest of
 //!    the workspace (simulation, importance sampling, numeric solving).
 //!
-//! [`Ctmc::uniformized_dtmc`], [`transient_distribution`] and
-//! [`time_bounded_reach`] provide continuous-time transient analysis by
-//! uniformisation.
-//!
 //! # Example
 //!
 //! ```
@@ -38,8 +34,6 @@
 
 mod ctmc;
 mod explore;
-mod transient;
 
 pub use ctmc::{Ctmc, CtmcBuilder, CtmcError, RateEntry};
 pub use explore::{CtmcModel, ExploreError, ExploredCtmc};
-pub use transient::{time_bounded_reach, transient_distribution};

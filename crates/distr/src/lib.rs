@@ -9,7 +9,6 @@
 //! * [`Gamma`] — Marsaglia–Tsang squeeze method (with the Johnk boost for
 //!   shape < 1);
 //! * [`Dirichlet`] — normalised Gamma vector;
-//! * [`Beta`] — ratio of Gammas;
 //! * [`ConstrainedRowSampler`] — the paper's §IV-B/§IV-C candidate-row
 //!   generator: concentration tuning `K_ij = â(1−â)/ε² − 1`, rejection
 //!   sampling into the interval box, λ-inflation when rejection persists
@@ -40,14 +39,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod beta;
 mod dirichlet;
 mod error;
 mod gamma;
 mod normal;
 mod row;
 
-pub use beta::Beta;
 pub use dirichlet::Dirichlet;
 pub use error::DistrError;
 pub use gamma::Gamma;

@@ -86,11 +86,6 @@ impl CountTable {
             .map(|(&(_, to), &n)| (to, n))
             .collect()
     }
-
-    /// The multiset of positive counts, as needed by Good–Turing smoothing.
-    pub fn count_values(&self) -> Vec<u64> {
-        self.counts.values().copied().collect()
-    }
 }
 
 #[cfg(test)]

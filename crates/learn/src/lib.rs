@@ -8,12 +8,7 @@
 //! * [`learn_dtmc`] — frequentist point estimates `â_ij = n_ij / n_i`,
 //!   optionally Laplace-smoothed over a known support;
 //! * [`learn_imc`] — the learnt IMC `[Â ± ε]`, with per-state Okamoto
-//!   half-widths `ε_i = √(ln(2/δ)/(2 n_i))`;
-//! * [`BernoulliEstimate`] — frequentist estimation of a global rate
-//!   parameter with its confidence interval (how the paper obtains
-//!   `α̂ = 0.0995`, CI `[0.09852, 0.10048]` for the repair benchmarks);
-//! * [`good_turing_unseen_mass`] — Good–Turing estimate of unobserved
-//!   probability mass, the sanity check the paper cites for sparse data.
+//!   half-widths `ε_i = √(ln(2/δ)/(2 n_i))`.
 //!
 //! # Example
 //!
@@ -41,13 +36,9 @@
 
 mod counts;
 mod frequentist;
-mod parametric;
-mod smoothing;
 
 pub use counts::CountTable;
 pub use frequentist::{
     learn_dtmc, learn_dtmc_with_support, learn_imc, learn_imc_with_support, LearnError,
     LearnOptions, Smoothing,
 };
-pub use parametric::BernoulliEstimate;
-pub use smoothing::good_turing_unseen_mass;

@@ -9,9 +9,8 @@
 //! * [`Property`] — a declarative, serialisable description of the bounded
 //!   properties used in the paper's evaluation, compilable into a monitor:
 //!   bounded reachability (`F≤k target`), reach-avoid
-//!   (`¬avoid U target`, optionally bounded), the PRISM-style
-//!   `init ∧ X(¬init U failure)` pattern of the repair benchmarks, and
-//!   bounded until.
+//!   (`¬avoid U target`, optionally bounded) and the PRISM-style
+//!   `init ∧ X(¬init U failure)` pattern of the repair benchmarks.
 //!
 //! # Example
 //!
@@ -35,8 +34,7 @@ mod property;
 mod verdict;
 
 pub use monitor::{
-    BoundedReachMonitor, BoundedUntilMonitor, Monitor, PropertyMonitor, ReachAvoidMonitor,
-    XReachAvoidMonitor,
+    BoundedReachMonitor, Monitor, PropertyMonitor, ReachAvoidMonitor, XReachAvoidMonitor,
 };
 pub use property::Property;
 pub use verdict::Verdict;

@@ -141,50 +141,6 @@ impl Monitor for XReachAvoidMonitor {
     }
 }
 
-/// `hold U≤bound target`: accept on a target state within the bound, reject
-/// as soon as a state is neither target nor hold, or when the bound passes.
-#[derive(Debug, Clone)]
-pub struct BoundedUntilMonitor {
-    hold: StateSet,
-    target: StateSet,
-    bound: usize,
-    steps: usize,
-}
-
-impl BoundedUntilMonitor {
-    /// Creates a monitor for `hold U≤bound target`.
-    pub fn new(hold: StateSet, target: StateSet, bound: usize) -> Self {
-        BoundedUntilMonitor {
-            hold,
-            target,
-            bound,
-            steps: 0,
-        }
-    }
-
-    fn classify(&self, state: State) -> Verdict {
-        if self.target.contains(state) {
-            Verdict::Accepted
-        } else if !self.hold.contains(state) || self.steps >= self.bound {
-            Verdict::Rejected
-        } else {
-            Verdict::Undecided
-        }
-    }
-}
-
-impl Monitor for BoundedUntilMonitor {
-    fn reset(&mut self, initial: State) -> Verdict {
-        self.steps = 0;
-        self.classify(initial)
-    }
-
-    fn observe(&mut self, state: State) -> Verdict {
-        self.steps += 1;
-        self.classify(state)
-    }
-}
-
 /// Enum dispatch over the monitors of this crate, produced by
 /// [`Property::monitor`](crate::Property::monitor).
 ///
@@ -199,8 +155,6 @@ pub enum PropertyMonitor {
     ReachAvoid(ReachAvoidMonitor),
     /// Next reach-avoid (repair-benchmark pattern).
     XReachAvoid(XReachAvoidMonitor),
-    /// Bounded until.
-    BoundedUntil(BoundedUntilMonitor),
 }
 
 impl Monitor for PropertyMonitor {
@@ -209,7 +163,6 @@ impl Monitor for PropertyMonitor {
             PropertyMonitor::BoundedReach(m) => m.reset(initial),
             PropertyMonitor::ReachAvoid(m) => m.reset(initial),
             PropertyMonitor::XReachAvoid(m) => m.reset(initial),
-            PropertyMonitor::BoundedUntil(m) => m.reset(initial),
         }
     }
 
@@ -218,7 +171,6 @@ impl Monitor for PropertyMonitor {
             PropertyMonitor::BoundedReach(m) => m.observe(state),
             PropertyMonitor::ReachAvoid(m) => m.observe(state),
             PropertyMonitor::XReachAvoid(m) => m.observe(state),
-            PropertyMonitor::BoundedUntil(m) => m.observe(state),
         }
     }
 }
@@ -304,29 +256,6 @@ mod tests {
         m.reset(0);
         assert_eq!(m.observe(1), Verdict::Undecided);
         assert_eq!(m.observe(9), Verdict::Accepted);
-    }
-
-    #[test]
-    fn bounded_until_holds_then_reaches() {
-        let mut m = BoundedUntilMonitor::new(set(&[0, 1]), set(&[2]), 5);
-        assert_eq!(m.reset(0), Verdict::Undecided);
-        assert_eq!(m.observe(1), Verdict::Undecided);
-        assert_eq!(m.observe(2), Verdict::Accepted);
-    }
-
-    #[test]
-    fn bounded_until_rejects_on_hold_violation() {
-        let mut m = BoundedUntilMonitor::new(set(&[0, 1]), set(&[2]), 5);
-        m.reset(0);
-        assert_eq!(m.observe(7), Verdict::Rejected);
-    }
-
-    #[test]
-    fn bounded_until_rejects_on_timeout() {
-        let mut m = BoundedUntilMonitor::new(set(&[0, 1]), set(&[2]), 2);
-        m.reset(0);
-        assert_eq!(m.observe(1), Verdict::Undecided);
-        assert_eq!(m.observe(1), Verdict::Rejected);
     }
 
     #[test]

@@ -2,8 +2,7 @@ use imc_markov::{Dtmc, Path, StateSet};
 use serde::{Deserialize, Serialize};
 
 use crate::{
-    BoundedReachMonitor, BoundedUntilMonitor, Monitor, PropertyMonitor, ReachAvoidMonitor, Verdict,
-    XReachAvoidMonitor,
+    BoundedReachMonitor, Monitor, PropertyMonitor, ReachAvoidMonitor, Verdict, XReachAvoidMonitor,
 };
 
 /// Clones a borrowed label set into an owned set over the model's universe.
@@ -68,15 +67,6 @@ pub enum Property {
         /// States that must not be revisited before the goal.
         avoid: StateSet,
     },
-    /// `hold U≤bound target`.
-    BoundedUntil {
-        /// States where waiting is allowed.
-        hold: StateSet,
-        /// States satisfying the goal.
-        target: StateSet,
-        /// Maximum number of transitions.
-        bound: usize,
-    },
 }
 
 impl Property {
@@ -127,15 +117,6 @@ impl Property {
         }
     }
 
-    /// `hold U≤bound target`.
-    pub fn bounded_until(hold: StateSet, target: StateSet, bound: usize) -> Self {
-        Property::BoundedUntil {
-            hold,
-            target,
-            bound,
-        }
-    }
-
     /// Compiles the property into a fresh online monitor.
     pub fn monitor(&self) -> PropertyMonitor {
         match self {
@@ -154,15 +135,6 @@ impl Property {
             Property::XReachAvoid { target, avoid } => {
                 PropertyMonitor::XReachAvoid(XReachAvoidMonitor::new(target.clone(), avoid.clone()))
             }
-            Property::BoundedUntil {
-                hold,
-                target,
-                bound,
-            } => PropertyMonitor::BoundedUntil(BoundedUntilMonitor::new(
-                hold.clone(),
-                target.clone(),
-                *bound,
-            )),
         }
     }
 
@@ -186,33 +158,21 @@ impl Property {
         match self {
             Property::BoundedReach { target, .. }
             | Property::ReachAvoid { target, .. }
-            | Property::XReachAvoid { target, .. }
-            | Property::BoundedUntil { target, .. } => target,
+            | Property::XReachAvoid { target, .. } => target,
         }
     }
 
     /// The states that must not be visited before the goal, as an owned
     /// set over the property's universe.
     ///
-    /// For [`Property::BoundedReach`] this is empty; for
-    /// [`Property::BoundedUntil`] it is the complement of `hold ∪ target`
-    /// (leaving the holding region before the goal fails the property).
-    /// Used by IS-chain constructions that need the avoid region without
-    /// knowing the property shape.
+    /// For [`Property::BoundedReach`] this is empty. Used by IS-chain
+    /// constructions that need the avoid region without knowing the
+    /// property shape.
     pub fn avoid(&self) -> StateSet {
         match self {
             Property::BoundedReach { target, .. } => StateSet::new(target.universe()),
             Property::ReachAvoid { avoid, .. } | Property::XReachAvoid { avoid, .. } => {
                 avoid.clone()
-            }
-            Property::BoundedUntil { hold, target, .. } => {
-                let mut avoid = StateSet::new(target.universe());
-                for state in 0..target.universe() {
-                    if !hold.contains(state) && !target.contains(state) {
-                        avoid.insert(state);
-                    }
-                }
-                avoid
             }
         }
     }
@@ -275,13 +235,13 @@ mod tests {
 
     #[test]
     fn serde_round_trip() {
-        let prop = Property::bounded_until(
-            StateSet::from_states(3, [0, 1]),
+        let prop = Property::reach_avoid_bounded(
             StateSet::from_states(3, [2]),
+            StateSet::from_states(3, [1]),
             7,
         );
         let json = serde_json_like(&prop);
-        assert!(json.contains("BoundedUntil"));
+        assert!(json.contains("ReachAvoid"));
     }
 
     /// Minimal smoke check that `serde` derives are wired (the workspace has

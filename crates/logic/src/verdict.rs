@@ -19,14 +19,6 @@ impl Verdict {
     pub fn is_decided(&self) -> bool {
         !matches!(self, Verdict::Undecided)
     }
-
-    /// The indicator value `z(ω)`: 1 for accepted, 0 otherwise.
-    pub fn indicator(&self) -> f64 {
-        match self {
-            Verdict::Accepted => 1.0,
-            _ => 0.0,
-        }
-    }
 }
 
 impl std::fmt::Display for Verdict {
@@ -49,13 +41,6 @@ mod tests {
         assert!(Verdict::Accepted.is_decided());
         assert!(Verdict::Rejected.is_decided());
         assert!(!Verdict::Undecided.is_decided());
-    }
-
-    #[test]
-    fn indicator_values() {
-        assert_eq!(Verdict::Accepted.indicator(), 1.0);
-        assert_eq!(Verdict::Rejected.indicator(), 0.0);
-        assert_eq!(Verdict::Undecided.indicator(), 0.0);
     }
 
     #[test]

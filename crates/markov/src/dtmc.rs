@@ -322,15 +322,6 @@ impl Dtmc {
         self.labels.get(label).contains(state)
     }
 
-    /// Probability of a finite path, `P_A(ω) = Π A(ω_{i-1}, ω_i)` (eq. (1)).
-    ///
-    /// Returns `0.0` if any step uses a missing transition.
-    pub fn path_prob(&self, path: &Path) -> f64 {
-        path.transitions()
-            .map(|(from, to)| self.prob(from, to))
-            .product()
-    }
-
     /// Natural log of the path probability; `-inf` for impossible paths.
     ///
     /// Long rare-event paths underflow `f64` products quickly (a path of a
@@ -876,7 +867,6 @@ mod tests {
     fn path_probability_multiplies_steps() {
         let chain = two_state();
         let path = Path::new(vec![0, 0, 1]);
-        assert!((chain.path_prob(&path) - 0.25 * 0.75).abs() < 1e-15);
         assert!((chain.path_log_prob(&path) - (0.25f64.ln() + 0.75f64.ln())).abs() < 1e-12);
     }
 
@@ -884,7 +874,6 @@ mod tests {
     fn impossible_path_has_zero_probability() {
         let chain = two_state();
         let path = Path::new(vec![1, 0]);
-        assert_eq!(chain.path_prob(&path), 0.0);
         assert_eq!(chain.path_log_prob(&path), f64::NEG_INFINITY);
     }
 

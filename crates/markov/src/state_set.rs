@@ -130,18 +130,6 @@ impl StateSet {
         }
     }
 
-    /// In-place intersection with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the universes differ.
-    pub fn intersect_with(&mut self, other: &StateSet) {
-        assert_eq!(self.n, other.n, "universe mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-    }
-
     /// Returns the complement of the set within its universe.
     pub fn complement(&self) -> StateSet {
         let mut out = StateSet::new(self.n);
@@ -151,11 +139,6 @@ impl StateSet {
             }
         }
         out
-    }
-
-    /// Returns `true` if `self` and `other` share no state.
-    pub fn is_disjoint(&self, other: &StateSet) -> bool {
-        self.words.iter().zip(&other.words).all(|(a, b)| a & b == 0)
     }
 }
 
@@ -209,20 +192,8 @@ mod tests {
         let mut u = a.clone();
         u.union_with(&b);
         assert_eq!(u.iter().collect::<Vec<_>>(), vec![1, 2, 3, 4]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.iter().collect::<Vec<_>>(), vec![3]);
         let c = a.complement();
         assert_eq!(c.iter().collect::<Vec<_>>(), vec![0, 4, 5, 6, 7, 8, 9]);
-    }
-
-    #[test]
-    fn disjointness() {
-        let a = StateSet::from_states(8, [0, 1]);
-        let b = StateSet::from_states(8, [2, 3]);
-        let c = StateSet::from_states(8, [1, 7]);
-        assert!(a.is_disjoint(&b));
-        assert!(!a.is_disjoint(&c));
     }
 
     #[test]

@@ -56,11 +56,6 @@ pub fn decode(state: usize) -> (usize, usize) {
     (state / BUCKETS, state % BUCKETS)
 }
 
-/// LIT301 level (mm) represented by a bucket.
-pub fn level_of_bucket(bucket: usize) -> f64 {
-    500.0 + 25.0 * bucket as f64
-}
-
 /// Builds the synthetic ground-truth chain.
 ///
 /// The initial state is a failure state (`Repair` mode, mid level) that
@@ -192,8 +187,6 @@ mod tests {
 
     #[test]
     fn level_mapping() {
-        assert_eq!(level_of_bucket(12), 800.0);
-        assert!(level_of_bucket(13) > 800.0);
         assert_eq!(decode(state_of(Mode::ValveStuck, 9)), (2, 9));
     }
 

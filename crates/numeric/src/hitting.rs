@@ -1,13 +1,10 @@
-//! Expected hitting times and stationary distributions.
+//! Expected hitting times.
 //!
 //! The paper's introduction motivates dependability analysis through
 //! reachability *and mean time to failure* properties; this module
-//! provides the corresponding numeric queries on the jump chain:
-//!
-//! * [`expected_steps_to`] — mean number of transitions to reach a target
-//!   set (the discrete MTTF when each jump is a repair/failure event);
-//! * [`stationary_distribution`] — long-run state distribution of an
-//!   irreducible chain, by power iteration.
+//! provides the second on the jump chain: [`expected_steps_to`], the mean
+//! number of transitions to reach a target set (the discrete MTTF when
+//! each jump is a repair/failure event).
 
 use imc_markov::{graph, Dtmc, StateSet};
 
@@ -99,62 +96,6 @@ pub fn expected_steps_to(
     })
 }
 
-/// Stationary distribution of an irreducible chain, by power iteration.
-///
-/// # Errors
-///
-/// Returns [`SolveError::NotConverged`] if the chain mixes too slowly for
-/// the iteration cap (e.g. periodic chains, which have no limit — use a
-/// lazy transformation first).
-///
-/// # Example
-///
-/// ```
-/// use imc_markov::DtmcBuilder;
-/// use imc_numeric::{stationary_distribution, SolveOptions};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // Two-state chain: π ∝ (repair rate, failure rate).
-/// let mut b = DtmcBuilder::new(2);
-/// b.add_transition(0, 0, 0.9).add_transition(0, 1, 0.1)
-///     .add_transition(1, 0, 0.5).add_transition(1, 1, 0.5);
-/// let chain = b.build()?;
-/// let pi = stationary_distribution(&chain, &SolveOptions::default())?;
-/// assert!((pi[0] - 5.0 / 6.0).abs() < 1e-9);
-/// # Ok(())
-/// # }
-/// ```
-pub fn stationary_distribution(
-    chain: &Dtmc,
-    options: &SolveOptions,
-) -> Result<Vec<f64>, SolveError> {
-    let n = chain.num_states();
-    let mut pi = vec![1.0 / n as f64; n];
-    let mut next = vec![0.0f64; n];
-    let mut residual = f64::INFINITY;
-    for _ in 0..options.max_iterations {
-        next.iter_mut().for_each(|x| *x = 0.0);
-        for (s, row) in chain.rows().enumerate() {
-            for e in row.iter() {
-                next[e.target] += pi[s] * e.prob;
-            }
-        }
-        residual = pi
-            .iter()
-            .zip(&next)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max);
-        std::mem::swap(&mut pi, &mut next);
-        if residual <= options.tolerance {
-            return Ok(pi);
-        }
-    }
-    Err(SolveError::NotConverged {
-        iterations: options.max_iterations,
-        residual,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -226,49 +167,5 @@ mod tests {
             let expected = (k * (n - 1 - k)) as f64;
             assert!((hk - expected).abs() < 1e-8, "k={k}: {hk} vs {expected}");
         }
-    }
-
-    #[test]
-    fn stationary_of_birth_death() {
-        // Birth-death chain with known stationary distribution.
-        let mut b = DtmcBuilder::new(3);
-        b.add_transition(0, 0, 0.5)
-            .add_transition(0, 1, 0.5)
-            .add_transition(1, 0, 0.25)
-            .add_transition(1, 1, 0.25)
-            .add_transition(1, 2, 0.5)
-            .add_transition(2, 1, 0.5)
-            .add_transition(2, 2, 0.5);
-        let chain = b.build().unwrap();
-        let pi = stationary_distribution(&chain, &SolveOptions::default()).unwrap();
-        assert!((pi.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-        // Detailed balance: π0·0.5 = π1·0.25, π1·0.5 = π2·0.5.
-        assert!((pi[0] * 0.5 - pi[1] * 0.25).abs() < 1e-9);
-        assert!((pi[1] * 0.5 - pi[2] * 0.5).abs() < 1e-9);
-    }
-
-    #[test]
-    fn periodic_chain_fails_to_converge() {
-        // A star graph is bipartite with unbalanced parts {hub} vs
-        // {leaves}: the uniform start puts mass 1/4 vs 3/4 on the parts,
-        // and every step swaps the two masses — the period-2 eigenvalue
-        // −1 never damps. (A balanced bipartite chain would not exhibit
-        // this: uniform splits 1/2 / 1/2, killing the oscillating mode.)
-        let mut b = DtmcBuilder::new(4);
-        b.add_transition(0, 1, 1.0 / 3.0)
-            .add_transition(0, 2, 1.0 / 3.0)
-            .add_transition(0, 3, 1.0 / 3.0)
-            .add_transition(1, 0, 1.0)
-            .add_transition(2, 0, 1.0)
-            .add_transition(3, 0, 1.0);
-        let chain = b.build().unwrap();
-        let result = stationary_distribution(
-            &chain,
-            &SolveOptions {
-                tolerance: 1e-12,
-                max_iterations: 100,
-            },
-        );
-        assert!(matches!(result, Err(SolveError::NotConverged { .. })));
     }
 }

@@ -13,8 +13,7 @@
 //!   value iteration;
 //! * [`imc_reach_bounds`] / [`imc_bounded_reach_bounds`] — interval value
 //!   iteration giving the min/max reachability over *all* members of an IMC;
-//! * [`expected_steps_to`] / [`stationary_distribution`] — mean hitting
-//!   times (discrete MTTF) and long-run distributions;
+//! * [`expected_steps_to`] — mean hitting times (discrete MTTF);
 //! * [`linspace`] and [`sweep`] — parameter sweeps (Figure 5 of the paper).
 //!
 //! # Example
@@ -54,7 +53,7 @@ mod parametric;
 mod solve;
 
 pub use bounded::{bounded_reach_avoid_probs, bounded_reach_probs};
-pub use hitting::{expected_steps_to, stationary_distribution};
+pub use hitting::expected_steps_to;
 pub use interval::{imc_bounded_reach_bounds, imc_reach_bounds, Extremum};
 pub use parametric::{linspace, sweep};
 pub use solve::{reach_avoid_probs, reach_before_return, SolveError, SolveOptions};

@@ -5,6 +5,18 @@ use rand::Rng;
 
 use crate::hash::FastMap;
 
+/// Smoothing factor ρ of the CE update, `B ← ρ·B_new + (1−ρ)·B_old`:
+/// guards against degenerate updates from few successful traces.
+const SMOOTHING: f64 = 0.7;
+/// Mixing weight `w` of the uniform distribution in the bootstrap chain
+/// `B₀ = (1−w)·A + w·Uniform(support)` — makes rare transitions likely
+/// enough to start the iteration.
+const INITIAL_UNIFORM_WEIGHT: f64 = 0.5;
+/// Probability floor, relative to the original `a_ij`, applied after each
+/// update so the sampled measure stays absolutely continuous on the
+/// support of `A`.
+const FLOOR: f64 = 1e-4;
+
 /// Configuration of the cross-entropy optimisation of an IS distribution
 /// (Ridder 2005, the paper's reference \[24\]).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -13,17 +25,6 @@ pub struct CrossEntropyConfig {
     pub iterations: usize,
     /// Traces sampled per iteration.
     pub traces_per_iteration: usize,
-    /// Smoothing factor ρ: `B ← ρ·B_new + (1−ρ)·B_old`, guards against
-    /// degenerate updates from few successful traces.
-    pub smoothing: f64,
-    /// Mixing weight of the uniform distribution in the *initial* biased
-    /// chain `B₀ = (1−w)·A + w·Uniform(support)` — makes rare transitions
-    /// likely enough to bootstrap the iteration.
-    pub initial_uniform_weight: f64,
-    /// Probability floor (relative to the original `a_ij`) applied after
-    /// each update so the sampled measure stays absolutely continuous on
-    /// the support of `A`.
-    pub floor: f64,
     /// Per-trace transition budget.
     pub max_steps: usize,
 }
@@ -33,9 +34,6 @@ impl Default for CrossEntropyConfig {
         CrossEntropyConfig {
             iterations: 10,
             traces_per_iteration: 5_000,
-            smoothing: 0.7,
-            initial_uniform_weight: 0.5,
-            floor: 1e-4,
             max_steps: 1_000_000,
         }
     }
@@ -164,11 +162,11 @@ pub fn cross_entropy_refine<R: Rng + ?Sized>(
                 let weight = edge.and_then(|edge| w_trans.get(&edge));
                 let ce = weight.map_or(0.0, |&(_, _, w)| w) / total;
                 let pb = edge.map_or(0.0, |edge| pb_at[edge as usize]);
-                let smoothed = config.smoothing * ce + (1.0 - config.smoothing) * pb;
+                let smoothed = SMOOTHING * ce + (1.0 - SMOOTHING) * pb;
                 // Floor keeps every original transition samplable.
                 RowEntry {
                     target: e.target,
-                    prob: smoothed.max(config.floor * e.prob),
+                    prob: smoothed.max(FLOOR * e.prob),
                 }
             })
             .collect();
@@ -193,7 +191,7 @@ pub fn cross_entropy_refine<R: Rng + ?Sized>(
 /// cross-entropy method.
 ///
 /// Iterates [`cross_entropy_refine`] `config.iterations` times from the
-/// bootstrap chain [`initial_chain`]`(a, config.initial_uniform_weight)`.
+/// bootstrap chain [`initial_chain`]`(a)`.
 ///
 /// # Errors
 ///
@@ -205,7 +203,7 @@ pub fn cross_entropy_is<R: Rng + ?Sized>(
     config: &CrossEntropyConfig,
     rng: &mut R,
 ) -> Result<CrossEntropyResult, ModelError> {
-    let mut b = initial_chain(a, config.initial_uniform_weight)?;
+    let mut b = initial_chain(a)?;
     let mut gamma_history = Vec::with_capacity(config.iterations);
     let mut success_history = Vec::with_capacity(config.iterations);
 
@@ -224,9 +222,10 @@ pub fn cross_entropy_is<R: Rng + ?Sized>(
 }
 
 /// The cross-entropy bootstrap chain
-/// `B₀ = (1−w)·A + w·Uniform(support of A)` — mixes enough uniform mass
-/// into every row that rare transitions are likely enough to learn from.
-pub fn initial_chain(a: &Dtmc, uniform_weight: f64) -> Result<Dtmc, ModelError> {
+/// `B₀ = (1−w)·A + w·Uniform(support of A)` with `w = 0.5` — mixes enough
+/// uniform mass into every row that rare transitions are likely enough to
+/// learn from.
+pub fn initial_chain(a: &Dtmc) -> Result<Dtmc, ModelError> {
     let mut replacements: Vec<(State, Vec<RowEntry>)> = Vec::new();
     for (state, row) in a.rows().enumerate() {
         let k = row.len() as f64;
@@ -234,7 +233,7 @@ pub fn initial_chain(a: &Dtmc, uniform_weight: f64) -> Result<Dtmc, ModelError> 
             .iter()
             .map(|e| RowEntry {
                 target: e.target,
-                prob: (1.0 - uniform_weight) * e.prob + uniform_weight / k,
+                prob: (1.0 - INITIAL_UNIFORM_WEIGHT) * e.prob + INITIAL_UNIFORM_WEIGHT / k,
             })
             .collect();
         let sum: f64 = entries.iter().map(|e| e.prob).sum();
@@ -269,7 +268,7 @@ mod tests {
     #[test]
     fn initial_chain_mixes_uniform() {
         let a = illustrative(1e-4, 0.05);
-        let b0 = initial_chain(&a, 0.5).unwrap();
+        let b0 = initial_chain(&a).unwrap();
         // 0 -> 1: 0.5·1e-4 + 0.5/2 = 0.25005.
         assert!((b0.prob(0, 1) - 0.250_05).abs() < 1e-9);
         assert!((b0.row(0).unwrap().sum() - 1.0).abs() < 1e-12);

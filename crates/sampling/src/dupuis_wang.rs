@@ -29,18 +29,19 @@ use rand::Rng;
 
 use crate::hash::FastMap;
 
+/// Smoothing factor ρ applied to both the value function and the row
+/// update: `new ← ρ·fit + (1−ρ)·old`.
+const SMOOTHING: f64 = 0.7;
+/// Probability floor, relative to the original `a_ij`, applied after each
+/// row update so the sampled measure stays absolutely continuous on the
+/// support of `A`.
+const FLOOR: f64 = 1e-4;
+
 /// Configuration of one Dupuis–Wang value/measure update.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DupuisWangConfig {
     /// Training traces sampled per update.
     pub training_traces: usize,
-    /// Smoothing factor ρ applied to both the value function and the
-    /// row update: `new ← ρ·fit + (1−ρ)·old`.
-    pub smoothing: f64,
-    /// Probability floor (relative to the original `a_ij`) applied
-    /// after each row update so the sampled measure stays absolutely
-    /// continuous on the support of `A`.
-    pub floor: f64,
     /// Per-trace transition budget.
     pub max_steps: usize,
 }
@@ -49,8 +50,6 @@ impl Default for DupuisWangConfig {
     fn default() -> Self {
         DupuisWangConfig {
             training_traces: 2_000,
-            smoothing: 0.7,
-            floor: 1e-4,
             max_steps: 1_000_000,
         }
     }
@@ -84,8 +83,8 @@ pub fn initial_value(a: &Dtmc, property: &Property) -> Vec<f64> {
 /// The per-state fit is the weighted conditional success frequency
 /// `V̂(x) = Σ_k z_k L_k 1[x ∈ ω_k] / Σ_k L_k 1[x ∈ ω_k]` with
 /// `L_k = P_A/P_B` — an estimate of `P_A(success | visit x)` — blended
-/// into the previous value by `config.smoothing`. States never visited
-/// keep their value; target/avoid states stay pinned at `1`/`0`.
+/// into the previous value with ρ = 0.7. States never visited keep their
+/// value; target/avoid states stay pinned at `1`/`0`.
 ///
 /// # Errors
 ///
@@ -167,7 +166,7 @@ pub fn dupuis_wang_update<R: Rng + ?Sized>(
             0.0
         } else if den[state] > 0.0 {
             let fit = num[state] / den[state];
-            config.smoothing * fit + (1.0 - config.smoothing) * v[state]
+            SMOOTHING * fit + (1.0 - SMOOTHING) * v[state]
         } else {
             v[state]
         };
@@ -190,11 +189,10 @@ pub fn dupuis_wang_update<R: Rng + ?Sized>(
             .zip(&tilt)
             .map(|(e, &t)| {
                 let fitted = t / tilt_sum;
-                let smoothed =
-                    config.smoothing * fitted + (1.0 - config.smoothing) * b.prob(state, e.target);
+                let smoothed = SMOOTHING * fitted + (1.0 - SMOOTHING) * b.prob(state, e.target);
                 RowEntry {
                     target: e.target,
-                    prob: smoothed.max(config.floor * e.prob),
+                    prob: smoothed.max(FLOOR * e.prob),
                 }
             })
             .collect();
@@ -246,7 +244,7 @@ mod tests {
     fn updates_steer_the_chain_toward_the_target() {
         let a = illustrative(1e-3, 0.05);
         let property = prop();
-        let mut b = initial_chain(&a, 0.5).unwrap();
+        let mut b = initial_chain(&a).unwrap();
         let mut v = initial_value(&a, &property);
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let config = DupuisWangConfig {
@@ -276,7 +274,7 @@ mod tests {
     fn update_is_deterministic_in_the_seed() {
         let a = illustrative(1e-2, 0.1);
         let property = prop();
-        let b0 = initial_chain(&a, 0.5).unwrap();
+        let b0 = initial_chain(&a).unwrap();
         let v0 = initial_value(&a, &property);
         let config = DupuisWangConfig {
             training_traces: 500,
@@ -309,7 +307,7 @@ mod tests {
     fn update_reproduces_its_recorded_bits() {
         let a = illustrative(1e-2, 0.1);
         let property = prop();
-        let mut b = initial_chain(&a, 0.5).unwrap();
+        let mut b = initial_chain(&a).unwrap();
         let mut v = initial_value(&a, &property);
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let config = DupuisWangConfig {

@@ -86,27 +86,6 @@ pub struct IsRun {
 }
 
 impl IsRun {
-    /// The distinct source states observed in successful traces (the set
-    /// `V` of Algorithm 1 line 16), decoded through `b`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run was not sampled under a chain with `b`'s pattern.
-    pub fn visited_sources(&self, b: &Dtmc) -> Vec<State> {
-        self.check_chain(b);
-        let mut edges: Vec<Edge> = self
-            .tables
-            .iter()
-            .flat_map(|t| t.counts.iter().map(|&(edge, _)| edge))
-            .collect();
-        edges.sort_unstable();
-        edges.dedup();
-        // Ascending edges have non-decreasing sources.
-        let mut sources: Vec<State> = edges.into_iter().map(|e| b.edge(e).0).collect();
-        sources.dedup();
-        sources
-    }
-
     /// Refuses a chain the run was not sampled under: the tables' edge ids
     /// would name other transitions there.
     fn check_chain(&self, b: &Dtmc) {
@@ -754,14 +733,6 @@ mod tests {
         let est = is_estimate(&a0, &b, &run, 0.05);
         assert_eq!(est.gamma_hat, 0.0);
         assert_eq!(est.sigma_hat, 0.0);
-    }
-
-    #[test]
-    fn visited_sources_collects_states() {
-        let (_, b, prop) = rare_coin();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(6);
-        let run = sample_is_run(&b, &prop, &IsConfig::new(1000), &mut rng);
-        assert_eq!(run.visited_sources(&b), vec![0]);
     }
 
     #[test]

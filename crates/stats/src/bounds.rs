@@ -2,7 +2,7 @@
 //!
 //! For a Bernoulli mean estimated from `n` samples, the Okamoto bound [21 in
 //! the paper] states `P(|p̂ − p| > ε) ≤ 2 exp(−2 n ε²)`. Solving for each
-//! variable gives the three helpers below. The paper uses the bound twice:
+//! variable gives the two helpers below. The paper uses the bound twice:
 //! to size SMC experiments, and in §II-B to derive the learning precision
 //! `ε` of each transition from the visit count `n_i` and confidence `δ`.
 
@@ -55,40 +55,6 @@ pub fn okamoto_sample_size(epsilon: f64, delta: f64) -> usize {
     ((2.0 / delta).ln() / (2.0 * epsilon * epsilon)).ceil() as usize
 }
 
-/// Chernoff-style sample size for *relative* error: number of samples so
-/// that `P(|p̂ − p| > α·p) ≤ δ`, assuming `p ≥ p_min`:
-/// `n = ⌈3 ln(2/δ) / (α² p_min)⌉`.
-///
-/// This is the bound that makes the rare-event problem concrete (§III): the
-/// cost explodes as `1/p_min`.
-///
-/// # Panics
-///
-/// Panics if any argument is outside `(0, 1)`.
-///
-/// # Example
-///
-/// ```
-/// // 10% relative error at 95% confidence for γ ≥ 1e-6: ~1.1e9 samples.
-/// let n = imc_stats::chernoff_sample_size(0.1, 0.05, 1e-6);
-/// assert!(n > 1_000_000_000);
-/// ```
-pub fn chernoff_sample_size(rel_error: f64, delta: f64, p_min: f64) -> usize {
-    assert!(
-        rel_error > 0.0 && rel_error < 1.0,
-        "relative error must lie in (0, 1), got {rel_error}"
-    );
-    assert!(
-        delta > 0.0 && delta < 1.0,
-        "confidence parameter must lie in (0, 1), got {delta}"
-    );
-    assert!(
-        p_min > 0.0 && p_min < 1.0,
-        "probability floor must lie in (0, 1), got {p_min}"
-    );
-    (3.0 * (2.0 / delta).ln() / (rel_error * rel_error * p_min)).ceil() as usize
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,13 +85,6 @@ mod tests {
     #[test]
     fn epsilon_decreases_with_larger_delta() {
         assert!(okamoto_epsilon(100, 1e-9) > okamoto_epsilon(100, 0.1));
-    }
-
-    #[test]
-    fn chernoff_explodes_as_p_shrinks() {
-        let n6 = chernoff_sample_size(0.1, 0.05, 1e-6);
-        let n3 = chernoff_sample_size(0.1, 0.05, 1e-3);
-        assert!(n6 > 500 * n3);
     }
 
     #[test]

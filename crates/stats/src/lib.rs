@@ -6,9 +6,9 @@
 //!   (quantile via Wichura's AS 241, accurate to ~1e-15);
 //! * [`ConfidenceInterval`] and constructors for Monte Carlo and importance
 //!   sampling estimators (§II-C and §III-A of the paper);
-//! * [`okamoto_epsilon`] / [`okamoto_sample_size`] / [`chernoff_sample_size`]
-//!   — absolute-error bounds used both for SMC sample-size planning and for
-//!   the learning-phase interval half-widths of §II-B;
+//! * [`okamoto_epsilon`] / [`okamoto_sample_size`] — absolute-error
+//!   bounds used both for SMC sample-size planning and for the
+//!   learning-phase interval half-widths of §II-B;
 //! * [`RunningStats`] — Welford streaming mean/variance;
 //! * [`Summary`] — descriptive statistics (average, min, max, standard
 //!   deviation) as reported in Table I;
@@ -38,7 +38,7 @@ mod normal;
 mod running;
 mod summary;
 
-pub use bounds::{chernoff_sample_size, okamoto_epsilon, okamoto_sample_size};
+pub use bounds::{okamoto_epsilon, okamoto_sample_size};
 pub use ci::{coverage, ConfidenceInterval};
 pub use normal::{normal_cdf, normal_quantile};
 pub use running::RunningStats;

@@ -90,11 +90,6 @@ impl RunningStats {
         self.population_variance().sqrt()
     }
 
-    /// Sample standard deviation.
-    pub fn sample_std_dev(&self) -> f64 {
-        self.sample_variance().sqrt()
-    }
-
     /// Smallest observation (`+inf` when empty).
     pub fn min(&self) -> f64 {
         self.min

@@ -11,8 +11,8 @@
 //! |-------|----------|
 //! | [`imc_markov`] | DTMCs, IMCs, paths, transition-count tables, graph analyses |
 //! | [`imc_logic`] | bounded temporal properties and online monitors |
-//! | [`imc_ctmc`] | CTMCs, guarded-command exploration, embedded chains |
-//! | [`imc_distr`] | Gamma/Dirichlet/Beta samplers, constrained row sampler |
+//! | [`imc_ctmc`] | CTMCs, guarded-command exploration, embedded jump chains |
+//! | [`imc_distr`] | Gamma/Dirichlet samplers, constrained row sampler |
 //! | [`imc_stats`] | normal quantiles, confidence intervals, Okamoto bounds |
 //! | [`imc_learn`] | frequentist model learning, Okamoto IMCs, smoothing |
 //! | [`imc_numeric`] | reachability solvers, interval value iteration, sweeps |

@@ -82,6 +82,61 @@ fn documented_subcommands_dispatch() {
     assert!(run(&args(&["version"])).is_ok());
 }
 
+/// A bounded reach-avoid source: `property reach L within k`.
+const BOUNDED_DSL: &str = r#"scenario "bounded"
+model {
+  state s0 initial {
+    -> s1 0.5
+    -> s0 0.5
+  }
+  state s1 label "goal" { -> s1 1.0 }
+}
+property reach "goal" within 30
+is center
+"#;
+
+/// A repair-benchmark source: `property reach L before return`.
+const BEFORE_RETURN_DSL: &str = r#"scenario "pump"
+model {
+  state up initial label "init" {
+    -> up [0.99, 0.999] @ 0.999
+    -> down [0.0005, 0.002] @ 0.001
+  }
+  state down label "failure" { -> up 1.0 }
+}
+property reach "failure" before return
+is mixture(0.9) avoid initial
+"#;
+
+/// `imcis dsl <source>` prints a six-line summary whose property line
+/// names each property shape the DSL can write.
+#[test]
+fn dsl_summary_names_the_model_and_its_property() {
+    let illustrative = concat!(env!("CARGO_MANIFEST_DIR"), "/specs/illustrative.dsl");
+    assert_eq!(
+        run(&args(&["dsl", illustrative])).unwrap(),
+        "scenario: illustrative-dsl\n\
+         states: 4 (initial s0)\n\
+         transitions: 6\n\
+         labels: goal(1) sink(1)\n\
+         property: reach-avoid\n\
+         cache key fingerprint: e3401a68075415d3"
+    );
+    let dir = std::env::temp_dir().join(format!("imcis_dsl_summary_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("can create a temp dir");
+    for (name, source, property) in [
+        ("bounded.dsl", BOUNDED_DSL, "reach-avoid (within 30)"),
+        ("pump.dsl", BEFORE_RETURN_DSL, "reach before return"),
+    ] {
+        let path = dir.join(name);
+        std::fs::write(&path, source).expect("can write the source");
+        let summary = run(&args(&["dsl", path.to_str().unwrap()])).unwrap();
+        let line = format!("property: {property}");
+        assert!(summary.lines().any(|l| l == line), "{summary}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Every `--flag` token in the help text is accepted by the matching
 /// parser, and every flag the parsers accept appears in the help text.
 #[test]
