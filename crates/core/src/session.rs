@@ -710,13 +710,15 @@ impl StageEstimator for CeCampaignEstimator {
         rng: &mut StdRng,
     ) -> Result<EstimatorState, SessionError> {
         let b = state_chain(&state, "ce-campaign")?;
-        let config = CrossEntropyConfig {
-            traces_per_iteration: self.0.training_traces,
-            max_steps: self.0.sample.max_steps,
-            ..CrossEntropyConfig::default()
-        };
-        let step = cross_entropy_refine(&setup.center, &setup.property, b, &config, rng)
-            .map_err(|e| SessionError::Analysis(format!("ce-campaign refinement: {e}")))?;
+        let step = cross_entropy_refine(
+            &setup.center,
+            &setup.property,
+            b,
+            self.0.training_traces,
+            self.0.sample.max_steps,
+            rng,
+        )
+        .map_err(|e| SessionError::Analysis(format!("ce-campaign refinement: {e}")))?;
         Ok(EstimatorState::Chain(Arc::new(step.b)))
     }
 }

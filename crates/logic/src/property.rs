@@ -234,20 +234,12 @@ mod tests {
     }
 
     #[test]
-    fn serde_round_trip() {
+    fn debug_output_names_the_variant() {
         let prop = Property::reach_avoid_bounded(
             StateSet::from_states(3, [2]),
             StateSet::from_states(3, [1]),
             7,
         );
-        let json = serde_json_like(&prop);
-        assert!(json.contains("ReachAvoid"));
-    }
-
-    /// Minimal smoke check that `serde` derives are wired (the workspace has
-    /// no serde_json dependency; use the debug representation of the
-    /// serializable value instead).
-    fn serde_json_like(prop: &Property) -> String {
-        format!("{prop:?}")
+        assert!(format!("{prop:?}").contains("ReachAvoid"));
     }
 }

@@ -10,8 +10,83 @@
 //! (stochasticity, interval consistency) is performed by the caller on the
 //! completed row slice each time a row closes, so construction is a single
 //! pass with no intermediate per-row maps.
+//!
+//! The finished offsets and targets form a [`Pattern`], which models hold
+//! behind an `Arc` so a chain, the chains reweighted from it and the IMCs
+//! built around it share one copy.
+
+use std::ops::Range;
+use std::sync::OnceLock;
 
 use crate::{ModelError, State};
+
+/// A sparsity pattern: the CSR row offsets and target states of a model,
+/// with the pattern's 64-bit fingerprint, folded on first use and kept.
+/// Immutable once built; models share it behind an `Arc`.
+#[derive(Debug)]
+pub(crate) struct Pattern {
+    /// Slot range of state `s` is `row_ptr[s]..row_ptr[s + 1]`.
+    pub(crate) row_ptr: Vec<usize>,
+    /// Target state of every slot.
+    pub(crate) col_idx: Vec<u32>,
+    fingerprint: OnceLock<u64>,
+}
+
+impl Pattern {
+    pub(crate) fn new(row_ptr: Vec<usize>, col_idx: Vec<u32>) -> Self {
+        Pattern {
+            row_ptr,
+            col_idx,
+            fingerprint: OnceLock::new(),
+        }
+    }
+
+    pub(crate) fn num_states(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    /// The slot range of `state`.
+    #[inline]
+    pub(crate) fn slots(&self, state: State) -> Range<usize> {
+        self.row_ptr[state]..self.row_ptr[state + 1]
+    }
+
+    /// The pattern's fingerprint, folded on the first call.
+    pub(crate) fn fingerprint(&self) -> u64 {
+        *self
+            .fingerprint
+            .get_or_init(|| fingerprint(&self.row_ptr, &self.col_idx))
+    }
+}
+
+/// Equality compares the offsets and targets; the fingerprint follows
+/// from them.
+impl PartialEq for Pattern {
+    fn eq(&self, other: &Self) -> bool {
+        self.row_ptr == other.row_ptr && self.col_idx == other.col_idx
+    }
+}
+
+/// Folds a sparsity pattern into 64 bits: one multiply-rotate step per
+/// word (targets two to a word), finished by the SplitMix64 avalanche.
+fn fingerprint(row_ptr: &[usize], col_idx: &[u32]) -> u64 {
+    const K: u64 = 0x9E37_79B9_7F4A_7C15;
+    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
+    let mut h = step(row_ptr.len() as u64, col_idx.len() as u64);
+    for &offset in row_ptr {
+        h = step(h, offset as u64);
+    }
+    let pairs = col_idx.chunks_exact(2);
+    if let [last] = pairs.remainder() {
+        h = step(h, u64::from(*last));
+    }
+    for pair in pairs {
+        h = step(h, u64::from(pair[0]) | u64::from(pair[1]) << 32);
+    }
+    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    h ^ (h >> 31)
+}
 
 /// Outcome of pushing one triplet: either the entry joined the row under
 /// construction, or it opened a new row and the previous one is complete.
@@ -131,7 +206,7 @@ impl<V> CsrAssembler<V> {
         Ok(closed)
     }
 
-    /// Closes the final row and returns the finished arrays.
+    /// Closes the final row and returns the finished pattern and values.
     ///
     /// The returned range is the slot range of the last row, for the
     /// caller's numeric validation.
@@ -141,10 +216,7 @@ impl<V> CsrAssembler<V> {
     /// * [`ModelError::EmptyModel`] if `n == 0`;
     /// * [`ModelError::NoOutgoingTransitions`] if the last filled row is
     ///   empty or any trailing state received no entries.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn finish(
-        mut self,
-    ) -> Result<(Vec<usize>, Vec<u32>, Vec<V>, State, usize, usize), ModelError> {
+    pub(crate) fn finish(mut self) -> Result<(Pattern, Vec<V>, State, Range<usize>), ModelError> {
         if self.n == 0 {
             return Err(ModelError::EmptyModel);
         }
@@ -158,15 +230,13 @@ impl<V> CsrAssembler<V> {
                 state: self.current + 1,
             });
         }
-        let (start, end) = (self.row_start, self.col_idx.len());
-        self.row_ptr.push(end);
+        let last_row = self.row_start..self.col_idx.len();
+        self.row_ptr.push(last_row.end);
         Ok((
-            self.row_ptr,
-            self.col_idx,
+            Pattern::new(self.row_ptr, self.col_idx),
             self.values,
             self.current,
-            start,
-            end,
+            last_row,
         ))
     }
 }

@@ -24,13 +24,19 @@
 //! [`Dtmc::edge_id`] finds one. The chain's Walker tables
 //! ([`Dtmc::alias_table`]) and its [`Dtmc::pattern_fingerprint`] are
 //! derived on first use and kept.
+//!
+//! A chain never changes once built, so its storage is shared rather than
+//! copied: clones share all of it, and [`Dtmc::reweighted`] gives new
+//! probabilities to the same transitions, sharing the `row_ptr`/`col_idx`
+//! pattern and the labels.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
-use crate::csr::{CsrAssembler, Push};
+use crate::csr::{CsrAssembler, Pattern, Push};
+use crate::labels::add_label;
 use crate::{AliasTable, Edge, LabelTable, ModelError, Path, State, StateSet, ROW_SUM_TOLERANCE};
 
 /// A single sparse transition: target state and probability.
@@ -123,6 +129,10 @@ impl<'a> RowView<'a> {
 /// Construct via [`DtmcBuilder`] (triplets in any order) or
 /// [`DtmcStreamBuilder`] (pre-sorted triplets, zero intermediate state).
 ///
+/// The storage is immutable and shared: cloning a `Dtmc` copies no array,
+/// and clones share the alias tables too. Equality compares transitions,
+/// probabilities, initial state and labels, not the derived tables.
+///
 /// # Example
 ///
 /// ```
@@ -141,45 +151,73 @@ impl<'a> RowView<'a> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Dtmc {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
+#[derive(Debug, Clone, Serialize, Deserialize)]
+pub struct Dtmc(Arc<Chain>);
+
+/// The storage of a [`Dtmc`], shared by its clones.
+#[derive(Debug)]
+struct Chain {
+    /// Row offsets and targets, shared with the chains reweighted from
+    /// this one and the IMCs built around it.
+    pattern: Arc<Pattern>,
+    /// Probability of every slot, aligned with `pattern.col_idx`.
     probs: Vec<f64>,
     initial: State,
-    labels: LabelTable,
-    derived: Derived,
+    labels: Arc<LabelTable>,
+    /// The Walker tables, built on first sampling.
+    alias: OnceLock<AliasTable>,
 }
 
-/// What a chain derives from its CSR arrays on first use. A `Dtmc` never
-/// changes after construction, so clones share these, and equality
-/// ignores them.
-#[derive(Debug, Clone, Default)]
-struct Derived {
-    alias: OnceLock<Arc<AliasTable>>,
-    pattern: OnceLock<u64>,
-}
-
-impl PartialEq for Derived {
-    fn eq(&self, _: &Self) -> bool {
-        true
+impl PartialEq for Dtmc {
+    fn eq(&self, other: &Self) -> bool {
+        let (a, b) = (&*self.0, &*other.0);
+        Arc::ptr_eq(&self.0, &other.0)
+            || (self.same_pattern(other)
+                && a.probs == b.probs
+                && a.initial == b.initial
+                && a.labels == b.labels)
     }
 }
 
 impl Dtmc {
+    fn from_parts(
+        pattern: Arc<Pattern>,
+        probs: Vec<f64>,
+        initial: State,
+        labels: Arc<LabelTable>,
+    ) -> Dtmc {
+        Dtmc(Arc::new(Chain {
+            pattern,
+            probs,
+            initial,
+            labels,
+            alias: OnceLock::new(),
+        }))
+    }
+
+    /// The shared sparsity pattern, for the IMCs built around this chain.
+    pub(crate) fn pattern(&self) -> &Arc<Pattern> {
+        &self.0.pattern
+    }
+
+    /// The shared label table, for the IMCs built around this chain.
+    pub(crate) fn shared_labels(&self) -> &Arc<LabelTable> {
+        &self.0.labels
+    }
+
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.row_ptr.len() - 1
+        self.0.pattern.num_states()
     }
 
     /// Total number of transitions (non-zero matrix entries).
     pub fn num_transitions(&self) -> usize {
-        self.col_idx.len()
+        self.0.pattern.col_idx.len()
     }
 
     /// The initial state `s0`.
     pub fn initial(&self) -> State {
-        self.initial
+        self.0.initial
     }
 
     /// The probability row of `state`.
@@ -200,10 +238,10 @@ impl Dtmc {
 
     #[inline]
     fn row_view(&self, state: State) -> RowView<'_> {
-        let (start, end) = (self.row_ptr[state], self.row_ptr[state + 1]);
+        let slots = self.0.pattern.slots(state);
         RowView {
-            targets: &self.col_idx[start..end],
-            probs: &self.probs[start..end],
+            targets: &self.0.pattern.col_idx[slots.clone()],
+            probs: &self.0.probs[slots],
         }
     }
 
@@ -213,20 +251,22 @@ impl Dtmc {
     }
 
     /// The CSR row-offset array: the slot range of state `s` is
-    /// `row_offsets()[s]..row_offsets()[s + 1]`.
+    /// `row_offsets()[s]..row_offsets()[s + 1]`. Shared with every chain
+    /// reweighted from this one and every IMC built around it.
     pub fn row_offsets(&self) -> &[usize] {
-        &self.row_ptr
+        &self.0.pattern.row_ptr
     }
 
-    /// The CSR column-index array (target state of every slot).
+    /// The CSR column-index array (target state of every slot), shared
+    /// like [`Dtmc::row_offsets`].
     pub fn transition_targets(&self) -> &[u32] {
-        &self.col_idx
+        &self.0.pattern.col_idx
     }
 
     /// The CSR value array (probability of every slot), aligned with
     /// [`Dtmc::transition_targets`].
     pub fn transition_probs(&self) -> &[f64] {
-        &self.probs
+        &self.0.probs
     }
 
     /// One-step transition probability `A(from, to)`.
@@ -246,8 +286,9 @@ impl Dtmc {
     /// Panics if `edge >= num_transitions()`.
     pub fn edge(&self, edge: Edge) -> (State, State) {
         let edge = edge as usize;
-        let to = self.col_idx[edge] as State;
-        (self.row_ptr.partition_point(|&p| p <= edge) - 1, to)
+        let pattern = &*self.0.pattern;
+        let to = pattern.col_idx[edge] as State;
+        (pattern.row_ptr.partition_point(|&p| p <= edge) - 1, to)
     }
 
     /// The CSR slot of transition `from -> to`, or `None` if the chain has
@@ -258,10 +299,9 @@ impl Dtmc {
     /// Panics if `from` is out of range.
     pub fn edge_id(&self, from: State, to: State) -> Option<Edge> {
         let to = u32::try_from(to).ok()?;
-        let start = self.row_ptr[from];
-        let pos = self.col_idx[start..self.row_ptr[from + 1]]
-            .binary_search(&to)
-            .ok()?;
+        let slots = self.0.pattern.slots(from);
+        let start = slots.start;
+        let pos = self.0.pattern.col_idx[slots].binary_search(&to).ok()?;
         Some((start + pos) as Edge)
     }
 
@@ -269,57 +309,57 @@ impl Dtmc {
     /// kept for the chain's lifetime (12 bytes per transition). Every
     /// later call, from any thread, borrows the same tables; threads that
     /// first call it at the same time wait for one build. Clones share
-    /// the tables; a chain made by [`Dtmc::with_rows`] builds its own.
+    /// the tables, whenever they were built. The tables belong to the
+    /// probabilities, not to the pattern: a chain made by
+    /// [`Dtmc::reweighted`] or [`Dtmc::with_rows`] builds its own.
     ///
     /// # Panics
     ///
     /// Panics if the chain has `u32::MAX` transitions or more.
     pub fn alias_table(&self) -> &AliasTable {
-        self.derived
-            .alias
-            .get_or_init(|| Arc::new(AliasTable::build(self)))
+        self.0.alias.get_or_init(|| AliasTable::build(self))
     }
 
     /// A 64-bit fingerprint of the chain's sparsity pattern (its row
     /// offsets and targets, not its probabilities), computed on the first
-    /// call and kept. Count tables key transitions by [`Edge`] id, and an
+    /// call and kept with the pattern, so the chains that share a pattern
+    /// compute it once. Count tables key transitions by [`Edge`] id, and an
     /// edge id means the same transition in two chains exactly when their
     /// patterns agree; a sampled run records this value to refuse a chain
     /// with another pattern.
     pub fn pattern_fingerprint(&self) -> u64 {
-        *self
-            .derived
-            .pattern
-            .get_or_init(|| fingerprint(&self.row_ptr, &self.col_idx))
+        self.0.pattern.fingerprint()
     }
 
     /// Returns `true` if `other` has exactly this chain's sparsity
-    /// pattern, so that edge `e` is the same transition in both.
+    /// pattern, so that edge `e` is the same transition in both. Chains
+    /// that share one pattern (a chain, its clones, the chains
+    /// [`Dtmc::reweighted`] from it and the centre of an IMC built around
+    /// it) answer by one pointer comparison; others compare the arrays.
     pub fn same_pattern(&self, other: &Dtmc) -> bool {
-        std::ptr::eq(self, other)
-            || (self.row_ptr == other.row_ptr && self.col_idx == other.col_idx)
+        Arc::ptr_eq(&self.0.pattern, &other.0.pattern) || self.0.pattern == other.0.pattern
     }
 
     /// The set of states carrying `label`, borrowed from the interned
     /// label table. Unknown labels resolve to a shared empty set (over the
     /// empty universe), so no allocation or clone happens per call.
     pub fn labeled_states(&self, label: &str) -> &StateSet {
-        self.labels.get(label)
+        self.0.labels.get(label)
     }
 
     /// The interned label table.
     pub fn labels(&self) -> &LabelTable {
-        &self.labels
+        &self.0.labels
     }
 
     /// All label names, sorted.
     pub fn label_names(&self) -> impl Iterator<Item = &str> {
-        self.labels.names()
+        self.0.labels.names()
     }
 
     /// Returns `true` if `state` carries `label`.
     pub fn has_label(&self, state: State, label: &str) -> bool {
-        self.labels.get(label).contains(state)
+        self.0.labels.get(label).contains(state)
     }
 
     /// Natural log of the path probability; `-inf` for impossible paths.
@@ -333,11 +373,65 @@ impl Dtmc {
             .sum()
     }
 
+    /// The chain with this chain's transitions and new probabilities:
+    /// `probs[e]` is the probability of edge `e`. The result shares this
+    /// chain's sparsity pattern, initial state and labels, and so has the
+    /// same [`Edge`] ids; only the probabilities are stored anew.
+    ///
+    /// Every row is checked as [`Dtmc::with_rows`] checks a replaced row,
+    /// with one difference: a zero probability is refused, where
+    /// `with_rows` silently drops the transition. A reweighting keeps
+    /// every transition; an importance-sampling chain that loses one the
+    /// original can take would bias its estimate.
+    ///
+    /// # Errors
+    ///
+    /// * [`ModelError::ProbabilityOutOfRange`], naming the transition, for
+    ///   a value that is not finite or not in `(0, 1]`;
+    /// * [`ModelError::NotStochastic`], naming the state, for a row whose
+    ///   sum, taken in slot order, is off one by more than
+    ///   [`ROW_SUM_TOLERANCE`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `probs.len() != self.num_transitions()`.
+    pub fn reweighted(&self, probs: Vec<f64>) -> Result<Dtmc, ModelError> {
+        let pattern = &self.0.pattern;
+        assert_eq!(
+            probs.len(),
+            pattern.col_idx.len(),
+            "reweighted takes one probability per transition"
+        );
+        for state in 0..pattern.num_states() {
+            let slots = pattern.slots(state);
+            for e in slots.clone() {
+                let value = probs[e];
+                if !(value > 0.0 && value <= 1.0) {
+                    return Err(ModelError::ProbabilityOutOfRange {
+                        from: state,
+                        to: pattern.col_idx[e] as State,
+                        value,
+                    });
+                }
+            }
+            check_stochastic(state, &probs[slots])?;
+        }
+        Ok(Dtmc::from_parts(
+            Arc::clone(pattern),
+            probs,
+            self.0.initial,
+            Arc::clone(&self.0.labels),
+        ))
+    }
+
     /// Replaces the probability rows of selected states, revalidating them.
     ///
-    /// This is how optimisers materialise a candidate `A ∈ [Â]`: start from
-    /// the centre chain and substitute the rows under optimisation. The CSR
-    /// arrays are reassembled in one linear pass.
+    /// This is how a row-wise update materialises a new chain: start from
+    /// the current one and substitute the rows it re-fits. A replaced row
+    /// may drop or add transitions, so the CSR arrays are reassembled in
+    /// one linear pass; the labels are shared. To give new probabilities
+    /// to the same transitions, [`Dtmc::reweighted`] shares the pattern
+    /// too.
     ///
     /// # Errors
     ///
@@ -355,9 +449,10 @@ impl Dtmc {
             }
             repl.insert(state, validate_entries(state, entries, n)?);
         }
+        let pattern = &*self.0.pattern;
         let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut col_idx = Vec::with_capacity(self.col_idx.len());
-        let mut probs = Vec::with_capacity(self.probs.len());
+        let mut col_idx = Vec::with_capacity(pattern.col_idx.len());
+        let mut probs = Vec::with_capacity(self.0.probs.len());
         row_ptr.push(0);
         for s in 0..n {
             match repl.get(&s) {
@@ -368,28 +463,27 @@ impl Dtmc {
                     }
                 }
                 None => {
-                    let (start, end) = (self.row_ptr[s], self.row_ptr[s + 1]);
-                    col_idx.extend_from_slice(&self.col_idx[start..end]);
-                    probs.extend_from_slice(&self.probs[start..end]);
+                    let slots = pattern.slots(s);
+                    col_idx.extend_from_slice(&pattern.col_idx[slots.clone()]);
+                    probs.extend_from_slice(&self.0.probs[slots]);
                 }
             }
             row_ptr.push(col_idx.len());
         }
-        Ok(Dtmc {
-            row_ptr,
-            col_idx,
+        Ok(Dtmc::from_parts(
+            Arc::new(Pattern::new(row_ptr, col_idx)),
             probs,
-            initial: self.initial,
-            labels: self.labels.clone(),
-            derived: Derived::default(),
-        })
+            self.0.initial,
+            Arc::clone(&self.0.labels),
+        ))
     }
 
     /// The states with a transition *into* `state` (predecessors).
     pub fn predecessors(&self) -> Vec<Vec<State>> {
+        let pattern = &*self.0.pattern;
         let mut preds = vec![Vec::new(); self.num_states()];
         for from in 0..self.num_states() {
-            for &to in &self.col_idx[self.row_ptr[from]..self.row_ptr[from + 1]] {
+            for &to in &pattern.col_idx[pattern.slots(from)] {
                 preds[to as usize].push(from);
             }
         }
@@ -446,7 +540,7 @@ impl DtmcBuilder {
 
     /// Attaches `label` to `state`. A state may carry many labels.
     pub fn add_label(&mut self, state: State, label: &str) -> &mut Self {
-        self.labels.entry(label.to_owned()).or_default().push(state);
+        add_label(&mut self.labels, state, label);
         self
     }
 
@@ -548,7 +642,7 @@ impl DtmcStreamBuilder {
     /// Attaches `label` to `state`; validated at
     /// [`DtmcStreamBuilder::finish`].
     pub fn add_label(&mut self, state: State, label: &str) -> &mut Self {
-        self.labels.entry(label.to_owned()).or_default().push(state);
+        add_label(&mut self.labels, state, label);
         self
     }
 
@@ -568,7 +662,7 @@ impl DtmcStreamBuilder {
             return Ok(());
         }
         if let Push::ClosedRow { state, start, end } = self.core.push(from, to, prob)? {
-            check_row_stochastic(state, start, end, &self.core)?;
+            check_stochastic(state, &self.core.values()[start..end])?;
         }
         if !prob.is_finite() || !(0.0..=1.0).contains(&prob) {
             return Err(ModelError::ProbabilityOutOfRange {
@@ -602,59 +696,23 @@ impl DtmcStreamBuilder {
                 n,
             });
         }
-        let (row_ptr, col_idx, probs, last_state, start, end) = self.core.finish()?;
-        let mut sum = 0.0;
-        for &p in &probs[start..end] {
-            sum += p;
-        }
-        if (sum - 1.0).abs() > ROW_SUM_TOLERANCE {
-            return Err(ModelError::NotStochastic {
-                state: last_state,
-                sum,
-            });
-        }
+        let (pattern, probs, last_state, last_row) = self.core.finish()?;
+        check_stochastic(last_state, &probs[last_row])?;
         let labels = LabelTable::from_map(n, self.labels)?;
-        Ok(Dtmc {
-            row_ptr,
-            col_idx,
+        Ok(Dtmc::from_parts(
+            Arc::new(pattern),
             probs,
-            initial: self.initial,
-            labels,
-            derived: Derived::default(),
-        })
+            self.initial,
+            Arc::new(labels),
+        ))
     }
 }
 
-/// Folds a sparsity pattern into 64 bits: one multiply-rotate step per
-/// word (targets two to a word), finished by the SplitMix64 avalanche.
-fn fingerprint(row_ptr: &[usize], col_idx: &[u32]) -> u64 {
-    const K: u64 = 0x9E37_79B9_7F4A_7C15;
-    let step = |h: u64, word: u64| (h ^ word).wrapping_mul(K).rotate_left(29);
-    let mut h = step(row_ptr.len() as u64, col_idx.len() as u64);
-    for &offset in row_ptr {
-        h = step(h, offset as u64);
-    }
-    let pairs = col_idx.chunks_exact(2);
-    if let [last] = pairs.remainder() {
-        h = step(h, u64::from(*last));
-    }
-    for pair in pairs {
-        h = step(h, u64::from(pair[0]) | u64::from(pair[1]) << 32);
-    }
-    h = (h ^ (h >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    h = (h ^ (h >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    h ^ (h >> 31)
-}
-
-/// Validates the row that just closed in the assembler.
-fn check_row_stochastic(
-    state: State,
-    start: usize,
-    end: usize,
-    core: &CsrAssembler<f64>,
-) -> Result<(), ModelError> {
+/// Checks that the row of `state` sums, in slot order, to one within
+/// [`ROW_SUM_TOLERANCE`].
+fn check_stochastic(state: State, probs: &[f64]) -> Result<(), ModelError> {
     let mut sum = 0.0;
-    for &p in &core.values()[start..end] {
+    for &p in probs {
         sum += p;
     }
     if (sum - 1.0).abs() > ROW_SUM_TOLERANCE {
@@ -936,6 +994,7 @@ mod tests {
         // The only test of this crate that builds alias tables.
         let builds = || BUILDS.load(Ordering::SeqCst);
         let chain = two_state();
+        let early_clone = chain.clone();
         let before = builds();
         // Two threads ask for the tables of a new chain at the same time.
         let barrier = std::sync::Barrier::new(2);
@@ -956,7 +1015,12 @@ mod tests {
             chain.alias_table(),
             chain.clone().alias_table()
         ));
-        assert_eq!(builds(), before + 1, "a clone shares the tables");
+        assert!(std::ptr::eq(chain.alias_table(), early_clone.alias_table()));
+        assert_eq!(
+            builds(),
+            before + 1,
+            "clones share the tables, made before the build or after"
+        );
         let rebuilt = chain.with_rows(std::iter::empty()).unwrap();
         assert_eq!(rebuilt, chain, "equality ignores the tables");
         assert!(!std::ptr::eq(chain.alias_table(), rebuilt.alias_table()));
@@ -965,6 +1029,64 @@ mod tests {
             before + 2,
             "a chain made by with_rows builds its own"
         );
+        let reweighted = chain.reweighted(chain.transition_probs().to_vec()).unwrap();
+        assert_eq!(reweighted, chain);
+        assert!(!std::ptr::eq(chain.alias_table(), reweighted.alias_table()));
+        assert_eq!(
+            builds(),
+            before + 3,
+            "a reweighted chain builds its own, though it shares the pattern"
+        );
+    }
+
+    #[test]
+    fn reweighted_shares_the_pattern_and_replaces_the_probabilities() {
+        let chain = two_state();
+        let b = chain.reweighted(vec![0.5, 0.5, 1.0]).unwrap();
+        assert_eq!(b.transition_probs(), &[0.5, 0.5, 1.0]);
+        assert_eq!(chain.prob(0, 0), 0.25, "original untouched");
+        assert!(std::ptr::eq(b.row_offsets(), chain.row_offsets()));
+        assert!(std::ptr::eq(
+            b.transition_targets(),
+            chain.transition_targets()
+        ));
+        assert!(b.same_pattern(&chain));
+        assert_eq!(b.initial(), chain.initial());
+        assert!(b.labeled_states("done").contains(1));
+    }
+
+    #[test]
+    fn reweighted_refuses_a_value_outside_zero_one_naming_the_transition() {
+        let chain = two_state();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.25, 1.5] {
+            let err = chain.reweighted(vec![0.25, bad, 1.0]).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ModelError::ProbabilityOutOfRange { from: 0, to: 1, value }
+                        if value.to_bits() == bad.to_bits()
+                ),
+                "{bad}: {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn reweighted_refuses_a_row_off_one_naming_the_state() {
+        let chain = two_state();
+        let err = chain.reweighted(vec![0.25, 0.75, 0.9]).unwrap_err();
+        assert!(
+            matches!(err, ModelError::NotStochastic { state: 1, sum } if sum == 0.9),
+            "{err:?}"
+        );
+        // Within ROW_SUM_TOLERANCE is accepted, as by `with_rows`.
+        assert!(chain.reweighted(vec![0.25, 0.75 + 1e-12, 1.0]).is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "one probability per transition")]
+    fn reweighted_panics_on_a_vector_of_the_wrong_length() {
+        let _ = two_state().reweighted(vec![0.25, 0.75]);
     }
 
     #[test]

@@ -6,12 +6,19 @@
 //! Rows are borrowed as [`IntervalRowView`]s. Construction goes through
 //! [`ImcBuilder`] (triplets in any order, sorted once) or
 //! [`ImcStreamBuilder`] (pre-sorted triplets appended directly).
+//!
+//! An IMC built around a centre chain ([`Imc::from_center`]) has the
+//! centre's support by construction, so it shares the centre's
+//! `row_ptr`/`col_idx` pattern, its label table and the centre itself,
+//! and stores only its two bound arrays.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::csr::{CsrAssembler, Push};
+use crate::csr::{CsrAssembler, Pattern, Push};
+use crate::labels::add_label;
 use crate::{Dtmc, DtmcStreamBuilder, LabelTable, ModelError, State, StateSet, ROW_SUM_TOLERANCE};
 
 /// A single interval transition: target state plus `[lo, hi]` bounds.
@@ -145,12 +152,13 @@ impl<'a> IntervalRowView<'a> {
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Imc {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
+    /// Row offsets and targets; shared with the centre when built by
+    /// [`Imc::from_center`].
+    pattern: Arc<Pattern>,
     lo: Vec<f64>,
     hi: Vec<f64>,
     initial: State,
-    labels: LabelTable,
+    labels: Arc<LabelTable>,
     /// The centre chain `Â` when this IMC was learnt as `Â ± ε`; used as the
     /// optimiser's starting point and as the IS reference chain.
     center: Option<Dtmc>,
@@ -162,45 +170,58 @@ impl Imc {
     ///
     /// This is the `[Â] = [Â − ε, Â + ε]` construction of §II-B of the paper.
     /// Transitions absent from `center` stay absent (support is fixed by the
-    /// learnt chain). The centre's CSR rows stream straight into the IMC's
-    /// CSR arrays — no intermediate maps.
+    /// learnt chain). So the IMC shares the centre's sparsity pattern (its
+    /// [`Imc::row_offsets`] and [`Imc::transition_targets`] are the
+    /// centre's), its label table and the centre itself ([`Imc::center`]
+    /// is a clone, which copies nothing): the build computes the two bound
+    /// arrays in one pass over the centre's slots, calling `eps` once per
+    /// transition in `(from, to)` order.
     ///
     /// # Errors
     ///
-    /// Returns an error if any resulting row is inconsistent, which cannot
-    /// happen for `eps ≥ 0` but is checked anyway.
+    /// Returns [`ModelError::InvalidInterval`] or
+    /// [`ModelError::InconsistentIntervalRow`] as [`ImcStreamBuilder`]
+    /// would for the same intervals. Neither can happen, since the
+    /// half-width is clamped to `eps ≥ 0`, but both are checked anyway.
     pub fn from_center(
         center: &Dtmc,
         mut eps: impl FnMut(State, State) -> f64,
     ) -> Result<Imc, ModelError> {
-        let mut builder = ImcStreamBuilder::new(center.num_states());
-        builder.set_initial(center.initial());
-        for (from, row) in center.rows().enumerate() {
-            for entry in row.iter() {
-                let e = eps(from, entry.target).max(0.0);
-                let lo = (entry.prob - e).max(0.0);
-                let hi = (entry.prob + e).min(1.0);
-                builder.push_interval(from, entry.target, lo, hi)?;
+        let pattern = center.pattern();
+        let probs = center.transition_probs();
+        let mut lo = Vec::with_capacity(probs.len());
+        let mut hi = Vec::with_capacity(probs.len());
+        for from in 0..pattern.num_states() {
+            let slots = pattern.slots(from);
+            for slot in slots.clone() {
+                let to = pattern.col_idx[slot] as State;
+                let e = eps(from, to).max(0.0);
+                let (l, h) = ((probs[slot] - e).max(0.0), (probs[slot] + e).min(1.0));
+                check_interval(from, to, l, h)?;
+                lo.push(l);
+                hi.push(h);
             }
+            let bounds = lo[slots.clone()].iter().zip(&hi[slots]);
+            check_bounds_consistent(from, bounds.map(|(&l, &h)| (l, h)))?;
         }
-        for (label, set) in center.labels().iter() {
-            for state in set.iter() {
-                builder.add_label(state, label);
-            }
-        }
-        let mut imc = builder.finish()?;
-        imc.center = Some(center.clone());
-        Ok(imc)
+        Ok(Imc {
+            pattern: Arc::clone(pattern),
+            lo,
+            hi,
+            initial: center.initial(),
+            labels: Arc::clone(center.shared_labels()),
+            center: Some(center.clone()),
+        })
     }
 
     /// Number of states.
     pub fn num_states(&self) -> usize {
-        self.row_ptr.len() - 1
+        self.pattern.num_states()
     }
 
     /// Total number of interval transitions (non-zero support entries).
     pub fn num_transitions(&self) -> usize {
-        self.col_idx.len()
+        self.pattern.col_idx.len()
     }
 
     /// The initial state `s0`.
@@ -226,11 +247,11 @@ impl Imc {
 
     #[inline]
     fn row_view(&self, state: State) -> IntervalRowView<'_> {
-        let (start, end) = (self.row_ptr[state], self.row_ptr[state + 1]);
+        let slots = self.pattern.slots(state);
         IntervalRowView {
-            targets: &self.col_idx[start..end],
-            lo: &self.lo[start..end],
-            hi: &self.hi[start..end],
+            targets: &self.pattern.col_idx[slots.clone()],
+            lo: &self.lo[slots.clone()],
+            hi: &self.hi[slots],
         }
     }
 
@@ -239,14 +260,16 @@ impl Imc {
         (0..self.num_states()).map(move |s| self.row_view(s))
     }
 
-    /// The CSR row-offset array.
+    /// The CSR row-offset array; the centre's when built by
+    /// [`Imc::from_center`].
     pub fn row_offsets(&self) -> &[usize] {
-        &self.row_ptr
+        &self.pattern.row_ptr
     }
 
-    /// The CSR column-index array (target state of every slot).
+    /// The CSR column-index array (target state of every slot); the
+    /// centre's when built by [`Imc::from_center`].
     pub fn transition_targets(&self) -> &[u32] {
-        &self.col_idx
+        &self.pattern.col_idx
     }
 
     /// The CSR lower-bound array, aligned with [`Imc::transition_targets`].
@@ -427,7 +450,7 @@ impl ImcBuilder {
 
     /// Attaches `label` to `state`.
     pub fn add_label(&mut self, state: State, label: &str) -> &mut Self {
-        self.labels.entry(label.to_owned()).or_default().push(state);
+        add_label(&mut self.labels, state, label);
         self
     }
 
@@ -493,7 +516,7 @@ impl ImcStreamBuilder {
     /// Attaches `label` to `state`; validated at
     /// [`ImcStreamBuilder::finish`].
     pub fn add_label(&mut self, state: State, label: &str) -> &mut Self {
-        self.labels.entry(label.to_owned()).or_default().push(state);
+        add_label(&mut self.labels, state, label);
         self
     }
 
@@ -512,12 +535,9 @@ impl ImcStreamBuilder {
         hi: f64,
     ) -> Result<(), ModelError> {
         if let Push::ClosedRow { state, start, end } = self.core.push(from, to, (lo, hi))? {
-            check_row_consistent(state, start, end, &self.core)?;
+            check_bounds_consistent(state, self.core.values()[start..end].iter().copied())?;
         }
-        if !(lo.is_finite() && hi.is_finite()) || lo > hi || lo < 0.0 || hi > 1.0 {
-            return Err(ModelError::InvalidInterval { from, to, lo, hi });
-        }
-        Ok(())
+        check_interval(from, to, lo, hi)
     }
 
     /// Validates the final row, the initial state and the labels, and
@@ -537,36 +557,39 @@ impl ImcStreamBuilder {
                 n,
             });
         }
-        let (row_ptr, col_idx, bounds, last_state, start, end) = self.core.finish()?;
-        check_bounds_consistent(last_state, &bounds[start..end])?;
+        let (pattern, bounds, last_state, last_row) = self.core.finish()?;
+        check_bounds_consistent(last_state, bounds[last_row].iter().copied())?;
         let (lo, hi): (Vec<f64>, Vec<f64>) = bounds.into_iter().unzip();
         let labels = LabelTable::from_map(n, self.labels)?;
         Ok(Imc {
-            row_ptr,
-            col_idx,
+            pattern: Arc::new(pattern),
             lo,
             hi,
             initial: self.initial,
-            labels,
+            labels: Arc::new(labels),
             center: None,
         })
     }
 }
 
-/// Validates the interval row that just closed in the assembler.
-fn check_row_consistent(
-    state: State,
-    start: usize,
-    end: usize,
-    core: &CsrAssembler<(f64, f64)>,
-) -> Result<(), ModelError> {
-    check_bounds_consistent(state, &core.values()[start..end])
+/// Checks one interval: finite bounds with `0 ≤ lo ≤ hi ≤ 1`.
+fn check_interval(from: State, to: State, lo: f64, hi: f64) -> Result<(), ModelError> {
+    if !(lo.is_finite() && hi.is_finite()) || lo > hi || lo < 0.0 || hi > 1.0 {
+        return Err(ModelError::InvalidInterval { from, to, lo, hi });
+    }
+    Ok(())
 }
 
-fn check_bounds_consistent(state: State, bounds: &[(f64, f64)]) -> Result<(), ModelError> {
+/// Checks that the row of `state` admits a distribution: its `(lo, hi)`
+/// bounds, summed in slot order, give `Σ lo ≤ 1` and `Σ hi ≥ 1` within
+/// [`ROW_SUM_TOLERANCE`].
+fn check_bounds_consistent(
+    state: State,
+    bounds: impl Iterator<Item = (f64, f64)>,
+) -> Result<(), ModelError> {
     let mut lo_sum = 0.0;
     let mut hi_sum = 0.0;
-    for &(lo, hi) in bounds {
+    for (lo, hi) in bounds {
         lo_sum += lo;
         hi_sum += hi;
     }
@@ -612,6 +635,35 @@ mod tests {
         assert!(imc.contains(&c));
         assert_eq!(imc.center(), Some(&c));
         assert!(imc.labeled_states("goal").contains(2));
+    }
+
+    #[test]
+    fn from_center_matches_the_streaming_builder_and_shares_the_centre() {
+        let c = centre();
+        let eps = |from: State, to: State| 0.2 * (from + to) as f64;
+        let imc = Imc::from_center(&c, eps).unwrap();
+        let mut b = ImcStreamBuilder::new(3);
+        for (from, row) in c.rows().enumerate() {
+            for e in row.iter() {
+                let w = eps(from, e.target);
+                let (lo, hi) = ((e.prob - w).max(0.0), (e.prob + w).min(1.0));
+                b.push_interval(from, e.target, lo, hi).unwrap();
+            }
+        }
+        b.add_label(2, "goal");
+        let reference = b.finish().unwrap().with_center(c.clone()).unwrap();
+        assert_eq!(imc, reference);
+        assert!(std::ptr::eq(imc.row_offsets(), c.row_offsets()));
+        assert!(std::ptr::eq(
+            imc.transition_targets(),
+            c.transition_targets()
+        ));
+        assert!(std::ptr::eq(imc.labels(), c.labels()));
+        let center = imc.center().unwrap();
+        assert!(std::ptr::eq(
+            center.transition_probs(),
+            c.transition_probs()
+        ));
     }
 
     #[test]

@@ -99,6 +99,17 @@ impl LabelTable {
     }
 }
 
+/// Records `label` on `state` in a builder's label map, allocating the
+/// name only the first time it is seen.
+pub(crate) fn add_label(labels: &mut BTreeMap<String, Vec<State>>, state: State, label: &str) {
+    match labels.get_mut(label) {
+        Some(states) => states.push(state),
+        None => {
+            labels.insert(label.to_owned(), vec![state]);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

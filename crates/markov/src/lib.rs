@@ -31,6 +31,22 @@
 //! [`Dtmc::transition_probs`] (and the `bounds_lo`/`bounds_hi` pair on
 //! [`Imc`]) instead of re-flattening per row.
 //!
+//! Storage is immutable once built and shared, never copied:
+//!
+//! * the sparsity pattern — `row_ptr` and `col_idx` (8 bytes per state
+//!   plus 4 per transition), with its fingerprint — is shared by a chain,
+//!   its clones, every chain [`Dtmc::reweighted`] from it and every IMC
+//!   built around it by [`Imc::from_center`];
+//! * a chain's probabilities (8 bytes per transition), labels and alias
+//!   tables (12 bytes per transition, once sampled) are shared by its
+//!   clones, so cloning a [`Dtmc`] copies no array; an IMC's centre is
+//!   such a clone;
+//! * an IMC built around a centre stores only its bounds (16 bytes per
+//!   transition).
+//!
+//! So the centre `Â`, the IMC `[Â]` and a reweighted IS chain `B` hold one
+//! pattern between them.
+//!
 //! # Construction
 //!
 //! Models are built from `(from, to, value)` triplets, validated eagerly:

@@ -146,6 +146,98 @@ pub fn property(chain: &Dtmc) -> Property {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use imc_markov::{RowEntry, State};
+    use imc_sampling::failure_bias;
+
+    /// The failure-biased chain built the row-list way: one `RowEntry`
+    /// vector per rebalanced row, replaced through `Dtmc::with_rows`.
+    fn failure_bias_by_rows(
+        chain: &Dtmc,
+        is_failure: impl Fn(State, State) -> bool,
+        bias: f64,
+    ) -> Dtmc {
+        let mut replacements: Vec<(State, Vec<RowEntry>)> = Vec::new();
+        for (state, row) in chain.rows().enumerate() {
+            let failure_mass: f64 = row
+                .iter()
+                .filter(|e| is_failure(state, e.target))
+                .map(|e| e.prob)
+                .sum();
+            let other_mass = 1.0 - failure_mass;
+            if failure_mass <= 0.0 || other_mass <= 1e-12 {
+                continue;
+            }
+            let entries = row
+                .iter()
+                .map(|e| RowEntry {
+                    target: e.target,
+                    prob: if is_failure(state, e.target) {
+                        bias * e.prob / failure_mass
+                    } else {
+                        (1.0 - bias) * e.prob / other_mass
+                    },
+                })
+                .collect();
+            replacements.push((state, entries));
+        }
+        chain.with_rows(replacements).unwrap()
+    }
+
+    fn bits(chain: &Dtmc) -> Vec<u64> {
+        chain
+            .transition_probs()
+            .iter()
+            .map(|p| p.to_bits())
+            .collect()
+    }
+
+    #[test]
+    fn failure_bias_matches_the_row_list_reference_bit_for_bit() {
+        let degrades = |from: State, to: State| to > from;
+        for (components, levels) in [(3, 4), (4, 5)] {
+            let chain = jump_chain(components, levels, ALPHA, BETA).unwrap();
+            for bias in [0.3, 0.7] {
+                let b = failure_bias(&chain, degrades, bias).unwrap();
+                let reference = failure_bias_by_rows(&chain, degrades, bias);
+                assert!(b.same_pattern(&reference));
+                assert_eq!(
+                    bits(&b),
+                    bits(&reference),
+                    "{components}x{levels} at bias {bias}"
+                );
+                assert_eq!(b, reference);
+            }
+        }
+    }
+
+    #[test]
+    fn set_up_models_borrow_the_centre_pattern() {
+        let a = jump_chain(3, 4, ALPHA, BETA).unwrap();
+        let b = failure_bias(&a, |from, to| to > from, 0.3).unwrap();
+        let imc = imc(&a, 0.05).unwrap();
+        let center = imc.center().unwrap();
+        let clone = a.clone();
+        for (name, offsets, targets) in [
+            ("B", b.row_offsets(), b.transition_targets()),
+            ("[Â]", imc.row_offsets(), imc.transition_targets()),
+            (
+                "[Â]'s centre",
+                center.row_offsets(),
+                center.transition_targets(),
+            ),
+            ("a clone", clone.row_offsets(), clone.transition_targets()),
+        ] {
+            assert!(std::ptr::eq(offsets, a.row_offsets()), "{name}");
+            assert!(std::ptr::eq(targets, a.transition_targets()), "{name}");
+        }
+        assert!(a.same_pattern(&b) && a.same_pattern(center) && a.same_pattern(&clone));
+        assert!(std::ptr::eq(
+            center.transition_probs(),
+            a.transition_probs()
+        ));
+        assert!(std::ptr::eq(clone.transition_probs(), a.transition_probs()));
+        assert_eq!(b.pattern_fingerprint(), a.pattern_fingerprint());
+    }
 
     #[test]
     fn small_fleet_shape_and_labels() {

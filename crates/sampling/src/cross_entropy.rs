@@ -64,8 +64,8 @@ pub struct CeIteration {
     pub n_success: u64,
 }
 
-/// One cross-entropy refinement iteration: samples
-/// `config.traces_per_iteration` traces under the current `b`, weights
+/// One cross-entropy refinement iteration: samples `traces` traces of at
+/// most `max_steps` transitions under the current `b`, weights
 /// the successful ones by their likelihood ratio `L = P_A/P_B`, and
 /// re-fits the biased chain by the closed-form CE update for Markov
 /// chains (`b'_ij = Σ_k w_k n_ij(ω_k) / Σ_k w_k n_i(ω_k)` with
@@ -88,7 +88,8 @@ pub fn cross_entropy_refine<R: Rng + ?Sized>(
     a: &Dtmc,
     property: &Property,
     b: &Dtmc,
-    config: &CrossEntropyConfig,
+    traces: usize,
+    max_steps: usize,
     rng: &mut R,
 ) -> Result<CeIteration, ModelError> {
     let sampler = ChainSampler::new(b);
@@ -103,13 +104,13 @@ pub fn cross_entropy_refine<R: Rng + ?Sized>(
     let mut gamma_sum = 0.0f64;
     let mut n_success = 0u64;
 
-    for _ in 0..config.traces_per_iteration {
+    for _ in 0..traces {
         let (verdict, _, _) = simulate_counts_into(
             &sampler,
             b.initial(),
             &mut monitor,
             rng,
-            config.max_steps,
+            max_steps,
             &mut counts,
         );
         if verdict != Verdict::Accepted {
@@ -136,7 +137,7 @@ pub fn cross_entropy_refine<R: Rng + ?Sized>(
             *w_source.entry(*from).or_insert(0.0) += w * n as f64;
         }
     }
-    let gamma = gamma_sum / config.traces_per_iteration as f64;
+    let gamma = gamma_sum / traces as f64;
     if n_success == 0 {
         // Nothing to learn from this batch; keep the current B.
         return Ok(CeIteration {
@@ -208,7 +209,14 @@ pub fn cross_entropy_is<R: Rng + ?Sized>(
     let mut success_history = Vec::with_capacity(config.iterations);
 
     for _ in 0..config.iterations {
-        let step = cross_entropy_refine(a, property, &b, config, rng)?;
+        let step = cross_entropy_refine(
+            a,
+            property,
+            &b,
+            config.traces_per_iteration,
+            config.max_steps,
+            rng,
+        )?;
         gamma_history.push(step.gamma);
         success_history.push(step.n_success);
         b = step.b;

@@ -1,4 +1,4 @@
-use imc_markov::{Dtmc, ModelError, RowEntry, State};
+use imc_markov::{Dtmc, ModelError, State};
 
 /// Balanced failure biasing: a structural importance-sampling heuristic for
 /// reliability models (Lewis–Böhm style), used as a cheap baseline next to
@@ -11,10 +11,15 @@ use imc_markov::{Dtmc, ModelError, RowEntry, State};
 /// rest. States with only failure or only non-failure transitions keep
 /// their original row.
 ///
+/// The biased chain only reweights `chain`'s transitions, so it is built by
+/// [`Dtmc::reweighted`]: one pass over the CSR slots fills its
+/// probabilities, and it shares `chain`'s sparsity pattern and labels.
+///
 /// # Errors
 ///
-/// Returns a [`ModelError`] if the biased rows fail validation (defensive;
-/// cannot occur for `bias ∈ (0, 1)`).
+/// Returns a [`ModelError`] if a biased row fails validation (defensive;
+/// cannot occur for `bias ∈ (0, 1)` unless a probability underflows to
+/// zero).
 ///
 /// # Panics
 ///
@@ -48,12 +53,16 @@ pub fn failure_bias(
         bias > 0.0 && bias < 1.0,
         "bias must lie strictly inside (0, 1), got {bias}"
     );
-    let mut replacements: Vec<(State, Vec<RowEntry>)> = Vec::new();
-    for (state, row) in chain.rows().enumerate() {
-        let failure_mass: f64 = row
-            .iter()
-            .filter(|e| is_failure(state, e.target))
-            .map(|e| e.prob)
+    let offsets = chain.row_offsets();
+    let targets = chain.transition_targets();
+    let old = chain.transition_probs();
+    let mut probs = Vec::with_capacity(old.len());
+    for state in 0..chain.num_states() {
+        let slots = offsets[state]..offsets[state + 1];
+        let failure_mass: f64 = slots
+            .clone()
+            .filter(|&e| is_failure(state, targets[e] as State))
+            .map(|e| old[e])
             .sum();
         let other_mass = 1.0 - failure_mass;
         // The tolerance matters: a row whose transitions are *all*
@@ -61,25 +70,18 @@ pub fn failure_bias(
         // point, and rebalancing against that residual would scale the
         // whole row down to `bias`.
         if failure_mass <= 0.0 || other_mass <= 1e-12 {
-            continue; // nothing to rebalance
+            probs.extend_from_slice(&old[slots]); // nothing to rebalance
+            continue;
         }
-        let entries: Vec<RowEntry> = row
-            .iter()
-            .map(|e| {
-                let prob = if is_failure(state, e.target) {
-                    bias * e.prob / failure_mass
-                } else {
-                    (1.0 - bias) * e.prob / other_mass
-                };
-                RowEntry {
-                    target: e.target,
-                    prob,
-                }
-            })
-            .collect();
-        replacements.push((state, entries));
+        probs.extend(slots.map(|e| {
+            if is_failure(state, targets[e] as State) {
+                bias * old[e] / failure_mass
+            } else {
+                (1.0 - bias) * old[e] / other_mass
+            }
+        }));
     }
-    chain.with_rows(replacements)
+    chain.reweighted(probs)
 }
 
 #[cfg(test)]
