@@ -82,20 +82,41 @@ impl Dirichlet {
     }
 
     /// Draws one point on the simplex.
+    ///
+    /// A vector whose every coordinate underflowed is drawn again, so with
+    /// all `α` far below 1 a call can take very long;
+    /// [`ConstrainedRowSampler`](crate::ConstrainedRowSampler) counts such a
+    /// vector as a rejected attempt instead.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> Vec<f64> {
-        loop {
-            let mut draws: Vec<f64> = self.gammas.iter().map(|g| g.sample(rng)).collect();
-            let sum: f64 = draws.iter().sum();
-            // With shape < 1 a Gamma draw can underflow to exactly 0; a zero
-            // total (all coordinates underflowed) cannot be normalised.
-            if sum > 0.0 && sum.is_finite() {
-                for d in &mut draws {
-                    *d /= sum;
-                }
-                return draws;
-            }
-        }
+        let mut draws = Vec::with_capacity(self.gammas.len());
+        while !draw_normalised(&self.gammas, &mut draws, rng) {}
+        draws
     }
+}
+
+/// Draws one variate of each Gamma in `gammas`, in order, into `draws`
+/// and divides each by their sum: one point on the simplex.
+///
+/// Returns `false` if the sum is zero or not finite. With shape < 1 a
+/// Gamma draw can underflow to exactly 0, and a zero total (all
+/// coordinates underflowed) cannot be normalised; `draws` then holds the
+/// raw draws. Allocates nothing once `draws` has room for `gammas.len()`
+/// values.
+pub(crate) fn draw_normalised<R: Rng + ?Sized>(
+    gammas: &[Gamma],
+    draws: &mut Vec<f64>,
+    rng: &mut R,
+) -> bool {
+    draws.clear();
+    draws.extend(gammas.iter().map(|g| g.sample(rng)));
+    let sum: f64 = draws.iter().sum();
+    if !(sum > 0.0 && sum.is_finite()) {
+        return false;
+    }
+    for d in draws.iter_mut() {
+        *d /= sum;
+    }
+    true
 }
 
 #[cfg(test)]
@@ -145,6 +166,33 @@ mod tests {
         assert!(Dirichlet::new(vec![1.0]).is_err());
         assert!(Dirichlet::new(vec![1.0, 0.0]).is_err());
         assert!(Dirichlet::new(vec![1.0, -1.0]).is_err());
+    }
+
+    /// `sample` is the normalised Gamma vector bit for bit: one Gamma per
+    /// coordinate drawn in order, summed left to right, each draw divided
+    /// by the sum. The row sampler's buffered draw shares this step.
+    #[test]
+    fn sample_is_the_in_order_normalised_gamma_vector() {
+        let mut meta = rand::rngs::StdRng::seed_from_u64(77);
+        for case in 0..64u64 {
+            let k = meta.gen_range(2..8usize);
+            let alphas: Vec<f64> = (0..k).map(|_| meta.gen_range(0.05..50.0)).collect();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(case);
+            let mut expected_rng = rng.clone();
+            let got = Dirichlet::new(alphas.clone()).unwrap().sample(&mut rng);
+            let draws: Vec<f64> = alphas
+                .iter()
+                .map(|&a| Gamma::new(a).unwrap().sample(&mut expected_rng))
+                .collect();
+            let mut sum = 0.0;
+            for x in &draws {
+                sum += x;
+            }
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let want: Vec<f64> = draws.iter().map(|x| x / sum).collect();
+            assert_eq!(bits(&got), bits(&want), "case {case}");
+            assert_eq!(rng, expected_rng, "case {case}");
+        }
     }
 
     /// Property sweep (seeded, no proptest offline): random concentration

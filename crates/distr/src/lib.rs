@@ -13,7 +13,10 @@
 //!   generator: concentration tuning `K_ij = â(1−â)/ε² − 1`, rejection
 //!   sampling into the interval box, λ-inflation when rejection persists
 //!   (§IV-C1), and the two-step split sampler for heterogeneous `K_ij`
-//!   (§IV-C2).
+//!   (§IV-C2). A Gamma vector that sums to zero (every coordinate
+//!   underflowed) is a rejected attempt like any other. The sampler keeps
+//!   each attempt's shapes and draws, and the row it returns, in buffers
+//!   it owns, so a warm draw allocates nothing.
 //!
 //! # Example
 //!

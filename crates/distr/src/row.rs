@@ -1,6 +1,7 @@
 use rand::Rng;
 
-use crate::{Dirichlet, DistrError};
+use crate::dirichlet::draw_normalised;
+use crate::{DistrError, Gamma};
 
 /// One interval-constrained coordinate of a stochastic row:
 /// bounds `[lo, hi]` around a learnt centre probability `â`.
@@ -66,7 +67,9 @@ impl IntervalSpec {
 pub struct RejectionStats {
     /// Total candidate rows drawn (accepted + rejected).
     pub attempts: u64,
-    /// Candidates rejected for violating an interval constraint.
+    /// Candidates rejected for violating an interval constraint, or because
+    /// their Gamma vector could not be normalised (every coordinate
+    /// underflowed, or a shape was not finite).
     pub rejections: u64,
     /// Number of λ-inflations of the concentration parameter.
     pub inflations: u64,
@@ -105,6 +108,15 @@ impl RejectionStats {
 ///
 /// Coordinates with (near-)zero half-width are pinned to their centre and
 /// excluded from the Dirichlet draw.
+///
+/// An attempt whose Gamma vector sums to zero (with shapes far below 1
+/// every coordinate can underflow) or to a non-finite value is a rejected
+/// attempt like any other, so λ-inflation and the attempt budget apply to
+/// it.
+///
+/// The sampler keeps each attempt's Gamma shapes and draws, and the row it
+/// returns, in buffers it owns: once a first draw has sized them, a draw
+/// allocates nothing.
 #[derive(Debug, Clone)]
 pub struct ConstrainedRowSampler {
     specs: Vec<IntervalSpec>,
@@ -119,6 +131,12 @@ pub struct ConstrainedRowSampler {
     /// Current inflation multiplier (`λ^inflations`).
     inflation: f64,
     stats: RejectionStats,
+    /// One attempt's `Gamma(K·â_j)` per free coordinate, in `free` order.
+    gammas: Vec<Gamma>,
+    /// One attempt's Gamma draws, normalised to the simplex.
+    draws: Vec<f64>,
+    /// The row of the latest attempt; pinned coordinates hold their centre.
+    values: Vec<f64>,
 }
 
 /// Half-widths below this are treated as exact (pinned) coordinates.
@@ -209,6 +227,9 @@ impl ConstrainedRowSampler {
             base_k,
             inflation: 1.0,
             stats: RejectionStats::default(),
+            gammas: Vec::new(),
+            draws: Vec::new(),
+            values: specs.iter().map(IntervalSpec::center).collect(),
         })
     }
 
@@ -242,18 +263,15 @@ impl ConstrainedRowSampler {
     }
 
     /// Draws one stochastic row: values aligned with the input specs, each
-    /// inside its interval, summing to one.
+    /// inside its interval, summing to one. The row lives in the sampler's
+    /// own buffer until the next draw.
     ///
     /// # Errors
     ///
     /// Returns [`DistrError::RejectionBudgetExhausted`] if no in-box
     /// candidate is found within the attempt budget (pathological inputs
     /// only; λ-inflation makes acceptance probability grow towards 1).
-    pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<Vec<f64>, DistrError> {
-        let mut values = vec![0.0; self.specs.len()];
-        for &j in &self.pinned {
-            values[j] = self.specs[j].center;
-        }
+    pub fn sample<R: Rng + ?Sized>(&mut self, rng: &mut R) -> Result<&[f64], DistrError> {
         let pinned_mass: f64 = self.pinned.iter().map(|&j| self.specs[j].center).sum();
 
         let mut consecutive_rejects = 0u64;
@@ -267,10 +285,9 @@ impl ConstrainedRowSampler {
                 });
             }
 
-            let ok = self.try_fill(&mut values, pinned_mass, rng);
-            if ok {
+            if self.try_fill(pinned_mass, rng) {
                 self.stats.accepted += 1;
-                return Ok(values);
+                return Ok(&self.values);
             }
             self.stats.rejections += 1;
             consecutive_rejects += 1;
@@ -284,8 +301,9 @@ impl ConstrainedRowSampler {
         }
     }
 
-    /// One candidate draw; returns `true` if all constraints hold.
-    fn try_fill<R: Rng + ?Sized>(&self, values: &mut [f64], pinned_mass: f64, rng: &mut R) -> bool {
+    /// One candidate draw into `self.values`; returns `true` if all
+    /// constraints hold.
+    fn try_fill<R: Rng + ?Sized>(&mut self, pinned_mass: f64, rng: &mut R) -> bool {
         let mut remaining = 1.0 - pinned_mass;
 
         if let Some(j0) = self.split {
@@ -299,7 +317,7 @@ impl ConstrainedRowSampler {
                 return false;
             }
             let v = if lo == hi { lo } else { rng.gen_range(lo..=hi) };
-            values[j0] = v;
+            self.values[j0] = v;
             remaining -= v;
         }
 
@@ -308,7 +326,7 @@ impl ConstrainedRowSampler {
             1 => {
                 // The last free coordinate is forced by normalisation.
                 let j = self.free[0];
-                values[j] = remaining;
+                self.values[j] = remaining;
                 self.specs[j].contains(remaining)
             }
             _ => {
@@ -319,19 +337,20 @@ impl ConstrainedRowSampler {
                     return false;
                 }
                 let k = self.effective_k(beta);
-                let alphas: Vec<f64> = self
-                    .free
-                    .iter()
-                    .map(|&j| (k * self.specs[j].center).max(1e-12))
-                    .collect();
-                let dirichlet = match Dirichlet::new(alphas) {
-                    Ok(d) => d,
-                    Err(_) => return false,
-                };
-                let draw = dirichlet.sample(rng);
-                for (&j, x) in self.free.iter().zip(&draw) {
-                    values[j] = beta * x;
-                    if !self.specs[j].contains(values[j]) {
+                // Every shape is checked before any Gamma is drawn.
+                self.gammas.clear();
+                for &j in &self.free {
+                    match Gamma::new((k * self.specs[j].center).max(1e-12)) {
+                        Ok(gamma) => self.gammas.push(gamma),
+                        Err(_) => return false,
+                    }
+                }
+                if !draw_normalised(&self.gammas, &mut self.draws, rng) {
+                    return false;
+                }
+                for (&j, x) in self.free.iter().zip(&self.draws) {
+                    self.values[j] = beta * x;
+                    if !self.specs[j].contains(self.values[j]) {
                         return false;
                     }
                 }
@@ -366,8 +385,9 @@ impl ConstrainedRowSampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Dirichlet;
     use imc_stats::RunningStats;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn spec(lo: f64, hi: f64, c: f64) -> IntervalSpec {
         IntervalSpec::new(lo, hi, c).unwrap()
@@ -551,6 +571,245 @@ mod tests {
             for (v, s) in x.iter().zip(&specs) {
                 assert!(s.contains(*v), "case {case}: {v} outside {s:?}");
             }
+        }
+    }
+
+    /// Reference sampler: the same rejection loop, with a fresh `Dirichlet`
+    /// built per attempt, whose `sample` redraws a vector that underflowed.
+    /// The buffered sampler must match it bit for bit.
+    fn reference_sample<R: Rng + ?Sized>(
+        s: &mut ConstrainedRowSampler,
+        rng: &mut R,
+    ) -> Result<Vec<f64>, DistrError> {
+        let mut values = vec![0.0; s.specs.len()];
+        for &j in &s.pinned {
+            values[j] = s.specs[j].center;
+        }
+        let pinned_mass: f64 = s.pinned.iter().map(|&j| s.specs[j].center).sum();
+        let mut consecutive_rejects = 0u64;
+        let mut attempts_this_call = 0u64;
+        loop {
+            attempts_this_call += 1;
+            s.stats.attempts += 1;
+            if attempts_this_call > MAX_ATTEMPTS_PER_SAMPLE {
+                return Err(DistrError::RejectionBudgetExhausted {
+                    attempts: attempts_this_call,
+                });
+            }
+            if reference_try_fill(s, &mut values, pinned_mass, rng) {
+                s.stats.accepted += 1;
+                return Ok(values);
+            }
+            s.stats.rejections += 1;
+            consecutive_rejects += 1;
+            if consecutive_rejects >= REJECTS_BEFORE_INFLATE {
+                s.inflation *= LAMBDA;
+                s.stats.inflations += 1;
+                consecutive_rejects = 0;
+            }
+        }
+    }
+
+    fn reference_try_fill<R: Rng + ?Sized>(
+        s: &ConstrainedRowSampler,
+        values: &mut [f64],
+        pinned_mass: f64,
+        rng: &mut R,
+    ) -> bool {
+        let mut remaining = 1.0 - pinned_mass;
+        if let Some(j0) = s.split {
+            let spec = &s.specs[j0];
+            let others_hi: f64 = s.free.iter().map(|&j| s.specs[j].hi).sum();
+            let others_lo: f64 = s.free.iter().map(|&j| s.specs[j].lo).sum();
+            let lo = spec.lo.max(remaining - others_hi);
+            let hi = spec.hi.min(remaining - others_lo);
+            if lo > hi {
+                return false;
+            }
+            let v = if lo == hi { lo } else { rng.gen_range(lo..=hi) };
+            values[j0] = v;
+            remaining -= v;
+        }
+        match s.free.len() {
+            0 => true,
+            1 => {
+                let j = s.free[0];
+                values[j] = remaining;
+                s.specs[j].contains(remaining)
+            }
+            _ => {
+                let beta = remaining;
+                if beta <= 0.0 {
+                    return false;
+                }
+                let k = s.effective_k(beta);
+                let alphas: Vec<f64> = s
+                    .free
+                    .iter()
+                    .map(|&j| (k * s.specs[j].center).max(1e-12))
+                    .collect();
+                let dirichlet = match Dirichlet::new(alphas) {
+                    Ok(d) => d,
+                    Err(_) => return false,
+                };
+                let draw = dirichlet.sample(rng);
+                for (&j, x) in s.free.iter().zip(&draw) {
+                    values[j] = beta * x;
+                    if !s.specs[j].contains(values[j]) {
+                        return false;
+                    }
+                }
+                true
+            }
+        }
+    }
+
+    /// A row of `centers` (normalised) with half-widths `rel_eps · c`.
+    fn relative_row(centers: &[f64], rel_eps: f64) -> Vec<IntervalSpec> {
+        let total: f64 = centers.iter().sum();
+        centers
+            .iter()
+            .map(|&c| {
+                let c = c / total;
+                let eps = rel_eps * c;
+                spec((c - eps).max(0.0), (c + eps).min(1.0), c)
+            })
+            .collect()
+    }
+
+    /// Draws `draws` rows from `sampler` and from a clone of it through
+    /// [`reference_sample`], each on its own copy of one seeded stream, and
+    /// asserts after every draw that both returned the same bits, kept the
+    /// same statistics and λ, and left their streams at the same `u64`.
+    /// Returns the sampler's statistics.
+    fn assert_matches_reference(
+        mut sampler: ConstrainedRowSampler,
+        seed: u64,
+        draws: usize,
+        reset: bool,
+    ) -> RejectionStats {
+        let mut reference = sampler.clone();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut reference_rng = rng.clone();
+        for draw in 0..draws {
+            if reset {
+                sampler.reset_adaptation();
+                reference.reset_adaptation();
+            }
+            let got = sampler.sample(&mut rng).map(|x| x.to_vec());
+            let want = reference_sample(&mut reference, &mut reference_rng);
+            let bits = |r: &Result<Vec<f64>, DistrError>| {
+                r.as_ref()
+                    .map(|x| x.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+                    .map_err(Clone::clone)
+            };
+            assert_eq!(bits(&got), bits(&want), "seed {seed}, draw {draw}");
+            assert_eq!(
+                sampler.stats(),
+                reference.stats(),
+                "seed {seed}, draw {draw}"
+            );
+            assert_eq!(sampler.inflation.to_bits(), reference.inflation.to_bits());
+            assert_eq!(
+                rng.clone().next_u64(),
+                reference_rng.clone().next_u64(),
+                "seed {seed}, draw {draw}: the streams parted"
+            );
+        }
+        sampler.stats()
+    }
+
+    /// The buffered sampler draws exactly what a fresh `Dirichlet` per
+    /// attempt drew, on every path of `try_fill`. Rows whose whole Gamma
+    /// vector underflows are left out: there the reference redraws inside
+    /// one attempt and the sampler rejects the attempt, by design.
+    #[test]
+    fn buffered_draws_match_the_per_attempt_reference() {
+        let mut meta = rand::rngs::StdRng::seed_from_u64(2018);
+        for case in 0..48u64 {
+            // Plain rows: every coordinate free, β = 1.
+            let k = meta.gen_range(2..7usize);
+            let centers: Vec<f64> = (0..k).map(|_| meta.gen_range(0.05..1.0)).collect();
+            let row = relative_row(&centers, meta.gen_range(0.01..0.5));
+            let sampler = ConstrainedRowSampler::new(&row).unwrap();
+            assert!(sampler.pinned.is_empty() && sampler.split.is_none());
+            assert_matches_reference(sampler.clone(), case, 20, false);
+            // The batched search resets λ before every draw.
+            assert_matches_reference(sampler, case, 20, true);
+
+            // Pinned coordinates: β < 1, so `effective_k` recomputes K.
+            let mut row = relative_row(&centers, meta.gen_range(0.01..0.5));
+            let mass: f64 = meta.gen_range(0.05..0.5);
+            for s in &mut row {
+                let c = s.center() * (1.0 - mass);
+                *s = spec(s.lo() * (1.0 - mass), s.hi() * (1.0 - mass), c);
+            }
+            row.push(spec(mass, mass, mass));
+            let sampler = ConstrainedRowSampler::new(&row).unwrap();
+            assert!(!sampler.pinned.is_empty());
+            assert_matches_reference(sampler, case, 20, false);
+        }
+
+        // Split rows: the uniform pre-draw changes β, and with it K, on
+        // every attempt.
+        let split_rows = [
+            vec![
+                spec(0.000_995, 0.001_005, 0.001),
+                spec(0.2, 0.4, 0.3),
+                spec(0.3, 0.5, 0.4),
+                spec(0.199, 0.399, 0.299),
+            ],
+            vec![
+                spec(0.2, 0.4, 0.3),
+                spec(0.099_999, 0.100_001, 0.1),
+                spec(0.1, 0.5, 0.3),
+                spec(0.1, 0.5, 0.3),
+            ],
+        ];
+        for (case, row) in split_rows.iter().enumerate() {
+            let sampler = ConstrainedRowSampler::new(row).unwrap();
+            assert!(sampler.split.is_some());
+            for seed in 0..8 {
+                assert_matches_reference(sampler.clone(), seed + 100 * case as u64, 50, false);
+            }
+        }
+
+        // Shapes below 1 (the Gamma boost path), far from underflow.
+        let wide = [
+            spec(0.0, 0.2, 0.1),
+            spec(0.0, 0.4, 0.2),
+            spec(0.4, 1.0, 0.7),
+        ];
+        let sampler = ConstrainedRowSampler::new(&wide).unwrap();
+        assert!(wide
+            .iter()
+            .all(|s| sampler.base_concentration() * s.center() < 1.0));
+        for seed in 0..8 {
+            assert_matches_reference(sampler.clone(), seed, 50, false);
+        }
+
+        // A box that λ-inflation pulls draws into: K follows the loose
+        // third coordinate, so the two tight ones reject most draws.
+        let third = 1.0 / 3.0;
+        let tight = [
+            spec(third - 2e-3, third + 2e-3, third),
+            spec(third - 2e-3, third + 2e-3, third),
+            spec(third - 0.05, third + 0.05, third),
+        ];
+        let sampler = ConstrainedRowSampler::new(&tight).unwrap();
+        for seed in 0..4 {
+            let stats = assert_matches_reference(sampler.clone(), seed, 5, seed % 2 == 1);
+            assert!(stats.inflations > 0, "seed {seed}: {stats:?}");
+        }
+
+        // A non-finite shape rejects the attempt before any Gamma is drawn,
+        // until the attempt budget runs out.
+        for row in [&tight[..], &split_rows[0][..]] {
+            let mut sampler = ConstrainedRowSampler::new(row).unwrap();
+            sampler.inflation = f64::INFINITY;
+            let stats = assert_matches_reference(sampler, 7, 1, false);
+            assert_eq!(stats.accepted, 0);
+            assert_eq!(stats.rejections, MAX_ATTEMPTS_PER_SAMPLE);
         }
     }
 }

@@ -10,14 +10,25 @@
 //!
 //! # Lane blocks
 //!
-//! Each worker draws its share of a round in index order into the
+//! Each worker draws its share of a round in index order straight into the
 //! [`LANES`] lanes of its [`CandidateScratch`] and evaluates each block of
 //! up to `LANES` candidates in one pass over the count tables
 //! ([`PreparedRun::eval_lanes`](imc_sampling::PreparedRun::eval_lanes)),
 //! which also shares the min- and max-template terms of every table the
 //! two templates agree on. Each lane is bit-identical to evaluating its
 //! candidate alone, so the blocking changes the cost of a round, never its
-//! values. What remains per candidate is mostly the Dirichlet row draw.
+//! values. What remains per candidate is mostly the Dirichlet row draw,
+//! whose rejection attempts reuse the row samplers' own buffers: once the
+//! scratch is warm, drawing and evaluating a candidate allocates nothing.
+//!
+//! # The winners' rows
+//!
+//! A candidate's draw lives only in its lane, and the round extrema keep
+//! just `(f, g, index)`. A lane draw is a pure function of its stream
+//! ([`Problem::draw_lane`]), so at the end [`BatchSearch::run`] rebuilds
+//! the rows of the two winners by drawing their streams
+//! `trace_rng(master_seed, index)` once more, for
+//! [`OptimOutcome::rows_min`] and [`OptimOutcome::rows_max`].
 //!
 //! # The determinism merge rule
 //!
@@ -45,11 +56,12 @@
 
 use std::ops::Range;
 
+use imc_sampling::LaneSums;
 use imc_sim::parallel::{partition, resolve_threads};
 use imc_sim::trace_rng;
 use rand::Rng;
 
-use crate::problem::{CandidateEval, CandidateScratch, Draw};
+use crate::problem::{CandidateScratch, Draw};
 use crate::random_search::{random_search, ConvergencePoint, OptimOutcome, RandomSearchConfig};
 use crate::{OptimError, Problem};
 
@@ -107,14 +119,14 @@ pub struct BatchSearch {
     batch_size: usize,
 }
 
-/// One evaluated candidate, keyed for the deterministic merge.
-#[derive(Debug, Clone)]
+/// One evaluated candidate, keyed for the deterministic merge. Its rows
+/// are not kept: the search re-draws its two winners at the end.
+#[derive(Debug, Clone, Copy)]
 struct Candidate {
     f: f64,
     g: f64,
     /// Global candidate index (0-based); reported as round `index + 1`.
     index: u64,
-    draw: Vec<(usize, Vec<f64>)>,
 }
 
 /// Per-worker fold result for one round.
@@ -144,65 +156,39 @@ impl RoundBest {
         let mut first = indices.start;
         while first < indices.end {
             let block = first..indices.end.min(first + LANES as u64);
-            let mut draws: [Option<Draw>; LANES] = Default::default();
+            let mut drawn = [false; LANES];
             for (lane, index) in block.clone().enumerate() {
                 let mut rng = trace_rng(master_seed, index);
                 match problem.draw_lane(scratch, lane, &mut rng) {
-                    Ok(draw) => draws[lane] = Some(draw),
+                    Ok(()) => drawn[lane] = true,
                     Err(e) => self.record_error(index, e),
                 }
             }
             let sums = problem.eval_block(scratch);
-            for ((lane, index), draw) in block.clone().enumerate().zip(draws) {
-                if let Some(draw) = draw {
-                    self.fold(index, CandidateEval::from_lane(&sums, lane, draw));
+            for (lane, index) in block.clone().enumerate() {
+                if drawn[lane] {
+                    self.fold(&sums, lane, index);
                 }
             }
             first = block.end;
         }
     }
 
-    /// Folds evaluated candidate `index` into the running extrema.
-    fn fold(&mut self, index: u64, eval: CandidateEval) {
-        // Decide both replacements before building candidates, so the draw
-        // is cloned only when this candidate actually takes a slot (losing
-        // candidates — the vast majority — cost no allocation).
-        let wins_min = self
-            .best_min
-            .as_ref()
-            .is_none_or(|b| eval.f_min < b.f || (eval.f_min == b.f && index < b.index));
-        let wins_max = self
-            .best_max
-            .as_ref()
-            .is_none_or(|b| eval.f_max > b.f || (eval.f_max == b.f && index < b.index));
-        if wins_min && wins_max {
-            self.best_min = Some(Candidate {
-                f: eval.f_min,
-                g: eval.g_min,
-                index,
-                draw: eval.draw.clone(),
-            });
-            self.best_max = Some(Candidate {
-                f: eval.f_max,
-                g: eval.g_max,
-                index,
-                draw: eval.draw,
-            });
-        } else if wins_min {
-            self.best_min = Some(Candidate {
-                f: eval.f_min,
-                g: eval.g_min,
-                index,
-                draw: eval.draw,
-            });
-        } else if wins_max {
-            self.best_max = Some(Candidate {
-                f: eval.f_max,
-                g: eval.g_max,
-                index,
-                draw: eval.draw,
-            });
-        }
+    /// Folds candidate `index`, evaluated in lane `lane`, into the running
+    /// extrema.
+    fn fold(&mut self, sums: &LaneSums<LANES>, lane: usize, index: u64) {
+        let min = Candidate {
+            f: sums.f_min[lane],
+            g: sums.g_min[lane],
+            index,
+        };
+        let max = Candidate {
+            f: sums.f_max[lane],
+            g: sums.g_max[lane],
+            index,
+        };
+        fold_extremum(&mut self.best_min, min, beats_min);
+        fold_extremum(&mut self.best_max, max, beats_max);
     }
 
     fn record_error(&mut self, index: u64, e: OptimError) {
@@ -298,13 +284,11 @@ impl BatchSearch {
             f: f_min0,
             g: g_min0,
             index: 0,
-            draw: Vec::new(),
         };
         let mut best_max = Candidate {
             f: f_max0,
             g: g_max0,
             index: 0,
-            draw: Vec::new(),
         };
         let mut min_found_at = 0usize;
         let mut max_found_at = 0usize;
@@ -323,8 +307,8 @@ impl BatchSearch {
                 g_min: best_min.g,
                 f_max: best_max.f,
                 g_max: best_max.g,
-                rows_min: problem.rows_for(&best_min.draw, true),
-                rows_max: problem.rows_for(&best_max.draw, false),
+                rows_min: problem.rows_for(&[], true),
+                rows_max: problem.rows_for(&[], false),
                 rounds: 0,
                 min_found_at,
                 max_found_at,
@@ -395,13 +379,23 @@ impl BatchSearch {
             });
         }
 
+        // A lane draw is a pure function of its stream, so each winner's
+        // rows are rebuilt by drawing its stream once more.
+        let scratch = &mut scratches[0];
+        let mut winner_draw = |found_at: usize| -> Result<Draw, OptimError> {
+            match found_at {
+                0 => Ok(Draw::new()),
+                round => problem.drawn_rows(scratch, &mut trace_rng(master_seed, round as u64 - 1)),
+            }
+        };
+        let (draw_min, draw_max) = (winner_draw(min_found_at)?, winner_draw(max_found_at)?);
         Ok(OptimOutcome {
             f_min: best_min.f,
             g_min: best_min.g,
             f_max: best_max.f,
             g_max: best_max.g,
-            rows_min: problem.rows_for(&best_min.draw, true),
-            rows_max: problem.rows_for(&best_max.draw, false),
+            rows_min: problem.rows_for(&draw_min, true),
+            rows_max: problem.rows_for(&draw_max, false),
             rounds: evaluated,
             min_found_at,
             max_found_at,
@@ -629,6 +623,59 @@ mod tests {
     }
 
     #[test]
+    fn winner_rows_are_their_streams_drawn_again() {
+        let (imc, b, run) = setup(1500);
+        let searched = Problem::new(&imc, &b, &run).unwrap();
+        assert!(searched.num_sampled_rows() > 0);
+        // Every successful trace runs 0 -> 1 -> 2: each visited row has one
+        // observed transition and a closed form.
+        let mut cb = DtmcBuilder::new(4);
+        cb.set_initial(0)
+            .add_transition(0, 1, 3e-2)
+            .add_transition(0, 3, 1.0 - 3e-2)
+            .add_transition(1, 2, 0.05)
+            .add_transition(1, 3, 0.95)
+            .add_self_loop(2)
+            .add_self_loop(3);
+        let center = cb.build().unwrap();
+        let imc = Imc::from_center(&center, |from, _| if from < 2 { 1e-3 } else { 0.0 }).unwrap();
+        let (target, avoid) = (StateSet::from_states(4, [2]), StateSet::from_states(4, [3]));
+        let b = zero_variance_is(&center, &target, &avoid, &SolveOptions::default()).unwrap();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(8);
+        let prop = Property::reach_avoid(target, avoid);
+        let run = sample_is_run(&b, &prop, &IsConfig::new(100), &mut rng);
+        let closed = Problem::new(&imc, &b, &run).unwrap();
+        assert_eq!(closed.num_sampled_rows(), 0);
+        assert_eq!(closed.row_assignments().len(), 2);
+
+        let config = RandomSearchConfig {
+            r_undefeated: 200,
+            r_max: 5_000,
+            record_trace: false,
+        };
+        for problem in [&searched, &closed] {
+            let out = BatchSearch::new(2, 13).run(problem, &config, 2018).unwrap();
+            // A fresh problem's samplers start unadapted, as every lane
+            // draw does.
+            let fresh_rows = |found_at: usize, minimum: bool| {
+                let draw = match found_at {
+                    0 => Vec::new(),
+                    round => {
+                        let mut rng = trace_rng(2018, round as u64 - 1);
+                        problem.clone().draw_and_eval(&mut rng).unwrap().draw
+                    }
+                };
+                problem.rows_for(&draw, minimum)
+            };
+            assert_eq!(out.rows_min, fresh_rows(out.min_found_at, true));
+            assert_eq!(out.rows_max, fresh_rows(out.max_found_at, false));
+            if problem.num_sampled_rows() > 0 {
+                assert!(out.min_found_at > 0 && out.max_found_at > 0);
+            }
+        }
+    }
+
+    #[test]
     fn search_dispatches_sequential_exactly() {
         let (imc, b, run) = setup(1000);
         let config = RandomSearchConfig {
@@ -692,18 +739,23 @@ mod tests {
         }
         let mut fresh = problem.scratch();
         let lane = 3;
-        let from_warm = problem
-            .draw_lane(&mut warm, lane, &mut trace_rng(99, 5))
-            .unwrap();
-        let from_fresh = problem
-            .draw_lane(&mut fresh, lane, &mut trace_rng(99, 5))
-            .unwrap();
-        assert_eq!(from_warm, from_fresh);
+        for scratch in [&mut warm, &mut fresh] {
+            problem
+                .draw_lane(scratch, lane, &mut trace_rng(99, 5))
+                .unwrap();
+        }
         let (warm_sums, fresh_sums) = (problem.eval_block(&warm), problem.eval_block(&fresh));
         let bits = |sums: &LaneSums<LANES>| {
             [sums.f_min, sums.g_min, sums.f_max, sums.g_max].map(|v| v[lane].to_bits())
         };
         assert_eq!(bits(&warm_sums), bits(&fresh_sums));
+        let from_warm = problem
+            .drawn_rows(&mut warm, &mut trace_rng(99, 5))
+            .unwrap();
+        let from_fresh = problem
+            .drawn_rows(&mut fresh, &mut trace_rng(99, 5))
+            .unwrap();
+        assert_eq!(from_warm, from_fresh);
 
         // The fixture does exercise adaptation: the sequential path, which
         // keeps λ across draws, draws differently once warm.

@@ -288,15 +288,18 @@ impl Problem {
         for (row_idx, row) in self.rows.iter_mut().enumerate() {
             if let RowKind::Sampled(sampler) = &mut row.kind {
                 let values = sampler.sample(rng)?;
-                self.sequential.set_row(0, &row.observed, &values);
-                draw.push((row_idx, values));
+                self.sequential.set_row(0, &row.observed, values);
+                draw.push((row_idx, values.to_vec()));
             }
         }
-        Ok(CandidateEval::from_lane(
-            &self.sequential.eval(self),
-            0,
+        let sums = self.sequential.eval(self);
+        Ok(CandidateEval {
+            f_min: sums.f_min[0],
+            g_min: sums.g_min[0],
+            f_max: sums.f_max[0],
+            g_max: sums.g_max[0],
             draw,
-        ))
+        })
     }
 
     /// Creates the reusable per-worker state of the batched search:
@@ -320,9 +323,10 @@ impl Problem {
         }
     }
 
-    /// Draws one candidate into lane `lane` of the scratch's block and
-    /// returns the draw as `(row index, values)`; the block is evaluated by
-    /// [`Problem::eval_block`].
+    /// Draws one candidate straight into lane `lane` of the scratch's
+    /// block; the block is evaluated by [`Problem::eval_block`]. The draw
+    /// itself is not kept: [`Problem::drawn_rows`] rebuilds it from the same
+    /// stream.
     ///
     /// Unlike [`Problem::draw_and_eval`], each draw is a **pure function of
     /// the RNG stream**: the scratch samplers' λ-inflation is reset before
@@ -341,16 +345,28 @@ impl Problem {
         scratch: &mut CandidateScratch,
         lane: usize,
         rng: &mut R,
+    ) -> Result<(), OptimError> {
+        let block = &mut scratch.block;
+        reset_and_draw(&mut scratch.samplers, rng, |row_idx, values| {
+            block.set_row(lane, &self.rows[row_idx].observed, values);
+        })
+    }
+
+    /// The candidate [`Problem::draw_lane`] draws from `rng`, as `(row
+    /// index, values)` of its sampled rows.
+    ///
+    /// # Errors
+    ///
+    /// As for [`Problem::draw_lane`].
+    pub(crate) fn drawn_rows<R: Rng + ?Sized>(
+        &self,
+        scratch: &mut CandidateScratch,
+        rng: &mut R,
     ) -> Result<Draw, OptimError> {
         let mut draw: Draw = Vec::with_capacity(scratch.samplers.len());
-        for (row_idx, sampler) in &mut scratch.samplers {
-            sampler.reset_adaptation();
-            let values = sampler.sample(rng)?;
-            scratch
-                .block
-                .set_row(lane, &self.rows[*row_idx].observed, &values);
-            draw.push((*row_idx, values));
-        }
+        reset_and_draw(&mut scratch.samplers, rng, |row_idx, values| {
+            draw.push((row_idx, values.to_vec()));
+        })?;
         Ok(draw)
     }
 
@@ -402,6 +418,21 @@ impl Problem {
     }
 }
 
+/// Draws every sampled row of one batched candidate from `rng`, in row
+/// order, each sampler's λ-inflation reset first, and hands each row to
+/// `visit` as `(row index, values)`.
+fn reset_and_draw<R: Rng + ?Sized>(
+    samplers: &mut [(usize, ConstrainedRowSampler)],
+    rng: &mut R,
+    mut visit: impl FnMut(usize, &[f64]),
+) -> Result<(), OptimError> {
+    for (row_idx, sampler) in samplers {
+        sampler.reset_adaptation();
+        visit(*row_idx, sampler.sample(rng)?);
+    }
+    Ok(())
+}
+
 /// Reusable worker-local state of the batched search: pristine
 /// row-sampler clones and a block of candidate `ln a` buffers under both
 /// templates.
@@ -414,10 +445,10 @@ impl Problem {
 /// in one
 /// [`PreparedRun::eval_lanes`](imc_sampling::PreparedRun::eval_lanes) call.
 ///
-/// One scratch per worker thread amortises the allocations of the
-/// candidate hot path; the scratch never influences *what* is drawn (its
-/// samplers are reset before every draw), only where the intermediate
-/// values live.
+/// One scratch per worker thread holds every buffer of the candidate hot
+/// path, so a warm draw and its evaluation allocate nothing; the scratch
+/// never influences *what* is drawn (its samplers are reset before every
+/// draw), only where the intermediate values live.
 #[derive(Debug, Clone)]
 pub(crate) struct CandidateScratch {
     /// `(row index, sampler)` for each sampled row, row order.
@@ -479,19 +510,6 @@ pub struct CandidateEval {
     pub g_max: f64,
     /// The drawn values of sampled rows, as `(row index, values)`.
     pub draw: Vec<(usize, Vec<f64>)>,
-}
-
-impl CandidateEval {
-    /// Lane `lane` of a kernel result, with that lane's draw.
-    pub(crate) fn from_lane<const L: usize>(sums: &LaneSums<L>, lane: usize, draw: Draw) -> Self {
-        CandidateEval {
-            f_min: sums.f_min[lane],
-            g_min: sums.g_min[lane],
-            f_max: sums.f_max[lane],
-            g_max: sums.g_max[lane],
-            draw,
-        }
-    }
 }
 
 enum Extreme {

@@ -181,6 +181,73 @@ fn row_sampler_budget_errors_instead_of_spinning() {
     }
 }
 
+/// A row whose free coordinates have tiny centres: pinned `1 − 2c` plus
+/// two free `[0, 1e-3] @ c`, whose Gamma shapes `0.01·c` make every draw
+/// underflow to 0. An attempt whose whole vector underflowed is a
+/// rejection like any other, so it counts, λ-inflation grows the shapes
+/// and the draw ends within the attempt budget.
+fn underflowing_row(c: f64) -> [IntervalSpec; 3] {
+    [
+        IntervalSpec::new(1.0 - 2.0 * c, 1.0 - 2.0 * c, 1.0 - 2.0 * c).unwrap(),
+        IntervalSpec::new(0.0, 1e-3, c).unwrap(),
+        IntervalSpec::new(0.0, 1e-3, c).unwrap(),
+    ]
+}
+
+#[test]
+fn row_sampler_rejects_an_underflowed_gamma_vector() {
+    let mut sampler = ConstrainedRowSampler::new(&underflowing_row(1e-8)).unwrap();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+    let values = sampler.sample(&mut rng).unwrap().to_vec();
+    assert!((values.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+    let stats = sampler.stats();
+    assert!(stats.rejections > 0 && stats.inflations > 0, "{stats:?}");
+    assert_eq!(stats.attempts, stats.rejections + 1);
+}
+
+/// End to end: an IMCIS run over a DSL model whose searched row is that
+/// underflowing row completes, under both search strategies.
+#[test]
+fn imcis_over_an_underflowing_row_completes() {
+    let source = r#"
+        param c = 1e-9
+        model {
+          state s0 initial {
+            -> goal [0, 0.001] @ c
+            -> s1 [0, 0.001] @ c
+            -> sink 1 - 2 * c
+          }
+          state s1 { -> goal 1.0 }
+          state goal label "goal" { -> goal 1.0 }
+          state sink label "sink" { -> sink 1.0 }
+        }
+        property reach "goal" avoid "sink"
+        is zero_variance
+    "#;
+    for search in [
+        r#"{"strategy": "sequential"}"#,
+        r#"{"strategy": "batched", "batch_size": 8}"#,
+    ] {
+        let spec: RunSpec = format!(
+            r#"{{"scenario": {{"dsl": {source}}},
+                "method": {{"name": "imcis", "n_traces": 100, "r_max": 16,
+                            "search": {search}}},
+                "seed": 2018}}"#,
+            source = serde::json::Value::Str(source.into())
+        )
+        .parse()
+        .unwrap();
+        let report = Session::from_spec(spec).unwrap().run().unwrap();
+        let run = &report.runs[0];
+        assert_eq!((run.n_success, run.rounds), (100, Some(16)), "{search}");
+        assert!(
+            run.ci.lo() > 0.0 && run.ci.hi() < 1e-8,
+            "{search}: {:?}",
+            run.ci
+        );
+    }
+}
+
 #[test]
 fn learning_from_nothing_fails_cleanly() {
     let counts = CountTable::new(3);
