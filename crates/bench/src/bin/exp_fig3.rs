@@ -6,7 +6,7 @@
 //! either extremum, in estimate units (γ = f/N).
 
 use imcis_bench::{BuiltScenario, Scale};
-use imcis_core::{ImcisSpec, Method, OutcomeDetail};
+use imcis_core::{ImcisSpec, Method};
 
 fn main() {
     let scale = Scale::from_args();
@@ -22,9 +22,8 @@ fn main() {
     });
     // One repetition: its RNG stream is seeded with `scale.seed` itself.
     // `min_found_at` and `max_found_at` live in the full IMCIS outcome.
-    let OutcomeDetail::Imcis(out) = scenario.run(method, scale.seed, 1).remove(0).detail else {
-        unreachable!("an IMCIS session yields IMCIS outcomes")
-    };
+    let out = (scenario.run(method, scale.seed, 1).remove(0).imcis)
+        .expect("an IMCIS session yields IMCIS outcomes");
 
     println!("round\tgamma_min\tgamma_max");
     for p in &out.trace {

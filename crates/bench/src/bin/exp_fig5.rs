@@ -6,7 +6,7 @@
 //! Output: TSV — `alpha  gamma`.
 
 use imc_models::group_repair;
-use imc_numeric::{linspace, reach_before_return, sweep, SolveOptions};
+use imc_numeric::{linspace, reach_before_return, sweep};
 use imcis_bench::Scale;
 
 fn main() {
@@ -21,11 +21,7 @@ fn main() {
     let grid = linspace(group_repair::ALPHA_LO, group_repair::ALPHA_HI, points);
     let curve = sweep(&grid, |alpha| {
         let chain = group_repair::jump_chain(alpha);
-        reach_before_return(
-            &chain,
-            chain.labeled_states("failure"),
-            &SolveOptions::default(),
-        )
+        reach_before_return(&chain, chain.labeled_states("failure"))
     })
     .expect("solver converges on every grid point");
 

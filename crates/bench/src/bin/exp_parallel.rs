@@ -101,13 +101,13 @@ fn main() {
     let mut eval_identical = true;
     for a in &candidates {
         let naive = is_estimate(a, &setup.b, &run, 0.05);
-        let fast = prepared.estimate(a, 0.05);
+        let fast = prepared.estimate_chain(a, 0.05);
         eval_identical &= naive.gamma_hat.to_bits() == fast.gamma_hat.to_bits()
             && naive.sigma_hat.to_bits() == fast.sigma_hat.to_bits();
     }
     // The lane kernel over the same candidates, LANES chains per call: fill
     // each lane from its chain, evaluate the block, take each lane's
-    // moments. Every lane must equal the one-chain path by bits.
+    // estimate. Every lane must equal the one-chain path by bits.
     let blocked_pass = |out: &mut Vec<(f64, f64)>| {
         out.clear();
         let mut log_a = Vec::new();
@@ -121,14 +121,14 @@ fn main() {
             }
             let sums = prepared.eval_lanes(&lanes, &lanes, &[]);
             for lane in 0..block.len() {
-                out.push(prepared.moments(sums.f_min[lane], sums.g_min[lane]));
+                out.push(prepared.estimate(sums.f_min[lane], sums.g_min[lane]));
             }
         }
     };
     let mut blocked = Vec::new();
     blocked_pass(&mut blocked);
     let blocked_identical = candidates.iter().zip(&blocked).all(|(a, &(gamma, sigma))| {
-        let fast = prepared.estimate(a, 0.05);
+        let fast = prepared.estimate_chain(a, 0.05);
         fast.gamma_hat.to_bits() == gamma.to_bits() && fast.sigma_hat.to_bits() == sigma.to_bits()
     });
     // Candidate-evals/sec of repeated passes over all candidates.
@@ -148,7 +148,7 @@ fn main() {
     }));
     let prepared_rate = time_evals(Box::new(|| {
         for a in &candidates {
-            std::hint::black_box(prepared.estimate(a, 0.05));
+            std::hint::black_box(prepared.estimate_chain(a, 0.05));
         }
     }));
     let blocked_rate = time_evals(Box::new(|| {

@@ -8,7 +8,7 @@
 //! which method's hull still contains `γ(A(α))`.
 
 use imc_models::repair;
-use imc_numeric::{linspace, reach_before_return, SolveOptions};
+use imc_numeric::{linspace, reach_before_return};
 use imc_stats::ConfidenceInterval;
 use imcis_bench::{sci, BuiltScenario, Scale};
 use imcis_core::Method;
@@ -65,12 +65,8 @@ fn main() {
     let mut imcis_range = (f64::INFINITY, f64::NEG_INFINITY);
     for &alpha in &grid {
         let chain = repair::jump_chain(alpha);
-        let gamma = reach_before_return(
-            &chain,
-            chain.labeled_states("failure"),
-            &SolveOptions::default(),
-        )
-        .expect("solver converges");
+        let gamma =
+            reach_before_return(&chain, chain.labeled_states("failure")).expect("solver converges");
         let in_is = is_hull.contains(gamma);
         let in_imcis = imcis_hull.contains(gamma);
         if in_is {

@@ -7,9 +7,9 @@
 //! `a_min ≈ 5.02e-5`, `c_min ≈ 0.0496`, `a_max ≈ 5.48e-4`, `c_max ≈ 0.0501`.
 
 use imc_models::illustrative;
-use imc_stats::Summary;
+use imc_stats::RunningStats;
 use imcis_bench::{print_table, sci, BuiltScenario, Scale};
-use imcis_core::{ImcisSpec, Method, OutcomeDetail};
+use imcis_core::{ImcisOutcome, ImcisSpec, Method};
 
 fn main() {
     let scale = Scale::from_args();
@@ -31,38 +31,37 @@ fn main() {
     let outcomes: Vec<_> = scenario
         .run(method, scale.seed, scale.reps)
         .into_iter()
-        .map(|o| match o.detail {
-            OutcomeDetail::Imcis(out) => out,
-            _ => unreachable!("an IMCIS session yields IMCIS outcomes"),
-        })
+        .map(|o| o.imcis.expect("an IMCIS session yields IMCIS outcomes"))
         .collect();
 
     // nr: rounds until the search stopped (improvement phase + R undefeated).
-    let nr = Summary::from_values(outcomes.iter().map(|o| o.rounds as f64));
-    let a_min = Summary::from_values(outcomes.iter().map(|o| {
+    let stats =
+        |value: fn(&ImcisOutcome) -> f64| -> RunningStats { outcomes.iter().map(value).collect() };
+    let nr = stats(|o| o.rounds as f64);
+    let a_min = stats(|o| {
         o.min_prob(illustrative::S0, illustrative::S1)
             .expect("row 0 optimised")
-    }));
-    let c_min = Summary::from_values(outcomes.iter().map(|o| {
+    });
+    let c_min = stats(|o| {
         o.min_prob(illustrative::S1, illustrative::S2)
             .expect("row 1 optimised")
-    }));
-    let a_max = Summary::from_values(outcomes.iter().map(|o| {
+    });
+    let a_max = stats(|o| {
         o.max_prob(illustrative::S0, illustrative::S1)
             .expect("row 0 optimised")
-    }));
-    let c_max = Summary::from_values(outcomes.iter().map(|o| {
+    });
+    let c_max = stats(|o| {
         o.max_prob(illustrative::S1, illustrative::S2)
             .expect("row 1 optimised")
-    }));
+    });
 
     println!("\nTable I — illustrative example, a ∈ [0.5, 5.5]e-4, c ∈ [0.0493, 0.0503]");
-    let stat = |s: &Summary| {
+    let stat = |s: &RunningStats| {
         vec![
-            sci(s.average()),
+            sci(s.mean()),
             sci(s.min()),
             sci(s.max()),
-            sci(s.std_dev()),
+            sci(s.population_std_dev()),
         ]
     };
     let headers = ["", "nr", "a_min", "c_min", "a_max", "c_max"];

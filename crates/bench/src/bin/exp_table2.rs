@@ -5,8 +5,9 @@
 //! Paper shape: IS covers `γ(Â)` (100%/80%) but `γ` poorly (0%/27%);
 //! IMCIS covers `γ(Â)` at 100% and `γ` far better (100%/75%).
 
+use imc_stats::RunningStats;
 use imcis_bench::{print_table, sci, BuiltScenario, Scale};
-use imcis_core::{CoverageSummary, Method};
+use imcis_core::Method;
 use serde::json::Value;
 
 fn main() {
@@ -35,24 +36,23 @@ fn main() {
         let s = scenario.setup();
         // For SWaT the paper treats γ as unknown: report "-" coverage.
         let known = s.name != "SWaT";
-        let gamma_center = if known { s.gamma_center } else { None };
-        let gamma_exact = if known { s.gamma_exact } else { None };
-
-        let pct = |c: Option<f64>| c.map_or("-".to_string(), |v| format!("{:.0}%", 100.0 * v));
+        let pct = |c: Option<f64>| {
+            c.filter(|_| known)
+                .map_or("-".to_string(), |v| format!("{:.0}%", 100.0 * v))
+        };
         for (label, method) in [
             ("IS", Method::StandardIs(sample)),
             ("IMCIS", Method::Imcis(scale.imcis(sample))),
         ] {
-            let runs = scenario.run(method, scale.seed, scale.reps);
-            let cis: Vec<_> = runs.iter().map(|o| o.ci).collect();
-            let summary = CoverageSummary::from_cis(&cis, gamma_center, gamma_exact);
+            let report = scenario.report(method, scale.seed, scale.reps);
+            let mid: RunningStats = report.runs.iter().map(|r| r.ci.mid()).collect();
             rows.push(vec![
                 s.name.to_string(),
                 label.to_string(),
-                format!("[{}, {}]", sci(summary.mean_lo), sci(summary.mean_hi)),
-                sci(summary.mean_mid),
-                pct(summary.coverage_gamma_hat),
-                pct(summary.coverage_gamma_true),
+                format!("[{}, {}]", sci(report.ci.lo()), sci(report.ci.hi())),
+                sci(mid.mean()),
+                pct(report.coverage_gamma_hat),
+                pct(report.coverage_gamma_true),
             ]);
         }
     }

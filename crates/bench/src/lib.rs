@@ -33,7 +33,9 @@ use std::str::FromStr;
 use std::sync::Arc;
 
 use imc_models::{ScenarioParams, ScenarioRegistry, Setup};
-use imcis_core::{ImcisSpec, Method, MethodOutcome, RunSpec, SampleSpec, ScenarioRef, Session};
+use imcis_core::{
+    ImcisSpec, Method, MethodOutcome, Report, RunSpec, SampleSpec, ScenarioRef, Session,
+};
 use serde::json::Value;
 
 /// The command line every experiment binary accepts.
@@ -211,10 +213,26 @@ impl BuiltScenario {
     ///
     /// Panics if a repetition fails.
     pub fn run(&self, method: Method, seed: u64, reps: usize) -> Vec<MethodOutcome> {
-        let spec = RunSpec::new(self.scenario.clone(), method, seed).with_repetitions(reps);
-        Session::from_setup(Arc::clone(&self.setup), spec)
+        self.session(method, seed, reps)
             .run_outcomes()
             .unwrap_or_else(|e| panic!("runs on `{}` fail: {e}", self.scenario.name))
+    }
+
+    /// [`BuiltScenario::run`], folded into the session's [`Report`]: the
+    /// mean interval and the coverage of the scenario's reference `γ`s.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a repetition fails.
+    pub fn report(&self, method: Method, seed: u64, reps: usize) -> Report {
+        self.session(method, seed, reps)
+            .run()
+            .unwrap_or_else(|e| panic!("runs on `{}` fail: {e}", self.scenario.name))
+    }
+
+    fn session(&self, method: Method, seed: u64, reps: usize) -> Session {
+        let spec = RunSpec::new(self.scenario.clone(), method, seed).with_repetitions(reps);
+        Session::from_setup(Arc::clone(&self.setup), spec)
     }
 }
 

@@ -57,7 +57,7 @@ use imc_markov::{io, Dtmc, Imc, StateSet};
 use imc_models::{ScenarioParams, ScenarioRegistry};
 use imc_numeric::{
     bounded_reach_avoid_probs, expected_steps_to, imc_bounded_reach_bounds, imc_reach_bounds,
-    reach_avoid_probs, SolveOptions,
+    reach_avoid_probs,
 };
 use imc_sim::{monte_carlo, SmcConfig};
 use imcis_core::router::{Router, RouterConfig};
@@ -280,44 +280,36 @@ pub struct Options {
 /// `--delta` values a manifest would reject (`--n 0`, `--delta` outside
 /// `(0, 1)`).
 pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
-    let mut it = args.iter();
-    let command = it
-        .next()
+    let mut flags = Flags::new(args);
+    let command = flags
+        .next_arg()
         .ok_or_else(|| CliError::Usage("missing command".into()))?
         .clone();
-    let model_path = it
-        .next()
+    let model_path = flags
+        .next_arg()
         .ok_or_else(|| CliError::Usage("missing model file".into()))?
         .clone();
+    let sample = SampleSpec::default();
     let mut options = Options {
         command,
         model_path,
         target: None,
         avoid: None,
         bound: None,
-        n: 10_000,
-        delta: 0.05,
-        seed: 2018,
+        n: sample.n_traces,
+        delta: sample.delta,
+        seed: RunSpec::DEFAULT_SEED,
         threads: 0,
     };
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{name} requires a value")))
-        };
+    while let Some(flag) = flags.next_arg() {
         match flag.as_str() {
-            "--target" => options.target = Some(value("--target")?),
-            "--avoid" => options.avoid = Some(value("--avoid")?),
-            "--bound" => {
-                options.bound = Some(parse_value(&value("--bound")?, "--bound")?);
-            }
-            "--n" => options.n = parse_value(&value("--n")?, "--n")?,
-            "--delta" => options.delta = parse_value(&value("--delta")?, "--delta")?,
-            "--seed" => options.seed = parse_value(&value("--seed")?, "--seed")?,
-            "--threads" => {
-                options.threads = parse_value(&value("--threads")?, "--threads")?;
-            }
+            "--target" => options.target = Some(flags.value()?),
+            "--avoid" => options.avoid = Some(flags.value()?),
+            "--bound" => options.bound = Some(flags.parse()?),
+            "--n" => options.n = flags.parse()?,
+            "--delta" => options.delta = flags.parse()?,
+            "--seed" => options.seed = flags.parse()?,
+            "--threads" => options.threads = flags.parse()?,
             other => return Err(CliError::Usage(format!("unknown option `{other}`"))),
         }
     }
@@ -327,7 +319,7 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
     let sample = SampleSpec {
         n_traces: options.n,
         delta: options.delta,
-        ..SampleSpec::default()
+        ..sample
     };
     validated(RunSpec::new(
         ScenarioRef::named("file"),
@@ -337,9 +329,67 @@ pub fn parse_args(args: &[String]) -> Result<Options, CliError> {
     Ok(options)
 }
 
-fn parse_value<T: std::str::FromStr>(raw: &str, flag: &str) -> Result<T, CliError> {
-    raw.parse()
-        .map_err(|_| CliError::Usage(format!("{flag}: cannot parse `{raw}`")))
+/// Reads one command's arguments: each flag is named once, in its match
+/// arm, and the reader names it in the messages about its value.
+struct Flags<'a> {
+    args: std::slice::Iter<'a, String>,
+    /// The argument [`Flags::next_arg`] returned last.
+    flag: &'a str,
+}
+
+impl<'a> Flags<'a> {
+    fn new(args: &'a [String]) -> Self {
+        Flags {
+            args: args.iter(),
+            flag: "",
+        }
+    }
+
+    /// The next argument: a flag or a positional.
+    fn next_arg(&mut self) -> Option<&'a String> {
+        let arg = self.args.next()?;
+        self.flag = arg;
+        Some(arg)
+    }
+
+    /// The value after the current flag.
+    fn value(&mut self) -> Result<String, CliError> {
+        self.args
+            .next()
+            .cloned()
+            .ok_or_else(|| CliError::Usage(format!("{} requires a value", self.flag)))
+    }
+
+    /// The value after the current flag, parsed.
+    fn parse<T: FromStr>(&mut self) -> Result<T, CliError> {
+        let raw = self.value()?;
+        raw.parse()
+            .map_err(|_| CliError::Usage(format!("{}: cannot parse `{raw}`", self.flag)))
+    }
+
+    /// The `K=V` value after a `--param` flag. `V` is a JSON scalar:
+    /// unsigned/signed integers, floats and booleans parse as such,
+    /// anything else stays a string.
+    fn param(&mut self) -> Result<(String, Value), CliError> {
+        let raw = self.value()?;
+        let (key, val) = raw
+            .split_once('=')
+            .ok_or_else(|| CliError::Usage(format!("--param expects K=V, got `{raw}`")))?;
+        let value = if let Ok(u) = val.parse::<u64>() {
+            Value::UInt(u)
+        } else if let Ok(i) = val.parse::<i64>() {
+            Value::Int(i)
+        } else if let Ok(f) = val.parse::<f64>() {
+            Value::Float(f)
+        } else {
+            match val {
+                "true" => Value::Bool(true),
+                "false" => Value::Bool(false),
+                _ => Value::Str(val.to_string()),
+            }
+        };
+        Ok((key.to_string(), value))
+    }
 }
 
 /// `imcis scenarios`: the registry listing.
@@ -378,61 +428,49 @@ pub fn spec_from_flags(args: &[String]) -> Result<RunSpec, CliError> {
     let mut params: Vec<(String, Value)> = Vec::new();
     let mut method_name: Option<String> = None;
     let mut sample = SampleSpec::default();
-    let mut seed = 2018u64;
-    let mut threads = 0usize;
-    let mut search_threads = 0usize;
+    let mut imcis = ImcisSpec::default();
     let mut search_batch = 0usize;
-    let mut reps = 1usize;
-    let mut r_undefeated = 1000usize;
-    let mut r_max = 100_000usize;
-    let mut record_trace = false;
+    // The seed, thread budgets and repetitions; the scenario and the
+    // method are filled in once every flag is read.
+    let mut spec = RunSpec::new(
+        ScenarioRef::named(""),
+        Method::Smc(sample),
+        RunSpec::DEFAULT_SEED,
+    );
     // IMCIS-only flags the user actually passed: rejected loudly with
     // any other method instead of being silently ignored (same contract
     // as the manifest form's unknown-key errors).
     let mut imcis_only: Vec<&'static str> = Vec::new();
 
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{name} requires a value")))
-        };
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_arg() {
         match flag.as_str() {
-            "--scenario" => scenario = Some(value("--scenario")?),
-            "--method" => method_name = Some(value("--method")?),
-            "--param" => {
-                let raw = value("--param")?;
-                let (key, val) = raw
-                    .split_once('=')
-                    .ok_or_else(|| CliError::Usage(format!("--param expects K=V, got `{raw}`")))?;
-                params.push((key.to_string(), parse_param_value(val)));
-            }
-            "--reps" => reps = parse_value(&value("--reps")?, "--reps")?,
-            "--n" => sample.n_traces = parse_value(&value("--n")?, "--n")?,
-            "--delta" => sample.delta = parse_value(&value("--delta")?, "--delta")?,
-            "--max-steps" => sample.max_steps = parse_value(&value("--max-steps")?, "--max-steps")?,
-            "--seed" => seed = parse_value(&value("--seed")?, "--seed")?,
+            "--scenario" => scenario = Some(flags.value()?),
+            "--method" => method_name = Some(flags.value()?),
+            "--param" => params.push(flags.param()?),
+            "--reps" => spec.repetitions = flags.parse()?,
+            "--n" => sample.n_traces = flags.parse()?,
+            "--delta" => sample.delta = flags.parse()?,
+            "--max-steps" => sample.max_steps = flags.parse()?,
+            "--seed" => spec.seed = flags.parse()?,
             "--r" => {
-                r_undefeated = parse_value(&value("--r")?, "--r")?;
+                imcis.r_undefeated = flags.parse()?;
                 imcis_only.push("--r");
             }
             "--r-max" => {
-                r_max = parse_value(&value("--r-max")?, "--r-max")?;
+                imcis.r_max = flags.parse()?;
                 imcis_only.push("--r-max");
             }
             "--trace" => {
-                record_trace = true;
+                imcis.record_trace = true;
                 imcis_only.push("--trace");
             }
-            "--threads" => threads = parse_value(&value("--threads")?, "--threads")?,
+            "--threads" => spec.threads = flags.parse()?,
             "--search-batch" => {
-                search_batch = parse_value(&value("--search-batch")?, "--search-batch")?;
+                search_batch = flags.parse()?;
                 imcis_only.push("--search-batch");
             }
-            "--search-threads" => {
-                search_threads = parse_value(&value("--search-threads")?, "--search-threads")?;
-            }
+            "--search-threads" => spec.search_threads = flags.parse()?,
             other => return Err(CliError::Usage(format!("unknown option `{other}`"))),
         }
     }
@@ -446,7 +484,7 @@ pub fn spec_from_flags(args: &[String]) -> Result<RunSpec, CliError> {
             if imcis_only.len() == 1 { "ies" } else { "y" },
         )));
     }
-    let method = match method_name.as_str() {
+    spec.method = match method_name.as_str() {
         "smc" => Method::Smc(sample),
         "standard-is" => Method::StandardIs(sample),
         "zero-variance" => Method::ZeroVarianceIs(sample),
@@ -464,17 +502,14 @@ pub fn spec_from_flags(args: &[String]) -> Result<RunSpec, CliError> {
         }),
         "imcis" => Method::Imcis(ImcisSpec {
             sample,
-            r_undefeated,
-            r_max,
-            force_sampling: false,
-            record_trace,
             search: if search_batch > 0 {
                 SearchStrategy::Batched {
                     batch_size: search_batch,
                 }
             } else {
-                SearchStrategy::Sequential
+                imcis.search
             },
+            ..imcis
         }),
         other => {
             return Err(CliError::Usage(format!(
@@ -484,16 +519,9 @@ pub fn spec_from_flags(args: &[String]) -> Result<RunSpec, CliError> {
             )))
         }
     };
-    let spec = RunSpec {
-        scenario: ScenarioRef {
-            name: scenario,
-            params: ScenarioParams::from_pairs(params),
-        },
-        method,
-        seed,
-        threads,
-        search_threads,
-        repetitions: reps,
+    spec.scenario = ScenarioRef {
+        name: scenario,
+        params: ScenarioParams::from_pairs(params),
     };
     validated(spec)
 }
@@ -507,40 +535,16 @@ fn validated(spec: RunSpec) -> Result<RunSpec, CliError> {
     Ok(spec)
 }
 
-/// `--param` values are JSON scalars: unsigned/signed integers, floats
-/// and booleans parse as such, anything else stays a string.
-fn parse_param_value(raw: &str) -> Value {
-    if let Ok(u) = raw.parse::<u64>() {
-        return Value::UInt(u);
-    }
-    if let Ok(i) = raw.parse::<i64>() {
-        return Value::Int(i);
-    }
-    if let Ok(f) = raw.parse::<f64>() {
-        return Value::Float(f);
-    }
-    match raw {
-        "true" => Value::Bool(true),
-        "false" => Value::Bool(false),
-        _ => Value::Str(raw.to_string()),
-    }
-}
-
 /// `imcis suite <suite.json> [--threads T]`: a SuiteSpec manifest end to
 /// end, optionally overriding the manifest's session-level thread budget
 /// for scheduling only (results are bit-identical at every budget).
 fn run_suite_command(args: &[String]) -> Result<String, CliError> {
     let mut path: Option<&String> = None;
     let mut threads: Option<usize> = None;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_arg() {
         match arg.as_str() {
-            "--threads" => {
-                let raw = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--threads requires a value".into()))?;
-                threads = Some(parse_value(raw, "--threads")?);
-            }
+            "--threads" => threads = Some(flags.parse()?),
             other if !other.starts_with("--") && path.is_none() => path = Some(arg),
             other => {
                 return Err(CliError::Usage(format!(
@@ -575,19 +579,11 @@ fn dsl_command(args: &[String]) -> Result<String, CliError> {
     let mut path: Option<&String> = None;
     let mut emit_spec = false;
     let mut params: Vec<(String, Value)> = Vec::new();
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_arg() {
         match arg.as_str() {
             "--emit-spec" => emit_spec = true,
-            "--param" => {
-                let raw = it
-                    .next()
-                    .ok_or_else(|| CliError::Usage("--param requires a value".into()))?;
-                let (key, val) = raw
-                    .split_once('=')
-                    .ok_or_else(|| CliError::Usage(format!("--param expects K=V, got `{raw}`")))?;
-                params.push((key.to_string(), parse_param_value(val)));
-            }
+            "--param" => params.push(flags.param()?),
             other if !other.starts_with("--") && path.is_none() => path = Some(arg),
             other => {
                 return Err(CliError::Usage(format!(
@@ -681,18 +677,13 @@ fn dsl_command(args: &[String]) -> Result<String, CliError> {
 /// to stderr so scripts can background the process and wait for it.
 fn serve_command(args: &[String]) -> Result<String, CliError> {
     let mut config = ServeConfig::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{name} requires a value")))
-        };
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_arg() {
         match flag.as_str() {
-            "--addr" => config.addr = value("--addr")?,
-            "--workers" => config.workers = parse_value(&value("--workers")?, "--workers")?,
-            "--queue" => config.queue = parse_value(&value("--queue")?, "--queue")?,
-            "--rate" => config.rate = parse_value(&value("--rate")?, "--rate")?,
+            "--addr" => config.addr = flags.value()?,
+            "--workers" => config.workers = flags.parse()?,
+            "--queue" => config.queue = flags.parse()?,
+            "--rate" => config.rate = flags.parse()?,
             other => {
                 return Err(CliError::Usage(format!(
                     "unexpected serve argument `{other}` \
@@ -717,20 +708,13 @@ fn serve_command(args: &[String]) -> Result<String, CliError> {
 /// fanned out to the fleet first).
 fn router_command(args: &[String]) -> Result<String, CliError> {
     let mut config = RouterConfig::default();
-    let mut it = args.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{name} requires a value")))
-        };
+    let mut flags = Flags::new(args);
+    while let Some(flag) = flags.next_arg() {
         match flag.as_str() {
-            "--backend" => config.backends.push(value("--backend")?),
-            "--addr" => config.addr = value("--addr")?,
-            "--queue" => config.queue = parse_value(&value("--queue")?, "--queue")?,
-            "--heartbeat-ms" => {
-                config.heartbeat_ms = parse_value(&value("--heartbeat-ms")?, "--heartbeat-ms")?
-            }
+            "--backend" => config.backends.push(flags.value()?),
+            "--addr" => config.addr = flags.value()?,
+            "--queue" => config.queue = flags.parse()?,
+            "--heartbeat-ms" => config.heartbeat_ms = flags.parse()?,
             other => {
                 return Err(CliError::Usage(format!(
                     "unexpected router argument `{other}` \
@@ -892,20 +876,13 @@ fn submit_command(args: &[String]) -> Result<String, CliError> {
     let mut ping = false;
     let mut status = false;
     let mut shutdown = false;
-    let mut it = args.iter();
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| CliError::Usage(format!("{name} requires a value")))
-        };
+    let mut flags = Flags::new(args);
+    while let Some(arg) = flags.next_arg() {
         match arg.as_str() {
-            "--addr" => addr = value("--addr")?,
-            "--events" => events_path = Some(value("--events")?),
-            "--retry-ms" => retry_ms = Some(parse_value(&value("--retry-ms")?, "--retry-ms")?),
-            "--deadline-ms" => {
-                deadline_ms = Some(parse_value(&value("--deadline-ms")?, "--deadline-ms")?)
-            }
+            "--addr" => addr = flags.value()?,
+            "--events" => events_path = Some(flags.value()?),
+            "--retry-ms" => retry_ms = Some(flags.parse()?),
+            "--deadline-ms" => deadline_ms = Some(flags.parse()?),
             "--ping" => ping = true,
             "--status" => status = true,
             "--shutdown" => shutdown = true,
@@ -1129,7 +1106,7 @@ fn run_dtmc_command(options: &Options, chain: &Dtmc) -> Result<String, CliError>
         "solve" => {
             let probs = match options.bound {
                 Some(k) => bounded_reach_avoid_probs(chain, &target, &avoid, k),
-                None => reach_avoid_probs(chain, &target, &avoid, &SolveOptions::default())
+                None => reach_avoid_probs(chain, &target, &avoid)
                     .map_err(|e| CliError::Analysis(e.to_string()))?,
             };
             Ok(format!(
@@ -1147,8 +1124,8 @@ fn run_dtmc_command(options: &Options, chain: &Dtmc) -> Result<String, CliError>
             ))
         }
         "mttf" => {
-            let h = expected_steps_to(chain, &target, &SolveOptions::default())
-                .map_err(|e| CliError::Analysis(e.to_string()))?;
+            let h =
+                expected_steps_to(chain, &target).map_err(|e| CliError::Analysis(e.to_string()))?;
             let value = h[chain.initial()];
             Ok(if value.is_finite() {
                 format!("expected steps to {target_label} = {value:.6}")
@@ -1162,9 +1139,7 @@ fn run_dtmc_command(options: &Options, chain: &Dtmc) -> Result<String, CliError>
             let result = monte_carlo(
                 chain,
                 &property,
-                &SmcConfig::new(options.n, options.delta)
-                    .with_max_steps(1_000_000)
-                    .with_threads(options.threads),
+                &SmcConfig::new(options.n, options.delta).with_threads(options.threads),
                 &mut rng,
             );
             Ok(format!(
@@ -1193,8 +1168,9 @@ fn run_envelope(options: &Options, imc: &Imc) -> Result<String, CliError> {
     };
     let (min, max) = match options.bound {
         Some(k) => imc_bounded_reach_bounds(imc, &target, &avoid, k),
-        None => imc_reach_bounds(imc, &target, &avoid, &SolveOptions::default())
-            .map_err(|e| CliError::Analysis(e.to_string()))?,
+        None => {
+            imc_reach_bounds(imc, &target, &avoid).map_err(|e| CliError::Analysis(e.to_string()))?
+        }
     };
     Ok(format!(
         "γ over all members: [{:.6e}, {:.6e}] from state {}",
@@ -1432,6 +1408,49 @@ label 2 tails
         assert_eq!(spec.method.sample().n_traces, 500);
         // Canonical: reserializing the dry-run output is byte-identical.
         assert_eq!(spec.to_json_string(), report);
+    }
+
+    #[test]
+    fn flag_and_manifest_forms_share_one_set_of_defaults() {
+        // With no tuning flag, a dry run prints the manifest that names
+        // only the scenario and the method, every default filled in by
+        // the manifest parser.
+        let manifest = |scenario: &str, method: &str| {
+            RunSpec::from_str(&format!(
+                "{{\"scenario\": {{\"name\": \"{scenario}\"}}, \
+                 \"method\": {{\"name\": \"{method}\"}}}}"
+            ))
+            .unwrap()
+        };
+        for method in [
+            "smc",
+            "standard-is",
+            "zero-variance",
+            "cross-entropy",
+            "imcis",
+            "ce-campaign",
+            "dupuis-wang",
+        ] {
+            let printed = run(&args(&[
+                "run",
+                "--scenario",
+                "illustrative",
+                "--method",
+                method,
+                "--dry-run",
+            ]))
+            .unwrap();
+            let canonical = manifest("illustrative", method).to_json_string();
+            assert_eq!(printed, canonical, "{method}");
+        }
+        // The model-file commands start from the manifest's sample
+        // defaults and seed.
+        let options = parse_args(&args(&["smc", "m.dtmc"])).unwrap();
+        let (sample, seed) = (SampleSpec::default(), manifest("file", "smc").seed);
+        assert_eq!(
+            (options.n, options.delta, options.seed),
+            (sample.n_traces, sample.delta, seed)
+        );
     }
 
     #[test]

@@ -9,9 +9,12 @@ use imc_sampling::{is_estimate, sample_is_run, IsConfig};
 use imc_stats::{normal_quantile, ConfidenceInterval};
 use rand::Rng;
 
+use crate::session::MethodOutcome;
 use crate::spec::SampleSpec;
 
-/// Configuration of one IMCIS run (inputs of Algorithm 1).
+/// Configuration of one IMCIS run (inputs of Algorithm 1), as
+/// [`ImcisSpec::to_config`](crate::ImcisSpec::to_config) builds it from a
+/// manifest's method block and the session's thread budgets.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImcisConfig {
     /// Sample size `N` (the paper uses 10000).
@@ -39,79 +42,6 @@ pub struct ImcisConfig {
     /// Candidate-search engine: the paper-exact sequential Algorithm 2
     /// (default) or the batched deterministic engine.
     pub strategy: SearchStrategy,
-}
-
-impl ImcisConfig {
-    /// Creates a config with the paper's optimisation defaults
-    /// (`R = 1000`, `R_max = 100000`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_traces == 0` or `delta ∉ (0, 1)`.
-    pub fn new(n_traces: usize, delta: f64) -> Self {
-        assert!(n_traces > 0, "need at least one trace");
-        assert!(delta > 0.0 && delta < 1.0, "delta must lie in (0, 1)");
-        ImcisConfig {
-            n_traces,
-            delta,
-            r_undefeated: 1000,
-            r_max: 100_000,
-            max_steps: 1_000_000,
-            record_trace: false,
-            force_sampling: false,
-            threads: 0,
-            search_threads: 0,
-            strategy: SearchStrategy::Sequential,
-        }
-    }
-
-    /// Replaces the undefeated-round threshold `R`.
-    pub fn with_r_undefeated(mut self, r: usize) -> Self {
-        self.r_undefeated = r;
-        self
-    }
-
-    /// Replaces the hard optimisation cap.
-    pub fn with_r_max(mut self, r_max: usize) -> Self {
-        self.r_max = r_max;
-        self
-    }
-
-    /// Replaces the per-trace step budget.
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Enables recording of the convergence trace.
-    pub fn with_trace(mut self) -> Self {
-        self.record_trace = true;
-        self
-    }
-
-    /// Disables the closed-form fast path (paper-verbatim Algorithm 2).
-    pub fn with_forced_sampling(mut self) -> Self {
-        self.force_sampling = true;
-        self
-    }
-
-    /// Replaces the sampling-phase worker-thread budget (`0` = all cores).
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Replaces the search-phase worker-thread budget (`0` = all cores).
-    pub fn with_search_threads(mut self, threads: usize) -> Self {
-        self.search_threads = threads;
-        self
-    }
-
-    /// Replaces the candidate-search strategy.
-    pub fn with_strategy(mut self, strategy: SearchStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
 }
 
 /// Errors of the IMCIS pipeline.
@@ -273,24 +203,9 @@ pub(crate) fn imcis_impl<R: Rng + ?Sized>(
     })
 }
 
-/// The result of a standard importance-sampling run (the paper's baseline:
-/// IS against the point chain `Â`, ignoring the intervals).
-#[derive(Debug, Clone, PartialEq)]
-pub struct IsOutcome {
-    /// Point estimate `γ̂(Â)`.
-    pub gamma_hat: f64,
-    /// Empirical standard deviation.
-    pub sigma_hat: f64,
-    /// `(1−δ)` confidence interval (clamped into `[0, 1]`).
-    pub ci: ConfidenceInterval,
-    /// Successful traces.
-    pub n_success: u64,
-    /// Undecided traces (step budget exhausted).
-    pub n_undecided: u64,
-}
-
-/// Standard IS (§III-A): samples under `b` and estimates `γ(a_ref)` with a
-/// normal confidence interval — the baseline whose coverage collapses when
+/// Standard IS (§III-A, the paper's baseline: IS against the point chain
+/// `Â`, ignoring the intervals): samples under `b` and estimates
+/// `γ(a_ref)` with a normal confidence interval, clamped into `[0, 1]` — the baseline whose coverage collapses when
 /// `a_ref` is only a point estimate of the true system (§III-B).
 /// [`crate::Session`] reaches it through the `standard-is`,
 /// `zero-variance`, `cross-entropy` and campaign estimators.
@@ -301,7 +216,7 @@ pub(crate) fn standard_is_impl<R: Rng + ?Sized>(
     sample: &SampleSpec,
     threads: usize,
     rng: &mut R,
-) -> IsOutcome {
+) -> MethodOutcome {
     let run = sample_is_run(
         b,
         property,
@@ -311,23 +226,37 @@ pub(crate) fn standard_is_impl<R: Rng + ?Sized>(
         rng,
     );
     let est = is_estimate(a_ref, b, &run, sample.delta);
-    IsOutcome {
-        gamma_hat: est.gamma_hat,
-        sigma_hat: est.sigma_hat,
+    MethodOutcome {
+        estimate: est.gamma_hat,
+        sigma: est.sigma_hat,
         ci: est.ci.clamped_to_unit(),
         n_success: run.n_success,
         n_undecided: run.n_undecided,
+        imcis: None,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ImcisSpec;
     use imc_markov::StateSet;
     use imc_models::illustrative;
-    use imc_numeric::SolveOptions;
     use imc_sampling::zero_variance_is;
     use rand::SeedableRng;
+
+    /// The manifest's IMCIS configuration at `n_traces` traces.
+    fn config(n_traces: usize) -> ImcisConfig {
+        let sample = SampleSpec {
+            n_traces,
+            ..SampleSpec::default()
+        };
+        ImcisSpec {
+            sample,
+            ..ImcisSpec::default()
+        }
+        .to_config(0, 0)
+    }
 
     /// The paper's §VI-A setup: perfect IS for the centre chain Â.
     fn paper_setup() -> (Imc, Dtmc, Property) {
@@ -337,7 +266,6 @@ mod tests {
             &center,
             &StateSet::from_states(4, [illustrative::S2]),
             &StateSet::new(4),
-            &SolveOptions::default(),
         )
         .unwrap();
         (imc, b, illustrative::property())
@@ -359,7 +287,7 @@ mod tests {
         let gamma_true = illustrative::gamma(illustrative::A_TRUE, illustrative::C_TRUE);
         // The estimate is γ(Â) up to log-space rounding ulps and the CI is
         // (numerically) a single point there...
-        assert!((out.gamma_hat - gamma_center).abs() / gamma_center < 1e-12);
+        assert!((out.estimate - gamma_center).abs() / gamma_center < 1e-12);
         assert!(out.ci.width() < 1e-15);
         assert!((out.ci.mid() - gamma_center).abs() / gamma_center < 1e-12);
         // ...which is nowhere near the true γ — coverage of γ is 0%.
@@ -371,9 +299,11 @@ mod tests {
         // Table II row 1-2: IMCIS covers γ(Â) *and* γ.
         let (imc, b, prop) = paper_setup();
         let mut rng = rand::rngs::StdRng::seed_from_u64(32);
-        let config = ImcisConfig::new(5000, 0.05)
-            .with_r_undefeated(300)
-            .with_r_max(30_000);
+        let config = ImcisConfig {
+            r_undefeated: 300,
+            r_max: 30_000,
+            ..config(5000)
+        };
         let out = imcis_impl(&imc, &b, &prop, &config, &mut rng).unwrap();
         let gamma_center = illustrative::gamma(illustrative::A_HAT, illustrative::C_HAT);
         let gamma_true = illustrative::gamma(illustrative::A_TRUE, illustrative::C_TRUE);
@@ -387,9 +317,11 @@ mod tests {
     fn imcis_bracket_is_ordered_and_rows_reported() {
         let (imc, b, prop) = paper_setup();
         let mut rng = rand::rngs::StdRng::seed_from_u64(33);
-        let config = ImcisConfig::new(2000, 0.05)
-            .with_r_undefeated(200)
-            .with_r_max(20_000);
+        let config = ImcisConfig {
+            r_undefeated: 200,
+            r_max: 20_000,
+            ..config(2000)
+        };
         let out = imcis_impl(&imc, &b, &prop, &config, &mut rng).unwrap();
         // Table I reports the argmin/argmax parameter values: a from row 0,
         // c from row 1.
@@ -405,10 +337,12 @@ mod tests {
     fn convergence_trace_brackets_widen() {
         let (imc, b, prop) = paper_setup();
         let mut rng = rand::rngs::StdRng::seed_from_u64(34);
-        let config = ImcisConfig::new(1000, 0.05)
-            .with_r_undefeated(200)
-            .with_r_max(10_000)
-            .with_trace();
+        let config = ImcisConfig {
+            r_undefeated: 200,
+            r_max: 10_000,
+            record_trace: true,
+            ..config(1000)
+        };
         let out = imcis_impl(&imc, &b, &prop, &config, &mut rng).unwrap();
         assert!(!out.trace.is_empty());
         for pair in out.trace.windows(2) {
@@ -426,11 +360,13 @@ mod tests {
         let (imc, b, prop) = paper_setup();
         let run = |threads: usize| {
             let mut rng = rand::rngs::StdRng::seed_from_u64(36);
-            let config = ImcisConfig::new(1500, 0.05)
-                .with_r_undefeated(150)
-                .with_r_max(10_000)
-                .with_strategy(SearchStrategy::Batched { batch_size: 32 })
-                .with_search_threads(threads);
+            let config = ImcisConfig {
+                r_undefeated: 150,
+                r_max: 10_000,
+                strategy: SearchStrategy::Batched { batch_size: 32 },
+                search_threads: threads,
+                ..config(1500)
+            };
             imcis_impl(&imc, &b, &prop, &config, &mut rng).unwrap()
         };
         let reference = run(1);
@@ -464,7 +400,7 @@ mod tests {
             &imc,
             &never,
             &illustrative::property(),
-            &ImcisConfig::new(200, 0.05),
+            &config(200),
             &mut rng,
         )
         .unwrap();

@@ -168,17 +168,17 @@ pub mod session;
 pub mod spec;
 pub mod suite;
 
-pub use algorithm::{ImcisConfig, ImcisError, ImcisOutcome, IsOutcome};
+pub use algorithm::{ImcisConfig, ImcisError, ImcisOutcome};
 pub use fault::{FaultKind, FaultPlan, FaultRule, FAULT_ENV};
-pub use report::{CoverageSummary, Repetition, Report, Timing, REPORT_SCHEMA};
+pub use report::{Repetition, Report, Timing, REPORT_SCHEMA};
 pub use router::{dominant_cache_fingerprint, HashRing, Router, RouterConfig};
 pub use serve::{
     BackendStatus, CampaignProgress, Client, HealthInfo, RouterStatus, ServeConfig, ServeError,
     Server, ServerStatus, StatusSnapshot, SubmitOutcome, WIRE_SCHEMA,
 };
 pub use session::{
-    stage_estimator_for, EstimatorState, MethodOutcome, OutcomeDetail, RunContext, Session,
-    SessionError, StageEstimator,
+    stage_estimator_for, EstimatorState, MethodOutcome, RunContext, Session, SessionError,
+    StageEstimator,
 };
 pub use spec::{
     AdaptiveSpec, CrossEntropySpec, ImcisSpec, Method, RunSpec, SampleSpec, ScenarioRef, SpecError,

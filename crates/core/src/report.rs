@@ -4,11 +4,8 @@
 //! cross-entropy, zero-variance) reports through this one shape:
 //! aggregate estimate and confidence interval, per-repetition outcomes
 //! with optional optimisation traces, reference values and coverage when
-//! the scenario knows its exact `γ`s, and wall-clock timing.
-//!
-//! [`CoverageSummary`] folds per-repetition intervals into the paper's
-//! Table II columns; the session computes a report's `ci` and coverage
-//! with it.
+//! the scenario knows its exact `γ`s (the paper's Table II columns), and
+//! wall-clock timing.
 //!
 //! The JSON form is versioned (`"schema": "imcis.report/2"`) and
 //! deterministic: keys are emitted in a fixed order and every value is a
@@ -23,7 +20,7 @@
 //! [`Session`]: crate::Session
 
 use imc_optim::ConvergencePoint;
-use imc_stats::{coverage, ConfidenceInterval, Summary};
+use imc_stats::ConfidenceInterval;
 use serde::json::Value;
 
 use crate::session::MethodOutcome;
@@ -58,16 +55,17 @@ pub struct Repetition {
 impl Repetition {
     /// Builds the report row of one per-repetition outcome.
     pub fn from_outcome(outcome: &MethodOutcome) -> Self {
+        let imcis = outcome.imcis.as_ref();
         Repetition {
             estimate: outcome.estimate,
             sigma: outcome.sigma,
             ci: outcome.ci,
-            gamma_min: outcome.gamma_min,
-            gamma_max: outcome.gamma_max,
+            gamma_min: imcis.map(|o| o.gamma_min),
+            gamma_max: imcis.map(|o| o.gamma_max),
             n_success: outcome.n_success,
             n_undecided: outcome.n_undecided,
-            rounds: outcome.rounds,
-            trace: outcome.trace.clone(),
+            rounds: imcis.map(|o| o.rounds),
+            trace: imcis.map_or_else(Vec::new, |o| o.trace.clone()),
         }
     }
 }
@@ -127,65 +125,6 @@ pub struct Report {
     pub runs: Vec<Repetition>,
     /// Wall-clock timing (volatile; excluded from the stable JSON form).
     pub timing: Timing,
-}
-
-/// Summary of a coverage experiment for one estimation method — a row of
-/// the paper's Table II.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CoverageSummary {
-    /// Mean lower CI bound across repetitions.
-    pub mean_lo: f64,
-    /// Mean upper CI bound across repetitions.
-    pub mean_hi: f64,
-    /// Mean mid-value across repetitions.
-    pub mean_mid: f64,
-    /// Fraction of repetitions whose CI contains `γ(Â)` (when supplied).
-    pub coverage_gamma_hat: Option<f64>,
-    /// Fraction of repetitions whose CI contains the true system's exact
-    /// `γ` (when supplied).
-    pub coverage_gamma_true: Option<f64>,
-    /// Number of repetitions.
-    pub reps: usize,
-}
-
-impl CoverageSummary {
-    /// Builds the summary from per-repetition confidence intervals.
-    ///
-    /// Coverage is counted with a relative tolerance of `1e-9`: a
-    /// zero-variance IS run produces a CI that is *mathematically* the
-    /// point `γ(Â)` but differs from it by floating-point ulps, and the
-    /// paper counts such intervals as covering (its illustrative IS row
-    /// reports 100% coverage of `γ(Â)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty slice.
-    pub fn from_cis(
-        cis: &[ConfidenceInterval],
-        gamma_center: Option<f64>,
-        gamma_exact: Option<f64>,
-    ) -> Self {
-        assert!(!cis.is_empty(), "no repetitions to summarise");
-        let lo = Summary::from_values(cis.iter().map(ConfidenceInterval::lo));
-        let hi = Summary::from_values(cis.iter().map(ConfidenceInterval::hi));
-        let mid = Summary::from_values(cis.iter().map(ConfidenceInterval::mid));
-        let cover = |g: f64| {
-            let tol = 1e-9 * g.abs();
-            let widened: Vec<ConfidenceInterval> = cis
-                .iter()
-                .map(|ci| ConfidenceInterval::new(ci.lo() - tol, ci.hi() + tol))
-                .collect();
-            coverage(&widened, g)
-        };
-        CoverageSummary {
-            mean_lo: lo.average(),
-            mean_hi: hi.average(),
-            mean_mid: mid.average(),
-            coverage_gamma_hat: gamma_center.map(cover),
-            coverage_gamma_true: gamma_exact.map(cover),
-            reps: cis.len(),
-        }
-    }
 }
 
 /// A number, or `null` for `None`: the written form [`Decoder::or_null`]
@@ -508,30 +447,4 @@ fn first_difference(a: &Value, b: &Value) -> Option<String> {
         _ => return Some(String::new()),
     };
     Some(step + &first_difference(a, b).unwrap_or_default())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn summary_reports_table2_columns() {
-        let cis = vec![
-            ConfidenceInterval::new(0.1, 0.3),
-            ConfidenceInterval::new(0.15, 0.35),
-        ];
-        let summary = CoverageSummary::from_cis(&cis, Some(0.2), Some(0.5));
-        assert!((summary.mean_lo - 0.125).abs() < 1e-12);
-        assert!((summary.mean_hi - 0.325).abs() < 1e-12);
-        assert!((summary.mean_mid - 0.225).abs() < 1e-12);
-        assert_eq!(summary.coverage_gamma_hat, Some(1.0));
-        assert_eq!(summary.coverage_gamma_true, Some(0.0));
-        assert_eq!(summary.reps, 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "no repetitions")]
-    fn empty_summary_panics() {
-        let _ = CoverageSummary::from_cis(&[], None, None);
-    }
 }

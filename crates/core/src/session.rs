@@ -46,22 +46,20 @@ use std::time::Instant;
 
 use imc_markov::Dtmc;
 use imc_models::{ScenarioError, ScenarioRegistry, Setup};
-use imc_numeric::SolveOptions;
-use imc_optim::ConvergencePoint;
 use imc_sampling::{
     cross_entropy_is, cross_entropy_refine, dupuis_wang_update, initial_chain, initial_value,
-    zero_variance_is, CrossEntropyConfig, DupuisWangConfig,
+    zero_variance_is, DupuisWangConfig,
 };
 use imc_sim::{monte_carlo, SmcConfig};
-use imc_stats::ConfidenceInterval;
+use imc_stats::{coverage, ConfidenceInterval, RunningStats};
 use rand::{rngs::StdRng, SeedableRng};
 
 use crate::algorithm::{imcis_impl, standard_is_impl};
-use crate::report::{CoverageSummary, Repetition, Report, Timing};
+use crate::report::{Repetition, Report, Timing};
 use crate::spec::{
     AdaptiveSpec, CrossEntropySpec, ImcisSpec, Method, RunSpec, SampleSpec, SpecError,
 };
-use crate::{ImcisError, ImcisOutcome, IsOutcome};
+use crate::{ImcisError, ImcisOutcome};
 
 /// Errors of the spec → session → report pipeline.
 #[derive(Debug)]
@@ -117,18 +115,6 @@ pub struct RunContext {
     pub search_threads: usize,
 }
 
-/// Full-fidelity method-specific outcome of one repetition.
-#[derive(Debug, Clone)]
-pub enum OutcomeDetail {
-    /// IMCIS (Algorithm 1).
-    Imcis(ImcisOutcome),
-    /// An importance-sampling estimate (standard / zero-variance /
-    /// cross-entropy).
-    Is(IsOutcome),
-    /// Crude Monte Carlo.
-    Smc(imc_sim::SmcResult),
-}
-
 /// The uniform per-repetition outcome every [`StageEstimator`] returns.
 #[derive(Debug, Clone)]
 pub struct MethodOutcome {
@@ -138,20 +124,14 @@ pub struct MethodOutcome {
     pub sigma: f64,
     /// The `(1−δ)` confidence interval.
     pub ci: ConfidenceInterval,
-    /// `γ̂(A_min)` (IMCIS only).
-    pub gamma_min: Option<f64>,
-    /// `γ̂(A_max)` (IMCIS only).
-    pub gamma_max: Option<f64>,
     /// Successful traces.
     pub n_success: u64,
     /// Traces that hit the step budget undecided.
     pub n_undecided: u64,
-    /// Optimisation rounds executed (IMCIS only).
-    pub rounds: Option<usize>,
-    /// Convergence trace in estimate units (when recorded).
-    pub trace: Vec<ConvergencePoint>,
-    /// The method-specific outcome behind the uniform view.
-    pub detail: OutcomeDetail,
+    /// The full outcome of Algorithm 1 (IMCIS only): the bracket
+    /// `γ̂(A_min)`, `γ̂(A_max)`, the optimisation rounds, the extremal rows
+    /// and the convergence trace (when recorded).
+    pub imcis: Option<ImcisOutcome>,
 }
 
 /// The typed state an estimator carries from one campaign stage to the
@@ -381,7 +361,15 @@ impl Session {
         Ok((report, outcomes))
     }
 
-    /// Folds per-repetition outcomes into the uniform [`Report`].
+    /// Folds per-repetition outcomes into the uniform [`Report`]: mean
+    /// estimate and `σ̂`, the mean interval (Welford means of the bounds)
+    /// and the paper's Table II coverage columns.
+    ///
+    /// Coverage is counted with a relative tolerance of `1e-9`: a
+    /// zero-variance IS run produces a CI that is *mathematically* the
+    /// point `γ(Â)` but differs from it by floating-point ulps, and the
+    /// paper counts such intervals as covering (its illustrative IS row
+    /// reports 100% coverage of `γ(Â)`).
     fn fold_report(
         &self,
         started: Instant,
@@ -389,20 +377,34 @@ impl Session {
         per_run_ms: Vec<f64>,
     ) -> Report {
         let runs: Vec<Repetition> = outcomes.iter().map(Repetition::from_outcome).collect();
-        let cis: Vec<ConfidenceInterval> = runs.iter().map(|r| r.ci).collect();
-        let summary =
-            CoverageSummary::from_cis(&cis, self.setup.gamma_center, self.setup.gamma_exact);
         let mean = |f: fn(&Repetition) -> f64| runs.iter().map(f).sum::<f64>() / runs.len() as f64;
+        let welford_mean = |f: fn(&ConfidenceInterval) -> f64| {
+            runs.iter()
+                .map(|r| f(&r.ci))
+                .collect::<RunningStats>()
+                .mean()
+        };
+        let cover = |g: f64| {
+            let tol = 1e-9 * g.abs();
+            let widened: Vec<ConfidenceInterval> = runs
+                .iter()
+                .map(|r| ConfidenceInterval::new(r.ci.lo() - tol, r.ci.hi() + tol))
+                .collect();
+            coverage(&widened, g)
+        };
         Report {
             spec: self.spec.clone(),
             model: self.setup.name.clone(),
             estimate: mean(|r| r.estimate),
             sigma: mean(|r| r.sigma),
-            ci: ConfidenceInterval::new(summary.mean_lo, summary.mean_hi),
+            ci: ConfidenceInterval::new(
+                welford_mean(ConfidenceInterval::lo),
+                welford_mean(ConfidenceInterval::hi),
+            ),
             gamma_center: self.setup.gamma_center,
             gamma_exact: self.setup.gamma_exact,
-            coverage_gamma_hat: summary.coverage_gamma_hat,
-            coverage_gamma_true: summary.coverage_gamma_true,
+            coverage_gamma_hat: self.setup.gamma_center.map(cover),
+            coverage_gamma_true: self.setup.gamma_exact.map(cover),
             runs,
             timing: Timing {
                 total_ms: started.elapsed().as_secs_f64() * 1e3,
@@ -492,21 +494,6 @@ pub fn stage_estimator_for(method: &Method) -> Box<dyn StageEstimator> {
     }
 }
 
-fn outcome_from_is(out: IsOutcome) -> MethodOutcome {
-    MethodOutcome {
-        estimate: out.gamma_hat,
-        sigma: out.sigma_hat,
-        ci: out.ci,
-        gamma_min: None,
-        gamma_max: None,
-        n_success: out.n_success,
-        n_undecided: out.n_undecided,
-        rounds: None,
-        trace: Vec::new(),
-        detail: OutcomeDetail::Is(out),
-    }
-}
-
 /// Crude Monte Carlo on the centre chain `Â` (§II-C baseline).
 struct SmcEstimator(SampleSpec);
 
@@ -531,13 +518,9 @@ impl StageEstimator for SmcEstimator {
             // Bernoulli dispersion √(p̂(1−p̂)) — comparable to the IS σ̂.
             sigma: (result.estimate * (1.0 - result.estimate)).max(0.0).sqrt(),
             ci: result.ci,
-            gamma_min: None,
-            gamma_max: None,
             n_success: result.hits,
             n_undecided: result.undecided,
-            rounds: None,
-            trace: Vec::new(),
-            detail: OutcomeDetail::Smc(result),
+            imcis: None,
         })
     }
 }
@@ -553,15 +536,14 @@ impl StageEstimator for StandardIsEstimator {
         ctx: &RunContext,
         rng: &mut StdRng,
     ) -> Result<MethodOutcome, SessionError> {
-        let out = standard_is_impl(
+        Ok(standard_is_impl(
             &setup.center,
             &setup.b,
             &setup.property,
             &self.0,
             ctx.threads,
             rng,
-        );
-        Ok(outcome_from_is(out))
+        ))
     }
 }
 
@@ -580,18 +562,16 @@ impl StageEstimator for ZeroVarianceEstimator {
             &setup.center,
             setup.property.target(),
             &setup.property.avoid(),
-            &SolveOptions::default(),
         )
         .map_err(|e| SessionError::Analysis(format!("zero-variance construction: {e}")))?;
-        let out = standard_is_impl(
+        Ok(standard_is_impl(
             &setup.center,
             &zv,
             &setup.property,
             &self.0,
             ctx.threads,
             rng,
-        );
-        Ok(outcome_from_is(out))
+        ))
     }
 }
 
@@ -606,26 +586,16 @@ impl StageEstimator for CrossEntropyEstimator {
         ctx: &RunContext,
         rng: &mut StdRng,
     ) -> Result<MethodOutcome, SessionError> {
-        let ce = cross_entropy_is(
-            &setup.center,
-            &setup.property,
-            &CrossEntropyConfig {
-                iterations: self.0.iterations,
-                traces_per_iteration: self.0.traces_per_iteration,
-                max_steps: self.0.sample.max_steps,
-            },
-            rng,
-        )
-        .map_err(|e| SessionError::Analysis(format!("cross-entropy training: {e}")))?;
-        let out = standard_is_impl(
+        let ce = cross_entropy_is(&setup.center, &setup.property, &self.0.to_config(), rng)
+            .map_err(|e| SessionError::Analysis(format!("cross-entropy training: {e}")))?;
+        Ok(standard_is_impl(
             &setup.center,
             &ce.b,
             &setup.property,
             &self.0.sample,
             ctx.threads,
             rng,
-        );
-        Ok(outcome_from_is(out))
+        ))
     }
 }
 
@@ -646,13 +616,9 @@ impl StageEstimator for ImcisEstimator {
             estimate: 0.5 * (out.gamma_min + out.gamma_max),
             sigma: out.sigma_min.max(out.sigma_max),
             ci: out.ci,
-            gamma_min: Some(out.gamma_min),
-            gamma_max: Some(out.gamma_max),
             n_success: out.n_success,
             n_undecided: out.n_undecided,
-            rounds: Some(out.rounds),
-            trace: out.trace.clone(),
-            detail: OutcomeDetail::Imcis(out),
+            imcis: Some(out),
         })
     }
 }
@@ -681,8 +647,14 @@ fn is_under_state(
     rng: &mut StdRng,
 ) -> Result<MethodOutcome, SessionError> {
     let b = state_chain(state, method)?;
-    let out = standard_is_impl(&setup.center, b, &setup.property, sample, ctx.threads, rng);
-    Ok(outcome_from_is(out))
+    Ok(standard_is_impl(
+        &setup.center,
+        b,
+        &setup.property,
+        sample,
+        ctx.threads,
+        rng,
+    ))
 }
 
 impl StageEstimator for CeCampaignEstimator {
@@ -971,6 +943,34 @@ mod tests {
             "spec does not match the schema: `spec.repetitions` must be positive \
              (a session cannot fold zero outcomes into a report)"
         );
+    }
+
+    #[test]
+    fn summary_reports_table2_columns() {
+        // The report's interval is the mean of the bounds; coverage counts
+        // the repetitions whose interval holds each reference γ.
+        let setup = Setup {
+            gamma_center: Some(0.2),
+            gamma_exact: Some(0.5),
+            ..coin_setup(0.3, 0.05)
+        };
+        let spec = illustrative_spec(Method::StandardIs(SampleSpec::default()));
+        let outcome = |lo: f64, hi: f64| MethodOutcome {
+            estimate: 0.5 * (lo + hi),
+            sigma: 0.0,
+            ci: ConfidenceInterval::new(lo, hi),
+            n_success: 0,
+            n_undecided: 0,
+            imcis: None,
+        };
+        let outcomes = [outcome(0.1, 0.3), outcome(0.15, 0.35)];
+        let report =
+            Session::from_setup(setup, spec).fold_report(Instant::now(), &outcomes, vec![0.0; 2]);
+        assert!((report.ci.lo() - 0.125).abs() < 1e-12);
+        assert!((report.ci.hi() - 0.325).abs() < 1e-12);
+        assert_eq!(report.coverage_gamma_hat, Some(1.0));
+        assert_eq!(report.coverage_gamma_true, Some(0.0));
+        assert_eq!(report.runs.len(), 2);
     }
 
     #[test]

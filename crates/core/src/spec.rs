@@ -22,6 +22,7 @@ use std::fmt;
 
 use imc_models::{ScenarioError, ScenarioParams};
 use imc_optim::SearchStrategy;
+use imc_sampling::CrossEntropyConfig;
 use serde::json::{self, Value};
 
 use crate::ImcisConfig;
@@ -142,7 +143,7 @@ impl Default for SampleSpec {
         SampleSpec {
             n_traces: 10_000,
             delta: 0.05,
-            max_steps: 1_000_000,
+            max_steps: imc_sim::DEFAULT_MAX_STEPS,
         }
     }
 }
@@ -182,20 +183,18 @@ impl ImcisSpec {
     /// The equivalent [`ImcisConfig`] (thread budgets are supplied by the
     /// enclosing [`RunSpec`]).
     pub fn to_config(&self, threads: usize, search_threads: usize) -> ImcisConfig {
-        let mut config = ImcisConfig::new(self.sample.n_traces, self.sample.delta)
-            .with_r_undefeated(self.r_undefeated)
-            .with_r_max(self.r_max)
-            .with_max_steps(self.sample.max_steps)
-            .with_threads(threads)
-            .with_search_threads(search_threads)
-            .with_strategy(self.search);
-        if self.force_sampling {
-            config = config.with_forced_sampling();
+        ImcisConfig {
+            n_traces: self.sample.n_traces,
+            delta: self.sample.delta,
+            r_undefeated: self.r_undefeated,
+            r_max: self.r_max,
+            max_steps: self.sample.max_steps,
+            record_trace: self.record_trace,
+            force_sampling: self.force_sampling,
+            threads,
+            search_threads,
+            strategy: self.search,
         }
-        if self.record_trace {
-            config = config.with_trace();
-        }
-        config
     }
 }
 
@@ -216,6 +215,17 @@ impl Default for CrossEntropySpec {
             sample: SampleSpec::default(),
             iterations: 10,
             traces_per_iteration: 5_000,
+        }
+    }
+}
+
+impl CrossEntropySpec {
+    /// The configuration of the CE training phase.
+    pub fn to_config(&self) -> CrossEntropyConfig {
+        CrossEntropyConfig {
+            iterations: self.iterations,
+            traces_per_iteration: self.traces_per_iteration,
+            max_steps: self.sample.max_steps,
         }
     }
 }
@@ -311,6 +321,9 @@ pub struct RunSpec {
 }
 
 impl RunSpec {
+    /// The seed of a manifest that names none (the paper's year).
+    pub const DEFAULT_SEED: u64 = 2018;
+
     /// A single-repetition spec with default thread policy.
     pub fn new(scenario: ScenarioRef, method: Method, seed: u64) -> Self {
         RunSpec {
@@ -368,7 +381,7 @@ impl RunSpec {
         Ok(RunSpec {
             scenario,
             method,
-            seed: fields.u64_or("seed", 2018)?,
+            seed: fields.u64_or("seed", RunSpec::DEFAULT_SEED)?,
             threads: fields.usize_or("threads", 0)?,
             search_threads: fields.usize_or("search_threads", 0)?,
             repetitions: fields.positive_usize_or("repetitions", 1)?,
@@ -561,15 +574,15 @@ fn parse_method(value: &Value) -> Result<Method, SpecError> {
             ])?;
             let defaults = ImcisSpec::default();
             let search = match fields.opt("search") {
-                None => SearchStrategy::Sequential,
+                None => defaults.search,
                 Some(v) => parse_search(v)?,
             };
             Ok(Method::Imcis(ImcisSpec {
                 sample: sample(&fields)?,
                 r_undefeated: fields.positive_usize_or("r_undefeated", defaults.r_undefeated)?,
                 r_max: fields.positive_usize_or("r_max", defaults.r_max)?,
-                force_sampling: fields.bool_or("force_sampling", false)?,
-                record_trace: fields.bool_or("record_trace", false)?,
+                force_sampling: fields.bool_or("force_sampling", defaults.force_sampling)?,
+                record_trace: fields.bool_or("record_trace", defaults.record_trace)?,
                 search,
             }))
         }

@@ -2,10 +2,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use imc_markov::{Dtmc, DtmcBuilder, ModelError, State, StateSet};
-use serde::{Deserialize, Serialize};
 
 /// One sparse rate entry: target state and transition rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateEntry {
     /// Target state.
     pub target: State,
@@ -86,7 +85,7 @@ impl From<ModelError> for CtmcError {
 ///
 /// States with no outgoing rate are *absorbing*; derived discrete chains
 /// give them a probability-1 self-loop.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ctmc {
     rows: Vec<Vec<RateEntry>>,
     initial: State,

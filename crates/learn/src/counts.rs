@@ -1,14 +1,13 @@
 use std::collections::BTreeMap;
 
 use imc_markov::{Path, State};
-use serde::{Deserialize, Serialize};
 
 /// Aggregated transition counts over a set of observed paths: `n_ij` per
 /// transition and `n_i = Σ_j n_ij` per source state.
 ///
 /// This is the sufficient statistic for frequentist Markov chain learning
 /// (§II-B): `â_ij = n_ij / n_i`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CountTable {
     n_states: usize,
     counts: BTreeMap<(State, State), u64>,

@@ -1,5 +1,4 @@
 use imc_markov::{Dtmc, Path, StateSet};
-use serde::{Deserialize, Serialize};
 
 use crate::{
     BoundedReachMonitor, Monitor, PropertyMonitor, ReachAvoidMonitor, Verdict, XReachAvoidMonitor,
@@ -40,7 +39,7 @@ fn owned_label_set(set: &StateSet, n: usize) -> StateSet {
 /// let rejected = prop.evaluate(&Path::new(vec![1, 2, 0]));
 /// assert_eq!(rejected, Verdict::Rejected);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Property {
     /// `F≤bound target`: reach a target state within `bound` transitions.
     BoundedReach {

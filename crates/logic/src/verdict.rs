@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 /// Three-valued verdict of a monitor over a trace prefix.
 ///
 /// Once a monitor returns [`Verdict::Accepted`] or [`Verdict::Rejected`] the
 /// verdict is final; the simulator stops extending the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Verdict {
     /// The property holds on every extension of the prefix (`z(ω) = 1`).
     Accepted,

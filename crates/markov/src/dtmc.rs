@@ -33,14 +33,12 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::{CsrAssembler, Pattern, Push};
 use crate::labels::add_label;
 use crate::{AliasTable, Edge, LabelTable, ModelError, Path, State, StateSet, ROW_SUM_TOLERANCE};
 
 /// A single sparse transition: target state and probability.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RowEntry {
     /// Target state of the transition.
     pub target: State,
@@ -151,7 +149,7 @@ impl<'a> RowView<'a> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Dtmc(Arc<Chain>);
 
 /// The storage of a [`Dtmc`], shared by its clones.

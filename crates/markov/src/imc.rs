@@ -15,14 +15,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use serde::{Deserialize, Serialize};
-
 use crate::csr::{CsrAssembler, Pattern, Push};
 use crate::labels::add_label;
 use crate::{Dtmc, DtmcStreamBuilder, LabelTable, ModelError, State, StateSet, ROW_SUM_TOLERANCE};
 
 /// A single interval transition: target state plus `[lo, hi]` bounds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct IntervalEntry {
     /// Target state of the transition.
     pub target: State,
@@ -150,7 +148,7 @@ impl<'a> IntervalRowView<'a> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Imc {
     /// Row offsets and targets; shared with the centre when built by
     /// [`Imc::from_center`].

@@ -10,8 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::state_set::EMPTY_STATE_SET;
 use crate::{ModelError, State, StateSet};
 
@@ -21,7 +19,7 @@ use crate::{ModelError, State, StateSet};
 /// `O(log #labels)` and return borrowed [`StateSet`]s. An unknown name
 /// resolves to a shared static empty set (over the empty universe), which
 /// answers `contains(s) == false` for every state.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct LabelTable {
     /// Sorted, unique label names; the position of a name is its label id.
     names: Vec<String>,

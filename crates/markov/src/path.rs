@@ -1,12 +1,10 @@
-use serde::{Deserialize, Serialize};
-
 use crate::{Edge, State};
 
 /// A finite path `ω = ω_0 → ω_1 → … → ω_l` through a chain.
 ///
 /// The *length* `|ω|` is the number of transitions, i.e. one less than the
 /// number of visited states.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Path {
     states: Vec<State>,
 }
@@ -92,7 +90,7 @@ const COMPACT_LEN: usize = 4096;
 /// `is_empty` and `clear` are O(1); `frozen`, `iter`, `num_distinct` and
 /// `==` freeze a copy, O(l log l + d) plus an allocation; `merge` records
 /// `other`'s log and sorts the two run lists together.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TransitionCounts {
     /// Steps not yet counted, one edge id each, in recording order; never
     /// longer than `COMPACT_LEN`.

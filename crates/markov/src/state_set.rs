@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// A compact bit-set over state indices `0..n`.
 ///
 /// Used throughout the workspace for target/avoid sets of reachability
@@ -17,7 +15,7 @@ use serde::{Deserialize, Serialize};
 /// assert!(!set.contains(4));
 /// assert_eq!(set.iter().collect::<Vec<_>>(), vec![3, 7]);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct StateSet {
     words: Vec<u64>,
     n: usize,

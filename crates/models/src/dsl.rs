@@ -78,7 +78,6 @@ use std::fmt;
 
 use imc_logic::Property;
 use imc_markov::{Dtmc, DtmcBuilder, Imc, ImcBuilder, StateSet};
-use imc_numeric::SolveOptions;
 use imc_sampling::zero_variance_is;
 use serde::json::Value;
 
@@ -1434,27 +1433,24 @@ pub fn compile(source: &str, bound: &[(String, Value)]) -> Result<Setup, DslErro
     let b = match &lowered.is.kind {
         IsResolvedKind::Center => lowered.center.clone(),
         IsResolvedKind::ZeroVariance { target, avoid } => {
-            zero_variance_is(&lowered.center, target, avoid, &SolveOptions::default()).map_err(
-                |e| {
-                    err_at(
-                        source,
-                        lowered.is.offset,
-                        DslErrorKind::Build,
-                        format!("zero-variance construction failed: {e}"),
-                    )
-                },
-            )?
+            zero_variance_is(&lowered.center, target, avoid).map_err(|e| {
+                err_at(
+                    source,
+                    lowered.is.offset,
+                    DslErrorKind::Build,
+                    format!("zero-variance construction failed: {e}"),
+                )
+            })?
         }
         IsResolvedKind::Mixture { w, target, avoid } => {
-            let zv = zero_variance_is(&lowered.center, target, avoid, &SolveOptions::default())
-                .map_err(|e| {
-                    err_at(
-                        source,
-                        lowered.is.offset,
-                        DslErrorKind::Build,
-                        format!("zero-variance construction failed: {e}"),
-                    )
-                })?;
+            let zv = zero_variance_is(&lowered.center, target, avoid).map_err(|e| {
+                err_at(
+                    source,
+                    lowered.is.offset,
+                    DslErrorKind::Build,
+                    format!("zero-variance construction failed: {e}"),
+                )
+            })?;
             mix_chains(&zv, &lowered.center, *w)
         }
     };

@@ -140,7 +140,7 @@ pub fn paper_imc() -> Result<Imc, ModelError> {
 mod tests {
     use super::*;
     use imc_markov::StateSet;
-    use imc_numeric::{reach_before_return, SolveOptions};
+    use imc_numeric::reach_before_return;
 
     #[test]
     fn state_space_is_125() {
@@ -155,12 +155,7 @@ mod tests {
     fn gamma_matches_prism_value() {
         // The paper (via PRISM): γ = 1.179e-7 at α = 0.1.
         let chain = jump_chain(ALPHA_TRUE);
-        let gamma = reach_before_return(
-            &chain,
-            chain.labeled_states("failure"),
-            &SolveOptions::default(),
-        )
-        .unwrap();
+        let gamma = reach_before_return(&chain, chain.labeled_states("failure")).unwrap();
         assert!(
             (gamma - GAMMA_PAPER).abs() / GAMMA_PAPER < 5e-3,
             "γ = {gamma:e}, paper says {GAMMA_PAPER:e}"
@@ -171,12 +166,7 @@ mod tests {
     fn gamma_at_alpha_hat_matches_paper() {
         // γ(Â) = 1.117e-7 at α̂ = 0.0995 (§VI-B).
         let chain = jump_chain(ALPHA_HAT);
-        let gamma = reach_before_return(
-            &chain,
-            chain.labeled_states("failure"),
-            &SolveOptions::default(),
-        )
-        .unwrap();
+        let gamma = reach_before_return(&chain, chain.labeled_states("failure")).unwrap();
         assert!(
             (gamma - 1.117e-7).abs() / 1.117e-7 < 5e-3,
             "γ(Â) = {gamma:e}"
@@ -221,12 +211,7 @@ mod tests {
             ref other => panic!("unexpected property {other:?}"),
         }
         // Sanity: γ > 0 (failure reachable before return).
-        let gamma = reach_before_return(
-            &chain,
-            chain.labeled_states("failure"),
-            &SolveOptions::default(),
-        )
-        .unwrap();
+        let gamma = reach_before_return(&chain, chain.labeled_states("failure")).unwrap();
         assert!(gamma > 0.0);
         let _ = StateSet::new(1);
     }

@@ -99,19 +99,14 @@ pub fn property() -> Property {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imc_numeric::{reach_avoid_probs, SolveOptions};
+    use imc_numeric::reach_avoid_probs;
 
     #[test]
     fn closed_form_matches_numeric_engine() {
         for &(a, c) in &[(1e-4, 0.05), (0.3, 0.7), (0.011, 0.002)] {
             let chain = dtmc(a, c);
-            let solved = reach_avoid_probs(
-                &chain,
-                chain.labeled_states("goal"),
-                &StateSet::new(4),
-                &SolveOptions::default(),
-            )
-            .unwrap()[S0];
+            let solved = reach_avoid_probs(&chain, chain.labeled_states("goal"), &StateSet::new(4))
+                .unwrap()[S0];
             assert!(
                 (solved - gamma(a, c)).abs() < 1e-14,
                 "a={a}, c={c}: {solved} vs {}",

@@ -119,7 +119,7 @@ pub fn imc(alpha_hat: f64, alpha_lo: f64, alpha_hi: f64) -> Result<Imc, ModelErr
 #[cfg(test)]
 mod tests {
     use super::*;
-    use imc_numeric::{reach_before_return, SolveOptions};
+    use imc_numeric::reach_before_return;
 
     #[test]
     fn state_space_is_40320() {
@@ -133,12 +133,7 @@ mod tests {
     #[test]
     fn gamma_matches_paper_order_of_magnitude() {
         let chain = jump_chain(ALPHA_TRUE);
-        let gamma = reach_before_return(
-            &chain,
-            chain.labeled_states("failure"),
-            &SolveOptions::default(),
-        )
-        .unwrap();
+        let gamma = reach_before_return(&chain, chain.labeled_states("failure")).unwrap();
         // The paper reports 7.488e-7; our port should land within a small
         // relative distance (guard semantics pinned by this test).
         assert!(

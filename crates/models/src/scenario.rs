@@ -41,9 +41,9 @@
 use imc_learn::{learn_imc_with_support, CountTable, LearnOptions, Smoothing};
 use imc_logic::Property;
 use imc_markov::{io, Dtmc, Imc, StateSet};
-use imc_numeric::{bounded_reach_probs, reach_before_return, SolveOptions};
+use imc_numeric::{bounded_reach_probs, reach_before_return};
 use imc_sampling::{cross_entropy_is, failure_bias, zero_variance_is, CrossEntropyConfig};
-use imc_sim::{random_walk, ChainSampler};
+use imc_sim::{random_walk, ChainSampler, DEFAULT_MAX_STEPS};
 use rand::SeedableRng;
 use serde::json::Value;
 use std::fmt;
@@ -78,7 +78,6 @@ pub fn illustrative_setup() -> Setup {
         &center,
         &StateSet::from_states(4, [illustrative::S2]),
         &StateSet::new(4),
-        &SolveOptions::default(),
     )
     .expect("target reachable in the illustrative chain");
     Setup {
@@ -164,11 +163,10 @@ pub fn group_repair_setup_with_imc(
     avoid.insert(center.initial());
     let b = match is_kind {
         GroupRepairIs::ZeroVariance => {
-            zero_variance_is(&center, failure, &avoid, &SolveOptions::default())
-                .expect("failure reachable before return")
+            zero_variance_is(&center, failure, &avoid).expect("failure reachable before return")
         }
         GroupRepairIs::Mixture(w) => {
-            let zv = zero_variance_is(&center, failure, &avoid, &SolveOptions::default())
+            let zv = zero_variance_is(&center, failure, &avoid)
                 .expect("failure reachable before return");
             mix_chains(&zv, &center, w)
         }
@@ -180,7 +178,7 @@ pub fn group_repair_setup_with_imc(
                 &CrossEntropyConfig {
                     iterations: 12,
                     traces_per_iteration: 5_000,
-                    ..CrossEntropyConfig::default()
+                    max_steps: DEFAULT_MAX_STEPS,
                 },
                 &mut rng,
             )
@@ -188,13 +186,11 @@ pub fn group_repair_setup_with_imc(
             .b
         }
     };
-    let opts = SolveOptions::default();
     Setup {
         name: name.into(),
-        gamma_center: Some(reach_before_return(&center, failure, &opts).expect("solver converges")),
+        gamma_center: Some(reach_before_return(&center, failure).expect("solver converges")),
         gamma_exact: Some(
-            reach_before_return(&truth, truth.labeled_states("failure"), &opts)
-                .expect("solver converges"),
+            reach_before_return(&truth, truth.labeled_states("failure")).expect("solver converges"),
         ),
         imc,
         center,
@@ -212,15 +208,12 @@ pub fn repair_setup(alpha_hat: f64, alpha_lo: f64, alpha_hi: f64) -> Setup {
     let failure = center.labeled_states("failure");
     let mut avoid = StateSet::new(center.num_states());
     avoid.insert(center.initial());
-    let opts = SolveOptions::default();
-    let b =
-        zero_variance_is(&center, failure, &avoid, &opts).expect("failure reachable before return");
+    let b = zero_variance_is(&center, failure, &avoid).expect("failure reachable before return");
     Setup {
         name: "repair (large)".into(),
-        gamma_center: Some(reach_before_return(&center, failure, &opts).expect("solver converges")),
+        gamma_center: Some(reach_before_return(&center, failure).expect("solver converges")),
         gamma_exact: Some(
-            reach_before_return(&truth, truth.labeled_states("failure"), &opts)
-                .expect("solver converges"),
+            reach_before_return(&truth, truth.labeled_states("failure")).expect("solver converges"),
         ),
         imc,
         center,
@@ -275,7 +268,7 @@ pub fn swat_setup_with_ce(n_logs: usize, log_len: usize, seed: u64, ce_iteration
         &CrossEntropyConfig {
             iterations: ce_iterations,
             traces_per_iteration: 4_000,
-            ..CrossEntropyConfig::default()
+            max_steps: DEFAULT_MAX_STEPS,
         },
         &mut rng,
     )
@@ -1055,7 +1048,7 @@ impl Scenario for FromFile {
         let center = imc
             .some_member()
             .map_err(|e| ScenarioError::Build(e.to_string()))?;
-        let b = zero_variance_is(&center, &target, &avoid, &SolveOptions::default())
+        let b = zero_variance_is(&center, &target, &avoid)
             .map_err(|e| ScenarioError::Build(e.to_string()))?;
         Ok(Setup {
             name: path,

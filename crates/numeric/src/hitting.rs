@@ -8,7 +8,8 @@
 
 use imc_markov::{graph, Dtmc, StateSet};
 
-use crate::{SolveError, SolveOptions};
+use crate::solve::{MAX_ITERATIONS, TOLERANCE};
+use crate::SolveError;
 
 /// Expected number of transitions to reach `target` from every state
 /// (`f64::INFINITY` where the target is not reached almost surely).
@@ -25,7 +26,7 @@ use crate::{SolveError, SolveOptions};
 ///
 /// ```
 /// use imc_markov::{DtmcBuilder, StateSet};
-/// use imc_numeric::{expected_steps_to, SolveOptions};
+/// use imc_numeric::expected_steps_to;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// // Geometric with p = 0.25: mean 4 steps to absorb.
@@ -34,17 +35,12 @@ use crate::{SolveError, SolveOptions};
 ///     .add_transition(0, 1, 0.25)
 ///     .add_self_loop(1);
 /// let chain = b.build()?;
-/// let h = expected_steps_to(&chain, &StateSet::from_states(2, [1]),
-///                           &SolveOptions::default())?;
+/// let h = expected_steps_to(&chain, &StateSet::from_states(2, [1]))?;
 /// assert!((h[0] - 4.0).abs() < 1e-9);
 /// # Ok(())
 /// # }
 /// ```
-pub fn expected_steps_to(
-    chain: &Dtmc,
-    target: &StateSet,
-    options: &SolveOptions,
-) -> Result<Vec<f64>, SolveError> {
+pub fn expected_steps_to(chain: &Dtmc, target: &StateSet) -> Result<Vec<f64>, SolveError> {
     let n = chain.num_states();
     let almost_sure = graph::almost_sure_reach(chain, target);
     let mut h = vec![f64::INFINITY; n];
@@ -66,7 +62,7 @@ pub fn expected_steps_to(
         chain.transition_probs(),
     );
     let mut residual = f64::INFINITY;
-    for _ in 0..options.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         residual = 0.0;
         for &s in &unknown {
             let mut acc = 1.0;
@@ -86,12 +82,12 @@ pub fn expected_steps_to(
         }
         // Hitting times can be large; use a relative residual criterion.
         let scale = unknown.iter().map(|&s| h[s]).fold(1.0f64, f64::max);
-        if residual <= options.tolerance * scale {
+        if residual <= TOLERANCE * scale {
             return Ok(h);
         }
     }
     Err(SolveError::NotConverged {
-        iterations: options.max_iterations,
+        iterations: MAX_ITERATIONS,
         residual,
     })
 }
@@ -109,12 +105,7 @@ mod tests {
                 .add_transition(0, 1, p)
                 .add_self_loop(1);
             let chain = b.build().unwrap();
-            let h = expected_steps_to(
-                &chain,
-                &StateSet::from_states(2, [1]),
-                &SolveOptions::default(),
-            )
-            .unwrap();
+            let h = expected_steps_to(&chain, &StateSet::from_states(2, [1])).unwrap();
             assert!(
                 (h[0] - 1.0 / p).abs() / (1.0 / p) < 1e-9,
                 "p = {p}: {}",
@@ -132,12 +123,7 @@ mod tests {
             .add_self_loop(1)
             .add_self_loop(2);
         let chain = b.build().unwrap();
-        let h = expected_steps_to(
-            &chain,
-            &StateSet::from_states(3, [2]),
-            &SolveOptions::default(),
-        )
-        .unwrap();
+        let h = expected_steps_to(&chain, &StateSet::from_states(3, [2])).unwrap();
         // From 0 the sink 1 may absorb first: not almost-sure, so infinite.
         assert!(h[0].is_infinite());
         assert!(h[1].is_infinite());
@@ -157,12 +143,7 @@ mod tests {
         }
         builder.add_self_loop(0).add_self_loop(n - 1);
         let chain = builder.build().unwrap();
-        let h = expected_steps_to(
-            &chain,
-            &StateSet::from_states(n, [0, n - 1]),
-            &SolveOptions::default(),
-        )
-        .unwrap();
+        let h = expected_steps_to(&chain, &StateSet::from_states(n, [0, n - 1])).unwrap();
         for (k, &hk) in h.iter().enumerate().take(n - 1).skip(1) {
             let expected = (k * (n - 1 - k)) as f64;
             assert!((hk - expected).abs() < 1e-8, "k={k}: {hk} vs {expected}");

@@ -1,6 +1,7 @@
 use imc_markov::{Imc, StateSet};
 
-use crate::{SolveError, SolveOptions};
+use crate::solve::{MAX_ITERATIONS, TOLERANCE};
+use crate::SolveError;
 
 /// Which extremum of an interval optimisation to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -60,10 +61,9 @@ pub fn imc_reach_bounds(
     imc: &Imc,
     target: &StateSet,
     avoid: &StateSet,
-    options: &SolveOptions,
 ) -> Result<(Vec<f64>, Vec<f64>), SolveError> {
-    let min = iterate_unbounded(imc, target, avoid, Extremum::Min, options)?;
-    let max = iterate_unbounded(imc, target, avoid, Extremum::Max, options)?;
+    let min = iterate_unbounded(imc, target, avoid, Extremum::Min)?;
+    let max = iterate_unbounded(imc, target, avoid, Extremum::Max)?;
     Ok((min, max))
 }
 
@@ -72,7 +72,6 @@ fn iterate_unbounded(
     target: &StateSet,
     avoid: &StateSet,
     extremum: Extremum,
-    options: &SolveOptions,
 ) -> Result<Vec<f64>, SolveError> {
     let n = imc.num_states();
     let (ptr, idx, lo, hi) = (
@@ -86,7 +85,7 @@ fn iterate_unbounded(
         x[s] = 1.0;
     }
     let mut residual = f64::INFINITY;
-    for _ in 0..options.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         residual = 0.0;
         for s in 0..n {
             if target.contains(s) || avoid.contains(s) {
@@ -100,12 +99,12 @@ fn iterate_unbounded(
             }
             x[s] = v;
         }
-        if residual <= options.tolerance {
+        if residual <= TOLERANCE {
             return Ok(x);
         }
     }
     Err(SolveError::NotConverged {
-        iterations: options.max_iterations,
+        iterations: MAX_ITERATIONS,
         residual,
     })
 }
@@ -180,7 +179,7 @@ mod tests {
         let imc = Imc::from_center(&chain, |_, _| 0.0).unwrap();
         let target = StateSet::from_states(3, [1]);
         let avoid = StateSet::new(3);
-        let (min, max) = imc_reach_bounds(&imc, &target, &avoid, &SolveOptions::default()).unwrap();
+        let (min, max) = imc_reach_bounds(&imc, &target, &avoid).unwrap();
         assert!((min[0] - 0.3).abs() < 1e-12);
         assert!((max[0] - 0.3).abs() < 1e-12);
     }
@@ -191,7 +190,7 @@ mod tests {
         let imc = Imc::from_center(&chain, |_, _| 0.05).unwrap();
         let target = StateSet::from_states(3, [1]);
         let avoid = StateSet::new(3);
-        let (min, max) = imc_reach_bounds(&imc, &target, &avoid, &SolveOptions::default()).unwrap();
+        let (min, max) = imc_reach_bounds(&imc, &target, &avoid).unwrap();
         assert!((min[0] - 0.25).abs() < 1e-12, "{}", min[0]);
         assert!((max[0] - 0.35).abs() < 1e-12, "{}", max[0]);
     }
@@ -210,7 +209,7 @@ mod tests {
         let imc = Imc::from_center(&center, |_, _| 0.08).unwrap();
         let target = StateSet::from_states(4, [2]);
         let avoid = StateSet::new(4);
-        let (min, max) = imc_reach_bounds(&imc, &target, &avoid, &SolveOptions::default()).unwrap();
+        let (min, max) = imc_reach_bounds(&imc, &target, &avoid).unwrap();
 
         for &(d0, d1) in &[(-0.08, -0.08), (0.0, 0.0), (0.08, 0.08), (-0.08, 0.08)] {
             let mut mb = DtmcBuilder::new(4);
@@ -222,8 +221,7 @@ mod tests {
                 .add_self_loop(3);
             let member = mb.build().unwrap();
             assert!(imc.contains(&member));
-            let p =
-                reach_avoid_probs(&member, &target, &avoid, &SolveOptions::default()).unwrap()[0];
+            let p = reach_avoid_probs(&member, &target, &avoid).unwrap()[0];
             assert!(
                 min[0] - 1e-12 <= p && p <= max[0] + 1e-12,
                 "member prob {p} outside [{}, {}]",
@@ -263,7 +261,7 @@ mod tests {
         let imc = Imc::from_center(&chain, |_, _| 0.1).unwrap();
         let target = StateSet::from_states(3, [1]);
         let avoid = StateSet::from_states(3, [0]);
-        let (min, max) = imc_reach_bounds(&imc, &target, &avoid, &SolveOptions::default()).unwrap();
+        let (min, max) = imc_reach_bounds(&imc, &target, &avoid).unwrap();
         assert_eq!(min[0], 0.0);
         assert_eq!(max[0], 0.0);
         assert_eq!(max[1], 1.0);

@@ -20,7 +20,7 @@
 //!
 //! ```
 //! use imc_markov::{DtmcBuilder, StateSet};
-//! use imc_numeric::{reach_avoid_probs, SolveOptions};
+//! use imc_numeric::reach_avoid_probs;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // Gambler's ruin on {0, 1, 2}: from 1, p=0.3 up, 0.7 down.
@@ -32,12 +32,7 @@
 //!     .add_self_loop(0)
 //!     .add_self_loop(2);
 //! let chain = builder.build()?;
-//! let probs = reach_avoid_probs(
-//!     &chain,
-//!     &StateSet::from_states(3, [2]),
-//!     &StateSet::new(3),
-//!     &SolveOptions::default(),
-//! )?;
+//! let probs = reach_avoid_probs(&chain, &StateSet::from_states(3, [2]), &StateSet::new(3))?;
 //! assert!((probs[1] - 0.3).abs() < 1e-12);
 //! # Ok(())
 //! # }
@@ -56,4 +51,4 @@ pub use bounded::{bounded_reach_avoid_probs, bounded_reach_probs};
 pub use hitting::expected_steps_to;
 pub use interval::{imc_bounded_reach_bounds, imc_reach_bounds, Extremum};
 pub use parametric::{linspace, sweep};
-pub use solve::{reach_avoid_probs, reach_before_return, SolveError, SolveOptions};
+pub use solve::{reach_avoid_probs, reach_before_return, SolveError};

@@ -2,23 +2,12 @@ use std::fmt;
 
 use imc_markov::{graph, Dtmc, StateSet};
 
-/// Options for the iterative linear solvers.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SolveOptions {
-    /// Convergence threshold on the maximum per-state update.
-    pub tolerance: f64,
-    /// Iteration cap before reporting [`SolveError::NotConverged`].
-    pub max_iterations: usize,
-}
-
-impl Default for SolveOptions {
-    fn default() -> Self {
-        SolveOptions {
-            tolerance: 1e-14,
-            max_iterations: 2_000_000,
-        }
-    }
-}
+/// Convergence threshold of the iterative solvers on the maximum
+/// per-state update (relative to the largest value for hitting times).
+pub(crate) const TOLERANCE: f64 = 1e-14;
+/// Sweeps an iterative solver makes before reporting
+/// [`SolveError::NotConverged`].
+pub(crate) const MAX_ITERATIONS: usize = 2_000_000;
 
 /// Errors raised by the numerical solvers.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +55,6 @@ pub fn reach_avoid_probs(
     chain: &Dtmc,
     target: &StateSet,
     avoid: &StateSet,
-    options: &SolveOptions,
 ) -> Result<Vec<f64>, SolveError> {
     let n = chain.num_states();
     let maybe = graph::backward_reachable_avoiding(chain, target, avoid);
@@ -91,7 +79,7 @@ pub fn reach_avoid_probs(
         chain.transition_probs(),
     );
     let mut residual = f64::INFINITY;
-    for iteration in 0..options.max_iterations {
+    for _ in 0..MAX_ITERATIONS {
         residual = 0.0;
         for &s in &unknown {
             let mut acc = 0.0;
@@ -105,13 +93,12 @@ pub fn reach_avoid_probs(
             }
             x[s] = acc;
         }
-        if residual <= options.tolerance {
-            let _ = iteration;
+        if residual <= TOLERANCE {
             return Ok(x);
         }
     }
     Err(SolveError::NotConverged {
-        iterations: options.max_iterations,
+        iterations: MAX_ITERATIONS,
         residual,
     })
 }
@@ -126,15 +113,11 @@ pub fn reach_avoid_probs(
 /// # Errors
 ///
 /// Propagates [`SolveError::NotConverged`] from the linear solve.
-pub fn reach_before_return(
-    chain: &Dtmc,
-    target: &StateSet,
-    options: &SolveOptions,
-) -> Result<f64, SolveError> {
+pub fn reach_before_return(chain: &Dtmc, target: &StateSet) -> Result<f64, SolveError> {
     let init = chain.initial();
     let mut avoid = StateSet::new(chain.num_states());
     avoid.insert(init);
-    let x = reach_avoid_probs(chain, target, &avoid, options)?;
+    let x = reach_avoid_probs(chain, target, &avoid)?;
     let row = chain
         .row(init)
         .expect("initial state is validated in range");
@@ -164,13 +147,8 @@ mod tests {
         let (a, c) = (1e-4, 0.05);
         let d = 1.0 - c;
         let chain = illustrative(a, c);
-        let probs = reach_avoid_probs(
-            &chain,
-            &StateSet::from_states(4, [2]),
-            &StateSet::new(4),
-            &SolveOptions::default(),
-        )
-        .unwrap();
+        let probs =
+            reach_avoid_probs(&chain, &StateSet::from_states(4, [2]), &StateSet::new(4)).unwrap();
         let expected = a * c / (1.0 - a * d);
         assert!(
             (probs[0] - expected).abs() < 1e-15,
@@ -188,23 +166,14 @@ mod tests {
         // §III-B: a=1e-4, c=0.05 gives γ ≈ 5.005e-6 (really 5.0005e-6);
         // â=3e-4, ĉ=0.0498 gives γ(Â) = 1.4944e-5.
         let chain = illustrative(1e-4, 0.05);
-        let gamma = reach_avoid_probs(
-            &chain,
-            &StateSet::from_states(4, [2]),
-            &StateSet::new(4),
-            &SolveOptions::default(),
-        )
-        .unwrap()[0];
+        let gamma = reach_avoid_probs(&chain, &StateSet::from_states(4, [2]), &StateSet::new(4))
+            .unwrap()[0];
         assert!((gamma - 5.0005e-6).abs() < 1e-9);
 
         let learnt = illustrative(3e-4, 0.0498);
-        let gamma_hat = reach_avoid_probs(
-            &learnt,
-            &StateSet::from_states(4, [2]),
-            &StateSet::new(4),
-            &SolveOptions::default(),
-        )
-        .unwrap()[0];
+        let gamma_hat =
+            reach_avoid_probs(&learnt, &StateSet::from_states(4, [2]), &StateSet::new(4)).unwrap()
+                [0];
         assert!((gamma_hat - 1.4944e-5).abs() < 5e-9, "{gamma_hat}");
     }
 
@@ -216,7 +185,6 @@ mod tests {
             &chain,
             &StateSet::from_states(4, [2]),
             &StateSet::from_states(4, [1]),
-            &SolveOptions::default(),
         )
         .unwrap();
         assert_eq!(probs[0], 0.0);
@@ -228,7 +196,7 @@ mod tests {
     fn target_wins_tie_with_avoid() {
         let chain = illustrative(0.3, 0.4);
         let both = StateSet::from_states(4, [2]);
-        let probs = reach_avoid_probs(&chain, &both, &both, &SolveOptions::default()).unwrap();
+        let probs = reach_avoid_probs(&chain, &both, &both).unwrap();
         assert_eq!(probs[2], 1.0);
     }
 
@@ -238,18 +206,14 @@ mod tests {
         // so the answer is a·c.
         let (a, c) = (0.2, 0.3);
         let chain = illustrative(a, c);
-        let p = reach_before_return(
-            &chain,
-            &StateSet::from_states(4, [2]),
-            &SolveOptions::default(),
-        )
-        .unwrap();
+        let p = reach_before_return(&chain, &StateSet::from_states(4, [2])).unwrap();
         assert!((p - a * c).abs() < 1e-14, "{p}");
     }
 
     #[test]
     fn tight_cap_reports_non_convergence() {
-        // A slowly mixing chain with a tiny iteration cap.
+        // Each sweep shrinks the update by 1 − 10⁻⁶ only: after the
+        // 2·10⁶-sweep cap it is still about 7·10⁻⁸, far above 10⁻¹⁴.
         let mut b = DtmcBuilder::new(3);
         b.set_initial(0)
             .add_transition(0, 0, 0.999_999)
@@ -258,16 +222,14 @@ mod tests {
             .add_self_loop(1)
             .add_self_loop(2);
         let chain = b.build().unwrap();
-        let result = reach_avoid_probs(
-            &chain,
-            &StateSet::from_states(3, [1]),
-            &StateSet::new(3),
-            &SolveOptions {
-                tolerance: 1e-16,
-                max_iterations: 3,
-            },
-        );
-        assert!(matches!(result, Err(SolveError::NotConverged { .. })));
+        let result = reach_avoid_probs(&chain, &StateSet::from_states(3, [1]), &StateSet::new(3));
+        assert!(matches!(
+            result,
+            Err(SolveError::NotConverged {
+                iterations: MAX_ITERATIONS,
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -289,7 +251,6 @@ mod tests {
             &chain,
             &StateSet::from_states(n, [n - 1]),
             &StateSet::new(n),
-            &SolveOptions::default(),
         )
         .unwrap();
         let r: f64 = 1.5;

@@ -478,7 +478,6 @@ mod tests {
     use super::*;
     use imc_logic::Property;
     use imc_markov::{Dtmc, DtmcBuilder, Imc, StateSet};
-    use imc_numeric::SolveOptions;
     use imc_sampling::{sample_is_run, zero_variance_is, IsConfig, IsRun, LaneSums};
     use rand::SeedableRng;
 
@@ -501,13 +500,8 @@ mod tests {
             _ => 0.0,
         })
         .unwrap();
-        let b = zero_variance_is(
-            &center,
-            &StateSet::from_states(4, [2]),
-            &StateSet::new(4),
-            &SolveOptions::default(),
-        )
-        .unwrap();
+        let b =
+            zero_variance_is(&center, &StateSet::from_states(4, [2]), &StateSet::new(4)).unwrap();
         let prop =
             Property::reach_avoid(StateSet::from_states(4, [2]), StateSet::from_states(4, [3]));
         let mut rng = rand::rngs::StdRng::seed_from_u64(123);
@@ -614,9 +608,12 @@ mod tests {
             b_pattern: b.pattern_fingerprint(),
         };
         let problem = Problem::new(&imc, &b, &empty).unwrap();
-        let out = BatchSearch::new(4, 16)
-            .run(&problem, &RandomSearchConfig::default(), 1)
-            .unwrap();
+        let config = RandomSearchConfig {
+            r_undefeated: 1000,
+            r_max: 100_000,
+            record_trace: false,
+        };
+        let out = BatchSearch::new(4, 16).run(&problem, &config, 1).unwrap();
         assert_eq!((out.f_min, out.f_max), (0.0, 0.0));
         assert_eq!(out.rounds, 0);
         assert_eq!((out.min_found_at, out.max_found_at), (0, 0));
@@ -640,7 +637,7 @@ mod tests {
         let center = cb.build().unwrap();
         let imc = Imc::from_center(&center, |from, _| if from < 2 { 1e-3 } else { 0.0 }).unwrap();
         let (target, avoid) = (StateSet::from_states(4, [2]), StateSet::from_states(4, [3]));
-        let b = zero_variance_is(&center, &target, &avoid, &SolveOptions::default()).unwrap();
+        let b = zero_variance_is(&center, &target, &avoid).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(8);
         let prop = Property::reach_avoid(target, avoid);
         let run = sample_is_run(&b, &prop, &IsConfig::new(100), &mut rng);

@@ -9,8 +9,9 @@
 //! f(A) = Σ_k z(ω_k) Π_{(i→j) ∈ T_k} (a_ij / b_ij)^{n_ij(ω_k)}      (eq. 10)
 //! ```
 //!
-//! * [`Problem`] — the compiled optimisation problem: a fast
-//!   [`Objective`] over deduplicated count tables, per-row interval
+//! * [`Problem`] — the compiled optimisation problem: the run's
+//!   [`PreparedRun`](imc_sampling::PreparedRun) as the objective over
+//!   deduplicated count tables, per-row interval
 //!   constraints, closed-form solutions for single-observed-transition rows
 //!   (§III-C), and Dirichlet row samplers (§IV-B/C) for the rest;
 //! * [`random_search`] — the paper's Algorithm 2 (Monte Carlo random
@@ -50,11 +51,9 @@
 #![warn(missing_docs)]
 
 mod batch_search;
-mod objective;
 mod problem;
 mod random_search;
 
 pub use batch_search::{search, BatchSearch, SearchStrategy, DEFAULT_BATCH_SIZE, LANES};
-pub use objective::Objective;
 pub use problem::{OptimError, Problem, RowAssignment};
 pub use random_search::{random_search, ConvergencePoint, OptimOutcome, RandomSearchConfig};

@@ -3,10 +3,10 @@ use std::fmt;
 
 use imc_distr::{ConstrainedRowSampler, DistrError, IntervalSpec};
 use imc_markov::{Dtmc, Imc, State};
-use imc_sampling::{IsRun, LaneSums};
+use imc_sampling::{IsRun, LaneSums, PreparedRun};
 use rand::Rng;
 
-use crate::{Objective, LANES};
+use crate::LANES;
 
 /// Errors raised while compiling or solving an optimisation problem.
 #[derive(Debug, Clone, PartialEq)]
@@ -97,7 +97,7 @@ pub(crate) enum RowKind {
 /// between both templates on every other table.
 #[derive(Debug, Clone)]
 pub struct Problem {
-    objective: Objective,
+    objective: PreparedRun,
     rows: Vec<ProblemRow>,
     /// Template `ln a` vectors: closed-form rows pre-filled, sampled rows
     /// at the centre chain.
@@ -146,7 +146,7 @@ impl Problem {
             Some(c) => c.clone(),
             None => imc.some_member().map_err(|_| OptimError::NoCenter)?,
         };
-        let objective = Objective::new(run, b);
+        let objective = PreparedRun::new(run, b);
 
         // Group observed transition ids by source state.
         let mut by_state: HashMap<State, Vec<(State, u32)>> = HashMap::new();
@@ -219,9 +219,7 @@ impl Problem {
         // Draws overwrite sampled-row transitions in both templates alike,
         // so the tables split by the centre fill stay the split tables of
         // every candidate.
-        let split = objective
-            .prepared()
-            .split_tables(&template_min, &template_max);
+        let split = objective.split_tables(&template_min, &template_max);
         let center = Lanes::broadcast(&template_min, &template_max);
 
         Ok(Problem {
@@ -233,8 +231,9 @@ impl Problem {
         })
     }
 
-    /// The compiled objective.
-    pub fn objective(&self) -> &Objective {
+    /// The compiled objective: the run's IS estimator `f(A)` and its
+    /// second moment `g(A)`, ready for repeated evaluation.
+    pub fn objective(&self) -> &PreparedRun {
         &self.objective
     }
 
@@ -487,7 +486,6 @@ impl<const L: usize> Lanes<L> {
     fn eval(&self, problem: &Problem) -> LaneSums<L> {
         problem
             .objective
-            .prepared()
             .eval_lanes(&self.log_min, &self.log_max, &problem.split)
     }
 }
@@ -589,7 +587,6 @@ mod tests {
             &center,
             &StateSet::from_states(4, [2]),
             &StateSet::new(4),
-            &imc_numeric::SolveOptions::default(),
         )
         .unwrap();
         let prop =
@@ -676,8 +673,8 @@ mod tests {
         // Either way the centre evaluation equals one-template evaluations.
         for p in [&problem, &forced] {
             let ((f_min, g_min), (f_max, g_max)) = p.eval_center();
-            let min = p.objective().eval(p.center.log_min.as_flattened());
-            let max = p.objective().eval(p.center.log_max.as_flattened());
+            let min = p.objective().eval_log(p.center.log_min.as_flattened());
+            let max = p.objective().eval_log(p.center.log_max.as_flattened());
             assert_eq!(
                 (f_min.to_bits(), g_min.to_bits()),
                 (min.0.to_bits(), min.1.to_bits())

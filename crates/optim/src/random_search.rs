@@ -17,16 +17,6 @@ pub struct RandomSearchConfig {
     pub record_trace: bool,
 }
 
-impl Default for RandomSearchConfig {
-    fn default() -> Self {
-        RandomSearchConfig {
-            r_undefeated: 1000,
-            r_max: 100_000,
-            record_trace: false,
-        }
-    }
-}
-
 /// One point of the optimisation convergence trace (Figure 3).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergencePoint {
@@ -203,7 +193,6 @@ mod tests {
     use super::*;
     use imc_logic::Property;
     use imc_markov::{Dtmc, DtmcBuilder, Imc, StateSet};
-    use imc_numeric::SolveOptions;
     use imc_sampling::{sample_is_run, zero_variance_is, IsConfig, IsRun};
     use rand::SeedableRng;
 
@@ -225,13 +214,8 @@ mod tests {
             _ => 0.0,
         })
         .unwrap();
-        let b = zero_variance_is(
-            &center,
-            &StateSet::from_states(4, [2]),
-            &StateSet::new(4),
-            &SolveOptions::default(),
-        )
-        .unwrap();
+        let b =
+            zero_variance_is(&center, &StateSet::from_states(4, [2]), &StateSet::new(4)).unwrap();
         let prop =
             Property::reach_avoid(StateSet::from_states(4, [2]), StateSet::from_states(4, [3]));
         let mut rng = rand::rngs::StdRng::seed_from_u64(123);
@@ -303,8 +287,12 @@ mod tests {
         };
         let mut problem = Problem::new(&imc, &b, &empty).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(1);
-        let outcome =
-            random_search(&mut problem, &RandomSearchConfig::default(), &mut rng).unwrap();
+        let config = RandomSearchConfig {
+            r_undefeated: 1000,
+            r_max: 100_000,
+            record_trace: false,
+        };
+        let outcome = random_search(&mut problem, &config, &mut rng).unwrap();
         assert_eq!(outcome.f_min, 0.0);
         assert_eq!(outcome.f_max, 0.0);
         assert_eq!(outcome.rounds, 0);

@@ -29,16 +29,6 @@ pub struct CrossEntropyConfig {
     pub max_steps: usize,
 }
 
-impl Default for CrossEntropyConfig {
-    fn default() -> Self {
-        CrossEntropyConfig {
-            iterations: 10,
-            traces_per_iteration: 5_000,
-            max_steps: 1_000_000,
-        }
-    }
-}
-
 /// Result of a cross-entropy run: the optimised chain plus per-iteration
 /// diagnostics.
 #[derive(Debug, Clone, PartialEq)]
@@ -258,6 +248,7 @@ mod tests {
     use super::*;
     use crate::{is_estimate, sample_is_run, IsConfig};
     use imc_markov::{DtmcBuilder, StateSet};
+    use imc_sim::DEFAULT_MAX_STEPS;
     use rand::SeedableRng;
 
     /// The paper's illustrative chain with a rare loop-protected target.
@@ -293,7 +284,7 @@ mod tests {
         let config = CrossEntropyConfig {
             iterations: 8,
             traces_per_iteration: 4000,
-            ..CrossEntropyConfig::default()
+            max_steps: DEFAULT_MAX_STEPS,
         };
         let result = cross_entropy_is(&a, &prop, &config, &mut rng).unwrap();
 
@@ -332,7 +323,7 @@ mod tests {
         let config = CrossEntropyConfig {
             iterations: 3,
             traces_per_iteration: 500,
-            ..CrossEntropyConfig::default()
+            max_steps: DEFAULT_MAX_STEPS,
         };
         let result = cross_entropy_is(&a, &prop, &config, &mut rng).unwrap();
         assert_eq!(result.gamma_history.len(), 3);
@@ -346,7 +337,12 @@ mod tests {
         let prop =
             Property::reach_avoid(StateSet::from_states(4, [2]), StateSet::from_states(4, [3]));
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
-        let result = cross_entropy_is(&a, &prop, &CrossEntropyConfig::default(), &mut rng).unwrap();
+        let config = CrossEntropyConfig {
+            iterations: 10,
+            traces_per_iteration: 5_000,
+            max_steps: DEFAULT_MAX_STEPS,
+        };
+        let result = cross_entropy_is(&a, &prop, &config, &mut rng).unwrap();
         for (s, row) in a.rows().enumerate() {
             for e in row.iter() {
                 assert!(

@@ -46,15 +46,6 @@ pub struct DupuisWangConfig {
     pub max_steps: usize,
 }
 
-impl Default for DupuisWangConfig {
-    fn default() -> Self {
-        DupuisWangConfig {
-            training_traces: 2_000,
-            max_steps: 1_000_000,
-        }
-    }
-}
-
 /// The bootstrap value function: `1` on the target set, `0` on the
 /// avoid set, an uninformative `0.5` elsewhere. The first
 /// [`dupuis_wang_update`] replaces the uninformative entries with
@@ -214,6 +205,7 @@ mod tests {
     use super::*;
     use crate::initial_chain;
     use imc_markov::{DtmcBuilder, StateSet};
+    use imc_sim::DEFAULT_MAX_STEPS;
     use rand::SeedableRng;
 
     /// The paper's illustrative chain with a rare loop-protected target.
@@ -249,7 +241,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let config = DupuisWangConfig {
             training_traces: 4_000,
-            ..DupuisWangConfig::default()
+            max_steps: DEFAULT_MAX_STEPS,
         };
         for _ in 0..3 {
             let (nb, nv) = dupuis_wang_update(&a, &property, &b, &v, &config, &mut rng).unwrap();
@@ -278,7 +270,7 @@ mod tests {
         let v0 = initial_value(&a, &property);
         let config = DupuisWangConfig {
             training_traces: 500,
-            ..DupuisWangConfig::default()
+            max_steps: DEFAULT_MAX_STEPS,
         };
         let run = || {
             let mut rng = rand::rngs::StdRng::seed_from_u64(11);
@@ -312,7 +304,7 @@ mod tests {
         let mut rng = rand::rngs::StdRng::seed_from_u64(11);
         let config = DupuisWangConfig {
             training_traces: 500,
-            ..DupuisWangConfig::default()
+            max_steps: DEFAULT_MAX_STEPS,
         };
         for _ in 0..2 {
             (b, v) = dupuis_wang_update(&a, &property, &b, &v, &config, &mut rng).unwrap();

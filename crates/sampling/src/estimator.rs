@@ -1,6 +1,6 @@
 use imc_logic::{Property, PropertyMonitor, Verdict};
 use imc_markov::{Dtmc, Edge, State, TransitionCounts};
-use imc_sim::{simulate_counts_into, BatchRunner, ChainSampler};
+use imc_sim::{simulate_counts_into, BatchRunner, ChainSampler, DEFAULT_MAX_STEPS};
 use imc_stats::ConfidenceInterval;
 use rand::Rng;
 
@@ -19,8 +19,8 @@ pub struct IsConfig {
 }
 
 impl IsConfig {
-    /// Creates a config with a default step budget of one million
-    /// transitions per trace and the batch engine on all cores.
+    /// Creates a config with the [`DEFAULT_MAX_STEPS`] step budget and the
+    /// batch engine on all cores.
     ///
     /// # Panics
     ///
@@ -29,7 +29,7 @@ impl IsConfig {
         assert!(n_traces > 0, "need at least one trace");
         IsConfig {
             n_traces,
-            max_steps: 1_000_000,
+            max_steps: DEFAULT_MAX_STEPS,
             threads: 0,
         }
     }
@@ -232,7 +232,7 @@ pub struct IsEstimate {
 /// This is the one-shot path: every call recomputes every `ln`. When the
 /// same run is evaluated against *many* reference chains — exactly what
 /// the IMCIS optimiser does with candidate members of the IMC — build a
-/// [`PreparedRun`] once instead; [`PreparedRun::estimate`] returns
+/// [`PreparedRun`] once instead; [`PreparedRun::estimate_chain`] returns
 /// bit-identical values at a fraction of the per-candidate cost.
 ///
 /// # Panics
@@ -610,8 +610,8 @@ impl PreparedRun {
     }
 
     /// The estimator pair `(γ̂, σ̂)` at given objective values:
-    /// `γ̂ = f/N`, `σ̂ = √(g/N − γ̂²)`.
-    pub fn moments(&self, f: f64, g: f64) -> (f64, f64) {
+    /// `γ̂ = f/N`, `σ̂ = √(g/N − γ̂²)` (Algorithm 1, lines 20–23).
+    pub fn estimate(&self, f: f64, g: f64) -> (f64, f64) {
         let n = self.n_traces as f64;
         let gamma = f / n;
         let variance = (g / n - gamma * gamma).max(0.0);
@@ -624,14 +624,19 @@ impl PreparedRun {
     /// candidate.
     ///
     /// Allocates one scratch vector per call; tight candidate loops should
-    /// hold a buffer and use [`PreparedRun::estimate_with`] instead.
-    pub fn estimate(&self, a: &Dtmc, delta: f64) -> IsEstimate {
-        self.estimate_with(a, delta, &mut Vec::new())
+    /// hold a buffer and use [`PreparedRun::estimate_chain_with`] instead.
+    pub fn estimate_chain(&self, a: &Dtmc, delta: f64) -> IsEstimate {
+        self.estimate_chain_with(a, delta, &mut Vec::new())
     }
 
-    /// Allocation-free [`PreparedRun::estimate`]: reuses `log_a_buf` as
-    /// the per-candidate `ln a` scratch across calls.
-    pub fn estimate_with(&self, a: &Dtmc, delta: f64, log_a_buf: &mut Vec<f64>) -> IsEstimate {
+    /// Allocation-free [`PreparedRun::estimate_chain`]: reuses `log_a_buf`
+    /// as the per-candidate `ln a` scratch across calls.
+    pub fn estimate_chain_with(
+        &self,
+        a: &Dtmc,
+        delta: f64,
+        log_a_buf: &mut Vec<f64>,
+    ) -> IsEstimate {
         self.log_probs_into(a, log_a_buf);
         let (f, g) = self.eval_log(log_a_buf);
         finish_estimate(f, g, self.n_traces, delta)
@@ -782,8 +787,92 @@ mod tests {
             }
             let by_pairs = finish_estimate(sum, sum_sq, run.n_traces, 0.05);
             assert_eq!(est, by_pairs);
-            assert_eq!(est, PreparedRun::new(&run, chain).estimate(&a, 0.05));
+            assert_eq!(est, PreparedRun::new(&run, chain).estimate_chain(&a, 0.05));
         }
+    }
+
+    /// `A` and the IS chain `B` of a loop `0 → 1 → (0 → 1)* → 2`, and a
+    /// run of `B` avoiding the sink 3.
+    fn loop_chains_and_run() -> (Dtmc, Dtmc, IsRun) {
+        let mut ab = DtmcBuilder::new(4);
+        ab.add_transition(0, 1, 0.01)
+            .add_transition(0, 3, 0.99)
+            .add_transition(1, 2, 0.3)
+            .add_transition(1, 0, 0.7)
+            .add_self_loop(2)
+            .add_self_loop(3);
+        let a = ab.build().unwrap();
+        let mut bb = DtmcBuilder::new(4);
+        bb.add_transition(0, 1, 0.5)
+            .add_transition(0, 3, 0.5)
+            .add_transition(1, 2, 0.6)
+            .add_transition(1, 0, 0.4)
+            .add_self_loop(2)
+            .add_self_loop(3);
+        let b = bb.build().unwrap();
+        let prop =
+            Property::reach_avoid(StateSet::from_states(4, [2]), StateSet::from_states(4, [3]));
+        let mut rng = rand::rngs::StdRng::seed_from_u64(14);
+        let run = sample_is_run(&b, &prop, &IsConfig::new(5000), &mut rng);
+        (a, b, run)
+    }
+
+    /// `(f, g)` of the run against chain `a`.
+    fn eval_chain(prepared: &PreparedRun, a: &Dtmc) -> (f64, f64) {
+        let mut log_a = Vec::new();
+        prepared.log_probs_into(a, &mut log_a);
+        prepared.eval_log(&log_a)
+    }
+
+    #[test]
+    fn objective_matches_is_estimate() {
+        let (a, b, run) = loop_chains_and_run();
+        let prepared = PreparedRun::new(&run, &b);
+        let (f, g) = eval_chain(&prepared, &a);
+        let (gamma, sigma) = prepared.estimate(f, g);
+        let reference = is_estimate(&a, &b, &run, 0.05);
+        assert!((gamma - reference.gamma_hat).abs() < 1e-15);
+        assert!((sigma - reference.sigma_hat).abs() < 1e-15);
+    }
+
+    #[test]
+    fn evaluating_b_gives_success_rate() {
+        // With A = B every likelihood ratio is 1: f = #successes.
+        let (_, b, run) = loop_chains_and_run();
+        let (f, g) = eval_chain(&PreparedRun::new(&run, &b), &b);
+        assert!((f - run.n_success as f64).abs() < 1e-9);
+        assert!((g - run.n_success as f64).abs() < 1e-9);
+    }
+
+    #[test]
+    fn monotone_in_observed_transition() {
+        // Raising a_01 (used by every successful trace) raises f.
+        let (a, b, run) = loop_chains_and_run();
+        let prepared = PreparedRun::new(&run, &b);
+        let ids = prepared.transitions().to_vec();
+        let base: Vec<f64> = ids.iter().map(|&(f_, t)| a.prob(f_, t).ln()).collect();
+        let (f0, _) = prepared.eval_log(&base);
+        let mut boosted = base.clone();
+        let idx = ids.iter().position(|&t| t == (0, 1)).unwrap();
+        boosted[idx] = (a.prob(0, 1) * 2.0).ln();
+        let (f1, _) = prepared.eval_log(&boosted);
+        assert!(f1 > f0);
+    }
+
+    #[test]
+    fn empty_run_evaluates_to_zero() {
+        let (_, b, _) = loop_chains_and_run();
+        let empty = IsRun {
+            tables: vec![],
+            n_traces: 100,
+            n_success: 0,
+            n_undecided: 0,
+            b_pattern: b.pattern_fingerprint(),
+        };
+        let prepared = PreparedRun::new(&empty, &b);
+        let (f, g) = prepared.eval_log(&[]);
+        assert_eq!((f, g), (0.0, 0.0));
+        assert_eq!(prepared.estimate(f, g), (0.0, 0.0));
     }
 
     #[test]

@@ -29,7 +29,6 @@
 //! ```
 //! use imc_logic::Property;
 //! use imc_markov::{DtmcBuilder, StateSet};
-//! use imc_numeric::SolveOptions;
 //! use imc_sampling::{is_estimate, sample_is_run, zero_variance_is, IsConfig};
 //! use rand::SeedableRng;
 //!
@@ -44,8 +43,7 @@
 //! let chain = builder.build()?;
 //! let target = StateSet::from_states(3, [1]);
 //! let prop = Property::reach_avoid(target.clone(), StateSet::from_states(3, [2]));
-//! let b = zero_variance_is(&chain, &target, &StateSet::from_states(3, [2]),
-//!                          &SolveOptions::default())?;
+//! let b = zero_variance_is(&chain, &target, &StateSet::from_states(3, [2]))?;
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let run = sample_is_run(&b, &prop, &IsConfig::new(1000), &mut rng);
 //! let est = is_estimate(&chain, &b, &run, 0.05);

@@ -1,5 +1,5 @@
 use imc_markov::{Dtmc, ModelError, RowEntry, StateSet};
-use imc_numeric::{reach_avoid_probs, SolveError, SolveOptions};
+use imc_numeric::{reach_avoid_probs, SolveError};
 
 /// Errors from zero-variance construction: either the underlying solve
 /// failed or the produced chain was invalid.
@@ -65,9 +65,8 @@ pub fn zero_variance_is(
     chain: &Dtmc,
     target: &StateSet,
     avoid: &StateSet,
-    options: &SolveOptions,
 ) -> Result<Dtmc, ZeroVarianceError> {
-    let x = reach_avoid_probs(chain, target, avoid, options)?;
+    let x = reach_avoid_probs(chain, target, avoid)?;
     let init_row = chain
         .row(chain.initial())
         .expect("initial state is validated in range");
@@ -137,8 +136,7 @@ mod tests {
         let d = 1.0 - c;
         let chain = illustrative(a, c);
         let target = StateSet::from_states(4, [2]);
-        let b =
-            zero_variance_is(&chain, &target, &StateSet::new(4), &SolveOptions::default()).unwrap();
+        let b = zero_variance_is(&chain, &target, &StateSet::new(4)).unwrap();
         assert!((b.prob(0, 1) - 1.0).abs() < 1e-12);
         assert_eq!(b.prob(0, 3), 0.0);
         assert!((b.prob(1, 2) - (1.0 - a * d)).abs() < 1e-12);
@@ -151,8 +149,7 @@ mod tests {
         let chain = illustrative(a, c);
         let target = StateSet::from_states(4, [2]);
         let prop = Property::reach_avoid(target.clone(), StateSet::from_states(4, [3]));
-        let b =
-            zero_variance_is(&chain, &target, &StateSet::new(4), &SolveOptions::default()).unwrap();
+        let b = zero_variance_is(&chain, &target, &StateSet::new(4)).unwrap();
         let mut rng = rand::rngs::StdRng::seed_from_u64(2);
         let run = sample_is_run(&b, &prop, &IsConfig::new(2000), &mut rng);
         assert_eq!(run.n_success, 2000); // every trace succeeds
@@ -175,7 +172,6 @@ mod tests {
             &chain,
             &StateSet::from_states(4, [2]),
             &StateSet::from_states(4, [1]),
-            &SolveOptions::default(),
         )
         .unwrap_err();
         assert_eq!(err, ZeroVarianceError::UnreachableTarget);
@@ -186,7 +182,7 @@ mod tests {
         let chain = illustrative(0.3, 0.4);
         let target = StateSet::from_states(4, [2]);
         let avoid = StateSet::from_states(4, [3]);
-        let b = zero_variance_is(&chain, &target, &avoid, &SolveOptions::default()).unwrap();
+        let b = zero_variance_is(&chain, &target, &avoid).unwrap();
         // s3 is in avoid: untouched self-loop.
         assert_eq!(b.prob(3, 3), 1.0);
     }
@@ -200,7 +196,7 @@ mod tests {
         let mut avoid = StateSet::new(4);
         avoid.insert(chain.initial());
         // x[1] = c = 0.4 (looping back to init is failure).
-        let b = zero_variance_is(&chain, &target, &avoid, &SolveOptions::default()).unwrap();
+        let b = zero_variance_is(&chain, &target, &avoid).unwrap();
         assert!((b.prob(0, 1) - 1.0).abs() < 1e-12, "init row biased");
         // From s1, returning to 0 has x=0: the ZV chain drops it.
         assert_eq!(b.prob(1, 0), 0.0);

@@ -58,3 +58,9 @@ pub use engine::{splitmix64, stream_seed, trace_rng, BatchRunner};
 pub use sampler::ChainSampler;
 pub use smc::{monte_carlo, SmcConfig, SmcResult};
 pub use trace::{random_walk, simulate_counts_into, simulate_path, simulate_verdict};
+
+/// The default per-trace transition budget: a trace still undecided after
+/// this many steps counts as undecided. [`SmcConfig::new`], the IS
+/// sampler's `IsConfig::new` and a manifest that names no `max_steps` all
+/// start from it.
+pub const DEFAULT_MAX_STEPS: usize = 1_000_000;

@@ -3,7 +3,7 @@ use imc_markov::Dtmc;
 use imc_stats::ConfidenceInterval;
 use rand::Rng;
 
-use crate::{simulate_verdict, BatchRunner, ChainSampler};
+use crate::{simulate_verdict, BatchRunner, ChainSampler, DEFAULT_MAX_STEPS};
 
 /// Configuration of a crude Monte Carlo estimation run.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,8 +23,8 @@ pub struct SmcConfig {
 
 impl SmcConfig {
     /// Creates a config with the given trace count and confidence parameter,
-    /// a default step budget of one million transitions per trace, and the
-    /// batch engine on all cores.
+    /// the [`DEFAULT_MAX_STEPS`] step budget, and the batch engine on all
+    /// cores.
     ///
     /// # Panics
     ///
@@ -38,7 +38,7 @@ impl SmcConfig {
         SmcConfig {
             n_traces,
             delta,
-            max_steps: 1_000_000,
+            max_steps: DEFAULT_MAX_STEPS,
             threads: 0,
         }
     }

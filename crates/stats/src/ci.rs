@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 use crate::normal_quantile;
 
 /// A closed real interval `[lo, hi]`, the output of every estimator in this
@@ -8,7 +6,7 @@ use crate::normal_quantile;
 /// Probability estimates clamp to `[0, 1]` at construction via
 /// [`ConfidenceInterval::clamped_to_unit`]; the raw constructors leave the
 /// bounds untouched so callers can inspect pre-clamp values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     lo: f64,
     hi: f64,

@@ -9,9 +9,8 @@
 //! * [`okamoto_epsilon`] / [`okamoto_sample_size`] — absolute-error
 //!   bounds used both for SMC sample-size planning and for the
 //!   learning-phase interval half-widths of §II-B;
-//! * [`RunningStats`] — Welford streaming mean/variance;
-//! * [`Summary`] — descriptive statistics (average, min, max, standard
-//!   deviation) as reported in Table I;
+//! * [`RunningStats`] — Welford streaming mean, variance, min and max
+//!   (the average, min, max and standard deviation rows of Table I);
 //! * [`coverage`] — empirical coverage of a family of confidence intervals,
 //!   the headline metric of Table II.
 //!
@@ -36,10 +35,8 @@ mod bounds;
 mod ci;
 mod normal;
 mod running;
-mod summary;
 
 pub use bounds::{okamoto_epsilon, okamoto_sample_size};
 pub use ci::{coverage, ConfidenceInterval};
 pub use normal::{normal_cdf, normal_quantile};
 pub use running::RunningStats;
-pub use summary::Summary;

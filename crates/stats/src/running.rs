@@ -1,5 +1,3 @@
-use serde::{Deserialize, Serialize};
-
 /// Streaming mean and variance via Welford's algorithm.
 ///
 /// Numerically stable for the extreme dynamic ranges that arise in
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert!((stats.mean() - 2.5).abs() < 1e-12);
 /// assert!((stats.population_variance() - 1.25).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct RunningStats {
     count: u64,
     mean: f64,

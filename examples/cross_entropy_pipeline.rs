@@ -6,12 +6,11 @@
 
 use imc_logic::Property;
 use imc_markov::{Dtmc, DtmcBuilder};
-use imc_numeric::SolveOptions;
 use imc_sampling::{
-    cross_entropy_is, failure_bias, is_estimate, sample_is_run, zero_variance_is,
-    CrossEntropyConfig, IsConfig,
+    cross_entropy_is, failure_bias, is_estimate, sample_is_run, zero_variance_is, IsConfig,
 };
 use imc_sim::{monte_carlo, SmcConfig};
+use imcis_core::CrossEntropySpec;
 use rand::SeedableRng;
 
 /// A 12-stage failure cascade: each stage fails with probability 2e-2,
@@ -61,8 +60,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         est.ci.contains(gamma)
     );
 
-    // Cross-entropy: learns the biasing automatically.
-    let ce = cross_entropy_is(&chain, &property, &CrossEntropyConfig::default(), &mut rng)?;
+    // Cross-entropy: learns the biasing automatically, with the manifest's
+    // default training budget.
+    let config = CrossEntropySpec::default().to_config();
+    let ce = cross_entropy_is(&chain, &property, &config, &mut rng)?;
     let run = sample_is_run(&ce.b, &property, &IsConfig::new(n), &mut rng);
     let est = is_estimate(&chain, &ce.b, &run, 0.05);
     println!(
@@ -78,7 +79,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // Zero-variance: the theoretical optimum, needs the exact solution.
-    let zv = zero_variance_is(&chain, target, avoid, &SolveOptions::default())?;
+    let zv = zero_variance_is(&chain, target, avoid)?;
     let run = sample_is_run(&zv, &property, &IsConfig::new(n), &mut rng);
     let est = is_estimate(&chain, &zv, &run, 0.05);
     println!(

@@ -13,8 +13,8 @@
 use std::sync::Arc;
 
 use imc_models::{group_repair, ScenarioParams, ScenarioRegistry};
-use imc_sampling::{cross_entropy_is, CrossEntropyConfig};
-use imcis_core::{ImcisSpec, Method, RunSpec, SampleSpec, ScenarioRef, Session};
+use imc_sampling::cross_entropy_is;
+use imcis_core::{CrossEntropySpec, ImcisSpec, Method, RunSpec, SampleSpec, ScenarioRef, Session};
 use rand::SeedableRng;
 use serde::json::Value;
 
@@ -50,11 +50,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let ce = cross_entropy_is(
         &setup.center,
         &setup.property,
-        &CrossEntropyConfig {
+        &CrossEntropySpec {
             iterations: 12,
             traces_per_iteration: 5_000,
-            ..CrossEntropyConfig::default()
-        },
+            ..CrossEntropySpec::default()
+        }
+        .to_config(),
         &mut rng,
     )?;
     println!(
@@ -90,18 +91,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let out = Session::from_setup(setup, RunSpec::new(scenario, imcis_method, 7))
         .run_outcomes()?
-        .remove(0);
+        .remove(0)
+        .imcis
+        .expect("an imcis session reports the bracket");
     println!(
         "IMCIS       : bracket [{:.4e}, {:.4e}], CI = {}",
-        out.gamma_min.expect("imcis reports a bracket"),
-        out.gamma_max.expect("imcis reports a bracket"),
-        out.ci
+        out.gamma_min, out.gamma_max, out.ci
     );
     println!(
         "              covers γ? {}   covers γ(Â)? {}  ({} rounds; α interval: [{}, {}])",
         out.ci.contains(gamma),
         out.ci.contains(gamma_hat),
-        out.rounds.expect("imcis reports rounds"),
+        out.rounds,
         group_repair::ALPHA_LO,
         group_repair::ALPHA_HI,
     );

@@ -12,7 +12,7 @@ use std::sync::Arc;
 
 use imc_markov::StateSet;
 use imc_models::{illustrative, ScenarioParams, ScenarioRegistry};
-use imc_numeric::{imc_reach_bounds, SolveOptions};
+use imc_numeric::imc_reach_bounds;
 use imcis_core::{ImcisSpec, Method, RunSpec, SampleSpec, ScenarioRef, Session};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -70,15 +70,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let out = Session::from_setup(setup.clone(), spec_for(imcis_method))
         .run_outcomes()?
-        .remove(0);
+        .remove(0)
+        .imcis
+        .expect("an imcis session reports the bracket");
     println!(
         "\nIMCIS over the same trace budget ({} optimisation rounds):",
-        out.rounds.expect("imcis reports rounds")
+        out.rounds
     );
     println!(
         "  γ̂ bracket = [{:.4e}, {:.4e}]",
-        out.gamma_min.expect("imcis reports a bracket"),
-        out.gamma_max.expect("imcis reports a bracket")
+        out.gamma_min, out.gamma_max
     );
     println!("  CI = {}", out.ci);
     println!("  covers γ(Â)? {}", out.ci.contains(gamma_hat));
@@ -87,12 +88,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Sanity check the bracket against the exact extremal probabilities of
     // the interval model (interval value iteration).
     let target = StateSet::from_states(4, [illustrative::S2]);
-    let (min, max) = imc_reach_bounds(
-        &setup.imc,
-        &target,
-        &StateSet::new(4),
-        &SolveOptions::default(),
-    )?;
+    let (min, max) = imc_reach_bounds(&setup.imc, &target, &StateSet::new(4))?;
     println!(
         "\nexact envelope over the IMC: γ ∈ [{:.4e}, {:.4e}] (interval value iteration)",
         min[0], max[0]

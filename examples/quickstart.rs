@@ -9,7 +9,6 @@ use std::sync::Arc;
 use imc_logic::Property;
 use imc_markov::{DtmcBuilder, Imc, StateSet};
 use imc_models::Setup;
-use imc_numeric::SolveOptions;
 use imc_sampling::zero_variance_is;
 use imcis_core::{ImcisSpec, Method, RunSpec, SampleSpec, ScenarioRef, Session};
 
@@ -45,12 +44,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Importance sampling distribution: the zero-variance chain of the
     // learnt model, built from exact reachability probabilities.
-    let b = zero_variance_is(
-        &learnt,
-        &StateSet::from_states(4, [2]),
-        &StateSet::new(4),
-        &SolveOptions::default(),
-    )?;
+    let b = zero_variance_is(&learnt, &StateSet::from_states(4, [2]), &StateSet::new(4))?;
 
     // An ad-hoc Setup is the same shape the scenario registry produces —
     // custom models plug into the Session layer exactly like the

@@ -85,12 +85,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     });
     let out = Session::from_setup(setup, RunSpec::new(scenario, imcis_method, 301))
         .run_outcomes()?
-        .remove(0);
+        .remove(0)
+        .imcis
+        .expect("an imcis session reports the bracket");
     println!(
         "IMCIS       : bracket [{:.4e}, {:.4e}], 99%-CI = {}",
-        out.gamma_min.expect("imcis reports a bracket"),
-        out.gamma_max.expect("imcis reports a bracket"),
-        out.ci
+        out.gamma_min, out.gamma_max, out.ci
     );
     println!(
         "\ncovers hidden γ?  IS: {}, IMCIS: {}",

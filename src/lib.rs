@@ -2,7 +2,7 @@
 //!
 //! A full reproduction of *Importance Sampling of Interval Markov Chains*
 //! (Jegourel, Wang, Sun — DSN 2018) as a Rust workspace. This root crate
-//! re-exports the workspace's public API and hosts the runnable examples
+//! re-exports the workspace's crates and hosts the runnable examples
 //! (`examples/`) and cross-crate integration tests (`tests/`).
 //!
 //! ## Crate map
@@ -96,8 +96,8 @@
 //!   transition, read in one walk over each touched row of `A` — and is
 //!   guaranteed
 //!   bit-identical to the naive [`imc_sampling::is_estimate`] loop
-//!   (same summation order and operands). The optimiser's
-//!   [`imc_optim::Objective`] is a thin wrapper over it, and the batched
+//!   (same summation order and operands). It is the optimiser's
+//!   objective ([`imc_optim::Problem::objective`]), and the batched
 //!   search evaluates blocks of candidates in one pass
 //!   ([`imc_sampling::PreparedRun::eval_lanes`]), each lane bit-identical
 //!   to the one-candidate loop.
@@ -105,7 +105,7 @@
 //! ## Thirty-second tour
 //!
 //! ```
-//! use imcis_repro::prelude::*;
+//! use imcis_repro::imcis_core::{RunSpec, Session};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! // A RunSpec manifest is the complete description of a run: scenario,
@@ -141,24 +141,3 @@ pub use imc_sampling;
 pub use imc_sim;
 pub use imc_stats;
 pub use imcis_core;
-
-/// The most commonly used items, for glob import in examples and tests.
-pub mod prelude {
-    pub use imc_learn::{learn_dtmc, learn_imc, CountTable, LearnOptions};
-    pub use imc_logic::{Monitor, Property, Verdict};
-    pub use imc_markov::{Dtmc, DtmcBuilder, Imc, ImcBuilder, Path, StateSet};
-    pub use imc_models::{Scenario, ScenarioParams, ScenarioRegistry, Setup};
-    pub use imc_numeric::{
-        bounded_reach_probs, imc_reach_bounds, reach_avoid_probs, reach_before_return, SolveOptions,
-    };
-    pub use imc_sampling::{
-        cross_entropy_is, failure_bias, is_estimate, sample_is_run, zero_variance_is,
-        CrossEntropyConfig, IsConfig,
-    };
-    pub use imc_sim::{monte_carlo, ChainSampler, SmcConfig};
-    pub use imc_stats::{normal_quantile, ConfidenceInterval};
-    pub use imcis_core::{
-        stage_estimator_for, ImcisConfig, ImcisOutcome, Method, Report, RunContext, RunSpec,
-        Session, StageEstimator, Suite, SuiteReport, SuiteSpec,
-    };
-}

@@ -3,12 +3,9 @@
 
 use imc_markov::StateSet;
 use imc_models::{illustrative, Setup};
-use imc_numeric::SolveOptions;
 use imc_sampling::zero_variance_is;
 use imc_stats::coverage;
-use imcis_core::{
-    CoverageSummary, ImcisSpec, Method, MethodOutcome, RunSpec, SampleSpec, ScenarioRef, Session,
-};
+use imcis_core::{ImcisSpec, Method, Report, RunSpec, SampleSpec, ScenarioRef, Session};
 
 /// The paper's illustrative IMC under the perfect IS chain for its centre.
 fn paper_setup() -> Setup {
@@ -18,7 +15,6 @@ fn paper_setup() -> Setup {
         &center,
         &StateSet::from_states(4, [illustrative::S2]),
         &StateSet::new(4),
-        &SolveOptions::default(),
     )
     .expect("ZV exists");
     Setup {
@@ -27,8 +23,14 @@ fn paper_setup() -> Setup {
         center,
         b,
         property: illustrative::property(),
-        gamma_center: None,
-        gamma_exact: None,
+        gamma_center: Some(illustrative::gamma(
+            illustrative::A_HAT,
+            illustrative::C_HAT,
+        )),
+        gamma_exact: Some(illustrative::gamma(
+            illustrative::A_TRUE,
+            illustrative::C_TRUE,
+        )),
     }
 }
 
@@ -45,11 +47,11 @@ fn imcis_spec(n_traces: usize, r_undefeated: usize, r_max: usize) -> ImcisSpec {
 }
 
 /// `reps` repetitions of `method` from `seed` through a [`Session`].
-fn repeat(setup: &Setup, method: Method, reps: usize, seed: u64) -> Vec<MethodOutcome> {
+fn repeat(setup: &Setup, method: Method, reps: usize, seed: u64) -> Report {
     let spec =
         RunSpec::new(ScenarioRef::named("illustrative"), method, seed).with_repetitions(reps);
     Session::from_setup(setup.clone(), spec)
-        .run_outcomes()
+        .run()
         .expect("repetitions succeed")
 }
 
@@ -61,11 +63,11 @@ fn table2_shape_on_the_illustrative_model() {
 
     let reps = 10;
     let spec = imcis_spec(2000, 150, 10_000);
-    let is_runs = repeat(&setup, Method::StandardIs(spec.sample), reps, 42);
-    let imcis_runs = repeat(&setup, Method::Imcis(spec), reps, 42);
+    let is_report = repeat(&setup, Method::StandardIs(spec.sample), reps, 42);
+    let imcis_report = repeat(&setup, Method::Imcis(spec), reps, 42);
 
-    let is_cis: Vec<_> = is_runs.iter().map(|o| o.ci).collect();
-    let imcis_cis: Vec<_> = imcis_runs.iter().map(|o| o.ci).collect();
+    let is_cis: Vec<_> = is_report.runs.iter().map(|r| r.ci).collect();
+    let imcis_cis: Vec<_> = imcis_report.runs.iter().map(|r| r.ci).collect();
 
     // IS: zero-width intervals at γ(Â) -> 0% coverage of the true γ.
     assert_eq!(coverage(&is_cis, gamma), 0.0);
@@ -73,11 +75,10 @@ fn table2_shape_on_the_illustrative_model() {
     assert_eq!(coverage(&imcis_cis, gamma), 1.0);
     assert_eq!(coverage(&imcis_cis, gamma_center), 1.0);
 
-    // The summary counts the degenerate IS intervals as covering γ(Â)
+    // The report counts the degenerate IS intervals as covering γ(Â)
     // (ulp tolerance), as the paper does.
-    let is_summary = CoverageSummary::from_cis(&is_cis, Some(gamma_center), Some(gamma));
-    assert_eq!(is_summary.coverage_gamma_hat, Some(1.0));
-    assert_eq!(is_summary.coverage_gamma_true, Some(0.0));
+    assert_eq!(is_report.coverage_gamma_hat, Some(1.0));
+    assert_eq!(is_report.coverage_gamma_true, Some(0.0));
 
     // Every IS interval is inside every IMCIS interval of the same rep
     // (Fig. 2's nesting observation).
@@ -95,7 +96,8 @@ fn imcis_intervals_are_mutually_consistent() {
         Method::Imcis(imcis_spec(1000, 100, 5_000)),
         6,
         9,
-    );
+    )
+    .runs;
     for i in 0..runs.len() {
         for j in i + 1..runs.len() {
             assert!(

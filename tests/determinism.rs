@@ -3,7 +3,7 @@
 //!
 //! * a seeded `sample_is_run` returns a bit-identical [`IsRun`] (tables,
 //!   multiplicities, tallies) at every thread count;
-//! * [`PreparedRun::estimate`] is bit-identical to the naive
+//! * [`PreparedRun::estimate_chain`] is bit-identical to the naive
 //!   [`is_estimate`] loop (`γ̂`, `σ̂`, CI) on the rare-coin and two-step
 //!   fixtures;
 //! * the batched random search is bit-identical at every search-thread
@@ -23,8 +23,7 @@ use imc_optim::{random_search, BatchSearch, Problem, RandomSearchConfig};
 use imc_sampling::{is_estimate, sample_is_run, IsConfig, IsRun, PreparedRun};
 use imc_sim::{monte_carlo, SmcConfig};
 use imcis_core::{
-    stage_estimator_for, ImcisOutcome, ImcisSpec, Method, OutcomeDetail, RunContext, SampleSpec,
-    SearchStrategy,
+    stage_estimator_for, ImcisOutcome, ImcisSpec, Method, RunContext, SampleSpec, SearchStrategy,
 };
 use rand::SeedableRng;
 
@@ -130,7 +129,7 @@ fn prepared_estimate_is_bit_identical_to_naive() {
         let prepared = PreparedRun::new(&run, &b);
         for delta in [0.01, 0.05] {
             let naive = is_estimate(&a, &b, &run, delta);
-            let fast = prepared.estimate(&a, delta);
+            let fast = prepared.estimate_chain(&a, delta);
             assert_eq!(
                 naive.gamma_hat.to_bits(),
                 fast.gamma_hat.to_bits(),
@@ -147,7 +146,7 @@ fn prepared_estimate_is_bit_identical_to_naive() {
             assert_eq!(naive.ci.hi().to_bits(), fast.ci.hi().to_bits(), "{name}");
         }
         // Evaluating B itself: every likelihood ratio is exactly 1.
-        let self_est = prepared.estimate(&b, 0.05);
+        let self_est = prepared.estimate_chain(&b, 0.05);
         assert!((self_est.gamma_hat - run.n_success as f64 / run.n_traces as f64).abs() < 1e-15);
     }
 }
@@ -210,10 +209,9 @@ fn run_imcis(setup: &Setup, search: SearchStrategy, ctx: RunContext) -> ImcisOut
     let outcome = stage_estimator_for(&Method::Imcis(spec))
         .estimate(setup, &ctx, &mut rng)
         .unwrap();
-    match outcome.detail {
-        OutcomeDetail::Imcis(out) => out,
-        _ => unreachable!("the IMCIS estimator yields IMCIS outcomes"),
-    }
+    outcome
+        .imcis
+        .expect("the IMCIS estimator yields IMCIS outcomes")
 }
 
 #[test]
@@ -259,13 +257,9 @@ fn search_fixture(n_traces: usize) -> (Imc, Dtmc, IsRun) {
         _ => 0.0,
     })
     .unwrap();
-    let b = imc_sampling::zero_variance_is(
-        &center,
-        &StateSet::from_states(4, [2]),
-        &StateSet::new(4),
-        &imc_numeric::SolveOptions::default(),
-    )
-    .unwrap();
+    let b =
+        imc_sampling::zero_variance_is(&center, &StateSet::from_states(4, [2]), &StateSet::new(4))
+            .unwrap();
     let prop = Property::reach_avoid(StateSet::from_states(4, [2]), StateSet::from_states(4, [3]));
     let mut rng = rand::rngs::StdRng::seed_from_u64(123);
     let run = sample_is_run(&b, &prop, &IsConfig::new(n_traces), &mut rng);

@@ -4,11 +4,10 @@
 
 use imc_markov::StateSet;
 use imc_models::{illustrative, Setup};
-use imc_numeric::SolveOptions;
 use imc_sampling::zero_variance_is;
 use imcis_core::{
-    stage_estimator_for, ImcisOutcome, ImcisSpec, Method, MethodOutcome, OutcomeDetail, RunContext,
-    SampleSpec, SessionError,
+    stage_estimator_for, ImcisOutcome, ImcisSpec, Method, MethodOutcome, RunContext, SampleSpec,
+    SessionError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -19,7 +18,6 @@ fn paper_setup() -> Setup {
         &center,
         &StateSet::from_states(4, [illustrative::S2]),
         &StateSet::new(4),
-        &SolveOptions::default(),
     )
     .expect("target reachable");
     Setup {
@@ -55,13 +53,10 @@ fn estimate(
 }
 
 fn run_imcis(setup: &Setup, spec: ImcisSpec, rng: &mut StdRng) -> ImcisOutcome {
-    match estimate(setup, Method::Imcis(spec), rng)
+    estimate(setup, Method::Imcis(spec), rng)
         .expect("IMCIS succeeds")
-        .detail
-    {
-        OutcomeDetail::Imcis(out) => out,
-        _ => unreachable!("the IMCIS estimator yields IMCIS outcomes"),
-    }
+        .imcis
+        .expect("the IMCIS estimator yields IMCIS outcomes")
 }
 
 #[test]

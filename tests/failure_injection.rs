@@ -14,7 +14,7 @@ use imc_learn::{learn_dtmc, CountTable, LearnError, LearnOptions};
 use imc_logic::Property;
 use imc_markov::{io, Dtmc, DtmcBuilder, Imc, ImcBuilder, ModelError, StateSet};
 use imc_models::Setup;
-use imc_numeric::{reach_avoid_probs, SolveError, SolveOptions};
+use imc_numeric::{expected_steps_to, imc_reach_bounds, reach_avoid_probs, SolveError};
 use imc_optim::{OptimError, Problem};
 use imc_sampling::{sample_is_run, IsConfig};
 use imcis_core::{
@@ -87,22 +87,37 @@ fn exploration_budget_is_enforced() {
     ));
 }
 
-#[test]
-fn solver_reports_non_convergence_not_garbage() {
+/// A chain whose iterative solves contract by only 1 − 10⁻⁷ per sweep:
+/// after the solvers' 2·10⁶-sweep cap the last update is still about
+/// 8·10⁻⁸ for the reach probability and 0.8 steps for the hitting time,
+/// far above the 10⁻¹⁴ tolerance (relative, for hitting times).
+fn slowly_mixing_chain() -> Dtmc {
     let mut b = DtmcBuilder::new(2);
     b.add_transition(0, 0, 0.9999999)
         .add_transition(0, 1, 0.0000001)
         .add_self_loop(1);
-    let chain = b.build().unwrap();
-    let result = reach_avoid_probs(
-        &chain,
-        &StateSet::from_states(2, [1]),
-        &StateSet::new(2),
-        &SolveOptions {
-            tolerance: 1e-16,
-            max_iterations: 2,
-        },
-    );
+    b.build().unwrap()
+}
+
+#[test]
+fn solver_reports_non_convergence_not_garbage() {
+    let chain = slowly_mixing_chain();
+    let result = reach_avoid_probs(&chain, &StateSet::from_states(2, [1]), &StateSet::new(2));
+    assert!(matches!(result, Err(SolveError::NotConverged { .. })));
+}
+
+#[test]
+fn hitting_time_solver_reports_non_convergence() {
+    let chain = slowly_mixing_chain();
+    let result = expected_steps_to(&chain, &StateSet::from_states(2, [1]));
+    assert!(matches!(result, Err(SolveError::NotConverged { .. })));
+}
+
+#[test]
+fn envelope_solver_reports_non_convergence() {
+    // The point IMC of the chain: both envelopes iterate its solve.
+    let imc = Imc::from_center(&slowly_mixing_chain(), |_, _| 0.0).unwrap();
+    let result = imc_reach_bounds(&imc, &StateSet::from_states(2, [1]), &StateSet::new(2));
     assert!(matches!(result, Err(SolveError::NotConverged { .. })));
 }
 

@@ -10,9 +10,7 @@ use imc_models::{swat, Setup};
 use imc_numeric::bounded_reach_probs;
 use imc_sampling::failure_bias;
 use imc_sim::{random_walk, ChainSampler};
-use imcis_core::{
-    stage_estimator_for, ImcisOutcome, ImcisSpec, Method, OutcomeDetail, RunContext, SampleSpec,
-};
+use imcis_core::{stage_estimator_for, ImcisOutcome, ImcisSpec, Method, RunContext, SampleSpec};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -38,10 +36,9 @@ fn run_imcis(
     let outcome = stage_estimator_for(&Method::Imcis(spec))
         .estimate(&setup, &RunContext::default(), rng)
         .expect("IMCIS succeeds");
-    match outcome.detail {
-        OutcomeDetail::Imcis(out) => out,
-        _ => unreachable!("the IMCIS estimator yields IMCIS outcomes"),
-    }
+    outcome
+        .imcis
+        .expect("the IMCIS estimator yields IMCIS outcomes")
 }
 
 #[test]

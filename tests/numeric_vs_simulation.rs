@@ -4,9 +4,7 @@
 use imc_logic::Property;
 use imc_markov::StateSet;
 use imc_models::{group_repair, swat};
-use imc_numeric::{
-    bounded_reach_probs, imc_reach_bounds, reach_avoid_probs, reach_before_return, SolveOptions,
-};
+use imc_numeric::{bounded_reach_probs, imc_reach_bounds, reach_avoid_probs, reach_before_return};
 use imc_sampling::{is_estimate, sample_is_run, zero_variance_is, IsConfig};
 use imc_sim::{monte_carlo, SmcConfig};
 use rand::SeedableRng;
@@ -37,10 +35,9 @@ fn importance_sampling_agrees_with_numeric_on_group_repair() {
     let failure = chain.labeled_states("failure");
     let mut avoid = StateSet::new(chain.num_states());
     avoid.insert(chain.initial());
-    let opts = SolveOptions::default();
-    let exact = reach_before_return(&chain, failure, &opts).expect("solver converges");
+    let exact = reach_before_return(&chain, failure).expect("solver converges");
 
-    let b = zero_variance_is(&chain, failure, &avoid, &opts).expect("ZV exists");
+    let b = zero_variance_is(&chain, failure, &avoid).expect("ZV exists");
     let property = group_repair::property(&chain);
     let mut rng = rand::rngs::StdRng::seed_from_u64(5);
     let run = sample_is_run(&b, &property, &IsConfig::new(20_000), &mut rng);
@@ -67,8 +64,7 @@ fn interval_envelope_brackets_imcis_targets() {
     let failure = center.labeled_states("failure");
     let mut avoid = StateSet::new(center.num_states());
     avoid.insert(center.initial());
-    let opts = SolveOptions::default();
-    let (min, max) = imc_reach_bounds(&imc, failure, &avoid, &opts).expect("IVI converges");
+    let (min, max) = imc_reach_bounds(&imc, failure, &avoid).expect("IVI converges");
     // One-step expectation from the initial row brackets the property
     // value; here we conservatively check at the successor level by
     // computing the full reach-before-return for the endpoint chains.
@@ -79,8 +75,8 @@ fn interval_envelope_brackets_imcis_targets() {
         group_repair::ALPHA_HI,
     ] {
         let chain = group_repair::jump_chain(alpha);
-        let gamma = reach_before_return(&chain, chain.labeled_states("failure"), &opts)
-            .expect("solver converges");
+        let gamma =
+            reach_before_return(&chain, chain.labeled_states("failure")).expect("solver converges");
         // Envelope at the initial state's successors: γ is a convex
         // combination of successor values, each within [min, max].
         let lo: f64 = chain
@@ -110,7 +106,7 @@ fn bounded_and_unbounded_reach_consistent() {
     let chain = swat::truth();
     let target = chain.labeled_states("high");
     let avoid = StateSet::new(chain.num_states());
-    let unbounded = reach_avoid_probs(&chain, target, &avoid, &SolveOptions::default()).unwrap();
+    let unbounded = reach_avoid_probs(&chain, target, &avoid).unwrap();
     // The SWaT chain hits "high" only via rare degradation excursions
     // (~1.4e-2 per 30 steps), so convergence needs tens of thousands of
     // steps — and must be monotone on the way.

@@ -9,7 +9,7 @@
 
 use imc_logic::{Monitor, Property};
 use imc_markov::{graph, Dtmc, DtmcBuilder, Imc, StateSet, TransitionCounts};
-use imc_numeric::{bounded_reach_probs, imc_reach_bounds, reach_avoid_probs, SolveOptions};
+use imc_numeric::{bounded_reach_probs, imc_reach_bounds, reach_avoid_probs};
 use imc_sampling::{is_estimate, sample_is_run, IsConfig};
 use imc_sim::{random_walk, ChainSampler};
 use rand::rngs::StdRng;
@@ -97,7 +97,7 @@ fn reachability_probabilities_are_probabilities() {
         let n = chain.num_states();
         let targets = StateSet::from_states(n, [n - 1]);
         let avoid = StateSet::new(n);
-        let probs = reach_avoid_probs(&chain, &targets, &avoid, &SolveOptions::default()).unwrap();
+        let probs = reach_avoid_probs(&chain, &targets, &avoid).unwrap();
         for (s, &p) in probs.iter().enumerate() {
             assert!(
                 (0.0..=1.0 + 1e-12).contains(&p),
@@ -130,13 +130,7 @@ fn bounded_reach_is_monotone_and_bounded_by_unbounded() {
         let chain = arb_dtmc(rng);
         let n = chain.num_states();
         let targets = StateSet::from_states(n, [n - 1]);
-        let unbounded = reach_avoid_probs(
-            &chain,
-            &targets,
-            &StateSet::new(n),
-            &SolveOptions::default(),
-        )
-        .unwrap();
+        let unbounded = reach_avoid_probs(&chain, &targets, &StateSet::new(n)).unwrap();
         let mut prev = vec![0.0; n];
         for k in [0usize, 1, 2, 5, 10, 50] {
             let bounded = bounded_reach_probs(&chain, &targets, k);
@@ -164,9 +158,8 @@ fn imc_envelope_contains_point_value() {
         let imc = Imc::from_center(&chain, |_, _| eps).unwrap();
         let targets = StateSet::from_states(n, [n - 1]);
         let avoid = StateSet::new(n);
-        let point = reach_avoid_probs(&chain, &targets, &avoid, &SolveOptions::default()).unwrap();
-        let (min, max) =
-            imc_reach_bounds(&imc, &targets, &avoid, &SolveOptions::default()).unwrap();
+        let point = reach_avoid_probs(&chain, &targets, &avoid).unwrap();
+        let (min, max) = imc_reach_bounds(&imc, &targets, &avoid).unwrap();
         for s in 0..n {
             assert!(
                 min[s] - 1e-9 <= point[s] && point[s] <= max[s] + 1e-9,
