@@ -22,7 +22,10 @@ fn main() {
     });
     // One repetition: its RNG stream is seeded with `scale.seed` itself.
     // `min_found_at` and `max_found_at` live in the full IMCIS outcome.
-    let out = (scenario.run(method, scale.seed, 1).remove(0).imcis)
+    let out = scenario
+        .run(method, scale.seed, 1)
+        .remove(0)
+        .imcis
         .expect("an IMCIS session yields IMCIS outcomes");
 
     println!("round\tgamma_min\tgamma_max");

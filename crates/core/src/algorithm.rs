@@ -203,10 +203,10 @@ pub(crate) fn imcis_impl<R: Rng + ?Sized>(
     })
 }
 
-/// Standard IS (§III-A, the paper's baseline: IS against the point chain
-/// `Â`, ignoring the intervals): samples under `b` and estimates
-/// `γ(a_ref)` with a normal confidence interval, clamped into `[0, 1]` — the baseline whose coverage collapses when
-/// `a_ref` is only a point estimate of the true system (§III-B).
+/// Standard IS (§III-A): samples under `b` and estimates `γ(a_ref)` with a
+/// normal confidence interval clamped into `[0, 1]`, ignoring the
+/// intervals — the baseline whose coverage collapses when `a_ref` is only
+/// a point estimate of the true system (§III-B).
 /// [`crate::Session`] reaches it through the `standard-is`,
 /// `zero-variance`, `cross-entropy` and campaign estimators.
 pub(crate) fn standard_is_impl<R: Rng + ?Sized>(

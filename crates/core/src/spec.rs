@@ -378,13 +378,13 @@ impl RunSpec {
         }
         let scenario = parse_scenario(fields.require("scenario")?)?;
         let method = parse_method(fields.require("method")?)?;
+        let defaults = RunSpec::new(scenario, method, RunSpec::DEFAULT_SEED);
         Ok(RunSpec {
-            scenario,
-            method,
-            seed: fields.u64_or("seed", RunSpec::DEFAULT_SEED)?,
-            threads: fields.usize_or("threads", 0)?,
-            search_threads: fields.usize_or("search_threads", 0)?,
-            repetitions: fields.positive_usize_or("repetitions", 1)?,
+            seed: fields.u64_or("seed", defaults.seed)?,
+            threads: fields.usize_or("threads", defaults.threads)?,
+            search_threads: fields.usize_or("search_threads", defaults.search_threads)?,
+            repetitions: fields.positive_usize_or("repetitions", defaults.repetitions)?,
+            ..defaults
         })
     }
 
