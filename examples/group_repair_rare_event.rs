@@ -67,11 +67,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     // The actual estimation rides the Session layer on the registry setup.
-    let sample = SampleSpec {
-        n_traces: 10_000,
-        delta: 0.05,
-        max_steps: 1_000_000,
-    };
+    let sample = SampleSpec::default();
     let scenario = ScenarioRef {
         name: "group-repair".into(),
         params,

@@ -46,12 +46,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("  b(s1 -> s2) = {:.6}", setup.b.prob(1, 2));
     println!("  b(s1 -> s0) = {:.6}", setup.b.prob(1, 0));
 
-    let sample = SampleSpec {
-        n_traces: 10_000,
-        delta: 0.05,
-        max_steps: 1_000_000,
+    let sample = SampleSpec::default();
+    let spec_for = |method: Method| {
+        RunSpec::new(
+            ScenarioRef::named("illustrative"),
+            method,
+            RunSpec::DEFAULT_SEED,
+        )
     };
-    let spec_for = |method: Method| RunSpec::new(ScenarioRef::named("illustrative"), method, 2018);
 
     let is = Session::from_setup(setup.clone(), spec_for(Method::StandardIs(sample)))
         .run_outcomes()?

@@ -58,11 +58,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         gamma_center: None,
         gamma_exact: None,
     });
-    let sample = SampleSpec {
-        n_traces: 10_000,
-        delta: 0.05,
-        max_steps: 1_000_000,
-    };
+    let sample = SampleSpec::default();
     let spec_for =
         |method: Method| RunSpec::new(ScenarioRef::named("protection-system"), method, 42);
 
